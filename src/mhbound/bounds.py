@@ -19,6 +19,7 @@ supremum, NOT a valid bound.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -41,6 +42,8 @@ __all__ = [
     "default_a_list",
     "default_x_max",
 ]
+
+log = logging.getLogger(__name__)
 
 _BETA_QUAD = AdaptiveSimpsonRule(abs_tol=1e-8, rel_tol=1e-8, max_depth=24)
 _INNER_SCAN = SupScanConfig(coarse_steps=1024, tol_x=1e-8)
@@ -165,9 +168,7 @@ def r_sup_tail(
         lambda x: f(-x), a, x_max, neg.value
     )
     if not resolved:
-        import logging
-
-        logging.getLogger(__name__).warning(
+        log.warning(
             "tail supremum beyond |x|=%g not resolved; the reported value is a "
             "lower estimate, not a valid bound",
             x_max,

@@ -21,7 +21,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Sequence
 
 import numpy as np
 
@@ -198,19 +197,3 @@ class MhKernel:
         va = math.exp(a - m)
         vb = math.exp(b - m)
         return abs(va - vb) / max(va, vb, eps)
-
-    def check_accessibility(self, grid: Sequence[float], points: int = 33) -> List[float]:
-        """Scan for x values with no y in [x-s, x+s] where
-        q(x,y) q(y,x) > 0; such points threaten sup r < 1."""
-        grid = list(grid)
-        if not grid:
-            raise ValueError("accessibility check requires a non-empty grid")
-        s = self.proposal.s
-        violations = []
-        for x in grid:
-            ys = np.linspace(x - s, x + s, points)
-            q_fwd = self.proposal.shape(ys - x)
-            q_bwd = self.proposal.shape(x - ys)
-            if not np.any(q_fwd * q_bwd > 0.0):
-                violations.append(float(x))
-        return violations

@@ -94,12 +94,8 @@ class DensityModel:
         """log pi(x); stable in the far tails for the built-in families.
         Accepts scalars or ndarrays."""
         if self.family == "laplace":
-            if isinstance(x, np.ndarray):
-                return -np.abs(x / self.scale) - (_LOG_2 + math.log(self.scale))
             return -abs(x / self.scale) - (_LOG_2 + math.log(self.scale))
         if self.family == "gauss":
-            if isinstance(x, np.ndarray):
-                return -0.5 * (x / self.scale) ** 2 - (_LOG_SQRT_2PI + math.log(self.scale))
             return -0.5 * (x / self.scale) ** 2 - (_LOG_SQRT_2PI + math.log(self.scale))
         if isinstance(x, np.ndarray):
             vals = exprlang.evaluate_array(self._ast, x)
@@ -121,14 +117,16 @@ class DensityModel:
     def is_builtin(self) -> bool:
         return self.family in ("laplace", "gauss")
 
-    def cdf(self, x: float) -> float:
-        """Distribution function; built-in families only (used by the
-        sampler's KS diagnostic)."""
-        z = x / self.scale
+    def cdf(self, x) -> np.ndarray:
+        """Distribution function, elementwise over an array; built-in
+        families only (used by the sampler's KS diagnostic)."""
+        z = np.asarray(x, dtype=float) / self.scale
         if self.family == "laplace":
-            return 0.5 * math.exp(z) if z < 0 else 1.0 - 0.5 * math.exp(-z)
+            half_tail = 0.5 * np.exp(-np.abs(z))
+            return np.where(z < 0, half_tail, 1.0 - half_tail)
         if self.family == "gauss":
-            return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+            w = (z / math.sqrt(2.0)).ravel()
+            return 0.5 * (1.0 + np.fromiter(map(math.erf, w), float, w.size).reshape(z.shape))
         raise ModelError("cdf is only available for built-in families")
 
     def tail_ratio(self, s: float) -> Optional[TailRatio]:

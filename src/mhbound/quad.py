@@ -29,7 +29,6 @@ __all__ = [
     "IntegrationResult",
     "SupScanConfig",
     "ScanResult",
-    "integrate",
     "gauss_legendre_nodes",
     "adaptive_simpson",
     "composite_gauss_legendre",
@@ -184,27 +183,12 @@ def _adaptive_segment(f, lo, hi, rule: AdaptiveSimpsonRule):
     return value, err, converged
 
 
-def integrate(
-    f: Callable,
-    lo: float,
-    hi: float,
-    rule=None,
-    breakpoints: Sequence[float] = (),
-) -> IntegrationResult:
-    """Integrate with either quadrature rule (adaptive Simpson by default)."""
-    if rule is None:
-        rule = AdaptiveSimpsonRule()
-    if isinstance(rule, GaussLegendreRule):
-        return composite_gauss_legendre(f, lo, hi, rule, breakpoints)
-    return adaptive_simpson(f, lo, hi, rule, breakpoints)
-
-
 def _eval_grid(f, xs: np.ndarray) -> np.ndarray:
     try:
         vals = np.asarray(f(xs), dtype=float)
         if vals.shape == xs.shape:
             return vals
-    except (TypeError, ValueError):
+    except TypeError:
         pass
     return np.array([float(f(x)) for x in xs])
 

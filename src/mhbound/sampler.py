@@ -251,7 +251,7 @@ def _ks_distance(k: MhKernel, xs: np.ndarray) -> Optional[float]:
     if not k.target.is_builtin:
         return None
     srt = np.sort(xs)
-    cdf = np.array([k.target.cdf(float(v)) for v in srt])
+    cdf = k.target.cdf(srt)
     n = srt.size
     grid = np.arange(1, n + 1) / n
     return float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n))))

@@ -2,6 +2,8 @@
 truncated domain, with the operator-level checks that mirror the
 windowed bound: the tail block norm against beta_a, the Hilbert-Schmidt
 norm of the core block, and the iterate-decomposition inequality.
+Eigenvalues and operator 2-norms come from LAPACK through numpy
+(``eigvalsh`` and ``norm(., 2)``).
 
 Every spectral output here is heuristic: it is a discretization of a
 non-compact operator on a truncated domain, and no certified relation
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -37,13 +39,9 @@ __all__ = [
     "DiscreteOperator",
     "SpectralReport",
     "AsymmetryError",
-    "JacobiError",
     "discretize",
     "build_p_matrix",
     "symmetrize",
-    "jacobi_eigh",
-    "eigenvalues_symmetric",
-    "operator_norm_2",
     "norm_T_ac",
     "hs_norm_T_a",
     "decomposition_residual",
@@ -58,10 +56,6 @@ HEURISTIC_CAVEAT = (
 
 class AsymmetryError(RuntimeError):
     """Symmetrization defect beyond rounding; signals a kernel bug."""
-
-
-class JacobiError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -167,13 +161,17 @@ def build_p_matrix(k: MhKernel, d: Discretization) -> DiscreteOperator:
     return DiscreteOperator(d, p_matrix, t_matrix, r_grid, boundary, row_sum_defect)
 
 
+def _sym_coords(m: np.ndarray, d: Discretization) -> np.ndarray:
+    root = np.sqrt(d.masses)
+    return (root[:, None] / root[None, :]) * m
+
+
 def symmetrize(m: np.ndarray, d: Discretization) -> np.ndarray:
     """Similarity transform sqrt(m_i / m_j) M[i, j]; reversibility makes
     the result symmetric up to rounding."""
     if np.any(d.masses <= 0.0):
         raise ValueError("all node masses must be positive")
-    root = np.sqrt(d.masses)
-    s_mat = (root[:, None] / root[None, :]) * m
+    s_mat = _sym_coords(m, d)
     scale = float(np.max(np.abs(s_mat)))
     asym = float(np.max(np.abs(s_mat - s_mat.T)))
     if asym > 1e-9 * max(scale, 1e-300):
@@ -182,106 +180,6 @@ def symmetrize(m: np.ndarray, d: Discretization) -> np.ndarray:
             "violates detailed balance"
         )
     return 0.5 * (s_mat + s_mat.T)
-
-
-def jacobi_eigh(
-    a: np.ndarray,
-    tol: float = 1e-11,
-    max_sweeps: int = 100,
-    vectors: bool = False,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Full spectrum of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps run in fixed row order until the off-diagonal Frobenius norm
-    drops below tol * ||A||_F.  Raises JacobiError at the sweep cap.
-    Returns eigenvalues sorted descending (and matching eigenvector
-    columns when requested)."""
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n == 1:
-        return a[0].copy(), (np.ones((1, 1)) if vectors else None)
-    v = np.eye(n) if vectors else None
-    norm = math.sqrt(float((a * a).sum()))
-    if norm == 0.0:
-        eigs = np.zeros(n)
-        return eigs, v
-
-    idx = np.arange(n)
-    for _ in range(max_sweeps):
-        # sum the off-diagonal part directly; subtracting the diagonal
-        # Frobenius norm from the full one cancels catastrophically near
-        # convergence
-        hollow = a.copy()
-        hollow[idx, idx] = 0.0
-        off = math.sqrt(float((hollow * hollow).sum()))
-        if off <= tol * norm:
-            break
-        skip = 0.01 * off / n
-        for p in range(n - 1):
-            row = a[p]
-            for q in range(p + 1, n):
-                apq = row[q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s_ = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :]
-                a[p, :] = c * rp - s_ * rq
-                a[q, :] = s_ * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q]
-                a[:, p] = c * cp - s_ * cq
-                a[:, q] = s_ * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-                if v is not None:
-                    vp = v[:, p].copy()
-                    v[:, p] = c * vp - s_ * v[:, q]
-                    v[:, q] = s_ * vp + c * v[:, q]
-                row = a[p]
-    else:
-        raise JacobiError(f"cyclic Jacobi did not converge in {max_sweeps} sweeps")
-
-    eigs = np.diag(a).copy()
-    order = np.argsort(eigs)[::-1]
-    eigs = eigs[order]
-    if v is not None:
-        v = v[:, order]
-    return eigs, v
-
-
-def eigenvalues_symmetric(s_mat: np.ndarray, **kwargs) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted descending."""
-    eigs, _ = jacobi_eigh(s_mat, **kwargs)
-    return eigs
-
-
-def operator_norm_2(b: np.ndarray, iters: int = 200, seed: int = 20240811) -> float:
-    """Largest singular value via power iteration on the Gram matrix,
-    deterministic start vector."""
-    n = b.shape[1]
-    rng = np.random.Generator(np.random.PCG64(seed))
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(iters):
-        w = b @ v
-        v = b.T @ w
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-        sigma = math.sqrt(nv)
-    return sigma
-
-
-def _sym_coords(m: np.ndarray, d: Discretization) -> np.ndarray:
-    root = np.sqrt(d.masses)
-    return (root[:, None] / root[None, :]) * m
 
 
 def norm_T_ac(k: MhKernel, d: Discretization, a: float, op: Optional[DiscreteOperator] = None) -> float:
@@ -293,7 +191,7 @@ def norm_T_ac(k: MhKernel, d: Discretization, a: float, op: Optional[DiscreteOpe
         op = build_p_matrix(k, d)
     tail = np.abs(d.nodes) > a
     t_ac = op.t_matrix * tail[:, None]
-    return operator_norm_2(_sym_coords(t_ac, d))
+    return float(np.linalg.norm(_sym_coords(t_ac, d), 2))
 
 
 def hs_norm_T_a(
@@ -364,7 +262,7 @@ def decomposition_residual(
         if n > 1:
             ra_pow = ra_pow @ r_core
             tb_pow = tb_pow @ tail_block
-        norm = operator_norm_2(ra_pow + tb_pow)
+        norm = float(np.linalg.norm(ra_pow + tb_pow, 2))
         worst = max(worst, norm - 2.0 * report.alpha_a**n)
     return worst
 
@@ -419,7 +317,7 @@ def spectral_report(
     d = discretize(k.target, half_width, n)
     op = build_p_matrix(k, d)
     s_mat = symmetrize(op.p_matrix, d)
-    eigs, _ = jacobi_eigh(s_mat)
+    eigs = np.linalg.eigvalsh(s_mat)[::-1]
     moduli = np.abs(eigs)
     top = float(eigs[0])
     second = float(np.sort(moduli)[-2]) if n >= 2 else 0.0

@@ -148,6 +148,14 @@ def test_spectrum_command(tmp_path):
     assert "heuristic" in report["result"]["caveat"]
 
 
+def test_spectrum_command_default_config(tmp_path):
+    assert run_cli("spectrum", "--out", str(tmp_path), "--format", "json") == 0
+    eigs = json.loads((tmp_path / "spectrum.json").read_text())["result"]["eigenvalues"]
+    assert len(eigs) == 801
+    assert eigs == sorted(eigs, reverse=True)
+    assert sum(abs(e - 1.0) <= 5e-4 for e in eigs) == 1
+
+
 def test_sample_command_with_trace(tmp_path):
     trace = tmp_path / "trace.csv"
     code = run_cli(

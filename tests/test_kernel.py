@@ -91,12 +91,6 @@ def test_general_q_agrees_with_symmetric_shortcut(laplace_tri):
             assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_check_accessibility(laplace_tri):
-    assert laplace_tri.check_accessibility(np.linspace(-5, 5, 11)) == []
-    with pytest.raises(ValueError):
-        laplace_tri.check_accessibility([])
-
-
 def test_sqrt_tt_symmetric_in_tail(laplace_tri):
     # for the Laplace target deep in one tail, sqrt(t t') has the closed
     # form Delta(u) e^{-|u|/2}

@@ -93,6 +93,17 @@ def test_cdf_builtins():
         DensityModel.from_expression("exp(-x^2)").cdf(0.0)
 
 
+def test_cdf_array_matches_closed_forms():
+    zs = np.array([-40.0, -3.5, -1.0, -1e-9, 0.0, 0.25, 2.0, 7.5, 40.0])
+    lap = DensityModel.laplace(scale=2.0)
+    expect = [0.5 * math.exp(z / 2.0) if z < 0 else 1.0 - 0.5 * math.exp(-z / 2.0) for z in zs]
+    np.testing.assert_allclose(lap.cdf(zs), expect, rtol=1e-15, atol=0.0)
+    gau = DensityModel.gauss(scale=0.5)
+    expect = [0.5 * (1.0 + math.erf(z / 0.5 / math.sqrt(2.0))) for z in zs]
+    np.testing.assert_allclose(gau.cdf(zs), expect, rtol=1e-15, atol=0.0)
+    assert lap.cdf(zs.reshape(3, 3)).shape == (3, 3)
+
+
 def test_proposal_shapes_normalized():
     for family in ("triangular", "uniform", "epanechnikov"):
         for s in (1.0, 2.5):

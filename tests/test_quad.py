@@ -11,14 +11,15 @@ from mhbound.quad import (
     adaptive_simpson,
     composite_gauss_legendre,
     gauss_legendre_nodes,
-    integrate,
     sup_scan,
 )
 
 
 def test_triangle_integral():
-    for rule in (GaussLegendreRule(), AdaptiveSimpsonRule()):
-        res = integrate(lambda u: 1.0 - u, 0.0, 1.0, rule)
+    for res in (
+        composite_gauss_legendre(lambda u: 1.0 - u, 0.0, 1.0, GaussLegendreRule()),
+        adaptive_simpson(lambda u: 1.0 - u, 0.0, 1.0, AdaptiveSimpsonRule()),
+    ):
         assert res.value == pytest.approx(0.5, abs=1e-12)
 
 
@@ -115,6 +116,18 @@ def test_sup_scan_dominates_coarse_grid():
 def test_sup_scan_accepts_scalar_only_functions():
     res = sup_scan(lambda x: -abs(float(x) - 1.0), 0.0, 2.0, SupScanConfig(coarse_steps=64))
     assert res.argmax == pytest.approx(1.0, abs=1e-6)
+
+
+def test_sup_scan_propagates_value_error_without_scalar_retry():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        raise ValueError("density not positive")
+
+    with pytest.raises(ValueError, match="not positive"):
+        sup_scan(f, 0.0, 1.0)
+    assert len(calls) == 1
 
 
 def test_sup_scan_invalid_interval():

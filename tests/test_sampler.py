@@ -49,6 +49,25 @@ def test_uniform_proposal_ks():
     assert ks <= 0.002
 
 
+def test_run_ks_distance_matches_sorted_samples(tmp_path, builtin_kernel):
+    trace = tmp_path / "trace.csv"
+    cfg = ChainConfig(steps=3000, burn_in=200, seed=5)
+    summary = run(builtin_kernel, cfg, trace=str(trace))
+    with open(trace, newline="") as fh:
+        xs = [float(row["x"]) for row in csv.DictReader(fh)][cfg.burn_in :]
+    srt = sorted(xs)
+    n = len(srt)
+    ks = 0.0
+    for i, x in enumerate(srt):
+        if builtin_kernel.target.family == "laplace":
+            f = 0.5 * math.exp(x) if x < 0 else 1.0 - 0.5 * math.exp(-x)
+        else:
+            f = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+        ks = max(ks, (i + 1) / n - f, f - i / n)
+    assert summary.ks_distance == pytest.approx(ks, rel=1e-12, abs=1e-15)
+    assert summary.chains[0].ks_distance == summary.ks_distance
+
+
 def test_batch_matches_scalar_draws():
     p = ProposalModel.triangular()
     batch = proposal_batch(p, 50, _stream(9, 0, 0))

@@ -9,15 +9,11 @@ from mhbound.models import DensityModel, ProposalModel
 from mhbound.spectra import (
     AsymmetryError,
     Discretization,
-    JacobiError,
     build_p_matrix,
     decomposition_residual,
     discretize,
-    eigenvalues_symmetric,
     hs_norm_T_a,
-    jacobi_eigh,
     norm_T_ac,
-    operator_norm_2,
     symmetrize,
 )
 
@@ -100,54 +96,6 @@ def test_symmetrize_requires_positive_masses():
         symmetrize(np.eye(2), d)
 
 
-def test_jacobi_identity():
-    eigs, _ = jacobi_eigh(np.eye(7))
-    np.testing.assert_allclose(eigs, np.ones(7))
-
-
-def test_jacobi_rotated_diagonal():
-    d = np.diag([0.2, 0.9, -0.3])
-    theta = 0.83
-    g = np.array(
-        [
-            [math.cos(theta), -math.sin(theta), 0.0],
-            [math.sin(theta), math.cos(theta), 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    a = g @ d @ g.T
-    eigs, _ = jacobi_eigh(a)
-    np.testing.assert_allclose(eigs, [0.9, 0.2, -0.3], atol=1e-12)
-
-
-def test_jacobi_against_numpy_random():
-    rng = np.random.default_rng(13)
-    a = rng.normal(size=(60, 60))
-    a = a + a.T
-    eigs, vecs = jacobi_eigh(a, vectors=True)
-    ref = np.linalg.eigvalsh(a)[::-1]
-    np.testing.assert_allclose(eigs, ref, atol=1e-9)
-    # eigenvectors: orthonormal and satisfy A v = lambda v
-    np.testing.assert_allclose(vecs.T @ vecs, np.eye(60), atol=1e-10)
-    np.testing.assert_allclose(a @ vecs, vecs * eigs[None, :], atol=1e-8)
-
-
-def test_jacobi_validation():
-    with pytest.raises(ValueError):
-        jacobi_eigh(np.ones((2, 3)))
-    with pytest.raises(JacobiError):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(40, 40))
-        jacobi_eigh(a + a.T, max_sweeps=1)
-
-
-def test_jacobi_trivial_sizes():
-    eigs, v = jacobi_eigh(np.array([[3.0]]), vectors=True)
-    assert eigs[0] == 3.0 and v[0, 0] == 1.0
-    eigs, _ = jacobi_eigh(np.zeros((4, 4)))
-    np.testing.assert_allclose(eigs, np.zeros(4))
-
-
 def test_invariant_eigenvector(laplace_tri):
     d = discretize(laplace_tri.target, 20.0, 401)
     op = build_p_matrix(laplace_tri, d)
@@ -167,20 +115,6 @@ def test_invariant_eigenvector(laplace_tri):
     assert np.max(rel) <= 1e-3
 
 
-def test_eigenvalues_symmetric_sorted():
-    a = np.diag([0.1, 0.5, -0.9])
-    eigs = eigenvalues_symmetric(a)
-    assert list(eigs) == sorted(eigs, reverse=True)
-
-
-def test_operator_norm_matches_svd():
-    rng = np.random.default_rng(21)
-    for shape in ((30, 30), (20, 35)):
-        b = rng.normal(size=shape)
-        assert operator_norm_2(b) == pytest.approx(np.linalg.svd(b, compute_uv=False)[0], rel=1e-6)
-    assert operator_norm_2(np.zeros((5, 5))) == 0.0
-
-
 def test_norm_T_ac_bounded_by_beta(laplace_tri):
     d = discretize(laplace_tri.target, 20.0, 201)
     op = build_p_matrix(laplace_tri, d)
@@ -191,6 +125,16 @@ def test_norm_T_ac_bounded_by_beta(laplace_tri):
     root = np.sqrt(d.masses)
     block = (root[:, None] / root[None, :]) * (op.t_matrix * tail[:, None])
     assert value == pytest.approx(np.linalg.svd(block, compute_uv=False)[0], rel=1e-5)
+
+
+def test_norm_T_ac_is_largest_singular_value(laplace_tri):
+    d = discretize(laplace_tri.target, 20.0, 401)
+    op = build_p_matrix(laplace_tri, d)
+    tail = np.abs(d.nodes) > 5.0
+    root = np.sqrt(d.masses)
+    block = (root[:, None] / root[None, :]) * (op.t_matrix * tail[:, None])
+    sigma = np.linalg.svd(block, compute_uv=False)[0]
+    assert abs(norm_T_ac(laplace_tri, d, 5.0, op) - sigma) <= 1e-12
 
 
 def test_norm_T_ac_validation(laplace_tri):
