@@ -129,7 +129,7 @@ def r_sup_compact(k: MhKernel, a: float, scan: Optional[SupScanConfig] = None) -
     """Supremum of the rejection probability over the core [-a, a]."""
     if a <= 0:
         raise ValueError("truncation radius a must be positive")
-    result = sup_scan(k.rejection_scan_fn(), -a, a, scan)
+    result = sup_scan(k.rejection_grid, -a, a, scan)
     # pin the value at the scan argmax with the accurate quadrature path
     accurate = k.rejection_prob(result.argmax)
     return ScanResult(result.argmax, max(result.value, accurate), result.converged)
@@ -153,7 +153,7 @@ def r_sup_tail(
     if tau is None:
         tau = _auto_tau(k)
 
-    f = k.rejection_scan_fn()
+    f = k.rejection_grid
     pos = sup_scan(f, a, x_max, scan)
     neg = sup_scan(f, -x_max, -a, scan)
     value = max(pos.value, neg.value)

@@ -12,7 +12,8 @@ Two evaluation paths exist for r(x):
 * ``rejection_grid`` evaluates a whole batch of x values against a fixed
   composite Gauss-Legendre grid in u (fast, vectorized; used by the
   supremum scans).  The u-grid is split at u = 0 so the shape kink of
-  the built-in proposals sits on a panel boundary.
+  the built-in proposals sits on a panel boundary.  The (x, u) grid is
+  processed in blocks of BLOCK_ELEMENTS points.
 """
 
 from __future__ import annotations
@@ -25,22 +26,22 @@ from functools import lru_cache
 import numpy as np
 
 from .models import DensityModel, ProposalModel
-from .quad import AdaptiveSimpsonRule, adaptive_simpson, gauss_legendre_nodes
+from .quad import AdaptiveSimpsonRule, _panel_nodes, adaptive_simpson
 
 __all__ = ["MhKernel", "RejectionInfo"]
 
 log = logging.getLogger(__name__)
 
+#: elements of a two-dimensional grid evaluated at once, here and in
+#: spectra.hs_norm_T_a: each float64 temporary is then 512 KB instead of
+#: the 32 MB of 4e6-element chunks, which set the peak memory of a run
+BLOCK_ELEMENTS = 2**16
+
 
 @lru_cache(maxsize=32)
 def _u_grid(s: float, panels_per_side: int, nodes_per_panel: int):
     """Gauss-Legendre nodes/weights covering [-s, 0] and [0, s]."""
-    x, w = gauss_legendre_nodes(nodes_per_panel)
-    edges = np.linspace(0.0, s, panels_per_side + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    us_pos = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    ws_pos = (half[:, None] * w[None, :]).ravel()
+    us_pos, ws_pos = _panel_nodes(0.0, s, nodes_per_panel, panels_per_side)
     us = np.concatenate([-us_pos[::-1], us_pos])
     ws = np.concatenate([ws_pos[::-1], ws_pos])
     return us, ws
@@ -113,23 +114,15 @@ class MhKernel:
     def sqrt_tt(self, x, u):
         """sqrt(t(x, x+u) * t(x+u, x)); the integrand of the tail constant.
         Broadcasts over x."""
-        s = self.proposal.s
-        if abs(u) > s:
-            if isinstance(x, np.ndarray):
-                return np.zeros_like(np.asarray(x, dtype=float))
-            return 0.0
+        x = np.asarray(x, dtype=float)
+        if abs(u) > self.proposal.s:
+            return np.zeros_like(x)
         lq_xy = self.proposal.log_shape(u)
         lq_yx = self.proposal.log_shape(-u)
         if lq_xy == -math.inf or lq_yx == -math.inf:
-            if isinstance(x, np.ndarray):
-                return np.zeros_like(np.asarray(x, dtype=float))
-            return 0.0
-        if isinstance(x, np.ndarray):
-            x = np.asarray(x, dtype=float)
-            d = self.target.log_pdf(x + u) + lq_yx - self.target.log_pdf(x) - lq_xy
-            return np.exp(0.5 * (lq_xy + lq_yx - np.abs(d)))
+            return np.zeros_like(x)
         d = self.target.log_pdf(x + u) + lq_yx - self.target.log_pdf(x) - lq_xy
-        return math.exp(0.5 * (lq_xy + lq_yx - abs(d)))
+        return np.exp(0.5 * (lq_xy + lq_yx - np.abs(d)))
 
     # -- rejection probability ----------------------------------------
     def rejection_info(self, x: float) -> RejectionInfo:
@@ -158,7 +151,7 @@ class MhKernel:
         us, ws = _u_grid(self.proposal.s, self.fast_panels, self.fast_nodes)
         shape_w = self.proposal.shape(us) * ws
         out = np.empty(xs.shape[0])
-        chunk = max(1, int(4e6 // us.size))
+        chunk = max(1, BLOCK_ELEMENTS // us.size)
         lx_all = self.target.log_pdf(xs)
         for start in range(0, xs.size, chunk):
             xc = xs[start : start + chunk]
@@ -166,17 +159,6 @@ class MhKernel:
             acc = np.exp(np.minimum(0.0, ratio))
             out[start : start + chunk] = 1.0 - acc @ shape_w
         return out
-
-    def rejection_scan_fn(self):
-        """Callable suitable for sup_scan: vectorized on arrays, scalar on
-        floats (both via the fast u-grid, so values are consistent)."""
-
-        def f(x):
-            if isinstance(x, np.ndarray):
-                return self.rejection_grid(x)
-            return float(self.rejection_grid(np.array([x]))[0])
-
-        return f
 
     # -- diagnostics ---------------------------------------------------
     def detailed_balance_residual(self, x: float, y: float, eps: float = 1e-300) -> float:

@@ -26,7 +26,6 @@ __all__ = [
     "TailRatio",
     "DensityModel",
     "ProposalModel",
-    "log_ratio",
 ]
 
 _LOG_2 = math.log(2.0)
@@ -142,12 +141,6 @@ class DensityModel:
         if self.family == "expr":
             return f"DensityModel(expr={self.source!r})"
         return f"DensityModel({self.family}, scale={self.scale})"
-
-
-def log_ratio(target: DensityModel, x, y):
-    """log pi(y) - log pi(x), computed in the log domain (the only way the
-    target enters the accept/reject kernel)."""
-    return target.log_pdf(y) - target.log_pdf(x)
 
 
 class ProposalModel:

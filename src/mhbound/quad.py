@@ -5,10 +5,11 @@ node count, vectorized evaluation) and adaptive Simpson (scalar
 evaluation, error-driven refinement).  Known kinks can be passed as
 breakpoints; each method then integrates the smooth pieces separately.
 
-sup_scan is a coarse-grid scan followed by bracket trisection around the
-running maximum.  It is not a global optimizer: the documented
-assumption is that the scanned function's oscillation on the coarse step
-is below the requested tolerance.
+sup_scan is a coarse-grid scan followed by a zoom: each level evaluates
+the function once, on an array of evenly spaced points across the two
+grid steps around the running maximum.  It is not a global optimizer:
+the documented assumption is that the scanned function's oscillation on
+the coarse step is below the requested tolerance.
 
 All functions here are pure and safe to call concurrently; reductions
 run in fixed index order for reproducibility.
@@ -16,7 +17,6 @@ run in fixed index order for reproducibility.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -60,9 +60,8 @@ class IntegrationResult:
 class SupScanConfig:
     #: number of coarse subintervals; the coarse step is (hi-lo)/coarse_steps
     coarse_steps: int = 2048
-    #: bracket width at which trisection refinement stops
+    #: bracket width at which zoom refinement stops
     tol_x: float = 1e-8
-    max_refine: int = 200
 
 
 @dataclass(frozen=True)
@@ -183,6 +182,13 @@ def _adaptive_segment(f, lo, hi, rule: AdaptiveSimpsonRule):
     return value, err, converged
 
 
+#: points per zoom level; 33 points make 32 steps over a two-step bracket
+_ZOOM_POINTS = 33
+#: cap on levels, the coarse grid included; it only binds when tol_x is
+#: below the float64 spacing near the argmax
+_MAX_LEVELS = 17
+
+
 def _eval_grid(f, xs: np.ndarray) -> np.ndarray:
     try:
         vals = np.asarray(f(xs), dtype=float)
@@ -199,9 +205,12 @@ def sup_scan(
     hi: float,
     cfg: Optional[SupScanConfig] = None,
 ) -> ScanResult:
-    """Locate the supremum of f on [lo, hi] by coarse scan + trisection.
+    """Locate the supremum of f on [lo, hi] by coarse scan + zoom.
 
-    The returned value is the maximum over every point evaluated, so it
+    Each zoom level evaluates f once on _ZOOM_POINTS evenly spaced points
+    spanning the two grid steps around the current argmax, so the bracket
+    shrinks at least 16-fold per level until it is <= cfg.tol_x.  The
+    returned value is the maximum over every point evaluated, so it
     dominates the value at every coarse grid point by construction.
     """
     if not lo < hi:
@@ -210,24 +219,15 @@ def sup_scan(
         cfg = SupScanConfig()
 
     xs = np.linspace(lo, hi, cfg.coarse_steps + 1)
-    vals = _eval_grid(f, xs)
-    i = int(np.argmax(vals))
-    best_x = float(xs[i])
-    best_v = float(vals[i])
-
-    bl = float(xs[max(i - 1, 0)])
-    br = float(xs[min(i + 1, len(xs) - 1)])
-    iters = 0
-    while (br - bl) > cfg.tol_x and iters < cfg.max_refine:
-        third = (br - bl) / 3.0
-        candidates = (bl, bl + third, br - third, br)
-        cand_vals = [float(f(c)) for c in candidates]
-        j = max(range(4), key=lambda idx: cand_vals[idx])
-        if cand_vals[j] > best_v:
-            best_v = cand_vals[j]
-            best_x = candidates[j]
-        center = candidates[j]
-        bl = max(bl, center - third)
-        br = min(br, center + third)
-        iters += 1
-    return ScanResult(best_x, best_v, (br - bl) <= cfg.tol_x)
+    for level in range(_MAX_LEVELS):
+        vals = _eval_grid(f, xs)
+        i = int(np.argmax(vals))
+        # seeding from the coarse grid keeps a NaN there in the result
+        if level == 0 or vals[i] > best_v:
+            best_x, best_v = float(xs[i]), float(vals[i])
+        bl = float(xs[max(i - 1, 0)])
+        br = float(xs[min(i + 1, len(xs) - 1)])
+        if br - bl <= cfg.tol_x:
+            break
+        xs = np.linspace(bl, br, _ZOOM_POINTS)
+    return ScanResult(best_x, best_v, br - bl <= cfg.tol_x)

@@ -30,9 +30,9 @@ from typing import Optional
 import numpy as np
 
 from .bounds import BoundReport
-from .kernel import MhKernel
+from .kernel import BLOCK_ELEMENTS, MhKernel
 from .models import DensityModel
-from .quad import AdaptiveSimpsonRule, adaptive_simpson, gauss_legendre_nodes
+from .quad import AdaptiveSimpsonRule, _panel_nodes, adaptive_simpson
 
 __all__ = [
     "Discretization",
@@ -212,23 +212,20 @@ def hs_norm_T_a(
     ys, wy = _composite_nodes(-half_width, half_width, panel_width, nodes_per_panel)
     lpx = k.target.log_pdf(xs)
     lpy = k.target.log_pdf(ys)
-    # t(y, x) for y rows, x cols
-    t_yx = k.t_eval(ys[:, None], xs[None, :] - ys[:, None])
-    ratio = np.exp(np.clip(lpy[:, None] - lpx[None, :], -745.0, 700.0))
-    inner = (t_yx**2) * ratio
-    total = float(wy @ inner @ wx)
+    rows = max(1, BLOCK_ELEMENTS // xs.size)
+    total = 0.0
+    for start in range(0, ys.size, rows):
+        yb = ys[start : start + rows]
+        # t(y, x) for y rows, x cols
+        t_yx = k.t_eval(yb[:, None], xs[None, :] - yb[:, None])
+        ratio = np.exp(np.clip(lpy[start : start + rows, None] - lpx[None, :], -745.0, 700.0))
+        total += float(wy[start : start + rows] @ ((t_yx**2) * ratio) @ wx)
     return math.sqrt(max(total, 0.0))
 
 
 def _composite_nodes(lo: float, hi: float, panel_width: float, k: int):
     panels = max(4, int(math.ceil((hi - lo) / panel_width)))
-    x, w = gauss_legendre_nodes(k)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (
-        half[:, None] * w[None, :]
-    ).ravel()
+    return _panel_nodes(lo, hi, k, panels)
 
 
 def decomposition_residual(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mhbound.kernel import MhKernel
+from mhbound.kernel import BLOCK_ELEMENTS, MhKernel, _u_grid
 from mhbound.models import DensityModel, ProposalModel
 
 R0_LAPLACE = 1.0 - 2.0 / math.e  # closed form for the triangular proposal at the mode
@@ -56,6 +56,17 @@ def test_rejection_grid_matches_adaptive(laplace_tri, gauss_tri):
         fast = k.rejection_grid(xs)
         slow = np.array([k.rejection_prob(float(x)) for x in xs])
         np.testing.assert_allclose(fast, slow, atol=5e-7)
+
+
+def test_rejection_grid_independent_of_block_split(gauss_tri):
+    xs = np.linspace(-12.0, 12.0, 4097)
+    us, _ = _u_grid(gauss_tri.proposal.s, gauss_tri.fast_panels, gauss_tri.fast_nodes)
+    rows = BLOCK_ELEMENTS // us.size
+    whole = gauss_tri.rejection_grid(xs)
+    # sub-batches that start and end mid-block
+    cuts = [0, rows // 2, rows + 3, 5 * rows - 1, 2048, xs.size]
+    split = np.concatenate([gauss_tri.rejection_grid(xs[i:j]) for i, j in zip(cuts, cuts[1:])])
+    np.testing.assert_allclose(split, whole, rtol=0.0, atol=1e-14)
 
 
 def test_detailed_balance_random_pairs(builtin_kernel):

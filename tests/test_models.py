@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mhbound.models import DensityModel, ModelError, ProposalModel, TailRatio, log_ratio
+from mhbound.models import DensityModel, ModelError, ProposalModel, TailRatio
 from mhbound.quad import adaptive_simpson
 
 
@@ -31,14 +31,6 @@ def test_scale_applied_as_rescaled_density():
 def test_gauss_log_pdf_far_tail_no_underflow():
     m = DensityModel.gauss()
     assert m.log_pdf(60.0) == pytest.approx(-1800.0 - 0.5 * math.log(2 * math.pi), rel=1e-12)
-
-
-def test_log_ratio_examples():
-    lap = DensityModel.laplace()
-    assert log_ratio(lap, 0.0, 1.0) == pytest.approx(-1.0, abs=1e-14)
-    gau = DensityModel.gauss()
-    assert log_ratio(gau, 10.0, 11.0) == pytest.approx(-10.5, abs=1e-12)
-    assert log_ratio(gau, 3.7, 3.7) == 0.0
 
 
 def test_tail_ratio_closed_forms():

@@ -13,6 +13,8 @@ from mhbound.quad import (
     gauss_legendre_nodes,
     sup_scan,
 )
+from mhbound.kernel import _u_grid
+from mhbound.spectra import _composite_nodes
 
 
 def test_triangle_integral():
@@ -100,6 +102,27 @@ def test_sup_scan_sine():
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sup_scan_zooms_on_arrays():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.sin(x)
+
+    res = sup_scan(f, 0.0, 3.2)
+    assert all(isinstance(x, np.ndarray) for x in calls)
+    assert len(calls) <= 8
+    assert res.converged
+    assert res.argmax == pytest.approx(math.pi / 2.0, abs=1e-6)
+
+
+def test_sup_scan_maximum_at_interval_end():
+    res = sup_scan(lambda x: x, 0.0, 1.0)
+    assert res.argmax == 1.0
+    assert res.value == 1.0
+    assert res.converged
+
+
 def test_sup_scan_dominates_coarse_grid():
     rng = np.random.default_rng(11)
     coeffs = rng.normal(size=6)
@@ -133,6 +156,22 @@ def test_sup_scan_propagates_value_error_without_scalar_retry():
 def test_sup_scan_invalid_interval():
     with pytest.raises(ValueError):
         sup_scan(math.sin, 1.0, 1.0)
+
+
+def test_panel_builders_share_one_rule():
+    def reference_panels(lo, hi, k, panels):
+        x, w = gauss_legendre_nodes(k)
+        edges = np.linspace(lo, hi, panels + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
+
+    us, ws = _u_grid(1.0, 96, 16)
+    pos_u, pos_w = reference_panels(0.0, 1.0, 16, 96)
+    assert np.array_equal(us, np.concatenate([-pos_u[::-1], pos_u]))
+    assert np.array_equal(ws, np.concatenate([pos_w[::-1], pos_w]))
+    for got, want in zip(_composite_nodes(-20.0, 20.0, 0.125, 16), reference_panels(-20.0, 20.0, 16, 320)):
+        assert np.array_equal(got, want)
 
 
 def test_gauss_legendre_nodes_cached_and_correct():
