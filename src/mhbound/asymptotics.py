@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .kernel import MhKernel
-from .models import DensityModel, ProposalModel, TailRatio
+from .models import DensityModel, ModelError, ProposalModel, TailRatio
 from .quad import AdaptiveSimpsonRule, adaptive_simpson
 
 __all__ = [
@@ -147,13 +147,20 @@ def gamma_inf(proposal: ProposalModel, tau: TailRatio, breakpoints=()) -> float:
 
 
 def r_prime_inf(proposal: ProposalModel, tau: TailRatio, breakpoints=()) -> float:
-    """Limiting tail rejection probability 1 - int_0^s D(u)(1 + tau(u)) du."""
+    """Limiting tail rejection probability 1 - int_0^s D(u)(1 + tau(u)) du.
+
+    At most 1/2 for every normalized symmetric shape, since then
+    int_0^s D = 1/2 and tau >= 0; ModelError otherwise."""
     value = 1.0 - _tail_integral(
         proposal,
         lambda u: proposal.shape(u) * (1.0 + tau(u)),
         breakpoints,
     )
-    assert value <= 0.5 + 1e-9, f"limiting tail rejection {value} exceeds 1/2"
+    if value > 0.5 + 1e-9:
+        raise ModelError(
+            f"limiting tail rejection {value} exceeds 1/2: the proposal shape is not "
+            "both symmetric and normalized, as the limit bound assumes"
+        )
     return value
 
 

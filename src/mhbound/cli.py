@@ -166,6 +166,20 @@ def build_kernel(cfg: dict) -> MhKernel:
     )
 
 
+def _symmetric_kernel(cfg: dict) -> MhKernel:
+    """build_kernel for bound, asymptotic, profile and spectrum, which use
+    t(x, y) = q(y - x) min(1, pi(y)/pi(x)): the Metropolis form, valid only
+    for a symmetric proposal shape."""
+    k = build_kernel(cfg)
+    if not k.proposal.symmetric:
+        raise ConfigError(
+            "proposal shape is not symmetric (shape(-u) != shape(u)); bound, asymptotic, "
+            "profile and spectrum assume a symmetric proposal, only sample handles an "
+            "asymmetric one"
+        )
+    return k
+
+
 def _scan_config(cfg: dict, a_max: float) -> Optional[SupScanConfig]:
     step = cfg["bound"].get("scan_step")
     if step is None:
@@ -210,7 +224,7 @@ def _fmt(x: float) -> str:
 
 def cmd_bound(args, cfg: dict) -> int:
     started = time.monotonic()
-    k = build_kernel(cfg)
+    k = _symmetric_kernel(cfg)
     a_list = [float(a) for a in cfg["bound"]["a_list"]]
     profile = bounds.bound_profile(
         k, a_list, float(cfg["bound"]["x_max"]), scan=_scan_config(cfg, max(a_list))
@@ -236,7 +250,7 @@ def cmd_bound(args, cfg: dict) -> int:
 
 def cmd_asymptotic(args, cfg: dict) -> int:
     started = time.monotonic()
-    k = build_kernel(cfg)
+    k = _symmetric_kernel(cfg)
     try:
         report = asymptotics.alpha_inf(k)
     except asymptotics.TauNotConvergedError as exc:
@@ -250,7 +264,7 @@ def cmd_asymptotic(args, cfg: dict) -> int:
 
 def cmd_profile(args, cfg: dict) -> int:
     started = time.monotonic()
-    k = build_kernel(cfg)
+    k = _symmetric_kernel(cfg)
     lo, hi, step = (float(cfg["profile"][key]) for key in ("lo", "hi", "step"))
     if hi <= lo or step <= 0:
         raise ConfigError("profile needs lo < hi and step > 0")
@@ -270,7 +284,7 @@ def cmd_profile(args, cfg: dict) -> int:
 
 def cmd_spectrum(args, cfg: dict) -> int:
     started = time.monotonic()
-    k = build_kernel(cfg)
+    k = _symmetric_kernel(cfg)
     sc = cfg["spectrum"]
     report = spectral_report(k, float(sc["A"]), int(sc["n"]), float(sc["a"]))
     payload = _report("spectrum", cfg, started, report.to_dict())

@@ -16,6 +16,11 @@ sqrt (unary), min, max (binary).
 
 Parsed trees are immutable (frozen dataclasses) and safe to evaluate
 concurrently.
+
+``compile_scalar`` turns a tree into a Python function of one float once,
+for repeated scalar evaluation; ``evaluate`` compiles and calls in one
+step.  ``evaluate_array`` walks a tree over a numpy array, with the same
+domain rules.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -40,6 +45,7 @@ __all__ = [
     "DomainError",
     "parse",
     "to_source",
+    "compile_scalar",
     "evaluate",
     "evaluate_array",
 ]
@@ -290,65 +296,116 @@ def _is_integer(x: float) -> bool:
     return math.isfinite(x) and x == math.floor(x)
 
 
+# -- scalar compilation ---------------------------------------------------
+#
+# The backend: every operation of the language that can leave its domain or
+# overflow, as a plain function on floats.  "+", "-", "*" and negation are
+# emitted as Python operators, abs/min/max are the builtins themselves.
+
+
+def exp_(a: float) -> float:
+    try:
+        return math.exp(a)
+    except OverflowError:
+        return math.inf
+
+
+def log_(a: float) -> float:
+    if a <= 0.0:
+        raise DomainError("log", a)
+    return math.log(a)
+
+
+def sqrt_(a: float) -> float:
+    if a < 0.0:
+        raise DomainError("sqrt", a)
+    return math.sqrt(a)
+
+
+def div_(a: float, b: float) -> float:
+    if b == 0.0:
+        raise DomainError("/", b)
+    return a / b
+
+
+def pow_(a: float, b: float) -> float:
+    if a < 0.0 and not _is_integer(b):
+        raise DomainError("^", a)
+    if a == 0.0 and b < 0.0:
+        raise DomainError("^", b)
+    try:
+        return math.pow(a, b)
+    except OverflowError:
+        return math.inf
+
+
+_BACKEND = {f.__name__: f for f in (exp_, log_, sqrt_, div_, pow_, abs, min, max)}
+#: source templates of the operator nodes, filled with operand names
+_BINOPS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "div_({}, {})", "^": "pow_({}, {})"}
+_CALLS = {"exp": "exp_({})", "log": "log_({})", "sqrt": "sqrt_({})", "abs": "abs({})",
+          "min": "min({}, {})", "max": "max({}, {})"}
+
+
+def _operator(node: Expr):
+    """Source template and operand subtrees of an operator node."""
+    if isinstance(node, Neg):
+        return "-{}", (node.operand,)
+    if isinstance(node, BinOp) and node.op in _BINOPS:
+        return _BINOPS[node.op], (node.left, node.right)
+    if isinstance(node, Call):
+        if FUNCTIONS.get(node.func) != len(node.args):
+            raise ExprError(f"unknown function {node.func!r} or wrong number of arguments")
+        return _CALLS[node.func], node.args
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def compile_scalar(e: Expr) -> Callable[[float], float]:
+    """Compile a tree into a Python function of one float.
+
+    The generated source holds one assignment per operator node, in the
+    walk order of the tree (left operand first), so every operation and
+    every DomainError happens exactly as a node-by-node evaluation would
+    perform it, and no nesting depth reaches the compiler's limits.  It is
+    built from the node types alone: the argument is ``v``, temporaries
+    are ``t0, t1, ...``, numbers are bound as constants ``c0, c1, ...`` in
+    the function's namespace (so inf needs no spelling), and the only
+    other names are the backend functions.  The namespace has an empty
+    ``__builtins__``.
+    """
+    constants = {}
+    lines = []
+    operands = []  # names holding the values of finished subtrees
+    stack = [e]  # subtrees to visit, and (template, operand count) to emit
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            template, count = item
+            args = operands[-count:]
+            del operands[-count:]
+            operands.append(f"t{len(lines)}")
+            lines.append(f"    {operands[-1]} = {template.format(*args)}\n")
+        elif isinstance(item, Num):
+            operands.append(f"c{len(constants)}")
+            constants[operands[-1]] = item.value
+        elif isinstance(item, Var):
+            operands.append("v")
+        else:
+            template, children = _operator(item)
+            stack.append((template, len(children)))
+            stack.extend(reversed(children))
+    source = "def compiled(v):\n" + "".join(lines) + f"    return {operands.pop()}\n"
+    namespace = {"__builtins__": {}, **_BACKEND, **constants}
+    exec(compile(source, "<exprlang>", "exec"), namespace)
+    return namespace["compiled"]
+
+
 def evaluate(e: Expr, value: float) -> float:
     """IEEE double-precision evaluation at a scalar point.  Domain
-    violations raise DomainError instead of producing NaN."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return float(value)
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, value)
-    if isinstance(e, Call):
-        args = [evaluate(a, value) for a in e.args]
-        return _apply(e.func, args)
-    if isinstance(e, BinOp):
-        a = evaluate(e.left, value)
-        b = evaluate(e.right, value)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise DomainError("/", b)
-            return a / b
-        if e.op == "^":
-            if a < 0.0 and not _is_integer(b):
-                raise DomainError("^", a)
-            if a == 0.0 and b < 0.0:
-                raise DomainError("^", b)
-            try:
-                return math.pow(a, b)
-            except OverflowError:
-                return math.inf
-    raise TypeError(f"not an expression node: {e!r}")
+    violations raise DomainError instead of producing NaN.
 
-
-def _apply(func: str, args) -> float:
-    a = args[0]
-    if func == "exp":
-        try:
-            return math.exp(a)
-        except OverflowError:
-            return math.inf
-    if func == "log":
-        if a <= 0.0:
-            raise DomainError("log", a)
-        return math.log(a)
-    if func == "abs":
-        return abs(a)
-    if func == "sqrt":
-        if a < 0.0:
-            raise DomainError("sqrt", a)
-        return math.sqrt(a)
-    if func == "min":
-        return min(a, args[1])
-    if func == "max":
-        return max(a, args[1])
-    raise ExprError(f"unknown function {func!r}")
+    Compiles ``e`` on every call; to evaluate one tree at many points,
+    call ``compile_scalar(e)`` once and call its result."""
+    return compile_scalar(e)(float(value))
 
 
 def evaluate_array(e: Expr, values: np.ndarray) -> np.ndarray:

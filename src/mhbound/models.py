@@ -69,8 +69,9 @@ class DensityModel:
             if not source:
                 raise ModelError("expr target requires an expression")
             self._ast = exprlang.parse(source, "x")
+            self._fn = exprlang.compile_scalar(self._ast)
         else:
-            self._ast = None
+            self._ast = self._fn = None
         self.family = family
         self.scale = float(scale)
         self.source = source
@@ -102,7 +103,7 @@ class DensityModel:
                 bad = float(np.asarray(x, dtype=float)[vals <= 0.0].flat[0])
                 raise ModelError(f"target density is not positive at x={bad}")
             return np.log(vals)
-        v = exprlang.evaluate(self._ast, float(x))
+        v = self._fn(float(x))
         if v <= 0.0:
             raise ModelError(f"target density is not positive at x={x}")
         return math.log(v)
@@ -173,8 +174,9 @@ class ProposalModel:
             if not source:
                 raise ModelError("expr proposal requires an expression")
             self._ast = exprlang.parse(source, "u")
+            self._fn = exprlang.compile_scalar(self._ast)
         else:
-            self._ast = None
+            self._ast = self._fn = None
 
         self._validate_range()
         self._validate_normalization()
@@ -227,7 +229,7 @@ class ProposalModel:
             return 1.0 / (2.0 * s)
         if self.family == "epanechnikov":
             return 0.75 * (1.0 - (u / s) ** 2) / s
-        return exprlang.evaluate(self._ast, u)
+        return self._fn(u)
 
     def log_shape(self, u):
         """log shape(u); -inf outside the range or where the shape vanishes."""

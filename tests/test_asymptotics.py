@@ -5,7 +5,7 @@ import pytest
 
 from mhbound import asymptotics
 from mhbound.kernel import MhKernel
-from mhbound.models import DensityModel, ProposalModel, TailRatio
+from mhbound.models import DensityModel, ModelError, ProposalModel, TailRatio
 
 GAMMA_LAPLACE = 8.0 * math.exp(-0.5) - math.exp(-1.0) - 3.5
 BETA_LAPLACE = 8.0 * math.exp(-0.5) - 4.0
@@ -151,3 +151,11 @@ def test_gamma_bounded_by_one():
         c = float(rng.uniform(0.0, 1.0))
         tau = TailRatio("closed-form", 1.0, lambda u, c=c: c)
         assert asymptotics.gamma_inf(p, tau) <= 1.0 + 1e-12
+
+
+def test_r_prime_inf_rejects_asymmetric_shape():
+    # int_0^1 of this normalized shape is 1/3, so r'_inf = 2/3 for Gauss; the
+    # check is an exception, not an assert that python -O would drop
+    proposal = ProposalModel.from_expression("max(0,1-abs(u))*(1-u)", 1.0)
+    with pytest.raises(ModelError, match="exceeds 1/2"):
+        asymptotics.r_prime_inf(proposal, DensityModel.gauss().tail_ratio(1.0))

@@ -193,3 +193,31 @@ def test_bad_model_config_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+# normalized but asymmetric: shape(u) != shape(-u)
+ASYMMETRIC = (
+    "--set",
+    "target.family=gauss",
+    "--set",
+    "proposal.family=expr",
+    "--set",
+    "proposal.expr=max(0,1-abs(u))*(1-u)",
+)
+
+
+@pytest.mark.parametrize("command", ["bound", "asymptotic", "profile", "spectrum"])
+def test_asymmetric_proposal_rejected_by_certificate_commands(tmp_path, capsys, command):
+    assert run_cli(command, "--out", str(tmp_path), *ASYMMETRIC) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "symmetric proposal" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_accepts_asymmetric_proposal(tmp_path):
+    code = run_cli(
+        "sample", "--out", str(tmp_path), *ASYMMETRIC, "--set", "sample.steps=2000", "--set", "sample.burn_in=100"
+    )
+    assert code == 0
+    result = json.loads((tmp_path / "sample.json").read_text())["result"]
+    assert 0.0 < result["acceptance_rate"] < 1.0

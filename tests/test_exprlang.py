@@ -14,11 +14,13 @@ from mhbound.exprlang import (
     Num,
     UnknownIdentifierError,
     Var,
+    compile_scalar,
     evaluate,
     evaluate_array,
     parse,
     to_source,
 )
+from mhbound.models import DensityModel
 
 
 def test_parse_laplace_density_structure():
@@ -78,14 +80,39 @@ def test_eval_examples():
 
 
 def test_domain_errors():
-    with pytest.raises(DomainError):
-        evaluate(parse("log(x)", "x"), -1.0)
-    with pytest.raises(DomainError):
-        evaluate(parse("sqrt(x)", "x"), -4.0)
-    with pytest.raises(DomainError):
-        evaluate(parse("1/x", "x"), 0.0)
-    with pytest.raises(DomainError):
-        evaluate(parse("x^0.5", "x"), -2.0)
+    for source, x, function in [
+        ("log(x)", -1.0, "log"),
+        ("sqrt(x)", -4.0, "sqrt"),
+        ("1/x", 0.0, "/"),
+        ("x^0.5", -2.0, "^"),
+        ("x^-1", 0.0, "^"),
+    ]:
+        with pytest.raises(DomainError) as exc:
+            compile_scalar(parse(source, "x"))(x)
+        assert exc.value.function == function, source
+
+
+def test_compiled_deep_nesting_and_infinite_literal():
+    # one assignment per node: a nested expression of 900 unary minuses
+    # would pass CPython's 200-level parenthesis limit
+    deep = "-" * 900 + "x"
+    assert evaluate(parse(deep, "x"), 2.5) == 2.5
+    assert DensityModel.from_expression(deep).log_pdf(2.5) == math.log(2.5)
+    # the literal parses to inf, which has no Python spelling
+    assert evaluate(parse("1e999 - x", "x"), 3.0) == math.inf
+    assert DensityModel.from_expression("1e999 - x").log_pdf(3.0) == math.inf
+
+
+def test_compiled_namespace_has_no_builtins():
+    fn = compile_scalar(parse("min(x, 2) ^ 1.5 + 3", "x"))
+    assert fn.__globals__["__builtins__"] == {}
+    assert set(fn.__globals__) == set(exprlang._BACKEND) | {"__builtins__", "compiled", "c0", "c1", "c2"}
+    # names in a tree never reach the generated source
+    assert compile_scalar(Var("__import__('os')"))(4.0) == 4.0
+    with pytest.raises(exprlang.ExprError):
+        compile_scalar(Call("__import__", (Num(1.0),)))
+    with pytest.raises(exprlang.ExprError):
+        compile_scalar(Call("exp", ()))
 
 
 def test_scientific_notation():
@@ -174,3 +201,35 @@ def test_trees_are_immutable():
     tree = parse("x + 1", "x")
     with pytest.raises(Exception):
         tree.op = "-"
+
+
+def test_compiled_matches_sympy_on_random_expressions():
+    # independent oracle: sympy's own parse of the printed tree, lambdified
+    # onto the math module, wherever neither side raises
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x", real=True)
+    names = {"x": x, "abs": sympy.Abs, "min": sympy.Min, "max": sympy.Max}
+    rng = random.Random(20240817)
+    points = [-3.0, -1.5, -0.25, 0.0, 0.7, 2.0, 5.5]
+    compared = 0
+    for _ in range(1000):
+        tree = _random_expr(rng, 4)
+        text = to_source(tree).replace("^", "**")
+        try:
+            ref = sympy.lambdify(x, sympy.parse_expr(text, local_dict=names, evaluate=False), "math")
+        except (ValueError, TypeError):
+            continue  # e.g. min of a non-real constant, which sympy cannot order
+        fn = compile_scalar(tree)
+        for p in points:
+            try:
+                got = fn(p)
+            except DomainError:
+                continue
+            try:
+                want = ref(p)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                continue
+            if isinstance(want, float) and math.isfinite(want) and math.isfinite(got):
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-300), (text, p)
+                compared += 1
+    assert compared > 5000

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -102,6 +104,25 @@ def test_fixed_seed_reproducible(laplace_tri):
     a = run(laplace_tri, cfg)
     b = run(laplace_tri, cfg)
     assert a.to_dict() == b.to_dict()
+
+
+def test_expression_target_run_pinned():
+    # to_dict() of this run as computed by the tree-walking evaluator that
+    # compiled expressions replaced: a change that moves any accept/reject
+    # decision, the proposal stream or the summary shows here
+    k = MhKernel(DensityModel.from_expression("exp(-abs(x))"), ProposalModel.triangular())
+    d = run(k, ChainConfig(steps=5000, burn_in=500, seed=7, chains=2)).to_dict()
+    assert [c["accepted"] for c in d["chains"]] == [3808, 3782]
+    assert [c["mean"] for c in d["chains"]] == [-0.075191508014188, 0.03333201926989609]
+    assert [c["variance"] for c in d["chains"]] == [1.60190315166999, 1.427462937992206]
+    assert (d["acceptance_rate"], d["mean"], d["variance"], d["ks_distance"]) == (
+        0.8433333333333334,
+        -0.02092974437214596,
+        1.5176273838246428,
+        None,
+    )
+    digest = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+    assert digest == "f84ac4f793c3d5f98eaa1b9f331c3a5f5b4717d0d972bfb9d63bb700bc3845a5"
 
 
 def test_run_matches_manual_loop(laplace_tri):
