@@ -17,6 +17,7 @@ the rejection probability.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -117,6 +118,8 @@ def tail_ratio_for(target: DensityModel, s: float) -> TailRatio:
     if closed is not None:
         return closed
 
+    # memoized: beta evaluates the limit at the same u-nodes in every window
+    @functools.lru_cache(maxsize=None)
     def fn(u: float) -> float:
         value, converged = tau_numeric(target, u)
         if not converged:

@@ -9,6 +9,12 @@ with r_a the rejection supremum over the core [-a, a], r_prime_a the
 rejection supremum over the tails, and beta_a the integral over the
 proposal range of the tail supremum of sqrt(t(x, x+u) t(x+u, x)).
 
+r_a and r_prime_a come from sup_scan over r(x).  beta_a is a fixed
+Gauss-Legendre rule in u whose integrand is computed for all its nodes
+in one array pass: per node, the minimum of |d(x, u)| over both tail
+windows on a coarse x-grid, refined by a joint zoom, and exactly 0 where
+d changes sign (see kernel.MhKernel.log_balance for d).
+
 The tail suprema run over unbounded sets; here they are evaluated on a
 finite window (a, x_max] on each side and merged (by max) with the
 known limit value whenever the tail ratio is available.  When neither
@@ -20,14 +26,23 @@ supremum, NOT a valid bound.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from . import asymptotics
-from .kernel import MhKernel
+from .kernel import BLOCK_ELEMENTS, MhKernel
 from .models import TailRatio
-from .quad import AdaptiveSimpsonRule, ScanResult, SupScanConfig, adaptive_simpson, sup_scan
+from .quad import (
+    _MAX_LEVELS,
+    _ZOOM_POINTS,
+    GaussLegendreRule,
+    ScanResult,
+    SupScanConfig,
+    composite_gauss_legendre,
+    sup_scan,
+)
 
 __all__ = [
     "BoundReport",
@@ -45,8 +60,15 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_BETA_QUAD = AdaptiveSimpsonRule(abs_tol=1e-8, rel_tol=1e-8, max_depth=24)
-_INNER_SCAN = SupScanConfig(coarse_steps=1024, tol_x=1e-8)
+#: beta's rule in u: 16 nodes on each of 4 panels per half-range, against
+#: 8 panels for the error estimate; converged requires that error to be
+#: at most _BETA_TOL (beta itself is at most 1)
+_BETA_RULE = GaussLegendreRule(nodes_per_panel=16, panels=4)
+_BETA_TOL = 1e-8
+#: coarse steps of each tail window's x-grid, and the zoom's bracket width
+#: at which beta's per-u minimum of |d| stops
+_BETA_STEPS = 1024
+_BETA_TOL_X = 1e-8
 
 
 @dataclass(frozen=True)
@@ -188,10 +210,13 @@ def beta(
     tau: Optional[TailRatio] = None,
 ) -> BetaValue:
     """Tail constant: integral over u of the tail supremum of
-    sqrt(t(x, x+u) t(x+u, x)).
+    sqrt(t(x, x+u) t(x+u, x)) = sqrt(q(u) q(-u)) e^{-|d(x, u)|/2}.
 
-    For each quadrature node u a fresh supremum scan runs on both tails,
-    merged with the limiting integrand when the tail ratio is known."""
+    A fixed Gauss-Legendre rule in u (split at 0) evaluates the integrand
+    on all its nodes at once: one array pass finds, per node, the minimum
+    of |d| over both tail windows (see _min_abs_balance), merged with the
+    limiting integrand when the tail ratio is known.  The error is the
+    difference against the rule with doubled panels."""
     if a <= 0:
         raise ValueError("truncation radius a must be positive")
     s = k.proposal.s
@@ -202,29 +227,85 @@ def beta(
     if tau is None:
         tau = _auto_tau(k)
 
-    scans_converged = True
+    windows = []
+    for lo, hi in ((a, x_max), (-x_max, -a)):
+        xs = np.linspace(lo, hi, _BETA_STEPS + 1)
+        windows.append((xs, k.target.log_pdf(xs)))
+    zooms_closed = True
 
-    def integrand(u: float) -> float:
-        nonlocal scans_converged
-        def g(x):
-            return k.sqrt_tt(x, u)
-
-        pos = sup_scan(g, a, x_max, _INNER_SCAN)
-        neg = sup_scan(g, -x_max, -a, _INNER_SCAN)
-        scans_converged = scans_converged and pos.converged and neg.converged
-        value = max(pos.value, neg.value)
+    def integrand(us: np.ndarray) -> np.ndarray:
+        nonlocal zooms_closed
+        lq = k.proposal.log_shape(us) + k.proposal.log_shape(-us)
+        values = np.zeros(us.size)
+        live = lq > -np.inf
+        if np.any(live):
+            min_d, closed = _min_abs_balance(k, windows, us[live])
+            zooms_closed = zooms_closed and closed
+            values[live] = np.exp(0.5 * (lq[live] - min_d))
         if tau is not None:
-            t = tau(abs(u))
-            limit = k.proposal.shape(abs(u)) * min(math.sqrt(t), _inv_sqrt(t))
-            value = max(value, limit)
-        return value
+            v, inverse = np.unique(np.abs(us), return_inverse=True)
+            limit = k.proposal.shape(v) * np.sqrt([tau(float(x)) for x in v])
+            values = np.maximum(values, limit[inverse])
+        return values
 
-    res = adaptive_simpson(integrand, -s, s, _BETA_QUAD, breakpoints=(0.0,))
-    return BetaValue(res.value, res.error, res.converged and scans_converged, tau is not None)
+    res = composite_gauss_legendre(integrand, -s, s, _BETA_RULE, breakpoints=(0.0,))
+    converged = zooms_closed and res.error <= _BETA_TOL
+    return BetaValue(res.value, res.error, converged, tau is not None)
 
 
-def _inv_sqrt(t: float) -> float:
-    return math.inf if t == 0.0 else 1.0 / math.sqrt(t)
+def _min_abs_balance(k: MhKernel, windows, us: np.ndarray):
+    """Minimum over the tail windows of |d(x, u)| for every u in ``us``,
+    and whether every zoom closed.
+
+    ``windows`` holds each window's coarse x-grid with log pi on it.  The
+    coarse pass runs in blocks of BLOCK_ELEMENTS; a zoom then refines
+    every (window, u) row at once, evaluating _ZOOM_POINTS points across
+    the two grid steps around the row's argmin, as sup_scan does, until
+    the bracket is at most _BETA_TOL_X wide.  Where d takes both signs
+    the minimum is exactly 0: log pi is continuous, so
+    pi(x+u) q(-u) = pi(x) q(u) somewhere in the window.
+
+    The arrays handed to log_pdf are slices of buffers reused across
+    blocks and levels: exprlang.evaluate_array keeps its input alive until
+    the cyclic garbage collector runs, so a new array per block would
+    pile up."""
+    shape = (len(windows), us.size)
+    best, lo, hi = np.empty(shape), np.empty(shape), np.empty(shape)
+    crossed = np.empty(shape, dtype=bool)
+    for w, (xs, lx) in enumerate(windows):
+        chunk = max(1, BLOCK_ELEMENTS // xs.size)
+        y = np.empty((xs.size, min(chunk, us.size)))
+        for start in range(0, us.size, chunk):
+            block = slice(start, start + chunk)
+            ub = us[None, block]
+            d = k.log_balance(xs[:, None], ub, lx[:, None], out=y[:, : ub.size])
+            crossed[w, block] = (d.min(axis=0) <= 0.0) & (d.max(axis=0) >= 0.0)
+            np.abs(d, out=d)
+            at = d.argmin(axis=0)
+            best[w, block] = d[at, np.arange(at.size)]
+            lo[w, block] = xs[np.maximum(at - 1, 0)]
+            hi[w, block] = xs[np.minimum(at + 1, xs.size - 1)]
+    # one row per (window, u) from here on
+    best, lo, hi, crossed = best.ravel(), lo.ravel(), hi.ravel(), crossed.ravel()
+    u = np.tile(us, len(windows))
+    x_buf, y_buf = np.empty((2, u.size, _ZOOM_POINTS))
+    for _ in range(_MAX_LEVELS - 1):
+        rows = np.flatnonzero(~crossed & (hi - lo > _BETA_TOL_X))
+        if rows.size == 0:
+            break
+        xs = x_buf[: rows.size]
+        xs[...] = np.linspace(lo[rows], hi[rows], _ZOOM_POINTS, axis=1)
+        d = k.log_balance(xs, u[rows, None], out=y_buf[: rows.size])
+        crossed[rows] |= (d.min(axis=1) <= 0.0) & (d.max(axis=1) >= 0.0)
+        np.abs(d, out=d)
+        j = d.argmin(axis=1)
+        r = np.arange(rows.size)
+        best[rows] = np.minimum(best[rows], d[r, j])
+        lo[rows] = xs[r, np.maximum(j - 1, 0)]
+        hi[rows] = xs[r, np.minimum(j + 1, _ZOOM_POINTS - 1)]
+    best[crossed] = 0.0
+    closed = bool(np.all(crossed | (hi - lo <= _BETA_TOL_X)))
+    return best.reshape(shape).min(axis=0), closed
 
 
 def alpha(

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, asymptotics, bounds
+from . import __version__, asymptotics, bounds, exprlang
 from .kernel import MhKernel
 from .models import DensityModel, ModelError, ProposalModel
 from .quad import AdaptiveSimpsonRule, SupScanConfig
@@ -367,6 +367,12 @@ def main(argv=None) -> int:
         return args.fn(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except exprlang.DomainError as exc:
+        print(
+            f"config error: expression evaluated outside its domain: {exc.function}({exc.argument!r})",
+            file=sys.stderr,
+        )
         return EXIT_CONFIG
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -111,18 +111,25 @@ class MhKernel:
                 return np.exp(lt)
         return math.exp(lt) if lt > -math.inf else 0.0
 
+    def log_balance(self, x, u, log_pi_x=None, out=None):
+        """d(x, u) = log(pi(x+u) q(-u)) - log(pi(x) q(u)), so that
+        t(x, x+u) t(x+u, x) = q(u) q(-u) e^{-|d|}; defined where q(u) and
+        q(-u) are positive.  Broadcasts over x and u; ``log_pi_x`` is
+        log pi(x) when the caller already has it, and ``out``, if given,
+        receives x + u."""
+        if log_pi_x is None:
+            log_pi_x = self.target.log_pdf(x)
+        gap = self.proposal.log_shape(-u) - self.proposal.log_shape(u)
+        return self.target.log_pdf(np.add(x, u, out=out)) - log_pi_x + gap
+
     def sqrt_tt(self, x, u):
         """sqrt(t(x, x+u) * t(x+u, x)); the integrand of the tail constant.
         Broadcasts over x."""
         x = np.asarray(x, dtype=float)
-        if abs(u) > self.proposal.s:
+        lq = self.proposal.log_shape(u) + self.proposal.log_shape(-u)
+        if lq == -math.inf:
             return np.zeros_like(x)
-        lq_xy = self.proposal.log_shape(u)
-        lq_yx = self.proposal.log_shape(-u)
-        if lq_xy == -math.inf or lq_yx == -math.inf:
-            return np.zeros_like(x)
-        d = self.target.log_pdf(x + u) + lq_yx - self.target.log_pdf(x) - lq_xy
-        return np.exp(0.5 * (lq_xy + lq_yx - np.abs(d)))
+        return np.exp(0.5 * (lq - np.abs(self.log_balance(x, u))))
 
     # -- rejection probability ----------------------------------------
     def rejection_info(self, x: float) -> RejectionInfo:

@@ -75,6 +75,8 @@ class DensityModel:
         self.family = family
         self.scale = float(scale)
         self.source = source
+        #: log of the built-in families' normalizing constant
+        self._log_norm = (_LOG_SQRT_2PI if family == "gauss" else _LOG_2) + math.log(self.scale)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -94,9 +96,9 @@ class DensityModel:
         """log pi(x); stable in the far tails for the built-in families.
         Accepts scalars or ndarrays."""
         if self.family == "laplace":
-            return -abs(x / self.scale) - (_LOG_2 + math.log(self.scale))
+            return -abs(x / self.scale) - self._log_norm
         if self.family == "gauss":
-            return -0.5 * (x / self.scale) ** 2 - (_LOG_SQRT_2PI + math.log(self.scale))
+            return -0.5 * (x / self.scale) ** 2 - self._log_norm
         if isinstance(x, np.ndarray):
             vals = exprlang.evaluate_array(self._ast, x)
             if np.any(vals <= 0.0):

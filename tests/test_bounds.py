@@ -1,8 +1,11 @@
 import math
+import sys
 
+import mpmath
+import numpy as np
 import pytest
 
-from mhbound import asymptotics, bounds
+from mhbound import asymptotics, bounds, quad
 from mhbound.kernel import MhKernel
 from mhbound.models import DensityModel, ProposalModel
 
@@ -54,6 +57,110 @@ def test_beta_gauss_decays(gauss_tri):
     b16 = bounds.beta(gauss_tri, 16.0).value
     assert b16 < b4 < 1.0
     assert b16 < 0.25
+
+
+PROPOSALS = {"triangular": ProposalModel.triangular, "uniform": ProposalModel.uniform}
+
+
+@pytest.mark.parametrize("a", [1.0, 4.0, 16.0])
+@pytest.mark.parametrize(
+    "proposal, q", [("triangular", lambda u: 1 - u), ("uniform", lambda u: mpmath.mpf(1) / 2)]
+)
+def test_beta_gauss_closed_form(proposal, q, a):
+    # on the Gauss tails min_x |d(x, u)| = |u| (2a - |u|) / 2, taken at |x| = a
+    with mpmath.workdps(30):
+        expect = 2 * mpmath.quad(lambda u: q(u) * mpmath.exp(-u * (2 * a - u) / 4), [0, 1])
+    res = bounds.beta(MhKernel(DensityModel.gauss(), PROPOSALS[proposal]()), a)
+    assert abs(res.value - float(expect)) <= 1e-10
+    assert res.converged and res.tail_resolved
+
+
+@pytest.mark.parametrize("a", [1.0, 4.0, 16.0])
+def test_beta_laplace_closed_form_tight(laplace_tri, a):
+    assert abs(bounds.beta(laplace_tri, a).value - BETA_LAPLACE) <= 1e-10
+
+
+def test_beta_sign_change_is_exact():
+    # between the modes pi(x+u) = pi(x) for some x in the window, for every
+    # u, so the integrand is q(u) and beta is 1; a fixed rule in u that only
+    # zooms on |d| reads about 8e-4 low here
+    k = MhKernel(DensityModel.from_expression("exp(-abs(x-3))+exp(-abs(x+3))"), ProposalModel.triangular())
+    res = bounds.beta(k, 1.0)
+    assert abs(res.value - 1.0) <= 1e-9
+    assert res.converged
+
+
+#: beta from the adaptive Simpson rule over nested sup_scans that the fixed
+#: Gauss-Legendre rule replaced (default x_max, automatic tail ratio)
+BETA_BEFORE = {
+    ("laplace", "triangular", 1): 0.8522452777016764,
+    ("laplace", "triangular", 4): 0.8522452777016764,
+    ("laplace", "triangular", 16): 0.8522452777016769,
+    ("laplace", "uniform", 1): 0.7869386805762847,
+    ("laplace", "uniform", 4): 0.7869386805762847,
+    ("laplace", "uniform", 16): 0.7869386805762842,
+    ("gauss", "triangular", 1): 0.8847968677202694,
+    ("gauss", "triangular", 4): 0.581841917455353,
+    ("gauss", "triangular", 16): 0.22000382070186444,
+    ("gauss", "uniform", 1): 0.8488727670090237,
+    ("gauss", "uniform", 4): 0.4538437181360593,
+    ("gauss", "uniform", 16): 0.12594244036321833,
+    ("exp(-abs(x))", "triangular", 1): 0.8522452777016758,
+    ("exp(-abs(x))", "triangular", 4): 0.8522452777016758,
+    ("exp(-abs(x))", "triangular", 16): 0.8522452777016767,
+    ("exp(-abs(x))", "uniform", 1): 0.7869386805762842,
+    ("exp(-abs(x))", "uniform", 4): 0.7869386805762842,
+    ("exp(-abs(x))", "uniform", 16): 0.7869386805762842,
+    ("exp(-abs(x)-x/2)", "triangular", 1): 0.9216250582862922,
+    ("exp(-abs(x)-x/2)", "triangular", 4): 0.9216250582862922,
+    ("exp(-abs(x)-x/2)", "triangular", 16): 0.9216250582862923,
+    ("exp(-abs(x)-x/2)", "uniform", 1): 0.884796867716124,
+    ("exp(-abs(x)-x/2)", "uniform", 4): 0.884796867716124,
+    ("exp(-abs(x)-x/2)", "uniform", 16): 0.8847968677161243,
+    ("1/(1+x^2)", "triangular", 1): 0.9999997218616905,
+    ("1/(1+x^2)", "triangular", 4): 0.9999997218616905,
+    ("1/(1+x^2)", "triangular", 16): 0.9999997218616905,
+    ("1/(1+x^2)", "uniform", 1): 0.999999677436828,
+    ("1/(1+x^2)", "uniform", 4): 0.999999677436828,
+    ("1/(1+x^2)", "uniform", 16): 0.999999677436828,
+}
+
+
+def _target(name):
+    if name in ("laplace", "gauss"):
+        return DensityModel(name)
+    return DensityModel.from_expression(name)
+
+
+@pytest.mark.parametrize("target, proposal, a", sorted(BETA_BEFORE))
+def test_beta_matches_adaptive_values(target, proposal, a):
+    res = bounds.beta(MhKernel(_target(target), PROPOSALS[proposal]()), float(a))
+    assert abs(res.value - BETA_BEFORE[target, proposal, a]) <= 1e-7
+    assert res.converged and res.tail_resolved
+
+
+def test_beta_is_one_array_pass(gauss_tri, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("beta must not run a scalar scan or adaptive quadrature")
+
+    for name in ("sup_scan", "adaptive_simpson"):
+        original = getattr(quad, name)
+        for module in [m for n, m in sys.modules.items() if n.startswith("mhbound")]:
+            for alias, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, alias, forbidden)
+    calls = []
+    log_pdf = DensityModel.log_pdf
+
+    def counted(self, x):
+        calls.append(x)
+        return log_pdf(self, x)
+
+    monkeypatch.setattr(DensityModel, "log_pdf", counted)
+    res = bounds.beta(gauss_tri, 16.0)
+    assert res.converged
+    assert 0 < len(calls) <= 40
+    assert all(isinstance(x, np.ndarray) and x.size > 1 for x in calls)
 
 
 def test_alpha_laplace(laplace_tri):

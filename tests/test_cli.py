@@ -221,3 +221,14 @@ def test_sample_accepts_asymmetric_proposal(tmp_path):
     assert code == 0
     result = json.loads((tmp_path / "sample.json").read_text())["result"]
     assert 0.0 < result["acceptance_rate"] < 1.0
+
+
+@pytest.mark.parametrize("command", ["bound", "profile"])
+def test_out_of_domain_target_exits_1(tmp_path, capsys, command):
+    # log(x) is undefined on the negative half of every window
+    code = run_cli(command, "--out", str(tmp_path), "--set", "target.family=expr", "--set", "target.expr=log(x)")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "log(-" in err
+    assert "internal error" not in err
+    assert list(tmp_path.iterdir()) == []
