@@ -20,7 +20,7 @@ concurrently.
 ``compile_scalar`` turns a tree into a Python function of one float once,
 for repeated scalar evaluation; ``evaluate`` compiles and calls in one
 step.  ``evaluate_array`` walks a tree over a numpy array, with the same
-domain rules.
+domain rules; a constant exponent of ``^`` stays a float there.
 """
 
 from __future__ import annotations
@@ -441,6 +441,17 @@ def evaluate_array(e: Expr, values: np.ndarray) -> np.ndarray:
             if node.func == "max":
                 return np.maximum(a, args[1])
             raise ExprError(f"unknown function {node.func!r}")
+        if isinstance(node, BinOp) and node.op == "^" and isinstance(node.right, Num):
+            # a constant exponent stays a float: the domain checks are
+            # scalar tests, and np.power takes no exponent array
+            a = ev(node.left)
+            b = node.right.value
+            if math.isfinite(b) and b != math.floor(b) and np.any(a < 0.0):
+                raise DomainError("^", float(a[a < 0.0].flat[0]))
+            if b < 0.0 and np.any(a == 0.0):
+                raise DomainError("^", b)
+            with np.errstate(over="ignore"):
+                return np.power(a, b)
         if isinstance(node, BinOp):
             a = ev(node.left)
             b = ev(node.right)

@@ -94,21 +94,24 @@ class DensityModel:
     # -- evaluation ---------------------------------------------------
     def log_pdf(self, x):
         """log pi(x); stable in the far tails for the built-in families.
-        Accepts scalars or ndarrays."""
+        Accepts scalars or ndarrays.  An expression target evaluates a
+        float (the sampler's one call per step) with its compiled
+        function, and anything else as an array."""
+        fn = self._fn
+        if fn is not None and isinstance(x, float):
+            v = fn(float(x))
+            if v <= 0.0:
+                raise ModelError(f"target density is not positive at x={x}")
+            return math.log(v)
         if self.family == "laplace":
             return -abs(x / self.scale) - self._log_norm
         if self.family == "gauss":
             return -0.5 * (x / self.scale) ** 2 - self._log_norm
-        if isinstance(x, np.ndarray):
-            vals = exprlang.evaluate_array(self._ast, x)
-            if np.any(vals <= 0.0):
-                bad = float(np.asarray(x, dtype=float)[vals <= 0.0].flat[0])
-                raise ModelError(f"target density is not positive at x={bad}")
-            return np.log(vals)
-        v = self._fn(float(x))
-        if v <= 0.0:
-            raise ModelError(f"target density is not positive at x={x}")
-        return math.log(v)
+        vals = exprlang.evaluate_array(self._ast, x)
+        if np.any(vals <= 0.0):
+            bad = float(np.asarray(x, dtype=float)[vals <= 0.0].flat[0])
+            raise ModelError(f"target density is not positive at x={bad}")
+        return np.log(vals)
 
     def pdf(self, x):
         if isinstance(x, np.ndarray):

@@ -13,6 +13,18 @@ uniforms, one per step.  Because the streams are separate, drawing
 proposals in batches consumes stream 0 in exactly the same order as a
 scalar loop would, so the vectorized path reproduces the sequential
 definition bit for bit.
+
+The step loop itself is sequential.  It walks each chain in blocks of
+``_BLOCK_STEPS`` steps on Python floats (the block's increments and log
+acceptance uniforms converted with ``tolist``), and stores a block's
+states and accept flags into the chain's arrays with one slice
+assignment each.  The block bounds the size of those lists; it does not
+change a single operation of the chain.
+
+The KS diagnostic evaluates the target cdf once per kept sample: each
+chain's statistic comes from the cdf of its sorted samples, and the
+pooled one from those cdf values merged and sorted, which are the cdf of
+the sorted pool because the cdf is monotone.
 """
 
 from __future__ import annotations
@@ -39,6 +51,8 @@ __all__ = [
 ]
 
 _MAX_REJECTION_ITERS = 10**6
+#: steps per block of the step loop in ``run``
+_BLOCK_STEPS = 4096
 
 
 def _stream(seed: int, chain: int, stream: int) -> np.random.Generator:
@@ -171,7 +185,10 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
 
     The summary covers the post-burn-in states x_{burn_in+1..steps}.
     ``trace`` streams every step of every chain (chains consecutive, the
-    step column restarting per chain) as CSV ``step,x,accepted``.
+    step column restarting per chain) as CSV ``step,x,accepted``, one
+    block of steps at a time.  Each step is the transition of ``_accept``
+    (its acceptance test compares against the log of the uniform), and
+    the pooled KS distance comes from the per-chain cdf values.
     """
     writer = None
     fh = None
@@ -180,46 +197,62 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "x", "accepted"])
 
+    log_pdf = k.target.log_pdf
+    log_shape = k.proposal.log_shape
+    symmetric = k.proposal.symmetric
     summaries = []
-    pooled = []
+    # kept states of every chain, one row each, and their cdf values: the
+    # chains fill them in place, so pooling copies nothing
+    pooled = np.empty((cfg.chains, cfg.steps - cfg.burn_in))
+    pooled_cdf = np.empty_like(pooled) if k.target.is_builtin else None
     pooled_accepted = 0
     try:
         for chain in range(cfg.chains):
             us = proposal_batch(k.proposal, cfg.steps, _stream(cfg.seed, chain, 0))
             unifs = _stream(cfg.seed, chain, 1).uniform(size=cfg.steps)
+            with np.errstate(divide="ignore"):
+                log_unifs = np.log(unifs)
             xs = np.empty(cfg.steps)
             acc = np.empty(cfg.steps, dtype=bool)
             x = cfg.x0
-            log_pdf = k.target.log_pdf
-            log_shape = k.proposal.log_shape
-            symmetric = k.proposal.symmetric
             lx = log_pdf(x)
-            with np.errstate(divide="ignore"):
-                log_unifs = np.log(unifs)
-            for i in range(cfg.steps):
-                u = float(us[i])
-                y = x + u
-                ly = log_pdf(y)
-                log_ratio = ly - lx
-                if not symmetric:
-                    log_ratio += log_shape(-u) - log_shape(u)
-                a = log_unifs[i] <= log_ratio
-                if a:
-                    x, lx = y, ly
-                xs[i] = x
-                acc[i] = a
+            for start in range(0, cfg.steps, _BLOCK_STEPS):
+                stop = min(start + _BLOCK_STEPS, cfg.steps)
+                block_xs = []
+                block_acc = []
+                for u, log_unif in zip(us[start:stop].tolist(), log_unifs[start:stop].tolist()):
+                    y = x + u
+                    ly = log_pdf(y)
+                    log_ratio = ly - lx
+                    if not symmetric:
+                        log_ratio += log_shape(-u) - log_shape(u)
+                    a = log_unif <= log_ratio
+                    if a:
+                        x, lx = y, ly
+                    block_xs.append(x)
+                    block_acc.append(a)
+                xs[start:stop] = block_xs
+                acc[start:stop] = block_acc
                 if writer is not None:
-                    writer.writerow([i, repr(x), int(a)])
-            kept = xs[cfg.burn_in :]
+                    writer.writerows(zip(range(start, stop), map(repr, block_xs), map(int, block_acc)))
+            pooled[chain] = xs[cfg.burn_in :]
+            cdf = None
+            if pooled_cdf is not None:
+                cdf = pooled_cdf[chain]
+                cdf[:] = k.target.cdf(np.sort(pooled[chain]))
             accepted = int(acc[cfg.burn_in :].sum())
-            summaries.append(_summarize(k, chain, cfg, kept, accepted))
-            pooled.append(kept)
+            summaries.append(_summarize(chain, cfg, pooled[chain], accepted, cdf))
             pooled_accepted += accepted
     finally:
         if fh is not None:
             fh.close()
 
-    allx = np.concatenate(pooled)
+    allx = pooled.ravel()
+    ks_distance = None
+    if pooled_cdf is not None:
+        pooled_cdf = pooled_cdf.ravel()
+        pooled_cdf.sort()
+        ks_distance = _ks_statistic(pooled_cdf)
     denom = cfg.chains * (cfg.steps - cfg.burn_in)
     return RunSummary(
         config=cfg,
@@ -227,11 +260,13 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
         acceptance_rate=pooled_accepted / denom,
         mean=float(allx.mean()),
         variance=float(allx.var()),
-        ks_distance=_ks_distance(k, allx),
+        ks_distance=ks_distance,
     )
 
 
-def _summarize(k: MhKernel, chain: int, cfg: ChainConfig, kept: np.ndarray, accepted: int) -> ChainSummary:
+def _summarize(
+    chain: int, cfg: ChainConfig, kept: np.ndarray, accepted: int, cdf: Optional[np.ndarray]
+) -> ChainSummary:
     n = kept.size
     return ChainSummary(
         chain=chain,
@@ -242,17 +277,15 @@ def _summarize(k: MhKernel, chain: int, cfg: ChainConfig, kept: np.ndarray, acce
         acceptance_rate=accepted / n,
         mean=float(kept.mean()),
         variance=float(kept.var()),
-        ks_distance=_ks_distance(k, kept),
+        ks_distance=None if cdf is None else _ks_statistic(cdf),
         autocorrelations=_autocorr(kept, min(100, n - 1)),
     )
 
 
-def _ks_distance(k: MhKernel, xs: np.ndarray) -> Optional[float]:
-    if not k.target.is_builtin:
-        return None
-    srt = np.sort(xs)
-    cdf = k.target.cdf(srt)
-    n = srt.size
+def _ks_statistic(cdf: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance of a sample from the target, given the
+    target cdf at the sorted sample."""
+    n = cdf.size
     grid = np.arange(1, n + 1) / n
     return float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n))))
 

@@ -197,6 +197,64 @@ def test_array_domain_error():
         evaluate_array(parse("log(x)", "x"), np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize(
+    "tree",
+    [
+        parse("x^2", "x"),
+        parse("x^3", "x"),
+        parse("x^1.5", "x"),
+        parse("abs(x)^0.5", "x"),
+        parse("(-x)^7", "x"),
+        parse("x^0", "x"),
+        BinOp("^", Var("x"), Num(-2.0)),
+        BinOp("^", Var("x"), Num(-0.5)),
+    ],
+)
+def test_array_constant_exponent_matches_compiled(tree):
+    # a Num exponent takes the float-exponent path of evaluate_array; with
+    # an exact base, each value is within one ulp of math.pow's
+    assert isinstance(tree, BinOp) and isinstance(tree.right, Num)
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-5.0, 5.0, 4001)
+    if tree.right.value != math.floor(tree.right.value):
+        xs = np.abs(xs)
+    fn = compile_scalar(tree)
+    want = np.array([fn(float(x)) for x in xs])
+    got = evaluate_array(tree, xs)
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want))), to_source(tree)
+
+
+def test_array_constant_exponent_domain_errors():
+    zeros = np.zeros(3)
+    with pytest.raises(DomainError) as exc:
+        evaluate_array(parse("(-2)^0.5", "x"), zeros)
+    assert (exc.value.function, exc.value.argument) == ("^", -2.0)
+    with pytest.raises(DomainError) as exc:
+        evaluate_array(parse("x^0.5", "x"), np.array([1.0, -3.0, -2.0]))
+    assert exc.value.argument == -3.0
+    # 0^(-1) reports the exponent, with the exponent a Num or a negation
+    for tree in (BinOp("^", Num(0.0), Num(-1.0)), parse("0^(-1)", "x")):
+        with pytest.raises(DomainError) as exc:
+            evaluate_array(tree, zeros)
+        assert exc.value.argument == -1.0 and "-1.0" in str(exc.value)
+    np.testing.assert_array_equal(evaluate_array(parse("(-2)^3", "x"), zeros), [-8.0, -8.0, -8.0])
+    np.testing.assert_array_equal(evaluate_array(parse("x^2", "x"), np.array([-3.0, 0.0])), [9.0, 0.0])
+
+
+def test_array_variable_exponent():
+    # an exponent that is not a Num is evaluated as an array, elementwise
+    np.testing.assert_array_equal(evaluate_array(parse("(-2)^x", "x"), np.array([2.0, 3.0])), [4.0, -8.0])
+    with pytest.raises(DomainError) as exc:
+        evaluate_array(parse("(-2)^x", "x"), np.array([2.0, 0.5]))
+    assert exc.value.argument == -2.0
+    with pytest.raises(DomainError) as exc:
+        evaluate_array(parse("(x-1)^x", "x"), np.array([2.0, 1.0, -1.0, 0.5]))
+    assert exc.value.argument == -0.5
+    with pytest.raises(DomainError) as exc:
+        evaluate_array(parse("0^x", "x"), np.array([1.0, -1.5]))
+    assert exc.value.argument == -1.5
+
+
 def test_trees_are_immutable():
     tree = parse("x + 1", "x")
     with pytest.raises(Exception):

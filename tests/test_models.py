@@ -66,6 +66,16 @@ def test_expr_target_positivity():
         m.log_pdf(np.array([1.0, -1.0]))
 
 
+def test_expr_target_scalar_inputs():
+    # floats take the compiled scalar path; other scalars are evaluated as arrays
+    m = DensityModel.from_expression("exp(-abs(x))/2")
+    assert type(m.log_pdf(0.75)) is float
+    assert m.log_pdf(np.float64(0.75)) == m.log_pdf(0.75) == m.log_pdf(np.array([0.75]))[0]
+    assert m.log_pdf(1) == pytest.approx(-1.0 - math.log(2.0), abs=1e-15)
+    with pytest.raises(ModelError, match="x=0"):
+        DensityModel.from_expression("x").log_pdf(0)
+
+
 def test_target_constructor_validation():
     with pytest.raises(ModelError):
         DensityModel("cauchy")

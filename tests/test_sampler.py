@@ -51,21 +51,28 @@ def test_uniform_proposal_ks():
     assert ks <= 0.002
 
 
+def _ks_by_hand(family, xs):
+    """KS distance of the samples ``xs`` from the unit laplace or gauss
+    target, from the closed-form cdf one sample at a time."""
+    srt = sorted(xs)
+    n = len(srt)
+    ks = 0.0
+    for i, x in enumerate(srt):
+        if family == "laplace":
+            f = 0.5 * math.exp(x) if x < 0 else 1.0 - 0.5 * math.exp(-x)
+        else:
+            f = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+        ks = max(ks, (i + 1) / n - f, f - i / n)
+    return ks
+
+
 def test_run_ks_distance_matches_sorted_samples(tmp_path, builtin_kernel):
     trace = tmp_path / "trace.csv"
     cfg = ChainConfig(steps=3000, burn_in=200, seed=5)
     summary = run(builtin_kernel, cfg, trace=str(trace))
     with open(trace, newline="") as fh:
         xs = [float(row["x"]) for row in csv.DictReader(fh)][cfg.burn_in :]
-    srt = sorted(xs)
-    n = len(srt)
-    ks = 0.0
-    for i, x in enumerate(srt):
-        if builtin_kernel.target.family == "laplace":
-            f = 0.5 * math.exp(x) if x < 0 else 1.0 - 0.5 * math.exp(-x)
-        else:
-            f = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-        ks = max(ks, (i + 1) / n - f, f - i / n)
+    ks = _ks_by_hand(builtin_kernel.target.family, xs)
     assert summary.ks_distance == pytest.approx(ks, rel=1e-12, abs=1e-15)
     assert summary.chains[0].ks_distance == summary.ks_distance
 
@@ -125,21 +132,110 @@ def test_expression_target_run_pinned():
     assert digest == "f84ac4f793c3d5f98eaa1b9f331c3a5f5b4717d0d972bfb9d63bb700bc3845a5"
 
 
-def test_run_matches_manual_loop(laplace_tri):
-    cfg = ChainConfig(steps=200, seed=77)
-    summary = run(laplace_tri, cfg)
-    rng_u = _stream(77, 0, 0)
-    rng_a = _stream(77, 0, 1)
-    x = 0.0
-    accepted = 0
-    xs = []
-    for _ in range(200):
-        u = sample_proposal(laplace_tri.proposal, rng_u)
-        x, a = sampler._accept(laplace_tri, x, u, float(rng_a.uniform()))
-        accepted += a
-        xs.append(x)
-    assert summary.chains[0].accepted == accepted
-    assert summary.mean == pytest.approx(np.mean(xs), abs=1e-15)
+def _read_trace(path):
+    """(states, accept flags) of each chain in a trace CSV, in order."""
+    chains = []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            if row["step"] == "0":
+                chains.append(([], []))
+            chains[-1][0].append(float(row["x"]))
+            chains[-1][1].append(row["accepted"] == "1")
+    return chains
+
+
+def _manual_chain(k, cfg, chain):
+    """The chain by its scalar definition: one proposal draw and one
+    ``_accept`` per step."""
+    rng_u = _stream(cfg.seed, chain, 0)
+    rng_a = _stream(cfg.seed, chain, 1)
+    x = cfg.x0
+    states, flags = [], []
+    for _ in range(cfg.steps):
+        u = sample_proposal(k.proposal, rng_u)
+        x, a = sampler._accept(k, x, u, float(rng_a.uniform()))
+        states.append(x)
+        flags.append(a)
+    return states, flags
+
+
+ASYMMETRIC_SHAPE = "max(0,1-abs(u))*(1-u)"
+
+
+def test_run_matches_manual_loop(tmp_path, laplace_tri):
+    # every state and accept flag of the blocked loop in run() against the
+    # scalar definition, on both sides of each block boundary
+    block = sampler._BLOCK_STEPS
+    asym = ProposalModel.from_expression(ASYMMETRIC_SHAPE, 1.0)
+    expr_target = DensityModel.from_expression("exp(-abs(x))")
+    cases = [
+        (laplace_tri, ChainConfig(steps=200, seed=77)),
+        (MhKernel(expr_target, ProposalModel.triangular()), ChainConfig(steps=block - 1, burn_in=10, x0=2.5, seed=3)),
+        (MhKernel(DensityModel.gauss(), asym), ChainConfig(steps=block, burn_in=block - 1, x0=-1.5, seed=4)),
+        (MhKernel(expr_target, asym), ChainConfig(steps=block + 1, burn_in=block - 50, x0=0.75, seed=5, chains=2)),
+    ]
+    assert not asym.symmetric
+    trace = tmp_path / "trace.csv"
+    for k, cfg in cases:
+        summary = run(k, cfg, trace=str(trace))
+        traced = _read_trace(trace)
+        assert len(traced) == cfg.chains
+        for chain in range(cfg.chains):
+            states, flags = _manual_chain(k, cfg, chain)
+            assert traced[chain] == (states, flags), (k, cfg, chain)
+            kept = states[cfg.burn_in :]
+            assert summary.chains[chain].accepted == sum(flags[cfg.burn_in :])
+            assert summary.chains[chain].mean == float(np.mean(kept))
+            assert summary.chains[chain].variance == float(np.var(kept))
+
+
+def _digest(d):
+    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "target,shape,digest",
+    [
+        ("laplace", None, "ba03875621af172f990cb86ca5c216535b8451052367e908167a80bd86bee668"),
+        ("gauss", None, "7e527b2e87eb7efac9229b5791bff9f5a5bde96f52d957467893e86783eff2c8"),
+        ("laplace", ASYMMETRIC_SHAPE, "9af07ca8a9b8222708b2370b436607cf949e736735c11724f932f25143bc54ab"),
+    ],
+)
+def test_builtin_target_run_pinned(target, shape, digest):
+    # to_dict() of these runs as computed by the per-step numpy loop the
+    # blocked loop replaced
+    proposal = ProposalModel.triangular() if shape is None else ProposalModel.from_expression(shape, 1.0)
+    k = MhKernel(DensityModel(target), proposal)
+    d = run(k, ChainConfig(steps=5000, burn_in=500, seed=7, chains=2)).to_dict()
+    assert _digest(d) == digest
+
+
+def test_trace_csv_pinned(tmp_path, laplace_tri):
+    # trace bytes of a two-chain run whose chains cross a block boundary,
+    # as written row by row before the loop was blocked
+    path = tmp_path / "trace.csv"
+    run(laplace_tri, ChainConfig(steps=5000, burn_in=500, x0=0.5, seed=11, chains=2), trace=str(path))
+    data = path.read_bytes()
+    assert len(data) == 264261
+    assert data.startswith(b"step,x,accepted\n0,0.7501617637350988,1\n")
+    assert hashlib.sha256(data).hexdigest() == "de0396ac8d5f01cf61e08f6db150b8e2aaae3602120b77a594224f3640ac38a1"
+
+
+def test_run_takes_one_cdf_per_chain(tmp_path, monkeypatch, gauss_tri):
+    calls = []
+    cdf = DensityModel.cdf
+
+    def counting_cdf(self, x):
+        calls.append(np.size(x))
+        return cdf(self, x)
+
+    monkeypatch.setattr(DensityModel, "cdf", counting_cdf)
+    trace = tmp_path / "trace.csv"
+    cfg = ChainConfig(steps=1500, burn_in=100, seed=9, chains=3)
+    summary = run(gauss_tri, cfg, trace=str(trace))
+    assert calls == [1400, 1400, 1400]
+    pool = [x for states, _ in _read_trace(trace) for x in states[cfg.burn_in :]]
+    assert summary.ks_distance == pytest.approx(_ks_by_hand("gauss", pool), rel=0, abs=1e-15)
 
 
 def test_acceptance_rate_exact_ratio(laplace_tri):
