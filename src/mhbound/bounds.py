@@ -151,10 +151,7 @@ def r_sup_compact(k: MhKernel, a: float, scan: Optional[SupScanConfig] = None) -
     """Supremum of the rejection probability over the core [-a, a]."""
     if a <= 0:
         raise ValueError("truncation radius a must be positive")
-    result = sup_scan(k.rejection_grid, -a, a, scan)
-    # pin the value at the scan argmax with the accurate quadrature path
-    accurate = k.rejection_prob(result.argmax)
-    return ScanResult(result.argmax, max(result.value, accurate), result.converged)
+    return sup_scan(k.rejection_grid, -a, a, scan)
 
 
 def r_sup_tail(

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, asymptotics, bounds, exprlang
 from .kernel import MhKernel
 from .models import DensityModel, ModelError, ProposalModel
-from .quad import AdaptiveSimpsonRule, SupScanConfig
+from .quad import SupScanConfig
 from .sampler import ChainConfig, run as run_chains
 from .spectra import spectral_report
 
@@ -51,7 +51,7 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "target": {"family": (str,), "scale": (int, float), "expr": (str,)},
     "proposal": {"family": (str,), "s": (int, float), "expr": (str,), "sup_shape": (int, float)},
-    "quadrature": {"tol": (int, float), "panels": (int,)},
+    "quadrature": {"panels": (int,)},
     "bound": {"a_list": (list,), "x_max": (int, float), "scan_step": (int, float)},
     "spectrum": {"A": (int, float), "n": (int,), "a": (int, float)},
     "sample": {
@@ -123,7 +123,6 @@ def resolve_config(doc: dict) -> dict:
     out["proposal"].setdefault("family", "triangular")
     out["proposal"].setdefault("s", 1.0)
     s = float(out["proposal"]["s"])
-    out["quadrature"].setdefault("tol", 1e-10)
     out["quadrature"].setdefault("panels", 96)
     out["bound"].setdefault("a_list", bounds.default_a_list(s))
     out["bound"].setdefault("x_max", bounds.default_x_max(max(out["bound"]["a_list"]), s))
@@ -157,13 +156,7 @@ def build_kernel(cfg: dict) -> MhKernel:
             proposal = ProposalModel(p["family"], float(p["s"]))
     except (ModelError, ValueError) as exc:
         raise ConfigError(str(exc))
-    tol = float(cfg["quadrature"]["tol"])
-    return MhKernel(
-        target,
-        proposal,
-        simpson=AdaptiveSimpsonRule(abs_tol=tol, rel_tol=tol),
-        fast_panels=int(cfg["quadrature"]["panels"]),
-    )
+    return MhKernel(target, proposal, fast_panels=int(cfg["quadrature"]["panels"]))
 
 
 def _symmetric_kernel(cfg: dict) -> MhKernel:

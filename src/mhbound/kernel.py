@@ -5,32 +5,25 @@ All density comparisons run in the log domain; the min branch of the
 accept/reject rule is selected by comparing logs, so far-tail Gaussian
 targets do not underflow.
 
-Two evaluation paths exist for r(x):
-
-* ``rejection_prob`` integrates u -> t(x, x+u) with adaptive Simpson
-  (accurate, scalar);
-* ``rejection_grid`` evaluates a whole batch of x values against a fixed
-  composite Gauss-Legendre grid in u (fast, vectorized; used by the
-  supremum scans).  The u-grid is split at u = 0 so the shape kink of
-  the built-in proposals sits on a panel boundary.  The (x, u) grid is
-  processed in blocks of BLOCK_ELEMENTS points.
+r(x) has one evaluation path: ``rejection_grid`` evaluates a whole batch
+of x values against a fixed composite Gauss-Legendre grid in u.  The
+u-grid is split at u = 0 so the shape kink of the built-in proposals
+sits on a panel boundary.  The (x, u) grid is processed in blocks of
+BLOCK_ELEMENTS points.  ``rejection_prob`` is the same rule at one x.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .models import DensityModel, ProposalModel
-from .quad import AdaptiveSimpsonRule, _panel_nodes, adaptive_simpson
+from .quad import _panel_nodes
 
-__all__ = ["MhKernel", "RejectionInfo"]
-
-log = logging.getLogger(__name__)
+__all__ = ["MhKernel"]
 
 #: elements of a two-dimensional grid evaluated at once, here and in
 #: spectra.hs_norm_T_a: each float64 temporary is then 512 KB instead of
@@ -47,46 +40,27 @@ def _u_grid(s: float, panels_per_side: int, nodes_per_panel: int):
     return us, ws
 
 
-@dataclass(frozen=True)
-class RejectionInfo:
-    value: float
-    raw_value: float
-    error: float
-    converged: bool
-    clamped: bool
-
-
 @dataclass
 class MhKernel:
     target: DensityModel
     proposal: ProposalModel
-    simpson: AdaptiveSimpsonRule = field(default_factory=AdaptiveSimpsonRule)
-    #: resolution of the fast vectorized u-grid (per half-range)
+    #: resolution of rejection_grid's u-grid (per half-range)
     fast_panels: int = 96
     fast_nodes: int = 16
 
     # -- kernel evaluation --------------------------------------------
     def log_t(self, x, u):
-        """log t(x, x+u); -inf where t vanishes.  Broadcasts over x or u."""
-        if isinstance(x, np.ndarray) or isinstance(u, np.ndarray):
-            x = np.asarray(x, dtype=float)
-            u = np.asarray(u, dtype=float)
-            x, u = np.broadcast_arrays(x, u)
-            out = np.full(x.shape, -np.inf)
-            inside = np.abs(u) <= self.proposal.s
-            if np.any(inside):
-                xi, ui = x[inside], u[inside]
-                lq = self.proposal.log_shape(ui)
-                ratio = self.target.log_pdf(xi + ui) - self.target.log_pdf(xi)
-                out[inside] = lq + np.minimum(0.0, ratio)
-            return out
-        if abs(u) > self.proposal.s:
-            return -math.inf
-        lq = self.proposal.log_shape(u)
-        if lq == -math.inf:
-            return -math.inf
-        ratio = self.target.log_pdf(x + u) - self.target.log_pdf(x)
-        return lq + min(0.0, ratio)
+        """log t(x, x+u); -inf where t vanishes.  Broadcasts over x and u;
+        floats give a numpy scalar."""
+        x, u = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
+        out = np.full(x.shape, -np.inf)
+        inside = np.abs(u) <= self.proposal.s
+        if np.any(inside):
+            xi, ui = x[inside], u[inside]
+            lq = self.proposal.log_shape(ui)
+            ratio = self.target.log_pdf(xi + ui) - self.target.log_pdf(xi)
+            out[inside] = lq + np.minimum(0.0, ratio)
+        return out[()]
 
     def log_t_general(self, x: float, u: float) -> float:
         """General-q form min(q(x,y), pi(y) q(y,x) / pi(x)) in log domain,
@@ -105,11 +79,8 @@ class MhKernel:
     def t_eval(self, x, u):
         """t(x, x+u); returns 0 outside the proposal range without touching
         the target."""
-        lt = self.log_t(x, u)
-        if isinstance(lt, np.ndarray):
-            with np.errstate(over="ignore"):
-                return np.exp(lt)
-        return math.exp(lt) if lt > -math.inf else 0.0
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_t(x, u))
 
     def log_balance(self, x, u, log_pi_x=None, out=None):
         """d(x, u) = log(pi(x+u) q(-u)) - log(pi(x) q(u)), so that
@@ -132,25 +103,9 @@ class MhKernel:
         return np.exp(0.5 * (lq - np.abs(self.log_balance(x, u))))
 
     # -- rejection probability ----------------------------------------
-    def rejection_info(self, x: float) -> RejectionInfo:
-        s = self.proposal.s
-        res = adaptive_simpson(
-            lambda u: self.t_eval(x, u),
-            -s,
-            s,
-            self.simpson,
-            breakpoints=(0.0,),
-        )
-        raw = 1.0 - res.value
-        tol = max(res.error, 1e-12)
-        clamped = raw < -tol or raw > 1.0 + tol
-        if clamped:
-            log.warning("rejection probability at x=%g was %g before clamping", x, raw)
-        return RejectionInfo(min(1.0, max(0.0, raw)), raw, res.error, res.converged, clamped)
-
     def rejection_prob(self, x: float) -> float:
-        """r(x) = 1 - integral of t(x, .), clamped to [0, 1]."""
-        return self.rejection_info(x).value
+        """r(x) at one point: ``rejection_grid`` on [x]."""
+        return float(self.rejection_grid(x)[0])
 
     def rejection_grid(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized r over a batch of x values (fixed u-grid)."""

@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import MhKernel
+from .kernel import BLOCK_ELEMENTS, MhKernel
 from .models import ProposalModel
 
 __all__ = [
@@ -284,10 +284,15 @@ def _summarize(
 
 def _ks_statistic(cdf: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance of a sample from the target, given the
-    target cdf at the sorted sample."""
+    target cdf at the sorted sample.  Taken over BLOCK_ELEMENTS values at
+    a time, so a pooled sample adds no n-sized temporaries."""
     n = cdf.size
-    grid = np.arange(1, n + 1) / n
-    return float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n))))
+    dist = -math.inf
+    for start in range(0, n, BLOCK_ELEMENTS):
+        block = cdf[start : start + BLOCK_ELEMENTS]
+        grid = np.arange(start + 1, start + 1 + block.size) / n
+        dist = max(dist, np.max(grid - block), np.max(block - (grid - 1.0 / n)))
+    return float(dist)
 
 
 def _autocorr(xs: np.ndarray, max_lag: int) -> List[float]:

@@ -139,6 +139,18 @@ def test_beta_matches_adaptive_values(target, proposal, a):
     assert res.converged and res.tail_resolved
 
 
+def test_certificates_do_not_call_rejection_prob(builtin_kernel, monkeypatch):
+    # r(x) comes only from rejection_grid: no scalar path pins a supremum
+    def forbidden(self, x):
+        raise AssertionError("rejection_prob must not be called")
+
+    monkeypatch.setattr(MhKernel, "rejection_prob", forbidden)
+    rep = bounds.alpha(builtin_kernel, 4.0)
+    assert 0.0 < rep.r_a < 1.0 and rep.converged
+    lim = asymptotics.alpha_inf(builtin_kernel)
+    assert 0.0 < lim.r_inf < 1.0 and 0.0 < lim.alpha_inf < 1.0
+
+
 def test_beta_is_one_array_pass(gauss_tri, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("beta must not run a scalar scan or adaptive quadrature")

@@ -62,6 +62,13 @@ def test_resolved_config_echoes_defaults():
     assert cfg["proposal"]["s"] == 1.0
     assert cfg["bound"]["a_list"] == [1.0, 2.0, 4.0, 8.0, 16.0]
     assert cfg["spectrum"]["n"] == 801
+    assert cfg["quadrature"] == {"panels": 96}
+
+
+def test_quadrature_tol_is_unknown_key(tmp_path, capsys):
+    assert run_cli("bound", "--out", str(tmp_path), "--set", "quadrature.tol=1e-8") == 1
+    assert "unknown config key: quadrature.tol" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_config_missing_file():
@@ -82,6 +89,7 @@ def test_bound_command_csv_and_json(tmp_path):
     report = json.loads((tmp_path / "bound.json").read_text())
     assert report["version"] == __version__
     assert report["config"]["target"]["family"] == "laplace"
+    assert report["config"]["quadrature"] == {"panels": 96}
     assert report["result"]["best"]["certified"]
 
 

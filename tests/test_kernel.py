@@ -5,6 +5,7 @@ import pytest
 
 from mhbound.kernel import BLOCK_ELEMENTS, MhKernel, _u_grid
 from mhbound.models import DensityModel, ProposalModel
+from mhbound.quad import adaptive_simpson
 
 R0_LAPLACE = 1.0 - 2.0 / math.e  # closed form for the triangular proposal at the mode
 R_TAIL_LAPLACE = 0.5 - 1.0 / math.e
@@ -42,19 +43,30 @@ def test_rejection_prob_flat_region():
     assert k.rejection_prob(2.0) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_rejection_raw_value_near_unit_interval(laplace_tri):
-    xs = np.linspace(-8.0, 8.0, 1000)
-    for x in xs[::37]:
-        info = laplace_tri.rejection_info(float(x))
-        assert -1e-8 <= info.raw_value <= 1.0 + 1e-8
-        assert info.converged
+def test_rejection_grid_within_unit_interval(laplace_tri):
+    xs = np.linspace(-8.0, 8.0, 1000)[::37]
+    rs = laplace_tri.rejection_grid(xs)
+    assert np.all(rs >= -1e-12) and np.all(rs <= 1.0 + 1e-12)
+
+
+def test_rejection_prob_is_rejection_grid(builtin_kernel):
+    for x in np.linspace(-8.0, 8.0, 1000)[::37]:
+        assert builtin_kernel.rejection_prob(float(x)) == builtin_kernel.rejection_grid([x])[0]
 
 
 def test_rejection_grid_matches_adaptive(laplace_tri, gauss_tri):
+    # independent reference: 1 - adaptive Simpson of u -> t(x, x+u), split
+    # where the integrand has kinks (u = 0 and u = -2x, where |x+u| = |x|)
     for k in (laplace_tri, gauss_tri):
+        s = k.proposal.s
         xs = np.linspace(-6.0, 6.0, 41)
         fast = k.rejection_grid(xs)
-        slow = np.array([k.rejection_prob(float(x)) for x in xs])
+        slow = np.array(
+            [
+                1.0 - adaptive_simpson(lambda u: k.t_eval(x, u), -s, s, breakpoints=(0.0, -2.0 * x)).value
+                for x in xs.tolist()
+            ]
+        )
         np.testing.assert_allclose(fast, slow, atol=5e-7)
 
 

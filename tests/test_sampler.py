@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mhbound import sampler
-from mhbound.kernel import MhKernel
+from mhbound.kernel import BLOCK_ELEMENTS, MhKernel
 from mhbound.models import DensityModel, ProposalModel
 from mhbound.sampler import (
     ChainConfig,
@@ -75,6 +75,18 @@ def test_run_ks_distance_matches_sorted_samples(tmp_path, builtin_kernel):
     ks = _ks_by_hand(builtin_kernel.target.family, xs)
     assert summary.ks_distance == pytest.approx(ks, rel=1e-12, abs=1e-15)
     assert summary.chains[0].ks_distance == summary.ks_distance
+
+
+def test_ks_statistic_blocks_match_whole_array():
+    # several blocks, with each one-sided maximum moved into a later block
+    n = 3 * BLOCK_ELEMENTS + 5
+    base = np.sort(np.random.default_rng(4).uniform(size=n))
+    grid = np.arange(1, n + 1) / n
+    for i, shift in ((0, 0.0), (n - 70000, -0.3), (n - 3, 0.2), (2 * BLOCK_ELEMENTS, 0.4)):
+        cdf = base.copy()
+        cdf[i] += shift
+        whole = float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n))))
+        assert sampler._ks_statistic(cdf) == whole
 
 
 def test_batch_matches_scalar_draws():
