@@ -13,6 +13,10 @@ with the algebraic identity r_prime_inf + beta_inf = gamma_inf.  The
 limit bound on the essential spectral radius is
 alpha_inf = max(r_inf, gamma_inf), where r_inf is the global supremum of
 the rejection probability.
+
+The three integrals share one node set, the positive half of
+bounds.beta's rule, so the identity holds to rounding and a numeric tau
+is evaluated at nodes that beta has already used.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from .kernel import MhKernel
 from .models import DensityModel, ModelError, ProposalModel, TailRatio
-from .quad import AdaptiveSimpsonRule, adaptive_simpson
+from .quad import GaussLegendreRule, gauss_legendre_grid
 
 __all__ = [
     "AsymptoticReport",
@@ -40,7 +44,8 @@ __all__ = [
     "alpha_inf",
 ]
 
-_QUAD = AdaptiveSimpsonRule(abs_tol=1e-13, rel_tol=1e-13, max_depth=48)
+#: the rule in u of the limit constants and of bounds.beta
+TAIL_RULE = GaussLegendreRule(nodes_per_panel=16, panels=4)
 
 
 class TauNotConvergedError(RuntimeError):
@@ -129,18 +134,17 @@ def tail_ratio_for(target: DensityModel, s: float) -> TailRatio:
     return TailRatio("numeric-limit", s, fn)
 
 
-def _tail_integral(proposal: ProposalModel, integrand, breakpoints=()) -> float:
-    res = adaptive_simpson(integrand, 0.0, proposal.s, _QUAD, breakpoints=breakpoints)
-    return res.value
+def _tail_weights(proposal: ProposalModel, tau: TailRatio, breakpoints):
+    """TAIL_RULE on [0, s], split at the shape's kinks and ``breakpoints``:
+    the weights times D(u), and tau, at its nodes."""
+    us, ws = gauss_legendre_grid(0.0, proposal.s, TAIL_RULE, (*proposal.kinks, *breakpoints))
+    return proposal.shape(us) * ws, np.array([tau(u) for u in us.tolist()])
 
 
 def gamma_inf(proposal: ProposalModel, tau: TailRatio, breakpoints=()) -> float:
     """Limit bound gamma = 1 - int_0^s D(u) (1 - sqrt(tau(u)))^2 du."""
-    value = 1.0 - _tail_integral(
-        proposal,
-        lambda u: proposal.shape(u) * (1.0 - math.sqrt(tau(u))) ** 2,
-        breakpoints,
-    )
+    dw, t = _tail_weights(proposal, tau, breakpoints)
+    value = 1.0 - float(dw @ (1.0 - np.sqrt(t)) ** 2)
     if value >= 1.0 - 1e-9:
         warnings.warn(
             "degenerate tail ratio: gamma >= 1, the limit bound certifies nothing",
@@ -154,11 +158,8 @@ def r_prime_inf(proposal: ProposalModel, tau: TailRatio, breakpoints=()) -> floa
 
     At most 1/2 for every normalized symmetric shape, since then
     int_0^s D = 1/2 and tau >= 0; ModelError otherwise."""
-    value = 1.0 - _tail_integral(
-        proposal,
-        lambda u: proposal.shape(u) * (1.0 + tau(u)),
-        breakpoints,
-    )
+    dw, t = _tail_weights(proposal, tau, breakpoints)
+    value = 1.0 - float(dw @ (1.0 + t))
     if value > 0.5 + 1e-9:
         raise ModelError(
             f"limiting tail rejection {value} exceeds 1/2: the proposal shape is not "
@@ -169,11 +170,8 @@ def r_prime_inf(proposal: ProposalModel, tau: TailRatio, breakpoints=()) -> floa
 
 def beta_inf(proposal: ProposalModel, tau: TailRatio, breakpoints=()) -> float:
     """Limiting tail constant 2 int_0^s D(u) sqrt(tau(u)) du."""
-    return 2.0 * _tail_integral(
-        proposal,
-        lambda u: proposal.shape(u) * math.sqrt(tau(u)),
-        breakpoints,
-    )
+    dw, t = _tail_weights(proposal, tau, breakpoints)
+    return 2.0 * float(dw @ np.sqrt(t))
 
 
 def _even_target(target: DensityModel, x_max: float) -> bool:

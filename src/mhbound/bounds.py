@@ -10,10 +10,11 @@ rejection supremum over the tails, and beta_a the integral over the
 proposal range of the tail supremum of sqrt(t(x, x+u) t(x+u, x)).
 
 r_a and r_prime_a come from sup_scan over r(x).  beta_a is a fixed
-Gauss-Legendre rule in u whose integrand is computed for all its nodes
-in one array pass: per node, the minimum of |d(x, u)| over both tail
-windows on a coarse x-grid, refined by a joint zoom, and exactly 0 where
-d changes sign (see kernel.MhKernel.log_balance for d).
+Gauss-Legendre rule in u, split at 0 and at the proposal shape's kinks,
+whose integrand is computed for all its nodes in one array pass: per
+node, the minimum of |d(x, u)| over both tail windows on a coarse
+x-grid, refined by a joint zoom, and exactly 0 where d changes sign (see
+kernel.MhKernel.log_balance for d).
 
 The tail suprema run over unbounded sets; here they are evaluated on a
 finite window (a, x_max] on each side and merged (by max) with the
@@ -37,7 +38,6 @@ from .models import TailRatio
 from .quad import (
     _MAX_LEVELS,
     _ZOOM_POINTS,
-    GaussLegendreRule,
     ScanResult,
     SupScanConfig,
     composite_gauss_legendre,
@@ -60,10 +60,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: beta's rule in u: 16 nodes on each of 4 panels per half-range, against
-#: 8 panels for the error estimate; converged requires that error to be
-#: at most _BETA_TOL (beta itself is at most 1)
-_BETA_RULE = GaussLegendreRule(nodes_per_panel=16, panels=4)
+#: beta's rule in u is asymptotics.TAIL_RULE, against 8 panels per piece
+#: for the error estimate; converged requires that error to be at most
+#: _BETA_TOL (beta itself is at most 1)
 _BETA_TOL = 1e-8
 #: coarse steps of each tail window's x-grid, and the zoom's bracket width
 #: at which beta's per-u minimum of |d| stops
@@ -209,11 +208,12 @@ def beta(
     """Tail constant: integral over u of the tail supremum of
     sqrt(t(x, x+u) t(x+u, x)) = sqrt(q(u) q(-u)) e^{-|d(x, u)|/2}.
 
-    A fixed Gauss-Legendre rule in u (split at 0) evaluates the integrand
-    on all its nodes at once: one array pass finds, per node, the minimum
-    of |d| over both tail windows (see _min_abs_balance), merged with the
-    limiting integrand when the tail ratio is known.  The error is the
-    difference against the rule with doubled panels."""
+    A fixed Gauss-Legendre rule in u (split at 0 and at the shape's
+    kinks) evaluates the integrand on all its nodes at once: one array
+    pass finds, per node, the minimum of |d| over both tail windows (see
+    _min_abs_balance), merged with the limiting integrand when the tail
+    ratio is known.  The error is the difference against the rule with
+    doubled panels."""
     if a <= 0:
         raise ValueError("truncation radius a must be positive")
     s = k.proposal.s
@@ -245,7 +245,7 @@ def beta(
             values = np.maximum(values, limit[inverse])
         return values
 
-    res = composite_gauss_legendre(integrand, -s, s, _BETA_RULE, breakpoints=(0.0,))
+    res = composite_gauss_legendre(integrand, -s, s, asymptotics.TAIL_RULE, (0.0, *k.proposal.kinks))
     converged = zooms_closed and res.error <= _BETA_TOL
     return BetaValue(res.value, res.error, converged, tau is not None)
 

@@ -51,7 +51,6 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "target": {"family": (str,), "scale": (int, float), "expr": (str,)},
     "proposal": {"family": (str,), "s": (int, float), "expr": (str,), "sup_shape": (int, float)},
-    "quadrature": {"panels": (int,)},
     "bound": {"a_list": (list,), "x_max": (int, float), "scan_step": (int, float)},
     "spectrum": {"A": (int, float), "n": (int,), "a": (int, float)},
     "sample": {
@@ -70,7 +69,9 @@ def validate_config(doc: dict) -> None:
         raise ConfigError("config root must be an object")
     for section, body in doc.items():
         if section not in _SCHEMA:
-            raise ConfigError(f"unknown config key: {section}")
+            # name the first key of an unknown section, as for a known one
+            keys = list(body)[:1] if isinstance(body, dict) else []
+            raise ConfigError(f"unknown config key: {'.'.join([section, *keys])}")
         if not isinstance(body, dict):
             raise ConfigError(f"config section {section!r} must be an object")
         for key, value in body.items():
@@ -123,7 +124,6 @@ def resolve_config(doc: dict) -> dict:
     out["proposal"].setdefault("family", "triangular")
     out["proposal"].setdefault("s", 1.0)
     s = float(out["proposal"]["s"])
-    out["quadrature"].setdefault("panels", 96)
     out["bound"].setdefault("a_list", bounds.default_a_list(s))
     out["bound"].setdefault("x_max", bounds.default_x_max(max(out["bound"]["a_list"]), s))
     out["spectrum"].setdefault("a", 5.0 * s)
@@ -156,7 +156,7 @@ def build_kernel(cfg: dict) -> MhKernel:
             proposal = ProposalModel(p["family"], float(p["s"]))
     except (ModelError, ValueError) as exc:
         raise ConfigError(str(exc))
-    return MhKernel(target, proposal, fast_panels=int(cfg["quadrature"]["panels"]))
+    return MhKernel(target, proposal)
 
 
 def _symmetric_kernel(cfg: dict) -> MhKernel:

@@ -21,6 +21,8 @@ concurrently.
 for repeated scalar evaluation; ``evaluate`` compiles and calls in one
 step.  ``evaluate_array`` walks a tree over a numpy array, with the same
 domain rules; a constant exponent of ``^`` stays a float there.
+``kinks`` locates the points where a tree may fail to be smooth, so that
+quadrature can split there.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "compile_scalar",
     "evaluate",
     "evaluate_array",
+    "kinks",
 ]
 
 
@@ -476,3 +479,51 @@ def evaluate_array(e: Expr, values: np.ndarray) -> np.ndarray:
         raise TypeError(f"not an expression node: {node!r}")
 
     return ev(e)
+
+
+#: points of the sign-change scan in ``kinks``, and bisection steps per root
+_KINK_SCAN_POINTS = 4097
+_KINK_BISECTIONS = 60
+
+
+def kinks(e: Expr, lo: float, hi: float) -> tuple:
+    """Sorted points of (lo, hi) where ``e`` may have a kink: zeros of an
+    abs or sqrt argument, of the base of a ``^`` whose exponent is not an
+    integer constant, and of the difference of the arguments of min or max.
+
+    Each such function is scanned on _KINK_SCAN_POINTS points.  A zero
+    there counts where a neighbour is not zero (the ends of a run of
+    zeros); sign changes are refined by bisection, all at once.  A zero
+    only touched between two points is missed.  A DomainError here is one
+    that ``e`` itself raises on [lo, hi]."""
+    xs = np.linspace(lo, hi, _KINK_SCAN_POINTS)
+    found = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Num, Var)):
+            continue
+        children = _operator(node)[1]
+        stack.extend(children)
+        if isinstance(node, Call) and node.func in ("abs", "sqrt"):
+            g = children[0]
+        elif isinstance(node, Call) and node.func in ("min", "max"):
+            g = BinOp("-", *children)
+        elif isinstance(node, BinOp) and node.op == "^" and not (
+            isinstance(node.right, Num) and _is_integer(node.right.value)
+        ):
+            g = node.left
+        else:
+            continue
+        v = evaluate_array(g, xs)
+        zero = v == 0.0
+        ends = zero & (np.r_[False, ~zero[:-1]] | np.r_[~zero[1:], False])
+        found.update(xs[ends].tolist())
+        i = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0.0)
+        a, b, sign_a = xs[i], xs[i + 1], np.sign(v[i])
+        for _ in range(_KINK_BISECTIONS if i.size else 0):
+            m = 0.5 * (a + b)
+            left = np.sign(evaluate_array(g, m)) == sign_a
+            a, b = np.where(left, m, a), np.where(left, b, m)
+        found.update((0.5 * (a + b)).tolist())
+    return tuple(sorted(x for x in found if lo < x < hi))

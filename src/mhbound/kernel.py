@@ -6,22 +6,23 @@ accept/reject rule is selected by comparing logs, so far-tail Gaussian
 targets do not underflow.
 
 r(x) has one evaluation path: ``rejection_grid`` evaluates a whole batch
-of x values against a fixed composite Gauss-Legendre grid in u.  The
-u-grid is split at u = 0 so the shape kink of the built-in proposals
-sits on a panel boundary.  The (x, u) grid is processed in blocks of
-BLOCK_ELEMENTS points.  ``rejection_prob`` is the same rule at one x.
+of x values against a fixed composite Gauss-Legendre grid in u, split at
+u = 0 and at the proposal shape's kinks (``ProposalModel.kinks``) so that
+every kink of q sits on a panel boundary.  The (x, u) grid is processed
+in blocks of BLOCK_ELEMENTS points.  ``rejection_prob`` is the same rule
+at one x.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .models import DensityModel, ProposalModel
-from .quad import _panel_nodes
+from .quad import GaussLegendreRule, gauss_legendre_grid
 
 __all__ = ["MhKernel"]
 
@@ -29,24 +30,15 @@ __all__ = ["MhKernel"]
 #: spectra.hs_norm_T_a: each float64 temporary is then 512 KB instead of
 #: the 32 MB of 4e6-element chunks, which set the peak memory of a run
 BLOCK_ELEMENTS = 2**16
-
-
-@lru_cache(maxsize=32)
-def _u_grid(s: float, panels_per_side: int, nodes_per_panel: int):
-    """Gauss-Legendre nodes/weights covering [-s, 0] and [0, s]."""
-    us_pos, ws_pos = _panel_nodes(0.0, s, nodes_per_panel, panels_per_side)
-    us = np.concatenate([-us_pos[::-1], us_pos])
-    ws = np.concatenate([ws_pos[::-1], ws_pos])
-    return us, ws
+#: rejection_grid's rule in u: 96 panels of 16 nodes on each piece of
+#: [-s, s], which is 3,072 nodes for a shape whose only kink is at 0
+U_RULE = GaussLegendreRule(nodes_per_panel=16, panels=96)
 
 
 @dataclass
 class MhKernel:
     target: DensityModel
     proposal: ProposalModel
-    #: resolution of rejection_grid's u-grid (per half-range)
-    fast_panels: int = 96
-    fast_nodes: int = 16
 
     # -- kernel evaluation --------------------------------------------
     def log_t(self, x, u):
@@ -107,11 +99,17 @@ class MhKernel:
         """r(x) at one point: ``rejection_grid`` on [x]."""
         return float(self.rejection_grid(x)[0])
 
+    @cached_property
+    def _u_nodes(self):
+        """rejection_grid's u-nodes, and their weights times q(u)."""
+        s = self.proposal.s
+        us, ws = gauss_legendre_grid(-s, s, U_RULE, (0.0, *self.proposal.kinks))
+        return us, self.proposal.shape(us) * ws
+
     def rejection_grid(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized r over a batch of x values (fixed u-grid)."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        us, ws = _u_grid(self.proposal.s, self.fast_panels, self.fast_nodes)
-        shape_w = self.proposal.shape(us) * ws
+        us, shape_w = self._u_nodes
         out = np.empty(xs.shape[0])
         chunk = max(1, BLOCK_ELEMENTS // us.size)
         lx_all = self.target.log_pdf(xs)
@@ -123,21 +121,14 @@ class MhKernel:
         return out
 
     # -- diagnostics ---------------------------------------------------
-    def detailed_balance_residual(self, x: float, y: float, eps: float = 1e-300) -> float:
-        """Relative defect of t(x,y) pi(x) = t(y,x) pi(y); 0/0 guarded to 0."""
-        if abs(x - y) > self.proposal.s:
-            return 0.0
-        u = y - x
-        fwd = self.log_t(x, u)
-        bwd = self.log_t(y, -u)
-        lpx = self.target.log_pdf(x)
-        lpy = self.target.log_pdf(y)
-        a = fwd + lpx
-        b = bwd + lpy
-        if a == -math.inf and b == -math.inf:
-            return 0.0
-        m = max(a, b)
+    def detailed_balance_residual(self, x, y, eps: float = 1e-300):
+        """Relative defect of t(x,y) pi(x) = t(y,x) pi(y), elementwise over
+        x and y; 0 where both sides vanish, as for |y - x| > s."""
+        a = self.log_t(x, y - x) + self.target.log_pdf(x)
+        b = self.log_t(y, x - y) + self.target.log_pdf(y)
         # evaluate the difference relative to the common magnitude
-        va = math.exp(a - m)
-        vb = math.exp(b - m)
-        return abs(va - vb) / max(va, vb, eps)
+        m = np.maximum(a, b)
+        m = np.where(m == -np.inf, 0.0, m)
+        va = np.exp(a - m)
+        vb = np.exp(b - m)
+        return (np.abs(va - vb) / np.maximum(np.maximum(va, vb), eps))[()]

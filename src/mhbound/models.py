@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import exprlang
-from .quad import AdaptiveSimpsonRule, SupScanConfig, adaptive_simpson, sup_scan
+from .quad import SupScanConfig, composite_gauss_legendre, sup_scan
 
 __all__ = [
     "ModelError",
@@ -114,9 +114,14 @@ class DensityModel:
         return np.log(vals)
 
     def pdf(self, x):
-        if isinstance(x, np.ndarray):
-            return np.exp(self.log_pdf(x))
-        return math.exp(self.log_pdf(x))
+        return np.exp(self.log_pdf(x))
+
+    def kinks(self, lo: float, hi: float) -> tuple:
+        """Points in (lo, hi) where the density may have a kink: 0 for
+        laplace, none for gauss, ``exprlang.kinks`` for an expression."""
+        if self.family == "expr":
+            return exprlang.kinks(self._ast, lo, hi)
+        return (0.0,) if self.family == "laplace" and lo < 0.0 < hi else ()
 
     @property
     def is_builtin(self) -> bool:
@@ -179,12 +184,16 @@ class ProposalModel:
             if not source:
                 raise ModelError("expr proposal requires an expression")
             self._ast = exprlang.parse(source, "u")
-            self._fn = exprlang.compile_scalar(self._ast)
         else:
-            self._ast = self._fn = None
+            self._ast = None
 
         self._validate_range()
-        self._validate_normalization()
+        #: points of (-s, s) where the shape may have a kink
+        self.kinks = (0.0,) if family == "triangular" else ()
+        if family == "expr":
+            # the built-in shapes are normalized in closed form
+            self.kinks = exprlang.kinks(self._ast, -self.s, self.s)
+            self._validate_normalization()
         self.symmetric = self._check_symmetry()
         self.sup_shape = self._resolve_sup(sup_shape)
         self._warn_if_vanishing_inside()
@@ -208,41 +217,27 @@ class ProposalModel:
 
     # -- evaluation ---------------------------------------------------
     def shape(self, u):
-        """Proposal increment density; zero outside [-s, s].  Accepts
-        scalars or ndarrays."""
+        """Proposal increment density; zero outside [-s, s].  Elementwise
+        over an array; a scalar gives a numpy scalar."""
         s = self.s
-        if isinstance(u, np.ndarray):
-            u = np.asarray(u, dtype=float)
-            inside = np.abs(u) <= s
-            if self.family == "triangular":
-                out = np.where(inside, (1.0 - np.abs(u) / s) / s, 0.0)
-            elif self.family == "uniform":
-                out = np.where(inside, 1.0 / (2.0 * s), 0.0)
-            elif self.family == "epanechnikov":
-                out = np.where(inside, 0.75 * (1.0 - (u / s) ** 2) / s, 0.0)
-            else:
-                out = np.zeros_like(u)
-                if np.any(inside):
-                    out[inside] = exprlang.evaluate_array(self._ast, u[inside])
-            return out
-        u = float(u)
-        if abs(u) > s:
-            return 0.0
+        u = np.asarray(u, dtype=float)
+        inside = np.abs(u) <= s
         if self.family == "triangular":
-            return (1.0 - abs(u) / s) / s
-        if self.family == "uniform":
-            return 1.0 / (2.0 * s)
-        if self.family == "epanechnikov":
-            return 0.75 * (1.0 - (u / s) ** 2) / s
-        return self._fn(u)
+            out = np.where(inside, (1.0 - np.abs(u) / s) / s, 0.0)
+        elif self.family == "uniform":
+            out = np.where(inside, 1.0 / (2.0 * s), 0.0)
+        elif self.family == "epanechnikov":
+            out = np.where(inside, 0.75 * (1.0 - (u / s) ** 2) / s, 0.0)
+        else:
+            out = np.zeros_like(u)
+            if np.any(inside):
+                out[inside] = exprlang.evaluate_array(self._ast, u[inside])
+        return out[()]
 
     def log_shape(self, u):
         """log shape(u); -inf outside the range or where the shape vanishes."""
-        v = self.shape(u)
-        if isinstance(v, np.ndarray):
-            with np.errstate(divide="ignore"):
-                return np.log(v)
-        return math.log(v) if v > 0.0 else -math.inf
+        with np.errstate(divide="ignore"):
+            return np.log(self.shape(u))
 
     # -- construction-time verification -------------------------------
     def _validate_range(self):
@@ -262,13 +257,7 @@ class ProposalModel:
             raise ModelError("proposal shape must be nonnegative on [-s, s]")
 
     def _validate_normalization(self):
-        res = adaptive_simpson(
-            lambda u: self.shape(u),
-            -self.s,
-            self.s,
-            AdaptiveSimpsonRule(abs_tol=1e-12, rel_tol=1e-12),
-            breakpoints=(0.0,),
-        )
+        res = composite_gauss_legendre(self.shape, -self.s, self.s, breakpoints=(0.0, *self.kinks))
         if abs(res.value - 1.0) > 1e-6:
             raise ModelError(
                 f"proposal shape integrates to {res.value:.8f}, not 1; "

@@ -1,9 +1,8 @@
 """One-dimensional quadrature and supremum-over-interval scanning.
 
-Two integration methods are provided: composite Gauss-Legendre (fixed
-node count, vectorized evaluation) and adaptive Simpson (scalar
-evaluation, error-driven refinement).  Known kinks can be passed as
-breakpoints; each method then integrates the smooth pieces separately.
+The package integrates with one rule, composite Gauss-Legendre split at
+known kinks (``gauss_legendre_grid`` builds its nodes), so an integrand is
+evaluated on one array.  ``adaptive_simpson`` is only the tests' reference.
 
 sup_scan is a coarse-grid scan followed by a zoom: each level evaluates
 the function once, on an array of evenly spaced points across the two
@@ -17,7 +16,7 @@ run in fixed index order for reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -30,6 +29,7 @@ __all__ = [
     "SupScanConfig",
     "ScanResult",
     "gauss_legendre_nodes",
+    "gauss_legendre_grid",
     "adaptive_simpson",
     "composite_gauss_legendre",
     "sup_scan",
@@ -83,6 +83,25 @@ def _split_at_breakpoints(lo: float, hi: float, breakpoints: Iterable[float]):
     return list(zip(edges[:-1], edges[1:]))
 
 
+def gauss_legendre_grid(
+    lo: float,
+    hi: float,
+    rule: GaussLegendreRule = GaussLegendreRule(),
+    breakpoints: Sequence[float] = (),
+):
+    """Nodes and weights of the composite Gauss-Legendre rule on [lo, hi]:
+    the interval is split at the breakpoints inside it, and each piece gets
+    ``rule.panels`` equal panels of ``rule.nodes_per_panel`` nodes."""
+    pieces = _split_at_breakpoints(lo, hi, breakpoints)
+    edges = np.concatenate([np.linspace(a, b, rule.panels + 1)[:-1] for a, b in pieces] + [[hi]])
+    x, w = gauss_legendre_nodes(rule.nodes_per_panel)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    xs = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    ws = (half[:, None] * w[None, :]).ravel()
+    return xs, ws
+
+
 def composite_gauss_legendre(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
@@ -92,9 +111,9 @@ def composite_gauss_legendre(
 ) -> IntegrationResult:
     """Composite Gauss-Legendre integration; ``f`` must accept ndarrays.
 
-    Each pass calls ``f`` once, on the nodes of every segment.  The
-    reported error is the difference against a doubled-panel evaluation
-    of the same integrand.
+    Each pass calls ``f`` once, on the nodes of ``gauss_legendre_grid``.
+    The reported error is the difference against a doubled-panel
+    evaluation of the same integrand.
     """
     if lo > hi:
         raise ValueError("lo must be <= hi")
@@ -102,26 +121,12 @@ def composite_gauss_legendre(
         return IntegrationResult(0.0, 0.0, True)
 
     def one_pass(panels: int) -> float:
-        segments = [
-            _panel_nodes(seg_lo, seg_hi, rule.nodes_per_panel, panels)
-            for seg_lo, seg_hi in _split_at_breakpoints(lo, hi, breakpoints)
-        ]
-        xs, ws = (np.concatenate(parts) for parts in zip(*segments))
+        xs, ws = gauss_legendre_grid(lo, hi, replace(rule, panels=panels), breakpoints)
         return float(np.asarray(f(xs), dtype=float) @ ws)
 
     coarse = one_pass(rule.panels)
     fine = one_pass(2 * rule.panels)
     return IntegrationResult(fine, abs(fine - coarse), True)
-
-
-def _panel_nodes(lo: float, hi: float, k: int, panels: int):
-    x, w = gauss_legendre_nodes(k)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    xs = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    ws = (half[:, None] * w[None, :]).ravel()
-    return xs, ws
 
 
 def adaptive_simpson(
@@ -131,7 +136,8 @@ def adaptive_simpson(
     rule: AdaptiveSimpsonRule = AdaptiveSimpsonRule(),
     breakpoints: Sequence[float] = (),
 ) -> IntegrationResult:
-    """Adaptive Simpson integration with Richardson correction.
+    """Adaptive Simpson integration with Richardson correction; the
+    tests' reference for the Gauss-Legendre rule, not used by the package.
 
     Hitting max_depth is reported via converged=False, not raised: the
     result is still usable, with the accumulated error estimate.

@@ -18,8 +18,10 @@ The step loop itself is sequential.  It walks each chain in blocks of
 ``_BLOCK_STEPS`` steps on Python floats (the block's increments and log
 acceptance uniforms converted with ``tolist``), and stores a block's
 states and accept flags into the chain's arrays with one slice
-assignment each.  The block bounds the size of those lists; it does not
-change a single operation of the chain.
+assignment each.  For an asymmetric proposal the block's Hastings terms
+log q(-u) - log q(u) are computed as one array as well.  The block bounds
+the size of those lists; it does not change a single operation of the
+chain.
 
 The KS diagnostic evaluates the target cdf once per kept sample: each
 chain's statistic comes from the cdf of its sorted samples, and the
@@ -220,12 +222,15 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
                 stop = min(start + _BLOCK_STEPS, cfg.steps)
                 block_xs = []
                 block_acc = []
-                for u, log_unif in zip(us[start:stop].tolist(), log_unifs[start:stop].tolist()):
+                block_us = us[start:stop]
+                if not symmetric:
+                    gaps = iter((log_shape(-block_us) - log_shape(block_us)).tolist())
+                for u, log_unif in zip(block_us.tolist(), log_unifs[start:stop].tolist()):
                     y = x + u
                     ly = log_pdf(y)
                     log_ratio = ly - lx
                     if not symmetric:
-                        log_ratio += log_shape(-u) - log_shape(u)
+                        log_ratio += next(gaps)
                     a = log_unif <= log_ratio
                     if a:
                         x, lx = y, ly

@@ -32,7 +32,7 @@ import numpy as np
 from .bounds import BoundReport
 from .kernel import BLOCK_ELEMENTS, MhKernel
 from .models import DensityModel
-from .quad import AdaptiveSimpsonRule, _panel_nodes, adaptive_simpson
+from .quad import GaussLegendreRule, gauss_legendre_grid
 
 __all__ = [
     "Discretization",
@@ -67,7 +67,7 @@ class Discretization:
     masses: np.ndarray
     #: mass truncation defect: normalized target mass outside [-A, A]
     grid_defect: float
-    #: relative deviation of the trapezoid mass from adaptive quadrature
+    #: relative deviation of the trapezoid mass from the Gauss-Legendre mass
     quad_defect: float
 
     @property
@@ -94,23 +94,15 @@ def discretize(target: DensityModel, half_width: float, n: int = 801) -> Discret
     total = float(dens @ weights)
     masses = dens * weights / total
 
-    z = adaptive_simpson(
-        lambda x: target.pdf(x),
-        -half_width,
-        half_width,
-        AdaptiveSimpsonRule(abs_tol=1e-12, rel_tol=1e-12),
-        breakpoints=(0.0,),
-    )
-    quad_defect = abs(1.0 - total / z.value)
+    def mass(lo: float, hi: float) -> float:
+        xs, ws = gauss_legendre_grid(lo, hi, breakpoints=target.kinks(lo, hi))
+        return float(target.pdf(xs) @ ws)
 
+    z = mass(-half_width, half_width)
+    quad_defect = abs(1.0 - total / z)
     # far-tail mass; the integrand is exp(log pi) so underflow is benign
-    outside = adaptive_simpson(
-        lambda x: target.pdf(x) + target.pdf(-x),
-        half_width,
-        half_width * 3.0,
-        AdaptiveSimpsonRule(abs_tol=1e-14, rel_tol=1e-10),
-    )
-    grid_defect = outside.value / (z.value + outside.value)
+    outside = mass(-3.0 * half_width, -half_width) + mass(half_width, 3.0 * half_width)
+    grid_defect = outside / (z + outside)
     return Discretization(float(half_width), n, nodes, weights, masses, grid_defect, quad_defect)
 
 
@@ -199,7 +191,6 @@ def hs_norm_T_a(
     a: float,
     half_width: float,
     panel_width: float = 0.125,
-    nodes_per_panel: int = 16,
 ) -> float:
     """Hilbert-Schmidt norm of the core block: the square root of the
     double integral of t(y, x)^2 pi(y)/pi(x) over |x| <= a, |y| <= A.
@@ -208,8 +199,13 @@ def hs_norm_T_a(
     cancels.  Finiteness is the point: the core block is compact."""
     if not 0.0 < a < half_width:
         raise ValueError("need 0 < a < half_width")
-    xs, wx = _composite_nodes(-a, a, panel_width, nodes_per_panel)
-    ys, wy = _composite_nodes(-half_width, half_width, panel_width, nodes_per_panel)
+
+    def nodes(half: float):
+        panels = max(4, int(math.ceil(2.0 * half / panel_width)))
+        return gauss_legendre_grid(-half, half, GaussLegendreRule(panels=panels))
+
+    xs, wx = nodes(a)
+    ys, wy = nodes(half_width)
     lpx = k.target.log_pdf(xs)
     lpy = k.target.log_pdf(ys)
     rows = max(1, BLOCK_ELEMENTS // xs.size)
@@ -221,11 +217,6 @@ def hs_norm_T_a(
         ratio = np.exp(np.clip(lpy[start : start + rows, None] - lpx[None, :], -745.0, 700.0))
         total += float(wy[start : start + rows] @ ((t_yx**2) * ratio) @ wx)
     return math.sqrt(max(total, 0.0))
-
-
-def _composite_nodes(lo: float, hi: float, panel_width: float, k: int):
-    panels = max(4, int(math.ceil((hi - lo) / panel_width)))
-    return _panel_nodes(lo, hi, k, panels)
 
 
 def decomposition_residual(

@@ -152,8 +152,7 @@ def test_criterion_5_detailed_balance(laplace_tri, gauss_tri):
     for k in (laplace_tri, gauss_tri):
         xs = rng.uniform(-25.0, 25.0, 5000)
         ys = xs + rng.uniform(-1.0, 1.0, 5000)
-        for x, y in zip(xs, ys):
-            worst = max(worst, k.detailed_balance_residual(float(x), float(y)))
+        worst = max(worst, k.detailed_balance_residual(xs, ys).max())
     check("5 (detailed balance)", worst <= 1e-10, f"worst residual {worst:.2e} over 1e4 pairs")
 
 

@@ -110,6 +110,35 @@ def test_identity_synthetic_tau():
         assert gap <= 2e-9
 
 
+def test_identity_synthetic_tau_to_rounding():
+    # the three integrals share one node set, so the identity holds at
+    # every node and the gap is rounding only, with the kinks of tau
+    # declared or not
+    rng = np.random.default_rng(43)
+    knots = np.linspace(0.0, 1.0, 9)
+    for p in (ProposalModel.triangular(), ProposalModel.epanechnikov()):
+        for _ in range(25):
+            vals = rng.uniform(0.0, 1.0, knots.size)
+            tau = TailRatio("closed-form", 1.0, lambda u, v=vals: float(np.interp(u, knots, v)))
+            for bps in ((), tuple(knots[1:-1])):
+                gap = (
+                    asymptotics.r_prime_inf(p, tau, bps)
+                    + asymptotics.beta_inf(p, tau, bps)
+                    - asymptotics.gamma_inf(p, tau, bps)
+                )
+                assert abs(gap) <= 1e-14
+
+
+@pytest.mark.parametrize("family", ["triangular", "uniform", "epanechnikov"])
+def test_gauss_limits_exact(family):
+    # tau is 1 only at u = 0, which is no node of the rule
+    p = ProposalModel(family, 1.0)
+    tau = DensityModel.gauss().tail_ratio(1.0)
+    assert abs(asymptotics.r_prime_inf(p, tau) - 0.5) <= 1e-15
+    assert abs(asymptotics.beta_inf(p, tau)) <= 1e-15
+    assert abs(asymptotics.gamma_inf(p, tau) - 0.5) <= 1e-15
+
+
 def test_reflection_identity_closed_forms():
     tau = DensityModel.laplace().tail_ratio(1.0)
     for u in (0.1, 0.5, 0.9):

@@ -80,6 +80,41 @@ def test_beta_laplace_closed_form_tight(laplace_tri, a):
     assert abs(bounds.beta(laplace_tri, a).value - BETA_LAPLACE) <= 1e-10
 
 
+#: normalized on [-1.5, 1.5], with kinks at u = 0 and u = +-1/2
+KINKED_SHAPE = "0.5*max(0, min(1, 1.5-abs(u)))"
+
+
+@pytest.mark.parametrize(
+    "family, level, tau, decay",
+    [
+        # min_x |d(x, u)| on the tail windows: |u| for Laplace,
+        # |u| (2a - |u|) / 2 at a = 4 for Gauss (see above)
+        ("laplace", 0.96596, lambda u: mpmath.exp(-u), lambda u: u / 2),
+        ("gauss", 0.94246, lambda u: 0, lambda u: u * (8 - u) / 4),
+    ],
+)
+def test_kinked_shape_matches_mpmath(family, level, tau, decay):
+    # a rule split only at 0 read beta_error = 1.2e-5 here and certified
+    # at no window
+    p = ProposalModel.from_expression(KINKED_SHAPE, 1.5)
+    k = MhKernel(DensityModel(family), p)
+    rep = bounds.alpha(k, 4.0)
+    assert rep.certified and round(rep.alpha_a, 5) == level
+
+    def q(u):
+        return min(1, mpmath.mpf(3) / 2 - u) / 2
+
+    pieces = [0, mpmath.mpf(1) / 2, mpmath.mpf(3) / 2]
+    with mpmath.workdps(30):
+        beta_ref = 2 * mpmath.quad(lambda u: q(u) * mpmath.exp(-decay(u)), pieces)
+        rp_ref = 1 - mpmath.quad(lambda u: q(u) * (1 + tau(u)), pieces)
+        gamma_ref = 1 - mpmath.quad(lambda u: q(u) * (1 - mpmath.sqrt(tau(u))) ** 2, pieces)
+    limit = asymptotics.tail_ratio_for(k.target, p.s)
+    assert abs(rep.beta_a - float(beta_ref)) <= 1e-12
+    assert abs(asymptotics.r_prime_inf(p, limit) - float(rp_ref)) <= 1e-12
+    assert abs(asymptotics.gamma_inf(p, limit) - float(gamma_ref)) <= 1e-12
+
+
 def test_beta_sign_change_is_exact():
     # between the modes pi(x+u) = pi(x) for some x in the window, for every
     # u, so the integrand is q(u) and beta is 1; a fixed rule in u that only

@@ -1,10 +1,11 @@
 import csv
 import json
 import math
+import sys
 
 import pytest
 
-from mhbound import __version__
+from mhbound import __version__, quad
 from mhbound.cli import (
     ConfigError,
     apply_overrides,
@@ -13,6 +14,7 @@ from mhbound.cli import (
     resolve_config,
     validate_config,
 )
+from mhbound.models import ProposalModel
 
 GAMMA_LAPLACE = 8.0 * math.exp(-0.5) - math.exp(-1.0) - 3.5
 
@@ -62,12 +64,18 @@ def test_resolved_config_echoes_defaults():
     assert cfg["proposal"]["s"] == 1.0
     assert cfg["bound"]["a_list"] == [1.0, 2.0, 4.0, 8.0, 16.0]
     assert cfg["spectrum"]["n"] == 801
-    assert cfg["quadrature"] == {"panels": 96}
+    assert "quadrature" not in cfg
 
 
 def test_quadrature_tol_is_unknown_key(tmp_path, capsys):
     assert run_cli("bound", "--out", str(tmp_path), "--set", "quadrature.tol=1e-8") == 1
     assert "unknown config key: quadrature.tol" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_quadrature_section_is_unknown(tmp_path, capsys):
+    assert run_cli("bound", "--out", str(tmp_path), "--set", "quadrature.panels=96") == 1
+    assert "unknown config key: quadrature" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -89,7 +97,7 @@ def test_bound_command_csv_and_json(tmp_path):
     report = json.loads((tmp_path / "bound.json").read_text())
     assert report["version"] == __version__
     assert report["config"]["target"]["family"] == "laplace"
-    assert report["config"]["quadrature"] == {"panels": 96}
+    assert "quadrature" not in report["config"]
     assert report["result"]["best"]["certified"]
 
 
@@ -201,6 +209,49 @@ def test_bad_model_config_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+# kinks at u = 0 and u = +-0.5
+KINKED = (
+    "--set",
+    "proposal.family=expr",
+    "--set",
+    "proposal.expr=0.5*max(0, min(1, 1.5-abs(u)))",
+    "--set",
+    "proposal.s=1.5",
+)
+
+
+def test_kinked_shape_certifies(tmp_path):
+    assert run_cli("bound", "--out", str(tmp_path), "--format", "json", *KINKED) == 0
+    best = json.loads((tmp_path / "bound.json").read_text())["result"]["best"]
+    assert best["certified"] and best["beta_error"] <= 1e-15
+
+
+def test_commands_integrate_without_adaptive_simpson(tmp_path, monkeypatch):
+    # adaptive Simpson is only the tests' reference: with it raising in
+    # every module, every model builds and every certificate command runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("adaptive_simpson must not be called")
+
+    original = quad.adaptive_simpson
+    for module in [m for n, m in sys.modules.items() if n.startswith("mhbound")]:
+        for alias, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, alias, forbidden)
+    for family in ("triangular", "uniform", "epanechnikov"):
+        ProposalModel(family, 1.5)
+    ProposalModel.from_expression("0.5*max(0, min(1, 1.5-abs(u)))", 1.5)
+    runs = [
+        ("bound", "--set", "bound.a_list=[2, 4]"),
+        ("asymptotic",),
+        ("profile",),
+        ("spectrum", "--set", "spectrum.n=101"),
+        ("asymptotic", *KINKED),
+        ("spectrum", "--set", "spectrum.n=101", "--set", "target.family=expr", "--set", "target.expr=exp(-abs(x-1))"),
+    ]
+    codes = [run_cli(*argv, "--out", str(tmp_path), "--format", "json") for argv in runs]
+    assert codes == [0] * len(runs)
 
 
 # normalized but asymmetric: shape(u) != shape(-u)

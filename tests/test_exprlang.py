@@ -291,3 +291,49 @@ def test_compiled_matches_sympy_on_random_expressions():
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-300), (text, p)
                 compared += 1
     assert compared > 5000
+
+
+def test_kinks_examples():
+    cases = [
+        ("0.5*max(0, min(1, 1.5-abs(u)))", "u", -1.5, 1.5, [-0.5, 0.0, 0.5]),
+        ("exp(-abs(x-3))+exp(-abs(x+3))", "x", -20.0, 20.0, [-3.0, 3.0]),
+        ("sqrt(abs(x-1/3)) + x^0.5", "x", 0.0, 2.0, [1.0 / 3.0]),
+        # a run of zeros counts at its ends; a zero at an end of the
+        # interval, a constant and an identically zero difference do not
+        ("max(0, min(0, x)) + abs(x+1)^1.5 + abs(2) + min(x, x)", "x", -1.0, 1.0, [0.0]),
+        ("x^2 + exp(x)", "x", -1.0, 1.0, []),
+    ]
+    for source, var, lo, hi, expected in cases:
+        got = exprlang.kinks(parse(source, var), lo, hi)
+        assert list(got) == sorted(got)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=2e-16, err_msg=source)
+
+
+def test_kinks_cover_dense_second_difference_scan():
+    # every kink that a dense scan sees, a second difference far above
+    # both of its neighbours three steps away, lies within two steps of a
+    # point that kinks() returns
+    rng = random.Random(5)
+    lo, hi = -3.0, 3.0
+    xs = np.linspace(lo, hi, 60001)
+    h = xs[1] - xs[0]
+    checked = seen = 0
+    while checked < 300:
+        tree = _random_expr(rng, 4)
+        try:
+            with np.errstate(all="ignore"):
+                f = evaluate_array(tree, xs)
+        except DomainError:
+            continue
+        if not np.all(np.isfinite(f)) or np.max(np.abs(f)) > 1e3:
+            continue
+        checked += 1
+        found = np.array(exprlang.kinks(tree, lo, hi))
+        assert np.all((lo < found) & (found < hi))
+        d2 = np.abs(f[:-2] - 2.0 * f[1:-1] + f[2:])
+        left, right = np.r_[np.full(3, np.inf), d2[:-3]], np.r_[d2[3:], np.full(3, np.inf)]
+        around = np.where(np.isinf(np.maximum(left, right)), np.minimum(left, right), np.maximum(left, right))
+        for x in xs[1:-1][(d2 > 1e-9) & (d2 > 100.0 * around)]:
+            seen += 1
+            assert found.size and np.min(np.abs(found - x)) <= 2.0 * h, (to_source(tree), x, found)
+    assert seen > 20

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mhbound.kernel import BLOCK_ELEMENTS, MhKernel, _u_grid
+from mhbound.kernel import BLOCK_ELEMENTS, U_RULE, MhKernel
 from mhbound.models import DensityModel, ProposalModel
-from mhbound.quad import adaptive_simpson
+from mhbound.quad import adaptive_simpson, gauss_legendre_grid
 
 R0_LAPLACE = 1.0 - 2.0 / math.e  # closed form for the triangular proposal at the mode
 R_TAIL_LAPLACE = 0.5 - 1.0 / math.e
@@ -72,7 +72,7 @@ def test_rejection_grid_matches_adaptive(laplace_tri, gauss_tri):
 
 def test_rejection_grid_independent_of_block_split(gauss_tri):
     xs = np.linspace(-12.0, 12.0, 4097)
-    us, _ = _u_grid(gauss_tri.proposal.s, gauss_tri.fast_panels, gauss_tri.fast_nodes)
+    us, _ = gauss_legendre_grid(-1.0, 1.0, U_RULE, (0.0,))
     rows = BLOCK_ELEMENTS // us.size
     whole = gauss_tri.rejection_grid(xs)
     # sub-batches that start and end mid-block
@@ -85,11 +85,42 @@ def test_detailed_balance_random_pairs(builtin_kernel):
     rng = np.random.default_rng(7)
     xs = rng.uniform(-20, 20, 10**4)
     ys = xs + rng.uniform(-1, 1, 10**4)
-    worst = max(
-        builtin_kernel.detailed_balance_residual(float(x), float(y))
-        for x, y in zip(xs, ys)
-    )
+    worst = builtin_kernel.detailed_balance_residual(xs, ys).max()
     assert worst <= 1e-10
+
+
+def test_detailed_balance_array_matches_scalars(builtin_kernel):
+    # one array pass gives each pair's value, pairs beyond s included
+    xs = np.array([-3.0, 0.2, 4.5, 38.0, 0.0])
+    ys = np.array([-2.4, -0.7, 4.5, 38.9, 5.0])
+    got = builtin_kernel.detailed_balance_residual(xs, ys)
+    assert got.shape == xs.shape
+    for x, y, g in zip(xs.tolist(), ys.tolist(), got):
+        assert builtin_kernel.detailed_balance_residual(x, y) == g
+
+
+@pytest.mark.parametrize(
+    "proposal, nodes",
+    [
+        (ProposalModel.triangular(), 3072),
+        (ProposalModel.uniform(), 3072),
+        (ProposalModel.epanechnikov(2.0), 3072),
+        # pieces split at u = -0.5, 0 and 0.5
+        (ProposalModel.from_expression("0.5*max(0, min(1, 1.5-abs(u)))", 1.5), 6144),
+    ],
+)
+def test_rejection_grid_u_nodes(monkeypatch, proposal, nodes):
+    # 96 panels of 16 nodes on each piece of [-s, s] between 0 and the kinks
+    shapes = []
+    log_pdf = DensityModel.log_pdf
+
+    def recorded(self, x):
+        shapes.append(np.shape(x))
+        return log_pdf(self, x)
+
+    monkeypatch.setattr(DensityModel, "log_pdf", recorded)
+    MhKernel(DensityModel.gauss(), proposal).rejection_grid(np.array([0.3, 2.0]))
+    assert shapes == [(2,), (2, nodes)]
 
 
 def test_detailed_balance_far_tail_gauss(gauss_tri):

@@ -10,11 +10,10 @@ from mhbound.quad import (
     SupScanConfig,
     adaptive_simpson,
     composite_gauss_legendre,
+    gauss_legendre_grid,
     gauss_legendre_nodes,
     sup_scan,
 )
-from mhbound.kernel import _u_grid
-from mhbound.spectra import _composite_nodes
 
 
 def test_triangle_integral():
@@ -166,12 +165,21 @@ def test_panel_builders_share_one_rule():
         mid = 0.5 * (edges[1:] + edges[:-1])
         return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
 
-    us, ws = _u_grid(1.0, 96, 16)
-    pos_u, pos_w = reference_panels(0.0, 1.0, 16, 96)
-    assert np.array_equal(us, np.concatenate([-pos_u[::-1], pos_u]))
-    assert np.array_equal(ws, np.concatenate([pos_w[::-1], pos_w]))
-    for got, want in zip(_composite_nodes(-20.0, 20.0, 0.125, 16), reference_panels(-20.0, 20.0, 16, 320)):
+    # every piece between breakpoints gets rule.panels panels; breakpoints
+    # repeated or outside (lo, hi) are ignored
+    us, ws = gauss_legendre_grid(-1.0, 2.0, GaussLegendreRule(16, 96), (0.0, 0.5, 0.0, 2.0, -3.0))
+    pieces = [reference_panels(lo, hi, 16, 96) for lo, hi in ((-1.0, 0.0), (0.0, 0.5), (0.5, 2.0))]
+    assert np.array_equal(us, np.concatenate([u for u, _ in pieces]))
+    assert np.array_equal(ws, np.concatenate([w for _, w in pieces]))
+    whole = gauss_legendre_grid(-20.0, 20.0, GaussLegendreRule(16, 320))
+    for got, want in zip(whole, reference_panels(-20.0, 20.0, 16, 320)):
         assert np.array_equal(got, want)
+    # composite_gauss_legendre integrates on those nodes, then on doubled panels
+    calls = []
+    rule = GaussLegendreRule(16, 4)
+    composite_gauss_legendre(lambda x: calls.append(x) or np.ones_like(x), -1.0, 2.0, rule, (0.5,))
+    assert np.array_equal(calls[0], gauss_legendre_grid(-1.0, 2.0, rule, (0.5,))[0])
+    assert np.array_equal(calls[1], gauss_legendre_grid(-1.0, 2.0, GaussLegendreRule(16, 8), (0.5,))[0])
 
 
 def test_gauss_legendre_nodes_cached_and_correct():
