@@ -263,9 +263,7 @@ def _min_abs_balance(k: MhKernel, windows, us: np.ndarray):
     pi(x+u) q(-u) = pi(x) q(u) somewhere in the window.
 
     The arrays handed to log_pdf are slices of buffers reused across
-    blocks and levels: exprlang.evaluate_array keeps its input alive until
-    the cyclic garbage collector runs, so a new array per block would
-    pile up."""
+    blocks and levels, so their pages are faulted in once per call."""
     shape = (len(windows), us.size)
     best, lo, hi = np.empty(shape), np.empty(shape), np.empty(shape)
     crossed = np.empty(shape, dtype=bool)

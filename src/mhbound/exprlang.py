@@ -17,12 +17,13 @@ sqrt (unary), min, max (binary).
 Parsed trees are immutable (frozen dataclasses) and safe to evaluate
 concurrently.
 
-``compile_scalar`` turns a tree into a Python function of one float once,
-for repeated scalar evaluation; ``evaluate`` compiles and calls in one
-step.  ``evaluate_array`` walks a tree over a numpy array, with the same
-domain rules; a constant exponent of ``^`` stays a float there.
-``kinks`` locates the points where a tree may fail to be smooth, so that
-quadrature can split there.
+There is one evaluator: a generator that turns a tree into straight-line
+Python source once, with two backends for the names in it.
+``compile_scalar`` binds them to functions of floats and ``compile_array``
+to numpy functions of arrays, with the same domain rules; ``evaluate`` and
+``evaluate_array`` compile and call in one step.  ``kinks`` locates the
+points where a tree may fail to be smooth, so that quadrature can split
+there.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "parse",
     "to_source",
     "compile_scalar",
+    "compile_array",
     "evaluate",
     "evaluate_array",
     "kinks",
@@ -299,11 +301,17 @@ def _is_integer(x: float) -> bool:
     return math.isfinite(x) and x == math.floor(x)
 
 
-# -- scalar compilation ---------------------------------------------------
+# -- compilation ----------------------------------------------------------
 #
-# The backend: every operation of the language that can leave its domain or
-# overflow, as a plain function on floats.  "+", "-", "*" and negation are
-# emitted as Python operators, abs/min/max are the builtins themselves.
+# One generator writes the source of a tree from its node types alone.  A
+# backend gives it a source template per operator and the names that the
+# templates call.  Both backends keep the language's domain rules: an
+# operation that leaves its domain raises DomainError, and exp and ^
+# overflow to inf.
+#
+# The scalar backend works on floats.  "+", "-", "*" and negation are
+# Python operators, abs, min and max the builtins, and the rest these
+# functions.
 
 
 def exp_(a: float) -> float:
@@ -343,63 +351,169 @@ def pow_(a: float, b: float) -> float:
 
 
 _BACKEND = {f.__name__: f for f in (exp_, log_, sqrt_, div_, pow_, abs, min, max)}
-#: source templates of the operator nodes, filled with operand names
-_BINOPS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "div_({}, {})", "^": "pow_({}, {})"}
-_CALLS = {"exp": "exp_({})", "log": "log_({})", "sqrt": "sqrt_({})", "abs": "abs({})",
-          "min": "min({}, {})", "max": "max({}, {})"}
+#: source templates of the operators, filled with operand names
+_TEMPLATES = {"neg": "-{}", "+": "{} + {}", "-": "{} - {}", "*": "{} * {}",
+              "/": "div_({}, {})", "^": "pow_({}, {})", "exp": "exp_({})", "log": "log_({})",
+              "sqrt": "sqrt_({})", "abs": "abs({})", "min": "min({}, {})", "max": "max({}, {})"}
+
+
+# The array backend works on numpy arrays, and on floats where an operand is
+# a constant.  Every template calls a numpy ufunc or one of these functions
+# with an ``out`` argument: the array of an operand that the generated
+# code no longer needs, which the result overwrites, or None.  A
+# DomainError names the first offending element.
+
+
+def _first(a, bad) -> float:
+    """The first element of ``a`` where ``bad`` holds; ``a`` may be a float
+    that stands for an array of the shape of ``bad``."""
+    return float(np.broadcast_to(a, np.shape(bad))[bad].flat[0])
+
+
+def _exp_array(a, out):
+    with np.errstate(over="ignore"):
+        return np.exp(a, out=out)
+
+
+def _log_array(a, out):
+    bad = a <= 0.0
+    if np.any(bad):
+        raise DomainError("log", _first(a, bad))
+    return np.log(a, out=out)
+
+
+def _sqrt_array(a, out):
+    bad = a < 0.0
+    if np.any(bad):
+        raise DomainError("sqrt", _first(a, bad))
+    return np.sqrt(a, out=out)
+
+
+def _div_array(a, b, out):
+    if np.any(b == 0.0):
+        raise DomainError("/", 0.0)
+    return np.divide(a, b, out=out)
+
+
+def _pow_array(a, b, out):
+    if np.ndim(b) == 0:
+        # a constant exponent: its conditions are scalar tests, and only
+        # the base is compared elementwise
+        if math.isfinite(b) and b != math.floor(b) and np.any(a < 0.0):
+            raise DomainError("^", _first(a, a < 0.0))
+        if b < 0.0 and np.any(a == 0.0):
+            raise DomainError("^", float(b))
+    else:
+        bad = (a < 0.0) & np.isfinite(b) & (b != np.floor(b))
+        if np.any(bad):
+            raise DomainError("^", _first(a, bad))
+        bad = (a == 0.0) & (b < 0.0)
+        if np.any(bad):
+            raise DomainError("^", _first(b, bad))
+    with np.errstate(over="ignore"):
+        return np.power(a, b, out=out)
+
+
+_ARRAY_BACKEND = {"negative": np.negative, "add": np.add, "subtract": np.subtract, "multiply": np.multiply,
+                  "div_": _div_array, "pow_": _pow_array, "exp_": _exp_array, "log_": _log_array,
+                  "sqrt_": _sqrt_array, "abs": np.abs, "min": np.minimum, "max": np.maximum}
+#: the operators as calls with ``out``: ufuncs for the Python operators,
+#: and the scalar templates' functions otherwise
+_ARRAY_TEMPLATES = {"neg": "negative({}, out={out})", "+": "add({}, {}, out={out})",
+                    "-": "subtract({}, {}, out={out})", "*": "multiply({}, {}, out={out})",
+                    **{key: t.replace(")", ", out={out})") for key, t in _TEMPLATES.items() if "(" in t}}
 
 
 def _operator(node: Expr):
-    """Source template and operand subtrees of an operator node."""
+    """Template key and operand subtrees of an operator node."""
     if isinstance(node, Neg):
-        return "-{}", (node.operand,)
-    if isinstance(node, BinOp) and node.op in _BINOPS:
-        return _BINOPS[node.op], (node.left, node.right)
+        return "neg", (node.operand,)
+    if isinstance(node, BinOp) and node.op in ("+", "-", "*", "/", "^"):
+        return node.op, (node.left, node.right)
     if isinstance(node, Call):
         if FUNCTIONS.get(node.func) != len(node.args):
             raise ExprError(f"unknown function {node.func!r} or wrong number of arguments")
-        return _CALLS[node.func], node.args
+        return node.func, node.args
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def compile_scalar(e: Expr) -> Callable[[float], float]:
-    """Compile a tree into a Python function of one float.
+def _generate(e: Expr, names: dict, templates: dict) -> Callable:
+    """Compile a tree into a Python function of one argument ``v``, with
+    the operator ``templates`` of a backend whose functions are ``names``.
 
     The generated source holds one assignment per operator node, in the
     walk order of the tree (left operand first), so every operation and
     every DomainError happens exactly as a node-by-node evaluation would
     perform it, and no nesting depth reaches the compiler's limits.  It is
-    built from the node types alone: the argument is ``v``, temporaries
-    are ``t0, t1, ...``, numbers are bound as constants ``c0, c1, ...`` in
-    the function's namespace (so inf needs no spelling), and the only
-    other names are the backend functions.  The namespace has an empty
-    ``__builtins__``.
-    """
+    built from the node types alone: temporaries are ``t0, t1, ...``,
+    numbers are bound as constants ``c0, c1, ...`` in the function's
+    namespace (so inf needs no spelling), and the only other names are the
+    backend's.  The namespace has an empty ``__builtins__``.
+
+    A temporary's name is taken again once its value has been consumed.
+    An operand that depends on ``v`` and sits in a temporary is the
+    template's ``out``, and the result takes its name: on arrays, the
+    operation then writes into an array that only this code holds, and a
+    chain of operations allocates one array."""
     constants = {}
     lines = []
-    operands = []  # names holding the values of finished subtrees
-    stack = [e]  # subtrees to visit, and (template, operand count) to emit
+    operands = []  # (name, whether it depends on v) of finished subtrees
+    free = []  # temporaries whose values have been consumed
+    stack = [e]  # subtrees to visit, and (template key, operand count) to emit
     while stack:
         item = stack.pop()
         if isinstance(item, tuple):
-            template, count = item
+            key, count = item
             args = operands[-count:]
             del operands[-count:]
-            operands.append(f"t{len(lines)}")
-            lines.append(f"    {operands[-1]} = {template.format(*args)}\n")
+            out = next((name for name, varies in args if varies and name.startswith("t")), None)
+            free.extend(name for name, _ in args if name.startswith("t") and name != out)
+            if out is None and not free:
+                free.append(f"t{len(lines)}")
+            target = out or free.pop()
+            source = templates[key].format(*(name for name, _ in args), out=out)
+            lines.append(f"    {target} = {source}\n")
+            operands.append((target, any(varies for _, varies in args)))
         elif isinstance(item, Num):
-            operands.append(f"c{len(constants)}")
-            constants[operands[-1]] = item.value
+            operands.append((f"c{len(constants)}", False))
+            constants[operands[-1][0]] = item.value
         elif isinstance(item, Var):
-            operands.append("v")
+            operands.append(("v", True))
         else:
-            template, children = _operator(item)
-            stack.append((template, len(children)))
+            key, children = _operator(item)
+            stack.append((key, len(children)))
             stack.extend(reversed(children))
-    source = "def compiled(v):\n" + "".join(lines) + f"    return {operands.pop()}\n"
-    namespace = {"__builtins__": {}, **_BACKEND, **constants}
+    source = "def compiled(v):\n" + "".join(lines) + f"    return {operands.pop()[0]}\n"
+    namespace = {"__builtins__": {}, **names, **constants}
     exec(compile(source, "<exprlang>", "exec"), namespace)
     return namespace["compiled"]
+
+
+def compile_scalar(e: Expr) -> Callable[[float], float]:
+    """Compile a tree into a Python function of one float, on the scalar
+    backend (``math`` calls and the language's DomainError checks)."""
+    return _generate(e, _BACKEND, _TEMPLATES)
+
+
+def compile_array(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile a tree into an elementwise function of a numpy array, from
+    the same generator as ``compile_scalar`` on the numpy backend.
+
+    Numbers stay floats, so a constant exponent of ``^`` is tested as a
+    scalar.  The result has the input's shape (a constant tree's value is
+    filled in), and it is a new array that the caller may overwrite."""
+    fn = _generate(e, _ARRAY_BACKEND, _ARRAY_TEMPLATES)
+
+    def compiled(values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        # a 0-d input would make numpy scalars, which cannot be ``out``
+        vector = np.atleast_1d(values)
+        out = fn(vector)
+        if out is vector:  # the tree is the bare variable
+            return values.copy()
+        return out.reshape(values.shape) if np.ndim(out) else np.full(values.shape, out)
+
+    return compiled
 
 
 def evaluate(e: Expr, value: float) -> float:
@@ -412,78 +526,22 @@ def evaluate(e: Expr, value: float) -> float:
 
 
 def evaluate_array(e: Expr, values: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation over a numpy array; same domain rules as
-    evaluate()."""
-    values = np.asarray(values, dtype=float)
-
-    def ev(node) -> np.ndarray:
-        if isinstance(node, Num):
-            return np.full(values.shape, node.value)
-        if isinstance(node, Var):
-            return values
-        if isinstance(node, Neg):
-            return -ev(node.operand)
-        if isinstance(node, Call):
-            args = [ev(a) for a in node.args]
-            a = args[0]
-            if node.func == "exp":
-                with np.errstate(over="ignore"):
-                    return np.exp(a)
-            if node.func == "log":
-                if np.any(a <= 0.0):
-                    raise DomainError("log", float(a[a <= 0.0].flat[0]))
-                return np.log(a)
-            if node.func == "abs":
-                return np.abs(a)
-            if node.func == "sqrt":
-                if np.any(a < 0.0):
-                    raise DomainError("sqrt", float(a[a < 0.0].flat[0]))
-                return np.sqrt(a)
-            if node.func == "min":
-                return np.minimum(a, args[1])
-            if node.func == "max":
-                return np.maximum(a, args[1])
-            raise ExprError(f"unknown function {node.func!r}")
-        if isinstance(node, BinOp) and node.op == "^" and isinstance(node.right, Num):
-            # a constant exponent stays a float: the domain checks are
-            # scalar tests, and np.power takes no exponent array
-            a = ev(node.left)
-            b = node.right.value
-            if math.isfinite(b) and b != math.floor(b) and np.any(a < 0.0):
-                raise DomainError("^", float(a[a < 0.0].flat[0]))
-            if b < 0.0 and np.any(a == 0.0):
-                raise DomainError("^", b)
-            with np.errstate(over="ignore"):
-                return np.power(a, b)
-        if isinstance(node, BinOp):
-            a = ev(node.left)
-            b = ev(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                if np.any(b == 0.0):
-                    raise DomainError("/", 0.0)
-                return a / b
-            if node.op == "^":
-                frac = np.isfinite(b) & (b != np.floor(b))
-                if np.any((a < 0.0) & frac):
-                    raise DomainError("^", float(a[(a < 0.0) & frac].flat[0]))
-                if np.any((a == 0.0) & (b < 0.0)):
-                    raise DomainError("^", float(b[(a == 0.0) & (b < 0.0)].flat[0]))
-                with np.errstate(over="ignore"):
-                    return np.power(a, b)
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return ev(e)
+    """Elementwise evaluation over a numpy array, with the domain rules of
+    evaluate(): ``compile_array(e)(values)``.  Compiles ``e`` on every
+    call; to evaluate one tree on many arrays, call ``compile_array(e)``
+    once and call its result."""
+    return compile_array(e)(values)
 
 
-#: points of the sign-change scan in ``kinks``, and bisection steps per root
+#: points of the scan in ``kinks``, and refinement steps per root or touch
 _KINK_SCAN_POINTS = 4097
 _KINK_BISECTIONS = 60
+#: a refined minimum of |g| at most this fraction of max |g| on the scan is
+#: rounding error: g touches zero there
+_KINK_TOUCH = 1e-12
+#: a touch this fraction of (hi - lo) from a kink already found is that kink
+_KINK_MERGE = 1e-12
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def kinks(e: Expr, lo: float, hi: float) -> tuple:
@@ -491,13 +549,19 @@ def kinks(e: Expr, lo: float, hi: float) -> tuple:
     abs or sqrt argument, of the base of a ``^`` whose exponent is not an
     integer constant, and of the difference of the arguments of min or max.
 
-    Each such function is scanned on _KINK_SCAN_POINTS points.  A zero
+    Each such function g is scanned on _KINK_SCAN_POINTS points.  A zero
     there counts where a neighbour is not zero (the ends of a run of
     zeros); sign changes are refined by bisection, all at once.  A zero
-    only touched between two points is missed.  A DomainError here is one
-    that ``e`` itself raises on [lo, hi]."""
+    that g only touches between two points leaves an interior strict local
+    minimum of |g| with no sign change next to it.  Each such minimum is
+    refined by golden-section search on its two cells, all at once, and
+    counts where the refined |g| is at most _KINK_TOUCH times max |g| on
+    the scan, unless it lies within _KINK_MERGE (hi - lo) of a kink
+    already found.  A DomainError here is one that ``e`` itself raises on
+    [lo, hi]."""
     xs = np.linspace(lo, hi, _KINK_SCAN_POINTS)
     found = set()
+    touches = []
     stack = [e]
     while stack:
         node = stack.pop()
@@ -515,15 +579,34 @@ def kinks(e: Expr, lo: float, hi: float) -> tuple:
             g = node.left
         else:
             continue
-        v = evaluate_array(g, xs)
+        fn = compile_array(g)
+        v = fn(xs)
         zero = v == 0.0
         ends = zero & (np.r_[False, ~zero[:-1]] | np.r_[~zero[1:], False])
         found.update(xs[ends].tolist())
-        i = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0.0)
-        a, b, sign_a = xs[i], xs[i + 1], np.sign(v[i])
+        sign = np.sign(v)
+        i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+        a, b, sign_a = xs[i], xs[i + 1], sign[i]
         for _ in range(_KINK_BISECTIONS if i.size else 0):
             m = 0.5 * (a + b)
-            left = np.sign(evaluate_array(g, m)) == sign_a
+            left = np.sign(fn(m)) == sign_a
             a, b = np.where(left, m, a), np.where(left, b, m)
         found.update((0.5 * (a + b)).tolist())
-    return tuple(sorted(x for x in found if lo < x < hi))
+        size = np.abs(v)
+        mid = size[1:-1]
+        j = 1 + np.flatnonzero(
+            (mid < size[:-2]) & (mid < size[2:]) & (sign[:-2] == sign[1:-1]) & (sign[1:-1] == sign[2:])
+        )
+        a, b = xs[j - 1], xs[j + 1]
+        for _ in range(_KINK_BISECTIONS if j.size else 0):
+            c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+            left = np.abs(fn(c)) < np.abs(fn(d))
+            a, b = np.where(left, a, c), np.where(left, d, b)
+        m = 0.5 * (a + b)
+        scale = np.max(size, initial=0.0, where=np.isfinite(size))
+        touches.extend(m[np.abs(fn(m)) <= _KINK_TOUCH * scale].tolist())
+    kept = sorted(x for x in found if lo < x < hi)
+    for x in touches:
+        if lo < x < hi and all(abs(x - k) > _KINK_MERGE * (hi - lo) for k in kept):
+            kept.append(x)
+    return tuple(sorted(kept))

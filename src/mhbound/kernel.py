@@ -26,9 +26,11 @@ from .quad import GaussLegendreRule, gauss_legendre_grid
 
 __all__ = ["MhKernel"]
 
-#: elements of a two-dimensional grid evaluated at once, here and in
-#: spectra.hs_norm_T_a: each float64 temporary is then 512 KB instead of
-#: the 32 MB of 4e6-element chunks, which set the peak memory of a run
+#: elements of a two-dimensional grid evaluated at once, here, in
+#: bounds.beta and in spectra.hs_norm_T_a: each float64 block is 512 KB.
+#: Each of those loops writes its blocks into buffers made once per call,
+#: because glibc hands freed blocks of this size back to the OS, and a new
+#: block per step would fault its pages in again
 BLOCK_ELEMENTS = 2**16
 #: rejection_grid's rule in u: 96 panels of 16 nodes on each piece of
 #: [-s, s], which is 3,072 nodes for a shape whose only kink is at 0
@@ -113,11 +115,16 @@ class MhKernel:
         out = np.empty(xs.shape[0])
         chunk = max(1, BLOCK_ELEMENTS // us.size)
         lx_all = self.target.log_pdf(xs)
+        # x + u and then the acceptance ratio of each block go into one
+        # buffer, so its pages are faulted in once per call
+        buf = np.empty((min(chunk, xs.size), us.size))
         for start in range(0, xs.size, chunk):
             xc = xs[start : start + chunk]
-            ratio = self.target.log_pdf(xc[:, None] + us[None, :]) - lx_all[start : start + chunk][:, None]
-            acc = np.exp(np.minimum(0.0, ratio))
-            out[start : start + chunk] = 1.0 - acc @ shape_w
+            y = np.add(xc[:, None], us[None, :], out=buf[: xc.size])
+            ratio = np.subtract(self.target.log_pdf(y), lx_all[start : start + chunk, None], out=y)
+            np.minimum(0.0, ratio, out=ratio)
+            np.exp(ratio, out=ratio)
+            out[start : start + chunk] = 1.0 - ratio @ shape_w
         return out
 
     # -- diagnostics ---------------------------------------------------

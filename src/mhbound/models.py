@@ -70,8 +70,9 @@ class DensityModel:
                 raise ModelError("expr target requires an expression")
             self._ast = exprlang.parse(source, "x")
             self._fn = exprlang.compile_scalar(self._ast)
+            self._array_fn = exprlang.compile_array(self._ast)
         else:
-            self._ast = self._fn = None
+            self._ast = self._fn = self._array_fn = None
         self.family = family
         self.scale = float(scale)
         self.source = source
@@ -95,8 +96,8 @@ class DensityModel:
     def log_pdf(self, x):
         """log pi(x); stable in the far tails for the built-in families.
         Accepts scalars or ndarrays.  An expression target evaluates a
-        float (the sampler's one call per step) with its compiled
-        function, and anything else as an array."""
+        float (the sampler's one call per step) with its compiled scalar
+        function, and anything else with its compiled array function."""
         fn = self._fn
         if fn is not None and isinstance(x, float):
             v = fn(float(x))
@@ -107,11 +108,11 @@ class DensityModel:
             return -abs(x / self.scale) - self._log_norm
         if self.family == "gauss":
             return -0.5 * (x / self.scale) ** 2 - self._log_norm
-        vals = exprlang.evaluate_array(self._ast, x)
+        vals = self._array_fn(x)
         if np.any(vals <= 0.0):
             bad = float(np.asarray(x, dtype=float)[vals <= 0.0].flat[0])
             raise ModelError(f"target density is not positive at x={bad}")
-        return np.log(vals)
+        return np.log(vals, out=vals)[()]
 
     def pdf(self, x):
         return np.exp(self.log_pdf(x))
@@ -184,8 +185,9 @@ class ProposalModel:
             if not source:
                 raise ModelError("expr proposal requires an expression")
             self._ast = exprlang.parse(source, "u")
+            self._array_fn = exprlang.compile_array(self._ast)
         else:
-            self._ast = None
+            self._ast = self._array_fn = None
 
         self._validate_range()
         #: points of (-s, s) where the shape may have a kink
@@ -231,7 +233,7 @@ class ProposalModel:
         else:
             out = np.zeros_like(u)
             if np.any(inside):
-                out[inside] = exprlang.evaluate_array(self._ast, u[inside])
+                out[inside] = self._array_fn(u[inside])
         return out[()]
 
     def log_shape(self, u):
@@ -245,7 +247,7 @@ class ProposalModel:
             return
         us = np.linspace(self.s * 1.0001, 2.0 * self.s, self._VERIFY_POINTS)
         for sign in (1.0, -1.0):
-            vals = exprlang.evaluate_array(self._ast, sign * us)
+            vals = self._array_fn(sign * us)
             if np.any(np.abs(vals) > 0.0):
                 bad = float((sign * us)[np.abs(vals) > 0.0][0])
                 raise ModelError(

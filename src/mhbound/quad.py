@@ -16,6 +16,7 @@ run in fixed index order for reproducibility.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -34,6 +35,8 @@ __all__ = [
     "composite_gauss_legendre",
     "sup_scan",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -197,14 +200,17 @@ _ZOOM_POINTS = 33
 _MAX_LEVELS = 17
 
 
-def _eval_grid(f, xs: np.ndarray) -> np.ndarray:
+def _eval_grid(f, xs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """f on the points ``xs``, and whether f took them as one array.  A
+    function that raises TypeError on the array, or returns another shape,
+    is called once per point."""
     try:
         vals = np.asarray(f(xs), dtype=float)
         if vals.shape == xs.shape:
-            return vals
+            return vals, True
     except TypeError:
         pass
-    return np.array([float(f(x)) for x in xs])
+    return np.array([float(f(x)) for x in xs]), False
 
 
 def sup_scan(
@@ -227,8 +233,10 @@ def sup_scan(
         cfg = SupScanConfig()
 
     xs = np.linspace(lo, hi, cfg.coarse_steps + 1)
+    per_point = 0  # levels at which f did not take the array
     for level in range(_MAX_LEVELS):
-        vals = _eval_grid(f, xs)
+        vals, whole = _eval_grid(f, xs)
+        per_point += not whole
         i = int(np.argmax(vals))
         # seeding from the coarse grid keeps a NaN there in the result
         if level == 0 or vals[i] > best_v:
@@ -238,4 +246,6 @@ def sup_scan(
         if br - bl <= cfg.tol_x:
             break
         xs = np.linspace(bl, br, _ZOOM_POINTS)
+    if per_point:
+        log.debug("sup_scan: %r takes no array; evaluated point by point at %d of %d levels", f, per_point, level + 1)
     return ScanResult(best_x, best_v, br - bl <= cfg.tol_x)

@@ -186,6 +186,11 @@ def test_certificates_do_not_call_rejection_prob(builtin_kernel, monkeypatch):
     assert 0.0 < lim.r_inf < 1.0 and 0.0 < lim.alpha_inf < 1.0
 
 
+def test_beta_memory_peak(expr_laplace_tri, peak_mb):
+    # about 2.1 MB; 3.7 MB when expression evaluation kept its inputs alive
+    assert peak_mb(lambda: bounds.beta(expr_laplace_tri, 16.0)) < 3.0
+
+
 def test_beta_is_one_array_pass(gauss_tri, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("beta must not run a scalar scan or adaptive quadrature")

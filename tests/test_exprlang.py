@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from mhbound.exprlang import (
     Num,
     UnknownIdentifierError,
     Var,
+    compile_array,
     compile_scalar,
     evaluate,
     evaluate_array,
@@ -176,20 +179,48 @@ def test_round_trip_1000_random_expressions():
 def test_array_matches_scalar_on_random_expressions():
     rng = random.Random(99)
     xs = np.linspace(-3.0, 3.0, 11)
-    checked = 0
-    while checked < 200:
-        tree = _random_expr(rng, 3)
-        scalars = []
-        try:
-            for x in xs:
-                scalars.append(evaluate(tree, float(x)))
-        except DomainError:
-            continue
-        if not all(math.isfinite(v) for v in scalars):
-            continue
-        arr = evaluate_array(tree, xs)
-        np.testing.assert_allclose(arr, scalars, rtol=1e-13, atol=1e-13)
-        checked += 1
+    for depth in (3, 4):
+        checked = 0
+        while checked < 200:
+            tree = _random_expr(rng, depth)
+            scalars = []
+            try:
+                for x in xs:
+                    scalars.append(evaluate(tree, float(x)))
+            except DomainError:
+                continue
+            if not all(math.isfinite(v) for v in scalars):
+                continue
+            arr = evaluate_array(tree, xs)
+            np.testing.assert_allclose(arr, scalars, rtol=1e-13, atol=1e-13)
+            # results are written into temporaries only, never the input
+            np.testing.assert_array_equal(xs, np.linspace(-3.0, 3.0, 11))
+            checked += 1
+
+
+def test_array_result_is_a_new_array_of_the_input_shape():
+    xs = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    for source in ("x", "2", "exp(-1)", "-x", "x - x"):
+        got = evaluate_array(parse(source, "x"), xs)
+        assert got.shape == xs.shape and not np.shares_memory(got, xs), source
+        got[...] = 0.0
+    np.testing.assert_array_equal(xs, np.linspace(-1.0, 1.0, 6).reshape(2, 3))
+    assert evaluate_array(parse("x^2 + 1", "x"), np.asarray(3.0)) == 10.0
+    assert evaluate_array(parse("x^2 + 1", "x"), np.asarray(3.0)).shape == ()
+
+
+def test_evaluate_array_drops_its_input():
+    # with the cyclic collector off, the input dies with the caller's last
+    # reference: evaluation holds none once it returns
+    gc.disable()
+    try:
+        xs = np.linspace(-1.0, 1.0, 5)
+        ref = weakref.ref(xs)
+        evaluate_array(parse("exp(-abs(x)) + min(x, 0.5)^2", "x"), xs)
+        del xs
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_array_domain_error():
@@ -211,8 +242,8 @@ def test_array_domain_error():
     ],
 )
 def test_array_constant_exponent_matches_compiled(tree):
-    # a Num exponent takes the float-exponent path of evaluate_array; with
-    # an exact base, each value is within one ulp of math.pow's
+    # a Num exponent stays a float in the array backend; with an exact
+    # base, each value is within one ulp of math.pow's
     assert isinstance(tree, BinOp) and isinstance(tree.right, Num)
     rng = np.random.default_rng(11)
     xs = rng.uniform(-5.0, 5.0, 4001)
@@ -263,13 +294,14 @@ def test_trees_are_immutable():
 
 def test_compiled_matches_sympy_on_random_expressions():
     # independent oracle: sympy's own parse of the printed tree, lambdified
-    # onto the math module, wherever neither side raises
+    # onto the math module, wherever neither side raises; the array backend
+    # is checked on the points where the scalar one raised no DomainError
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x", real=True)
     names = {"x": x, "abs": sympy.Abs, "min": sympy.Min, "max": sympy.Max}
     rng = random.Random(20240817)
     points = [-3.0, -1.5, -0.25, 0.0, 0.7, 2.0, 5.5]
-    compared = 0
+    compared = compared_array = 0
     for _ in range(1000):
         tree = _random_expr(rng, 4)
         text = to_source(tree).replace("^", "**")
@@ -278,19 +310,29 @@ def test_compiled_matches_sympy_on_random_expressions():
         except (ValueError, TypeError):
             continue  # e.g. min of a non-real constant, which sympy cannot order
         fn = compile_scalar(tree)
+        scalars = {}
         for p in points:
             try:
-                got = fn(p)
+                scalars[p] = fn(p)
             except DomainError:
                 continue
+        if not scalars:
+            continue
+        arrays = dict(zip(scalars, compile_array(tree)(np.array(list(scalars))).tolist()))
+        for p, got in scalars.items():
             try:
                 want = ref(p)
             except (ValueError, ZeroDivisionError, OverflowError):
                 continue
-            if isinstance(want, float) and math.isfinite(want) and math.isfinite(got):
+            if not (isinstance(want, float) and math.isfinite(want)):
+                continue
+            if math.isfinite(got):
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-300), (text, p)
                 compared += 1
-    assert compared > 5000
+            if math.isfinite(arrays[p]):
+                assert arrays[p] == pytest.approx(want, rel=1e-12, abs=1e-300), (text, p, "array")
+                compared_array += 1
+    assert compared > 5000 and compared_array > 5000
 
 
 def test_kinks_examples():
@@ -307,6 +349,20 @@ def test_kinks_examples():
         got = exprlang.kinks(parse(source, var), lo, hi)
         assert list(got) == sorted(got)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=2e-16, err_msg=source)
+
+
+def test_kinks_find_a_zero_touched_between_scan_points():
+    # sqrt(x^2 - 2x + 1) is |x - 1|: its argument touches 0 at x = 1 without
+    # changing sign, between scan points on [-3, 3] and on one at [-3, 5]
+    tree = parse("sqrt(x^2 - 2*x + 1)", "x")
+    for lo, hi in ((-3.0, 3.0), (-3.0, 5.0)):
+        got = exprlang.kinks(tree, lo, hi)
+        assert len(got) == 1 and abs(got[0] - 1.0) <= 1e-7, (lo, hi, got)
+    # a positive minimum is no kink, and a touch next to a found kink is
+    # that kink
+    assert exprlang.kinks(parse("sqrt(x^2 + 1e-3)", "x"), -3.0, 3.0) == ()
+    got = exprlang.kinks(parse("sqrt(abs(x - 1/3)) + abs(x - 1/3)", "x"), -3.0, 3.0)
+    np.testing.assert_allclose(got, [1.0 / 3.0], rtol=0.0, atol=1e-15)
 
 
 def test_kinks_cover_dense_second_difference_scan():

@@ -81,6 +81,14 @@ def test_rejection_grid_independent_of_block_split(gauss_tri):
     np.testing.assert_allclose(split, whole, rtol=0.0, atol=1e-14)
 
 
+def test_rejection_grid_reuses_its_block_buffer(expr_laplace_tri, peak_mb):
+    # one buffer per call holds x + u and the ratio; an expression target's
+    # temporaries are freed with each block: about 1.1 MB, against 29 MB
+    # when each block's input stayed alive until the cyclic collector ran
+    xs = np.linspace(-66.0, 66.0, 2049)
+    assert peak_mb(lambda: expr_laplace_tri.rejection_grid(xs)) < 8.0
+
+
 def test_detailed_balance_random_pairs(builtin_kernel):
     rng = np.random.default_rng(7)
     xs = rng.uniform(-20, 20, 10**4)

@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 
@@ -138,6 +139,20 @@ def test_sup_scan_dominates_coarse_grid():
 def test_sup_scan_accepts_scalar_only_functions():
     res = sup_scan(lambda x: -abs(float(x) - 1.0), 0.0, 2.0, SupScanConfig(coarse_steps=64))
     assert res.argmax == pytest.approx(1.0, abs=1e-6)
+
+
+def test_sup_scan_logs_its_point_by_point_fallback(caplog):
+    # math.sin raises TypeError on an array: one DEBUG record per call
+    with caplog.at_level(logging.DEBUG, logger="mhbound.quad"):
+        res = sup_scan(math.sin, 0.0, 3.2)
+    assert res.value == pytest.approx(1.0, abs=1e-12)
+    records = [r for r in caplog.records if r.name == "mhbound.quad"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    assert "sin" in records[0].getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="mhbound.quad"):
+        sup_scan(np.sin, 0.0, 3.2)
+    assert not caplog.records
 
 
 def test_sup_scan_propagates_value_error_without_scalar_retry():

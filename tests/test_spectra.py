@@ -6,6 +6,7 @@ import pytest
 from mhbound import bounds, spectra
 from mhbound.kernel import MhKernel
 from mhbound.models import DensityModel, ProposalModel
+from mhbound.quad import GaussLegendreRule, gauss_legendre_grid
 from mhbound.spectra import (
     AsymmetryError,
     Discretization,
@@ -161,6 +162,24 @@ def test_hs_norm_finite_and_stable(laplace_tri):
     ratio = np.exp(laplace_tri.target.log_pdf(ys)[:, None] - laplace_tri.target.log_pdf(xs)[None, :])
     riemann = math.sqrt(float((t_yx**2 * ratio).sum() * hx * hy))
     assert v1 == pytest.approx(riemann, abs=5e-3)
+
+
+def test_hs_norm_matches_t_squared_integrand(expr_laplace_tri):
+    # the integrand q(x-y)^2 e^{-|log pi(x) - log pi(y)|} is t(y, x)^2
+    # pi(y)/pi(x) for the Metropolis kernel; same nodes, t from t_eval
+    k = expr_laplace_tri
+    got = hs_norm_T_a(k, 2.0, 5.0)
+    xs, wx = gauss_legendre_grid(-2.0, 2.0, GaussLegendreRule(panels=32))
+    ys, wy = gauss_legendre_grid(-5.0, 5.0, GaussLegendreRule(panels=80))
+    t_yx = k.t_eval(ys[:, None], xs[None, :] - ys[:, None])
+    ratio = np.exp(k.target.log_pdf(ys)[:, None] - k.target.log_pdf(xs)[None, :])
+    assert got == pytest.approx(math.sqrt(float(wy @ (t_yx**2 * ratio) @ wx)), rel=1e-14)
+
+
+def test_hs_norm_memory_peak(expr_laplace_tri, peak_mb):
+    # blocks of 2^16 (y, x) pairs in two reused buffers: about 2.7 MB,
+    # against 7.7 MB when t_eval built each block
+    assert peak_mb(lambda: hs_norm_T_a(expr_laplace_tri, 5.0, 20.0)) < 4.0
 
 
 def test_hs_norm_validation(laplace_tri):
