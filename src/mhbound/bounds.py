@@ -9,12 +9,13 @@ with r_a the rejection supremum over the core [-a, a], r_prime_a the
 rejection supremum over the tails, and beta_a the integral over the
 proposal range of the tail supremum of sqrt(t(x, x+u) t(x+u, x)).
 
-r_a and r_prime_a come from sup_scan over r(x).  beta_a is a fixed
-Gauss-Legendre rule in u, split at 0 and at the proposal shape's kinks,
-whose integrand is computed for all its nodes in one array pass: per
-node, the minimum of |d(x, u)| over both tail windows on a coarse
-x-grid, refined by a joint zoom, and exactly 0 where d changes sign (see
-kernel.MhKernel.log_balance for d).
+r_a and r_prime_a come from sup_scan over r(x), with the two tail
+windows as two rows of one scan.  beta_a is a fixed Gauss-Legendre rule
+in u, split at 0 and at the proposal shape's kinks, whose integrand is
+computed for all its nodes in one array pass: per node, the minimum of
+|d(x, u)| over both tail windows on a coarse x-grid, exactly 0 where d
+changes sign and otherwise refined by quad.zoom, the refinement loop of
+sup_scan (see kernel.MhKernel.log_balance for d).
 
 The tail suprema run over unbounded sets; here they are evaluated on a
 finite window (a, x_max] on each side and merged (by max) with the
@@ -35,14 +36,7 @@ import numpy as np
 from . import asymptotics
 from .kernel import BLOCK_ELEMENTS, MhKernel
 from .models import TailRatio
-from .quad import (
-    _MAX_LEVELS,
-    _ZOOM_POINTS,
-    ScanResult,
-    SupScanConfig,
-    composite_gauss_legendre,
-    sup_scan,
-)
+from .quad import ScanResult, SupScanConfig, bracket, composite_gauss_legendre, sup_scan, zoom
 
 __all__ = [
     "BoundReport",
@@ -146,24 +140,20 @@ def _auto_tau(k: MhKernel) -> Optional[TailRatio]:
         return None
 
 
-def r_sup_compact(k: MhKernel, a: float, scan: Optional[SupScanConfig] = None) -> ScanResult:
+def r_sup_compact(k: MhKernel, a: float) -> ScanResult:
     """Supremum of the rejection probability over the core [-a, a]."""
     if a <= 0:
         raise ValueError("truncation radius a must be positive")
-    return sup_scan(k.rejection_grid, -a, a, scan)
+    return sup_scan(k.rejection_grid, -a, a)
 
 
-def r_sup_tail(
-    k: MhKernel,
-    a: float,
-    x_max: float,
-    tau: Optional[TailRatio] = None,
-    scan: Optional[SupScanConfig] = None,
-) -> TailSup:
+def r_sup_tail(k: MhKernel, a: float, x_max: float, tau: Optional[TailRatio] = None) -> TailSup:
     """Supremum of the rejection probability over the tails |x| > a.
 
-    Window scans on both sides are merged with the known limit value
-    when the tail ratio is available."""
+    One scan takes both windows as rows, and its value is merged with the
+    known limit value when the tail ratio is available.  Otherwise the
+    tail counts as resolved when each window's outer tenth, scanned on 256
+    steps, reaches the window's maximum to within 1e-6."""
     if a <= 0:
         raise ValueError("truncation radius a must be positive")
     if x_max <= a:
@@ -172,19 +162,18 @@ def r_sup_tail(
         tau = _auto_tau(k)
 
     f = k.rejection_grid
-    pos = sup_scan(f, a, x_max, scan)
-    neg = sup_scan(f, -x_max, -a, scan)
-    value = max(pos.value, neg.value)
-    converged = pos.converged and neg.converged
+    window = sup_scan(f, np.array([a, -x_max]), np.array([x_max, -a]))
+    value = float(window.value.max())
+    converged = bool(window.converged.all())
 
     if tau is not None:
         limit = asymptotics.r_prime_inf(k.proposal, tau)
         value = max(value, limit)
         return TailSup(value, converged, True)
 
-    resolved = _window_flat(f, a, x_max, pos.value) and _window_flat(
-        lambda x: f(-x), a, x_max, neg.value
-    )
+    inner = x_max - 0.1 * (x_max - a)
+    outer = sup_scan(f, np.array([inner, -x_max]), np.array([x_max, -inner]), SupScanConfig(coarse_steps=256))
+    resolved = bool(np.all(outer.value >= window.value - 1e-6))
     if not resolved:
         log.warning(
             "tail supremum beyond |x|=%g not resolved; the reported value is a "
@@ -192,11 +181,6 @@ def r_sup_tail(
             x_max,
         )
     return TailSup(value, converged and resolved, resolved)
-
-
-def _window_flat(f, a: float, x_max: float, window_max: float) -> bool:
-    outer = sup_scan(f, x_max - 0.1 * (x_max - a), x_max, SupScanConfig(coarse_steps=256))
-    return abs(window_max - outer.value) <= 1e-6 or outer.value >= window_max - 1e-6
 
 
 def beta(
@@ -255,52 +239,44 @@ def _min_abs_balance(k: MhKernel, windows, us: np.ndarray):
     and whether every zoom closed.
 
     ``windows`` holds each window's coarse x-grid with log pi on it.  The
-    coarse pass runs in blocks of BLOCK_ELEMENTS; a zoom then refines
-    every (window, u) row at once, evaluating _ZOOM_POINTS points across
-    the two grid steps around the row's argmin, as sup_scan does, until
-    the bracket is at most _BETA_TOL_X wide.  Where d takes both signs
-    the minimum is exactly 0: log pi is continuous, so
-    pi(x+u) q(-u) = pi(x) q(u) somewhere in the window.
+    coarse pass runs in blocks of BLOCK_ELEMENTS, one row per (window, u).
+    Where d takes both signs on a row the minimum is exactly 0: log pi is
+    continuous, so pi(x+u) q(-u) = pi(x) q(u) somewhere in the window.
+    Every other row has one sign sigma on its grid, and quad.zoom refines
+    the maximum of the smooth -sigma d from the row's coarse bracket, so
+    the minimum is max(0, -sup(-sigma d)): a zoom that reaches a crossing
+    finds -sigma d > 0 there.
 
     The arrays handed to log_pdf are slices of buffers reused across
     blocks and levels, so their pages are faulted in once per call."""
-    shape = (len(windows), us.size)
-    best, lo, hi = np.empty(shape), np.empty(shape), np.empty(shape)
-    crossed = np.empty(shape, dtype=bool)
+    n = us.size
+    x, v, lo, hi, sign = np.empty((5, len(windows) * n))
     for w, (xs, lx) in enumerate(windows):
         chunk = max(1, BLOCK_ELEMENTS // xs.size)
-        y = np.empty((xs.size, min(chunk, us.size)))
-        for start in range(0, us.size, chunk):
-            block = slice(start, start + chunk)
-            ub = us[None, block]
-            d = k.log_balance(xs[:, None], ub, lx[:, None], out=y[:, : ub.size])
-            crossed[w, block] = (d.min(axis=0) <= 0.0) & (d.max(axis=0) >= 0.0)
-            np.abs(d, out=d)
-            at = d.argmin(axis=0)
-            best[w, block] = d[at, np.arange(at.size)]
-            lo[w, block] = xs[np.maximum(at - 1, 0)]
-            hi[w, block] = xs[np.minimum(at + 1, xs.size - 1)]
-    # one row per (window, u) from here on
-    best, lo, hi, crossed = best.ravel(), lo.ravel(), hi.ravel(), crossed.ravel()
-    u = np.tile(us, len(windows))
-    x_buf, y_buf = np.empty((2, u.size, _ZOOM_POINTS))
-    for _ in range(_MAX_LEVELS - 1):
-        rows = np.flatnonzero(~crossed & (hi - lo > _BETA_TOL_X))
-        if rows.size == 0:
-            break
-        xs = x_buf[: rows.size]
-        xs[...] = np.linspace(lo[rows], hi[rows], _ZOOM_POINTS, axis=1)
-        d = k.log_balance(xs, u[rows, None], out=y_buf[: rows.size])
-        crossed[rows] |= (d.min(axis=1) <= 0.0) & (d.max(axis=1) >= 0.0)
-        np.abs(d, out=d)
-        j = d.argmin(axis=1)
-        r = np.arange(rows.size)
-        best[rows] = np.minimum(best[rows], d[r, j])
-        lo[rows] = xs[r, np.maximum(j - 1, 0)]
-        hi[rows] = xs[r, np.minimum(j + 1, _ZOOM_POINTS - 1)]
-    best[crossed] = 0.0
-    closed = bool(np.all(crossed | (hi - lo <= _BETA_TOL_X)))
-    return best.reshape(shape).min(axis=0), closed
+        y = np.empty((min(chunk, n), xs.size))
+        for start in range(0, n, chunk):
+            ub = us[start : start + chunk, None]
+            d = k.log_balance(xs, ub, lx, out=y[: ub.size])
+            block = slice(w * n + start, w * n + start + ub.size)
+            crossed = (d.min(axis=1) <= 0.0) & (d.max(axis=1) >= 0.0)
+            sign[block] = np.where(crossed, 0.0, np.sign(d[:, 0]))
+            np.negative(np.abs(d, out=d), out=d)
+            x[block], v[block], lo[block], hi[block] = bracket(xs, d)
+    live = np.flatnonzero(sign)
+    u, sign = np.tile(us, len(windows))[live, None], sign[live, None]
+    buf = None
+
+    def minus_signed_d(xs, rows):
+        nonlocal buf
+        if buf is None:  # the first level has the most rows
+            buf = np.empty(xs.shape)
+        d = k.log_balance(xs, u[rows], out=buf[: rows.size])
+        return np.multiply(d, -sign[rows], out=d)
+
+    res = zoom(minus_signed_d, x[live], v[live], lo[live], hi[live], _BETA_TOL_X)
+    best = np.zeros(len(windows) * n)
+    best[live] = np.maximum(0.0, -res.value)
+    return best.reshape(len(windows), n).min(axis=0), bool(res.converged.all())
 
 
 def alpha(
@@ -308,7 +284,6 @@ def alpha(
     a: float,
     x_max: Optional[float] = None,
     tau: Optional[TailRatio] = None,
-    scan: Optional[SupScanConfig] = None,
 ) -> BoundReport:
     """Assemble the windowed bound alpha_a = max(r_a, r_prime_a + beta_a)."""
     if a <= 0:
@@ -319,8 +294,8 @@ def alpha(
     if tau is None:
         tau = _auto_tau(k)
 
-    core = r_sup_compact(k, a, scan)
-    tail = r_sup_tail(k, a, x_max, tau, scan)
+    core = r_sup_compact(k, a)
+    tail = r_sup_tail(k, a, x_max, tau)
     bt = beta(k, a, x_max, tau)
     alpha_a = max(core.value, tail.value + bt.value)
     converged = core.converged and tail.converged and bt.converged
@@ -351,7 +326,6 @@ def bound_profile(
     a_list: Sequence[float],
     x_max: Optional[float] = None,
     tau: Optional[TailRatio] = None,
-    scan: Optional[SupScanConfig] = None,
 ) -> BoundProfile:
     """One report per truncation radius; the bound holds for every a, so
     the profile's minimizer is the bound to quote."""
@@ -364,6 +338,6 @@ def bound_profile(
         tau = _auto_tau(k)
     if x_max is None:
         x_max = default_x_max(max(a_list), k.proposal.s)
-    reports = [alpha(k, a, x_max, tau, scan) for a in a_list]
+    reports = [alpha(k, a, x_max, tau) for a in a_list]
     best = min(range(len(reports)), key=lambda i: reports[i].alpha_a)
     return BoundProfile(reports, best)

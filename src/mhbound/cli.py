@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -31,7 +30,6 @@ import numpy as np
 from . import __version__, asymptotics, bounds, exprlang
 from .kernel import MhKernel
 from .models import DensityModel, ModelError, ProposalModel
-from .quad import SupScanConfig
 from .sampler import ChainConfig, run as run_chains
 from .spectra import spectral_report
 
@@ -51,7 +49,7 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "target": {"family": (str,), "scale": (int, float), "expr": (str,)},
     "proposal": {"family": (str,), "s": (int, float), "expr": (str,), "sup_shape": (int, float)},
-    "bound": {"a_list": (list,), "x_max": (int, float), "scan_step": (int, float)},
+    "bound": {"a_list": (list,), "x_max": (int, float)},
     "spectrum": {"A": (int, float), "n": (int,), "a": (int, float)},
     "sample": {
         "steps": (int,),
@@ -173,14 +171,6 @@ def _symmetric_kernel(cfg: dict) -> MhKernel:
     return k
 
 
-def _scan_config(cfg: dict, a_max: float) -> Optional[SupScanConfig]:
-    step = cfg["bound"].get("scan_step")
-    if step is None:
-        return None
-    span = 2.0 * max(a_max, float(cfg["bound"]["x_max"]))
-    return SupScanConfig(coarse_steps=max(64, int(math.ceil(span / float(step)))))
-
-
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -219,9 +209,7 @@ def cmd_bound(args, cfg: dict) -> int:
     started = time.monotonic()
     k = _symmetric_kernel(cfg)
     a_list = [float(a) for a in cfg["bound"]["a_list"]]
-    profile = bounds.bound_profile(
-        k, a_list, float(cfg["bound"]["x_max"]), scan=_scan_config(cfg, max(a_list))
-    )
+    profile = bounds.bound_profile(k, a_list, float(cfg["bound"]["x_max"]))
     rows = [
         [_fmt(r.a), _fmt(r.r_a), _fmt(r.r_prime_a), _fmt(r.beta_a), _fmt(r.alpha_a), int(r.converged)]
         for r in profile.reports

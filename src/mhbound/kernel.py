@@ -98,8 +98,8 @@ class MhKernel:
 
     # -- rejection probability ----------------------------------------
     def rejection_prob(self, x: float) -> float:
-        """r(x) at one point: ``rejection_grid`` on [x]."""
-        return float(self.rejection_grid(x)[0])
+        """r(x) at one point: ``rejection_grid`` on x."""
+        return float(self.rejection_grid(x))
 
     @cached_property
     def _u_nodes(self):
@@ -108,9 +108,11 @@ class MhKernel:
         us, ws = gauss_legendre_grid(-s, s, U_RULE, (0.0, *self.proposal.kinks))
         return us, self.proposal.shape(us) * ws
 
-    def rejection_grid(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized r over a batch of x values (fixed u-grid)."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    def rejection_grid(self, xs) -> np.ndarray:
+        """Vectorized r over x values of any shape (fixed u-grid); the
+        result has the shape of xs."""
+        shape = np.shape(xs)
+        xs = np.asarray(xs, dtype=float).reshape(-1)
         us, shape_w = self._u_nodes
         out = np.empty(xs.shape[0])
         chunk = max(1, BLOCK_ELEMENTS // us.size)
@@ -125,7 +127,7 @@ class MhKernel:
             np.minimum(0.0, ratio, out=ratio)
             np.exp(ratio, out=ratio)
             out[start : start + chunk] = 1.0 - ratio @ shape_w
-        return out
+        return out.reshape(shape)
 
     # -- diagnostics ---------------------------------------------------
     def detailed_balance_residual(self, x, y, eps: float = 1e-300):

@@ -273,12 +273,7 @@ class ProposalModel:
         return bool(np.max(np.abs(self.shape(us) - self.shape(-us))) <= 1e-12)
 
     def _resolve_sup(self, declared: Optional[float]) -> float:
-        scan = sup_scan(
-            lambda u: self.shape(u),
-            -self.s,
-            self.s,
-            SupScanConfig(coarse_steps=1024, tol_x=1e-10),
-        )
+        scan = sup_scan(self.shape, -self.s, self.s, SupScanConfig(coarse_steps=1024, tol_x=1e-10))
         if declared is None:
             return scan.value
         if declared < scan.value * (1.0 - 1e-12):

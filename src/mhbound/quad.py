@@ -6,9 +6,12 @@ evaluated on one array.  ``adaptive_simpson`` is only the tests' reference.
 
 sup_scan is a coarse-grid scan followed by a zoom: each level evaluates
 the function once, on an array of evenly spaced points across the two
-grid steps around the running maximum.  It is not a global optimizer:
-the documented assumption is that the scanned function's oscillation on
-the coarse step is below the requested tolerance.
+grid steps around the level's maximum, for every row of a batch of
+intervals at once.  ``zoom`` is that refinement loop, and the only one in
+the package: bounds.beta calls it too, on its own coarse pass.  It is not
+a global optimizer: the documented assumption is that the scanned
+function's oscillation on the coarse step is below the requested
+tolerance.
 
 All functions here are pure and safe to call concurrently; reductions
 run in fixed index order for reproducibility.
@@ -16,7 +19,6 @@ run in fixed index order for reproducibility.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -33,10 +35,10 @@ __all__ = [
     "gauss_legendre_grid",
     "adaptive_simpson",
     "composite_gauss_legendre",
+    "bracket",
+    "zoom",
     "sup_scan",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,7 @@ class SupScanConfig:
 
 @dataclass(frozen=True)
 class ScanResult:
+    # floats and a bool for one interval, arrays for a batch of rows
     argmax: float
     value: float
     converged: bool
@@ -200,52 +203,63 @@ _ZOOM_POINTS = 33
 _MAX_LEVELS = 17
 
 
-def _eval_grid(f, xs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """f on the points ``xs``, and whether f took them as one array.  A
-    function that raises TypeError on the array, or returns another shape,
-    is called once per point."""
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape == xs.shape:
-            return vals, True
-    except TypeError:
-        pass
-    return np.array([float(f(x)) for x in xs]), False
+def bracket(xs: np.ndarray, vals: np.ndarray):
+    """Per row of ``vals`` (rows, n), taken at the points ``xs`` (of the
+    same shape, or one row shared by all): the argmax, the maximum, and the
+    ends of the two grid steps around the argmax, which the next zoom level
+    spans."""
+    xs = np.broadcast_to(xs, vals.shape)
+    i = vals.argmax(axis=1)
+    r = np.arange(i.size)
+    return xs[r, i], vals[r, i], xs[r, np.maximum(i - 1, 0)], xs[r, np.minimum(i + 1, vals.shape[1] - 1)]
+
+
+def zoom(f: Callable, x: np.ndarray, v: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol_x: float) -> ScanResult:
+    """Refine the maximum of every row, starting from a level's ``bracket``:
+    each row's best point ``x`` and value ``v`` so far and its bracket
+    [lo, hi], all updated in place.
+
+    Each level calls ``f(xs, rows)`` once: ``rows`` indexes the rows whose
+    bracket is still wider than tol_x, and xs holds _ZOOM_POINTS evenly
+    spaced points across each one's bracket, so a bracket shrinks at least
+    16-fold per level.  A row's value is the maximum over every point
+    evaluated in it (a NaN seed stays, as no value compares above it); its
+    next bracket surrounds the level's argmax.  The result holds arrays,
+    and ``converged`` is whether a row's bracket reached tol_x."""
+    buf = np.empty((lo.size, _ZOOM_POINTS))
+    for _ in range(_MAX_LEVELS - 1):
+        rows = np.flatnonzero(hi - lo > tol_x)
+        if rows.size == 0:
+            break
+        xs = buf[: rows.size]
+        xs[...] = np.linspace(lo[rows], hi[rows], _ZOOM_POINTS, axis=1)
+        lx, lv, lo[rows], hi[rows] = bracket(xs, np.asarray(f(xs, rows), dtype=float))
+        up = lv > v[rows]
+        x[rows[up]], v[rows[up]] = lx[up], lv[up]
+    return ScanResult(x, v, hi - lo <= tol_x)
 
 
 def sup_scan(
-    f: Callable,
-    lo: float,
-    hi: float,
+    f: Callable[[np.ndarray], np.ndarray],
+    lo,
+    hi,
     cfg: Optional[SupScanConfig] = None,
 ) -> ScanResult:
-    """Locate the supremum of f on [lo, hi] by coarse scan + zoom.
+    """Locate the supremum of f on [lo, hi] by coarse scan + ``zoom``.
 
-    Each zoom level evaluates f once on _ZOOM_POINTS evenly spaced points
-    spanning the two grid steps around the current argmax, so the bracket
-    shrinks at least 16-fold per level until it is <= cfg.tol_x.  The
-    returned value is the maximum over every point evaluated, so it
-    dominates the value at every coarse grid point by construction.
-    """
-    if not lo < hi:
-        raise ValueError("sup_scan requires lo < hi")
+    ``lo`` and ``hi`` are floats, or equal-length arrays with one interval
+    per row.  f must take arrays: it is called once per level, on a (rows,
+    points) array.  The returned value is the maximum over every point
+    evaluated, so it dominates the value at every coarse grid point by
+    construction.  For float bounds the result holds floats and a bool,
+    otherwise one array entry per row."""
     if cfg is None:
         cfg = SupScanConfig()
-
-    xs = np.linspace(lo, hi, cfg.coarse_steps + 1)
-    per_point = 0  # levels at which f did not take the array
-    for level in range(_MAX_LEVELS):
-        vals, whole = _eval_grid(f, xs)
-        per_point += not whole
-        i = int(np.argmax(vals))
-        # seeding from the coarse grid keeps a NaN there in the result
-        if level == 0 or vals[i] > best_v:
-            best_x, best_v = float(xs[i]), float(vals[i])
-        bl = float(xs[max(i - 1, 0)])
-        br = float(xs[min(i + 1, len(xs) - 1)])
-        if br - bl <= cfg.tol_x:
-            break
-        xs = np.linspace(bl, br, _ZOOM_POINTS)
-    if per_point:
-        log.debug("sup_scan: %r takes no array; evaluated point by point at %d of %d levels", f, per_point, level + 1)
-    return ScanResult(best_x, best_v, br - bl <= cfg.tol_x)
+    lo_r, hi_r = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
+    if not np.all(lo_r < hi_r):
+        raise ValueError("sup_scan requires lo < hi")
+    xs = np.linspace(lo_r, hi_r, cfg.coarse_steps + 1, axis=1)
+    res = zoom(lambda z, rows: f(z), *bracket(xs, np.asarray(f(xs), dtype=float)), cfg.tol_x)
+    if np.ndim(lo) == np.ndim(hi) == 0:
+        return ScanResult(float(res.argmax[0]), float(res.value[0]), bool(res.converged[0]))
+    return res

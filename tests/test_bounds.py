@@ -1,3 +1,4 @@
+import logging
 import math
 import sys
 
@@ -38,6 +39,26 @@ def test_r_sup_tail_laplace(laplace_tri):
     assert res.tail_resolved
     with pytest.raises(ValueError):
         bounds.r_sup_tail(laplace_tri, 30.0, 30.0)
+
+
+def test_r_sup_tail_without_tail_ratio(monkeypatch, caplog):
+    # with no tail ratio the window scans alone decide, through their flatness check
+    def unresolved(*args, **kwargs):
+        raise asymptotics.TauNotConvergedError("tail ratio not converged")
+
+    monkeypatch.setattr(asymptotics, "tail_ratio_for", unresolved)
+    tri = ProposalModel.triangular()
+    res = bounds.r_sup_tail(MhKernel(DensityModel.laplace(), tri), 1.0, 66.0)
+    assert res.tail_resolved and res.converged
+    assert res.value == pytest.approx(R_TAIL, abs=1e-9)
+    # a second mode in both tails, then in the right or the left one only
+    for expr in ("exp(-abs(x-30))+exp(-abs(x+30))", "exp(-abs(x))+exp(-abs(x-30))", "exp(-abs(x))+exp(-abs(x+30))"):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="mhbound.bounds"):
+            res = bounds.r_sup_tail(MhKernel(DensityModel.from_expression(expr), tri), 1.0, 66.0)
+        assert not res.tail_resolved and not res.converged
+        records = [r for r in caplog.records if r.name == "mhbound.bounds"]
+        assert len(records) == 1 and records[0].levelno == logging.WARNING
 
 
 def test_r_sup_tail_gauss_hits_limit(gauss_tri):
@@ -123,6 +144,30 @@ def test_beta_sign_change_is_exact():
     res = bounds.beta(k, 1.0)
     assert abs(res.value - 1.0) <= 1e-9
     assert res.converged
+
+
+def test_min_abs_balance_finds_crossings_between_grid_points():
+    # d(x, u) = u ((x - c)^2 - eps) keeps one sign on the coarse grid and
+    # changes it only between two grid points, so the zoom must find it
+    xs = np.linspace(0.0, 1.0, 1025)
+    c = 0.5 * (xs[500] + xs[501])
+
+    class Stub:
+        def __init__(self, eps):
+            self.eps = eps
+
+        def log_balance(self, x, u, log_pi_x=None, out=None):
+            np.add(x, u, out=out)
+            return u * ((x - c) ** 2 - self.eps)
+
+    us = np.array([-1.0, 1.0, 2.0])
+    eps = (0.25 * (xs[1] - xs[0])) ** 2
+    min_d, closed = bounds._min_abs_balance(Stub(eps), [(xs, np.zeros(xs.size))], us)
+    assert closed and np.all(min_d == 0.0)
+    # the same dip kept above zero: the minimum is eps |u|
+    min_d, closed = bounds._min_abs_balance(Stub(-eps), [(xs, np.zeros(xs.size))], us)
+    assert closed
+    np.testing.assert_allclose(min_d, eps * np.abs(us), rtol=1e-6)
 
 
 #: beta from the adaptive Simpson rule over nested sup_scans that the fixed

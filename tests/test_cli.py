@@ -73,6 +73,12 @@ def test_quadrature_tol_is_unknown_key(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_scan_step_is_unknown_key(tmp_path, capsys):
+    assert run_cli("bound", "--out", str(tmp_path), "--set", "bound.scan_step=0.05") == 1
+    assert "unknown config key: bound.scan_step" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_quadrature_section_is_unknown(tmp_path, capsys):
     assert run_cli("bound", "--out", str(tmp_path), "--set", "quadrature.panels=96") == 1
     assert "unknown config key: quadrature" in capsys.readouterr().err

@@ -97,7 +97,7 @@ def test_sup_scan_parabola():
 
 
 def test_sup_scan_sine():
-    res = sup_scan(math.sin, 0.0, 3.2)
+    res = sup_scan(np.sin, 0.0, 3.2)
     assert res.argmax == pytest.approx(math.pi / 2.0, abs=1e-6)
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
@@ -136,23 +136,45 @@ def test_sup_scan_dominates_coarse_grid():
     assert res.value >= float(np.max(f(xs))) - 1e-15
 
 
-def test_sup_scan_accepts_scalar_only_functions():
-    res = sup_scan(lambda x: -abs(float(x) - 1.0), 0.0, 2.0, SupScanConfig(coarse_steps=64))
-    assert res.argmax == pytest.approx(1.0, abs=1e-6)
+def test_sup_scan_takes_arrays_only(caplog):
+    # math.sin raises TypeError on the coarse grid; no point-by-point retry
+    calls = []
 
+    def f(x):
+        calls.append(x)
+        return math.sin(x)
 
-def test_sup_scan_logs_its_point_by_point_fallback(caplog):
-    # math.sin raises TypeError on an array: one DEBUG record per call
-    with caplog.at_level(logging.DEBUG, logger="mhbound.quad"):
-        res = sup_scan(math.sin, 0.0, 3.2)
-    assert res.value == pytest.approx(1.0, abs=1e-12)
-    records = [r for r in caplog.records if r.name == "mhbound.quad"]
-    assert len(records) == 1 and records[0].levelno == logging.DEBUG
-    assert "sin" in records[0].getMessage()
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="mhbound.quad"):
-        sup_scan(np.sin, 0.0, 3.2)
+    with caplog.at_level(logging.DEBUG, logger="mhbound"):
+        with pytest.raises(TypeError):
+            sup_scan(f, 0.0, 3.2)
+    assert len(calls) == 1
     assert not caplog.records
+
+
+def test_sup_scan_rows_equal_single_scans(gauss_tri):
+    cases = [
+        (np.sin, [0.0, -3.0, 1.0, 2.5], [3.2, 0.5, 7.0, 2.6]),
+        # r(x) on both tail windows, as r_sup_tail scans them; gauss's r
+        # rises towards 1/2 with |x|, so each argmax is unique (laplace's r
+        # is flat there, and its argmax is rounding noise)
+        (gauss_tri.rejection_grid, [1.0, -66.0, 2.0], [66.0, -1.0, 5.0]),
+    ]
+    for f, lo, hi in cases:
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return f(x)
+
+        rows = sup_scan(counted, np.array(lo), np.array(hi))
+        assert calls[0] == (len(lo), 2049)
+        assert all(len(shape) == 2 and shape[0] <= len(lo) for shape in calls)
+        for i in range(len(lo)):
+            one = sup_scan(f, lo[i], hi[i])
+            assert (type(one.argmax), type(one.value), type(one.converged)) == (float, float, bool)
+            assert abs(rows.argmax[i] - one.argmax) <= 1e-14
+            assert abs(rows.value[i] - one.value) <= 1e-14
+            assert rows.converged[i] == one.converged
 
 
 def test_sup_scan_propagates_value_error_without_scalar_retry():
@@ -169,7 +191,7 @@ def test_sup_scan_propagates_value_error_without_scalar_retry():
 
 def test_sup_scan_invalid_interval():
     with pytest.raises(ValueError):
-        sup_scan(math.sin, 1.0, 1.0)
+        sup_scan(np.sin, 1.0, 1.0)
 
 
 def test_panel_builders_share_one_rule():
