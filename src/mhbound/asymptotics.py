@@ -25,7 +25,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,7 +54,8 @@ class TauNotConvergedError(RuntimeError):
 
 @dataclass
 class AsymptoticReport:
-    tau_table: List[Tuple[float, float]]
+    #: rows {"u": u, "tau": tau(u)}
+    tau_table: List[Dict[str, float]]
     tau_mode: str
     r_inf: float
     r_prime_inf: float
@@ -66,22 +67,6 @@ class AsymptoticReport:
     identity_gap: float
     certified: bool
     verdict: str
-
-    def to_dict(self):
-        return {
-            "tau_table": [{"u": u, "tau": t} for u, t in self.tau_table],
-            "tau_mode": self.tau_mode,
-            "r_inf": self.r_inf,
-            "r_prime_inf": self.r_prime_inf,
-            "beta_inf": self.beta_inf,
-            "gamma_inf": self.gamma_inf,
-            "alpha_inf": self.alpha_inf,
-            "degenerate": self.degenerate,
-            "even_verified": self.even_verified,
-            "identity_gap": self.identity_gap,
-            "certified": self.certified,
-            "verdict": self.verdict,
-        }
 
 
 def tau_numeric(
@@ -199,7 +184,7 @@ def alpha_inf(
         tau = tail_ratio_for(k.target, proposal.s)
 
     us = np.linspace(0.0, proposal.s, tau_points)
-    tau_table = [(float(u), tau(float(u))) for u in us]
+    tau_table = [{"u": u, "tau": tau(u)} for u in us.tolist()]
 
     rp = r_prime_inf(proposal, tau)
     bi = beta_inf(proposal, tau)

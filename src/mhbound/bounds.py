@@ -87,32 +87,11 @@ class BoundReport:
     beta_a: float
     alpha_a: float
     x_max: float
-    r_a_converged: bool
-    r_prime_converged: bool
-    beta_converged: bool
+    converged: bool
     tail_resolved: bool
     beta_error: float
     certified: bool
     verdict: str
-
-    @property
-    def converged(self) -> bool:
-        return self.r_a_converged and self.r_prime_converged and self.beta_converged
-
-    def to_dict(self):
-        return {
-            "a": self.a,
-            "r_a": self.r_a,
-            "r_prime_a": self.r_prime_a,
-            "beta_a": self.beta_a,
-            "alpha_a": self.alpha_a,
-            "x_max": self.x_max,
-            "converged": self.converged,
-            "tail_resolved": self.tail_resolved,
-            "beta_error": self.beta_error,
-            "certified": self.certified,
-            "verdict": self.verdict,
-        }
 
 
 @dataclass
@@ -311,9 +290,7 @@ def alpha(
         beta_a=bt.value,
         alpha_a=alpha_a,
         x_max=x_max,
-        r_a_converged=core.converged,
-        r_prime_converged=tail.converged,
-        beta_converged=bt.converged,
+        converged=converged,
         tail_resolved=tail.tail_resolved and bt.tail_resolved,
         beta_error=bt.error,
         certified=certified,

@@ -8,7 +8,8 @@ spectrum), ``sample`` (chain simulation).
 Configuration is a JSON document; flags only pick the config file, the
 output directory/format, and scalar overrides (``--set bound.x_max=80``).
 Every JSON report embeds the fully resolved config (defaults included),
-the tool version, and the wall-clock duration.
+the tool version, and the wall-clock duration; its ``result`` is the
+command's report dataclass, field by field.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 ran fine but the
 result is not certified (unconverged scan or degenerate tail ratio),
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -178,17 +180,28 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _json_value(obj):
+    """json.dumps hook: a report dataclass is its fields in declaration
+    order (the values themselves, not copies), and a numpy array or scalar
+    its ``tolist()``."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _emit(args, name: str, payload: dict, csv_spec) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.format in ("json", "both"):
-        (out / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
+        (out / f"{name}.json").write_text(json.dumps(payload, indent=2, default=_json_value) + "\n")
     if args.format in ("csv", "both") and csv_spec is not None:
         header, rows = csv_spec
         _write_csv(out / f"{name}.csv", header, rows)
 
 
-def _report(command: str, cfg: dict, started: float, result: dict) -> dict:
+def _report(command: str, cfg: dict, started: float, result) -> dict:
     return {
         "command": command,
         "version": __version__,
@@ -218,11 +231,7 @@ def cmd_bound(args, cfg: dict) -> int:
         "bound",
         cfg,
         started,
-        {
-            "reports": [r.to_dict() for r in profile.reports],
-            "best_index": profile.best_index,
-            "best": profile.best.to_dict(),
-        },
+        {"reports": profile.reports, "best_index": profile.best_index, "best": profile.best},
     )
     _emit(args, "bound", payload, (["a", "r_a", "r_prime_a", "beta_a", "alpha_a", "converged"], rows))
     ok = all(r.converged for r in profile.reports) and any(r.certified for r in profile.reports)
@@ -237,8 +246,8 @@ def cmd_asymptotic(args, cfg: dict) -> int:
     except asymptotics.TauNotConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
-    payload = _report("asymptotic", cfg, started, report.to_dict())
-    rows = [[_fmt(u), _fmt(t)] for u, t in report.tau_table]
+    payload = _report("asymptotic", cfg, started, report)
+    rows = [[_fmt(row["u"]), _fmt(row["tau"])] for row in report.tau_table]
     _emit(args, "asymptotic", payload, (["u", "tau"], rows))
     return EXIT_OK if report.certified else EXIT_NOT_CERTIFIED
 
@@ -268,7 +277,7 @@ def cmd_spectrum(args, cfg: dict) -> int:
     k = _symmetric_kernel(cfg)
     sc = cfg["spectrum"]
     report = spectral_report(k, float(sc["A"]), int(sc["n"]), float(sc["a"]))
-    payload = _report("spectrum", cfg, started, report.to_dict())
+    payload = _report("spectrum", cfg, started, report)
     rows = [[i, _fmt(ev)] for i, ev in enumerate(report.eigenvalues)]
     _emit(args, "spectrum", payload, (["index", "eigenvalue"], rows))
     return EXIT_OK
@@ -289,7 +298,7 @@ def cmd_sample(args, cfg: dict) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     summary = run_chains(k, chain_cfg, trace=args.trace)
-    payload = _report("sample", cfg, started, summary.to_dict())
+    payload = _report("sample", cfg, started, summary)
     rows = [
         [c.chain, c.seed, c.accepted, _fmt(c.acceptance_rate), _fmt(c.mean), _fmt(c.variance)]
         for c in summary.chains

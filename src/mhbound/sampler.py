@@ -91,20 +91,6 @@ class ChainSummary:
     ks_distance: Optional[float]
     autocorrelations: List[float] = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "chain": self.chain,
-            "seed": self.seed,
-            "steps": self.steps,
-            "burn_in": self.burn_in,
-            "accepted": self.accepted,
-            "acceptance_rate": self.acceptance_rate,
-            "mean": self.mean,
-            "variance": self.variance,
-            "ks_distance": self.ks_distance,
-            "autocorrelations": self.autocorrelations,
-        }
-
 
 @dataclass
 class RunSummary:
@@ -114,22 +100,6 @@ class RunSummary:
     mean: float
     variance: float
     ks_distance: Optional[float]
-
-    def to_dict(self):
-        return {
-            "config": {
-                "steps": self.config.steps,
-                "burn_in": self.config.burn_in,
-                "x0": self.config.x0,
-                "seed": self.config.seed,
-                "chains": self.config.chains,
-            },
-            "chains": [c.to_dict() for c in self.chains],
-            "acceptance_rate": self.acceptance_rate,
-            "mean": self.mean,
-            "variance": self.variance,
-            "ks_distance": self.ks_distance,
-        }
 
 
 def sample_proposal(p: ProposalModel, rng: np.random.Generator) -> float:

@@ -281,24 +281,6 @@ class SpectralReport:
     unit_eigenvalue_count: int
     caveat: str = HEURISTIC_CAVEAT
 
-    def to_dict(self):
-        return {
-            "half_width": self.half_width,
-            "n": self.n,
-            "a": self.a,
-            "eigenvalues": [float(e) for e in self.eigenvalues],
-            "top_eigenvalue": self.top_eigenvalue,
-            "second_modulus": self.second_modulus,
-            "norm_t_ac": self.norm_t_ac,
-            "beta_a": self.beta_a,
-            "hs_norm_t_a": self.hs_norm_t_a,
-            "grid_defect": self.grid_defect,
-            "quad_defect": self.quad_defect,
-            "row_sum_defect": self.row_sum_defect,
-            "unit_eigenvalue_count": self.unit_eigenvalue_count,
-            "caveat": self.caveat,
-        }
-
 
 def spectral_report(
     k: MhKernel,

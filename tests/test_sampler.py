@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -122,15 +123,15 @@ def test_fixed_seed_reproducible(laplace_tri):
     cfg = ChainConfig(steps=500, burn_in=50, seed=123, chains=2)
     a = run(laplace_tri, cfg)
     b = run(laplace_tri, cfg)
-    assert a.to_dict() == b.to_dict()
+    assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
 def test_expression_target_run_pinned():
-    # to_dict() of this run as computed by the tree-walking evaluator that
+    # the summary of this run as computed by the tree-walking evaluator that
     # compiled expressions replaced: a change that moves any accept/reject
     # decision, the proposal stream or the summary shows here
     k = MhKernel(DensityModel.from_expression("exp(-abs(x))"), ProposalModel.triangular())
-    d = run(k, ChainConfig(steps=5000, burn_in=500, seed=7, chains=2)).to_dict()
+    d = dataclasses.asdict(run(k, ChainConfig(steps=5000, burn_in=500, seed=7, chains=2)))
     assert [c["accepted"] for c in d["chains"]] == [3808, 3782]
     assert [c["mean"] for c in d["chains"]] == [-0.075191508014188, 0.03333201926989609]
     assert [c["variance"] for c in d["chains"]] == [1.60190315166999, 1.427462937992206]
@@ -214,11 +215,11 @@ def _digest(d):
     ],
 )
 def test_builtin_target_run_pinned(target, shape, digest):
-    # to_dict() of these runs as computed by the per-step numpy loop the
+    # the summaries of these runs as computed by the per-step numpy loop the
     # blocked loop replaced
     proposal = ProposalModel.triangular() if shape is None else ProposalModel.from_expression(shape, 1.0)
     k = MhKernel(DensityModel(target), proposal)
-    d = run(k, ChainConfig(steps=5000, burn_in=500, seed=7, chains=2)).to_dict()
+    d = dataclasses.asdict(run(k, ChainConfig(steps=5000, burn_in=500, seed=7, chains=2)))
     assert _digest(d) == digest
 
 

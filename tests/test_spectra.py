@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -227,7 +228,7 @@ def test_spectrum_in_unit_interval(builtin_kernel):
 def test_spectral_report_fields(laplace_tri):
     rep = spectra.spectral_report(laplace_tri, 15.0, 151, 5.0)
     assert "heuristic" in rep.caveat
-    d = rep.to_dict()
+    d = dataclasses.asdict(rep)
     assert d["caveat"] == rep.caveat
     assert len(d["eigenvalues"]) == 151
     assert rep.second_modulus <= rep.top_eigenvalue
