@@ -22,16 +22,16 @@ is evaluated at nodes that beta has already used.
 from __future__ import annotations
 
 import functools
+import logging
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .kernel import MhKernel
 from .models import DensityModel, ModelError, ProposalModel, TailRatio
-from .quad import GaussLegendreRule, gauss_legendre_grid
+from .quad import GaussLegendreRule, gauss_legendre_grid, sup_scan
 
 __all__ = [
     "AsymptoticReport",
@@ -44,8 +44,14 @@ __all__ = [
     "alpha_inf",
 ]
 
+log = logging.getLogger(__name__)
+
 #: the rule in u of the limit constants and of bounds.beta
 TAIL_RULE = GaussLegendreRule(nodes_per_panel=16, panels=4)
+#: alpha_inf's rejection scan covers [-_X_MAX, _X_MAX]; its tau table has
+#: _TAU_POINTS rows on [0, s]
+_X_MAX = 50.0
+_TAU_POINTS = 33
 
 
 class TauNotConvergedError(RuntimeError):
@@ -131,10 +137,7 @@ def gamma_inf(proposal: ProposalModel, tau: TailRatio, breakpoints=()) -> float:
     dw, t = _tail_weights(proposal, tau, breakpoints)
     value = 1.0 - float(dw @ (1.0 - np.sqrt(t)) ** 2)
     if value >= 1.0 - 1e-9:
-        warnings.warn(
-            "degenerate tail ratio: gamma >= 1, the limit bound certifies nothing",
-            stacklevel=2,
-        )
+        log.warning("degenerate tail ratio: gamma >= 1, the limit bound certifies nothing")
     return value
 
 
@@ -165,25 +168,17 @@ def _even_target(target: DensityModel, x_max: float) -> bool:
     return bool(gap <= 1e-9)
 
 
-def alpha_inf(
-    k: MhKernel,
-    tau: Optional[TailRatio] = None,
-    x_max: float = 50.0,
-    tau_points: int = 33,
-) -> AsymptoticReport:
+def alpha_inf(k: MhKernel) -> AsymptoticReport:
     """Assemble the limit report: tau table, limiting constants, the
     identity check, and the global rejection supremum.
 
-    r_inf is taken as the larger of a windowed scan over [-x_max, x_max]
+    r_inf is taken as the larger of a scan of r over [-_X_MAX, _X_MAX]
     and the limiting tail value (valid because r is continuous and
     converges to the tail value)."""
-    from .bounds import r_sup_compact  # deferred; bounds builds on this module
-
     proposal = k.proposal
-    if tau is None:
-        tau = tail_ratio_for(k.target, proposal.s)
+    tau = tail_ratio_for(k.target, proposal.s)
 
-    us = np.linspace(0.0, proposal.s, tau_points)
+    us = np.linspace(0.0, proposal.s, _TAU_POINTS)
     tau_table = [{"u": u, "tau": tau(u)} for u in us.tolist()]
 
     rp = r_prime_inf(proposal, tau)
@@ -191,12 +186,12 @@ def alpha_inf(
     gi = gamma_inf(proposal, tau)
     identity_gap = abs(rp + bi - gi)
 
-    scan = r_sup_compact(k, x_max)
+    scan = sup_scan(k.rejection_grid, -_X_MAX, _X_MAX)
     r_inf = max(scan.value, rp)
     a_inf = max(r_inf, gi)
 
     degenerate = gi >= 1.0 - 1e-9
-    even_verified = _even_target(k.target, x_max)
+    even_verified = _even_target(k.target, _X_MAX)
     certified = (a_inf < 1.0) and not degenerate and scan.converged
     if degenerate:
         verdict = "no certification: tail ratio is degenerate (gamma >= 1)"

@@ -62,6 +62,9 @@ _BETA_TOL = 1e-8
 #: at which beta's per-u minimum of |d| stops
 _BETA_STEPS = 1024
 _BETA_TOL_X = 1e-8
+#: alpha_a within this of the profile's minimum tie with it; far below
+#: _BETA_TOL, so only rounding separates tied windows
+_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -305,7 +308,8 @@ def bound_profile(
     tau: Optional[TailRatio] = None,
 ) -> BoundProfile:
     """One report per truncation radius; the bound holds for every a, so
-    the profile's minimizer is the bound to quote."""
+    the profile's minimizer is the bound to quote.  Windows whose alpha_a
+    tie with the minimum to within _TIE_TOL go to the smallest a."""
     a_list = list(a_list)
     if not a_list:
         raise ValueError("a_list must be non-empty")
@@ -316,5 +320,6 @@ def bound_profile(
     if x_max is None:
         x_max = default_x_max(max(a_list), k.proposal.s)
     reports = [alpha(k, a, x_max, tau) for a in a_list]
-    best = min(range(len(reports)), key=lambda i: reports[i].alpha_a)
+    lowest = min(r.alpha_a for r in reports)
+    best = next(i for i, r in enumerate(reports) if r.alpha_a <= lowest + _TIE_TOL)
     return BoundProfile(reports, best)

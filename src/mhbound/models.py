@@ -11,8 +11,8 @@ targets fall back to the numeric limit (see asymptotics.tau_numeric).
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,6 +27,8 @@ __all__ = [
     "DensityModel",
     "ProposalModel",
 ]
+
+log = logging.getLogger(__name__)
 
 _LOG_2 = math.log(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -286,10 +288,9 @@ class ProposalModel:
     def _warn_if_vanishing_inside(self):
         us = np.linspace(-self.s * 0.98, self.s * 0.98, 101)
         if np.any(self.shape(us) == 0.0):
-            warnings.warn(
+            log.warning(
                 "proposal shape vanishes inside (-s, s); the asymptotic "
-                "(limit) bound assumes a positive shape there",
-                stacklevel=3,
+                "(limit) bound assumes a positive shape there"
             )
 
     def __repr__(self):

@@ -22,14 +22,14 @@ range of the edge) lose the mass that leaves the domain and are flagged.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bounds import BoundReport
+from .bounds import BoundReport, beta
 from .kernel import BLOCK_ELEMENTS, MhKernel
 from .models import DensityModel
 from .quad import GaussLegendreRule, gauss_legendre_grid
@@ -47,6 +47,8 @@ __all__ = [
     "decomposition_residual",
     "spectral_report",
 ]
+
+log = logging.getLogger(__name__)
 
 HEURISTIC_CAVEAT = (
     "heuristic: discretization of a non-compact operator; no certified "
@@ -127,10 +129,9 @@ def build_p_matrix(k: MhKernel, d: Discretization) -> DiscreteOperator:
     h = d.step
     n = d.n
     if s < 2.0 * h:
-        warnings.warn(
+        log.warning(
             "grid spacing does not resolve the proposal range; the discrete "
-            "operator degenerates toward the identity",
-            stacklevel=2,
+            "operator degenerates toward the identity"
         )
 
     # extend the grid by one proposal range so the diagonal rejection
@@ -282,17 +283,9 @@ class SpectralReport:
     caveat: str = HEURISTIC_CAVEAT
 
 
-def spectral_report(
-    k: MhKernel,
-    half_width: float,
-    n: int,
-    a: float,
-    beta_a: Optional[float] = None,
-) -> SpectralReport:
+def spectral_report(k: MhKernel, half_width: float, n: int, a: float) -> SpectralReport:
     """Full discrete picture: spectrum of the symmetrized operator, the
     tail block norm next to beta_a, and the core Hilbert-Schmidt norm."""
-    from .bounds import beta as beta_fn
-
     d = discretize(k.target, half_width, n)
     op = build_p_matrix(k, d)
     s_mat = symmetrize(op.p_matrix, d)
@@ -300,8 +293,7 @@ def spectral_report(
     moduli = np.abs(eigs)
     top = float(eigs[0])
     second = float(np.sort(moduli)[-2]) if n >= 2 else 0.0
-    if beta_a is None:
-        beta_a = beta_fn(k, a).value
+    beta_a = beta(k, a).value
     t_ac = norm_T_ac(k, d, a, op)
     hs = hs_norm_T_a(k, a, half_width)
     unit_count = int(np.sum(np.abs(eigs - 1.0) <= 5e-4))
@@ -313,7 +305,7 @@ def spectral_report(
         top_eigenvalue=top,
         second_modulus=second,
         norm_t_ac=t_ac,
-        beta_a=float(beta_a),
+        beta_a=beta_a,
         hs_norm_t_a=hs,
         grid_defect=d.grid_defect,
         quad_defect=d.quad_defect,

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -69,14 +70,29 @@ def test_closed_forms_gauss():
     assert asymptotics.beta_inf(p, tau) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_degenerate_tau():
+def _warnings(caplog, text):
+    return [r for r in caplog.records if r.levelno == logging.WARNING and text in r.getMessage()]
+
+
+def test_degenerate_tau(caplog):
     p = ProposalModel.triangular()
     flat = TailRatio("closed-form", 1.0, lambda u: 1.0)
-    with pytest.warns(UserWarning, match="degenerate"):
+    with caplog.at_level(logging.WARNING, logger="mhbound.asymptotics"):
         g = asymptotics.gamma_inf(p, flat)
+    assert _warnings(caplog, "degenerate")
     assert g == pytest.approx(1.0, abs=1e-12)
     assert asymptotics.r_prime_inf(p, flat) == pytest.approx(0.0, abs=1e-12)
     assert asymptotics.beta_inf(p, flat) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_degenerate_tau_logs_every_call(caplog):
+    # a diagnostic is logged each time it applies, not once per process
+    p = ProposalModel.triangular()
+    flat = TailRatio("closed-form", 1.0, lambda u: 1.0)
+    with caplog.at_level(logging.WARNING, logger="mhbound.asymptotics"):
+        asymptotics.gamma_inf(p, flat)
+        asymptotics.gamma_inf(p, flat)
+    assert len(_warnings(caplog, "degenerate")) == 2
 
 
 def test_identity_builtins():

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 import sys
 
@@ -107,6 +108,22 @@ def test_bound_command_csv_and_json(tmp_path):
     assert report["result"]["best"]["certified"]
 
 
+@pytest.mark.parametrize(
+    "sets,best_index",
+    [
+        # the five alpha_a differ by rounding only: the tie goes to the smallest a
+        (["target.family=expr", "target.expr=exp(-abs(x))"], 0),
+        (["target.family=gauss"], 4),
+    ],
+)
+def test_bound_best_index_breaks_rounding_ties(tmp_path, sets, best_index):
+    argv = [arg for item in sets for arg in ("--set", item)]
+    assert run_cli("bound", "--out", str(tmp_path), "--format", "json", *argv) == 0
+    result = json.loads((tmp_path / "bound.json").read_text())["result"]
+    assert result["best_index"] == best_index
+    assert result["best"] == result["reports"][best_index]
+
+
 def test_asymptotic_command_laplace(tmp_path):
     assert run_cli("asymptotic", "--out", str(tmp_path)) == 0
     report = json.loads((tmp_path / "asymptotic.json").read_text())
@@ -123,8 +140,8 @@ def test_asymptotic_command_gauss(tmp_path):
     assert report["result"]["alpha_inf"] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_asymptotic_degenerate_tau_exits_2(tmp_path):
-    with pytest.warns(UserWarning):
+def test_asymptotic_degenerate_tau_exits_2(tmp_path, caplog):
+    with caplog.at_level(logging.WARNING, logger="mhbound"):
         code = run_cli(
             "asymptotic",
             "--out",
@@ -135,6 +152,7 @@ def test_asymptotic_degenerate_tau_exits_2(tmp_path):
             "target.expr=1/(1+x^2)",
         )
     assert code == 2
+    assert any(r.levelno == logging.WARNING for r in caplog.records)
     report = json.loads((tmp_path / "asymptotic.json").read_text())
     assert report["result"]["degenerate"]
 
@@ -297,3 +315,46 @@ def test_out_of_domain_target_exits_1(tmp_path, capsys, command):
     assert "config error" in err and "log(-" in err
     assert "internal error" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_report_schemas(tmp_path):
+    # each command's JSON result, key for key in order: a schema change
+    # has to edit this test
+    def result(command, *sets):
+        argv = [arg for item in sets for arg in ("--set", item)]
+        assert run_cli(command, "--out", str(tmp_path), "--format", "json", *argv) == 0
+        return json.loads((tmp_path / f"{command}.json").read_text())["result"]
+
+    bound = result("bound", "bound.a_list=[1, 2]")
+    assert list(bound) == ["reports", "best_index", "best"]
+    bound_keys = [
+        "a", "r_a", "r_prime_a", "beta_a", "alpha_a", "x_max", "converged",
+        "tail_resolved", "beta_error", "certified", "verdict",
+    ]
+    assert [list(r) for r in bound["reports"]] == [bound_keys, bound_keys]
+    assert list(bound["best"]) == bound_keys
+
+    asym = result("asymptotic")
+    assert list(asym) == [
+        "tau_table", "tau_mode", "r_inf", "r_prime_inf", "beta_inf", "gamma_inf", "alpha_inf",
+        "degenerate", "even_verified", "identity_gap", "certified", "verdict",
+    ]
+    assert {tuple(row) for row in asym["tau_table"]} == {("u", "tau")}
+
+    assert list(result("profile")) == ["points", "argmax", "max"]
+
+    spectrum = result("spectrum", "spectrum.n=51", "spectrum.A=12")
+    assert list(spectrum) == [
+        "half_width", "n", "a", "eigenvalues", "top_eigenvalue", "second_modulus", "norm_t_ac",
+        "beta_a", "hs_norm_t_a", "grid_defect", "quad_defect", "row_sum_defect",
+        "unit_eigenvalue_count", "caveat",
+    ]
+
+    sample = result("sample", "sample.steps=300", "sample.burn_in=10", "sample.chains=2")
+    assert list(sample) == ["config", "chains", "acceptance_rate", "mean", "variance", "ks_distance"]
+    assert list(sample["config"]) == ["steps", "burn_in", "x0", "seed", "chains"]
+    chain_keys = [
+        "chain", "seed", "steps", "burn_in", "accepted", "acceptance_rate", "mean", "variance",
+        "ks_distance", "autocorrelations",
+    ]
+    assert [list(c) for c in sample["chains"]] == [chain_keys, chain_keys]

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -149,9 +150,10 @@ def test_custom_proposal_sup_declaration():
         ProposalModel.from_expression("max(0, 1 - abs(u))", s=1.0, sup_shape=0.5)
 
 
-def test_vanishing_inside_warns():
-    with pytest.warns(UserWarning, match="vanishes inside"):
+def test_vanishing_inside_warns(caplog):
+    with caplog.at_level(logging.WARNING, logger="mhbound.models"):
         ProposalModel.from_expression("2 * max(0, 1 - 2 * abs(u))", s=1.0)
+    assert any("vanishes inside" in r.getMessage() for r in caplog.records if r.levelno == logging.WARNING)
 
 
 def test_proposal_constructor_validation():

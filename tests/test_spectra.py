@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -53,11 +54,12 @@ def test_build_p_matrix_domain_too_small(laplace_tri):
         build_p_matrix(laplace_tri, d)
 
 
-def test_unresolved_proposal_range_degenerates():
+def test_unresolved_proposal_range_degenerates(caplog):
     k = MhKernel(DensityModel.laplace(), ProposalModel.triangular(s=0.05))
     d = discretize(k.target, 10.0, 11)  # spacing 2 >> s
-    with pytest.warns(UserWarning, match="resolve"):
+    with caplog.at_level(logging.WARNING, logger="mhbound.spectra"):
         op = build_p_matrix(k, d)
+    assert any("resolve" in r.getMessage() for r in caplog.records if r.levelno == logging.WARNING)
     off = op.t_matrix - np.diag(np.diag(op.t_matrix))
     assert np.all(off == 0.0)
 
