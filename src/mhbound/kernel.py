@@ -5,12 +5,14 @@ All density comparisons run in the log domain; the min branch of the
 accept/reject rule is selected by comparing logs, so far-tail Gaussian
 targets do not underflow.
 
-r(x) has one evaluation path: ``rejection_grid`` evaluates a whole batch
-of x values against a fixed composite Gauss-Legendre grid in u, split at
+Integrals over the proposal's increment u have one loop, ``integrate_u``:
+for a batch of x it sums weights * f(d), d = log pi(x+u) - log pi(x),
+over a fixed composite Gauss-Legendre rule in u (the u-rule), split at
 u = 0 and at the proposal shape's kinks (``ProposalModel.kinks``) so that
 every kink of q sits on a panel boundary.  The (x, u) grid is processed
-in blocks of BLOCK_ELEMENTS points.  ``rejection_prob`` is the same rule
-at one x.
+in blocks of BLOCK_ELEMENTS points.  r(x) is ``rejection_grid``, one call
+of that loop, and ``rejection_prob`` is the same rule at one x;
+``spectra.hs_norm_T_a`` is another.
 """
 
 from __future__ import annotations
@@ -26,15 +28,20 @@ from .quad import GaussLegendreRule, gauss_legendre_grid
 
 __all__ = ["MhKernel"]
 
-#: elements of a two-dimensional grid evaluated at once, here, in
-#: bounds.beta and in spectra.hs_norm_T_a: each float64 block is 512 KB.
-#: Each of those loops writes its blocks into buffers made once per call,
-#: because glibc hands freed blocks of this size back to the OS, and a new
-#: block per step would fault its pages in again
+#: elements of a two-dimensional grid evaluated at once, in integrate_u
+#: and in bounds.beta: each float64 block is 512 KB.  Both loops write
+#: their blocks into buffers made once per call, because glibc hands freed
+#: blocks of this size back to the OS, and a new block per step would
+#: fault its pages in again
 BLOCK_ELEMENTS = 2**16
-#: rejection_grid's rule in u: 96 panels of 16 nodes on each piece of
+#: the u-rule of integrate_u: 96 panels of 16 nodes on each piece of
 #: [-s, s], which is 3,072 nodes for a shape whose only kink is at 0
 U_RULE = GaussLegendreRule(nodes_per_panel=16, panels=96)
+
+
+def _accept(d: np.ndarray) -> np.ndarray:
+    """min(1, e^d), in place."""
+    return np.exp(np.minimum(0.0, d, out=d), out=d)
 
 
 @dataclass
@@ -96,38 +103,43 @@ class MhKernel:
             return np.zeros_like(x)
         return np.exp(0.5 * (lq - np.abs(self.log_balance(x, u))))
 
+    # -- u-integrals ----------------------------------------------------
+    @cached_property
+    def u_rule(self):
+        """The u-rule: its nodes, and their weights times q(u)."""
+        s = self.proposal.s
+        us, ws = gauss_legendre_grid(-s, s, U_RULE, (0.0, *self.proposal.kinks))
+        return us, self.proposal.shape(us) * ws
+
+    def integrate_u(self, xs: np.ndarray, weights: np.ndarray, f) -> np.ndarray:
+        """For each x of the 1-D array xs, the sum over the u-rule of
+        weights * f(d), with d = log pi(x+u) - log pi(x).  ``f`` maps a
+        (rows, u) block of d in place and returns it."""
+        us = self.u_rule[0]
+        out = np.empty(xs.size)
+        chunk = max(1, BLOCK_ELEMENTS // us.size)
+        lx_all = self.target.log_pdf(xs)
+        # x + u and then d of each block go into one buffer, so its pages
+        # are faulted in once per call
+        buf = np.empty((min(chunk, xs.size), us.size))
+        for start in range(0, xs.size, chunk):
+            xc = xs[start : start + chunk]
+            y = np.add(xc[:, None], us[None, :], out=buf[: xc.size])
+            d = np.subtract(self.target.log_pdf(y), lx_all[start : start + chunk, None], out=y)
+            out[start : start + chunk] = f(d) @ weights
+        return out
+
     # -- rejection probability ----------------------------------------
     def rejection_prob(self, x: float) -> float:
         """r(x) at one point: ``rejection_grid`` on x."""
         return float(self.rejection_grid(x))
 
-    @cached_property
-    def _u_nodes(self):
-        """rejection_grid's u-nodes, and their weights times q(u)."""
-        s = self.proposal.s
-        us, ws = gauss_legendre_grid(-s, s, U_RULE, (0.0, *self.proposal.kinks))
-        return us, self.proposal.shape(us) * ws
-
     def rejection_grid(self, xs) -> np.ndarray:
-        """Vectorized r over x values of any shape (fixed u-grid); the
-        result has the shape of xs."""
-        shape = np.shape(xs)
-        xs = np.asarray(xs, dtype=float).reshape(-1)
-        us, shape_w = self._u_nodes
-        out = np.empty(xs.shape[0])
-        chunk = max(1, BLOCK_ELEMENTS // us.size)
-        lx_all = self.target.log_pdf(xs)
-        # x + u and then the acceptance ratio of each block go into one
-        # buffer, so its pages are faulted in once per call
-        buf = np.empty((min(chunk, xs.size), us.size))
-        for start in range(0, xs.size, chunk):
-            xc = xs[start : start + chunk]
-            y = np.add(xc[:, None], us[None, :], out=buf[: xc.size])
-            ratio = np.subtract(self.target.log_pdf(y), lx_all[start : start + chunk, None], out=y)
-            np.minimum(0.0, ratio, out=ratio)
-            np.exp(ratio, out=ratio)
-            out[start : start + chunk] = 1.0 - ratio @ shape_w
-        return out.reshape(shape)
+        """r(x) = 1 - integral of q(u) min(1, pi(x+u)/pi(x)) du over x
+        values of any shape; the result has the shape of xs."""
+        xs = np.asarray(xs, dtype=float)
+        accepted = self.integrate_u(xs.reshape(-1), self.u_rule[1], _accept)
+        return (1.0 - accepted).reshape(xs.shape)
 
     # -- diagnostics ---------------------------------------------------
     def detailed_balance_residual(self, x, y, eps: float = 1e-300):

@@ -1,7 +1,10 @@
 """Nystrom discretization of the Metropolis-Hastings operator on a
 truncated domain, with the operator-level checks that mirror the
 windowed bound: the tail block norm against beta_a, the Hilbert-Schmidt
-norm of the core block, and the iterate-decomposition inequality.
+norm of the core block, and the iterate-decomposition inequality.  The
+Hilbert-Schmidt norm is not taken from the discretization: it integrates
+over |x| <= a and the whole proposal range with ``MhKernel.integrate_u``,
+so it does not depend on the domain [-A, A].
 Eigenvalues and operator 2-norms come from LAPACK through numpy
 (``eigvalsh`` and ``norm(., 2)``).
 
@@ -30,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import BoundReport, beta
-from .kernel import BLOCK_ELEMENTS, MhKernel
+from .kernel import MhKernel
 from .models import DensityModel
 from .quad import GaussLegendreRule, gauss_legendre_grid
 
@@ -49,6 +52,9 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+#: panels per unit of a in hs_norm_T_a's x-rule on [-a, a]: 0.125 wide
+_HS_X_PANELS_PER_UNIT = 16
 
 HEURISTIC_CAVEAT = (
     "heuristic: discretization of a non-compact operator; no certified "
@@ -187,46 +193,29 @@ def norm_T_ac(k: MhKernel, d: Discretization, a: float, op: Optional[DiscreteOpe
     return float(np.linalg.norm(_sym_coords(t_ac, d), 2))
 
 
-def hs_norm_T_a(
-    k: MhKernel,
-    a: float,
-    half_width: float,
-    panel_width: float = 0.125,
-) -> float:
-    """Hilbert-Schmidt norm of the core block: the square root of the
-    double integral of t(y, x)^2 pi(y)/pi(x) over |x| <= a, |y| <= A.
+def hs_norm_T_a(k: MhKernel, a: float) -> float:
+    """Hilbert-Schmidt norm of the core block 1_{[-a, a]} T: the square root
+    of the double integral of t(x+u, x)^2 pi(x+u)/pi(x) over |x| <= a and
+    |u| <= s.
 
-    For the Metropolis kernel t(y, x) = q(x - y) min(1, pi(x)/pi(y)) the
-    integrand is q(x - y)^2 e^{-|log pi(x) - log pi(y)|}, which takes log pi
-    on the x and y nodes only and cannot overflow.  The target enters
-    through the ratio only, so the normalization cancels.  Finiteness is
-    the point: the core block is compact."""
-    if not 0.0 < a < half_width:
-        raise ValueError("need 0 < a < half_width")
+    For the Metropolis kernel with a symmetric q the integrand is
+    q(u)^2 e^{-|d|}, d = log pi(x+u) - log pi(x), so the norm is one
+    ``MhKernel.integrate_u`` call on the x-rule's nodes; it cannot
+    overflow, and the normalization of pi cancels.  The block belongs to
+    P, not to the discretization, so no domain half-width enters.
+    Finiteness is the point: the core block is compact."""
+    if not a > 0.0:
+        raise ValueError("need a > 0")
+    panels = max(4, math.ceil(_HS_X_PANELS_PER_UNIT * a))
+    xs, wx = gauss_legendre_grid(-a, a, GaussLegendreRule(panels=panels))
+    us, qw = k.u_rule
+    return math.sqrt(float(wx @ k.integrate_u(xs, k.proposal.shape(us) * qw, _exp_neg_abs)))
 
-    def nodes(half: float):
-        panels = max(4, int(math.ceil(2.0 * half / panel_width)))
-        return gauss_legendre_grid(-half, half, GaussLegendreRule(panels=panels))
 
-    xs, wx = nodes(a)
-    ys, wy = nodes(half_width)
-    lpx = k.target.log_pdf(xs)
-    lpy = k.target.log_pdf(ys)
-    rows = max(1, BLOCK_ELEMENTS // xs.size)
-    # y rows, x columns; the blocks reuse two buffers
-    u_buf, f_buf = np.empty((2, min(rows, ys.size), xs.size))
-    total = 0.0
-    for start in range(0, ys.size, rows):
-        block = slice(start, start + rows)
-        n = ys[block].size
-        q = k.proposal.shape(np.subtract(xs[None, :], ys[block, None], out=u_buf[:n]))
-        f = np.subtract(lpx[None, :], lpy[block, None], out=f_buf[:n])
-        np.abs(f, out=f)
-        np.negative(f, out=f)
-        np.exp(f, out=f)
-        f *= np.square(q, out=q)
-        total += float(wy[block] @ f @ wx)
-    return math.sqrt(max(total, 0.0))
+def _exp_neg_abs(d: np.ndarray) -> np.ndarray:
+    """e^{-|d|}, in place."""
+    np.abs(d, out=d)
+    return np.exp(np.negative(d, out=d), out=d)
 
 
 def decomposition_residual(
@@ -295,7 +284,7 @@ def spectral_report(k: MhKernel, half_width: float, n: int, a: float) -> Spectra
     second = float(np.sort(moduli)[-2]) if n >= 2 else 0.0
     beta_a = beta(k, a).value
     t_ac = norm_T_ac(k, d, a, op)
-    hs = hs_norm_T_a(k, a, half_width)
+    hs = hs_norm_T_a(k, a)
     unit_count = int(np.sum(np.abs(eigs - 1.0) <= 5e-4))
     return SpectralReport(
         half_width=half_width,

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from mhbound import bounds, spectra
-from mhbound.kernel import MhKernel
+from mhbound.kernel import U_RULE, MhKernel
 from mhbound.models import DensityModel, ProposalModel
 from mhbound.quad import GaussLegendreRule, gauss_legendre_grid
 from mhbound.spectra import (
@@ -153,10 +154,8 @@ def test_norm_T_ac_small_a_still_contraction(laplace_tri):
 
 
 def test_hs_norm_finite_and_stable(laplace_tri):
-    v1 = hs_norm_T_a(laplace_tri, 2.0, 20.0)
-    v2 = hs_norm_T_a(laplace_tri, 2.0, 20.0, panel_width=0.0625)
+    v1 = hs_norm_T_a(laplace_tri, 2.0)
     assert math.isfinite(v1)
-    assert abs(v1 - v2) <= 1e-4
     # crude 2D Riemann oracle
     xs = np.linspace(-2.0, 2.0, 400)
     ys = np.linspace(-20.0, 20.0, 2000)
@@ -167,27 +166,71 @@ def test_hs_norm_finite_and_stable(laplace_tri):
     assert v1 == pytest.approx(riemann, abs=5e-3)
 
 
+@pytest.mark.parametrize(
+    "target, proposal",
+    [
+        (DensityModel.laplace(), ProposalModel.triangular()),
+        (DensityModel.gauss(), ProposalModel.triangular()),
+        (DensityModel.laplace(), ProposalModel.uniform()),
+        (DensityModel.gauss(), ProposalModel.epanechnikov()),
+        (DensityModel.from_expression("exp(-abs(x))"), ProposalModel.triangular()),
+    ],
+    ids=["laplace", "gauss", "laplace-uniform", "gauss-epanechnikov", "expr_laplace"],
+)
+def test_hs_norm_matches_scipy_reference(target, proposal):
+    # nested adaptive quadrature of q(u)^2 e^{-|log pi(x+u) - log pi(x)|},
+    # split where the integrand has kinks: u = 0, -x (the targets' kink at
+    # x + u = 0) and -2x (where pi(x+u) = pi(x)); in x, where those cross
+    # 0 and the ends +-s of the u-range
+    a, s = 2.0, proposal.s
+
+    def pieces(lo, hi, cuts):
+        edges = [lo, *sorted(c for c in set(cuts) if lo < c < hi), hi]
+        return zip(edges[:-1], edges[1:])
+
+    def inner(x):
+        lx = float(target.log_pdf(x))
+
+        def f(u):
+            return float(proposal.shape(u)) ** 2 * math.exp(-abs(float(target.log_pdf(x + u)) - lx))
+
+        return sum(quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13)[0] for lo, hi in pieces(-s, s, (0.0, -x, -2.0 * x)))
+
+    cuts = (0.0, 0.5 * s, -0.5 * s, s, -s)
+    expect = math.sqrt(sum(quad(inner, lo, hi, epsabs=1e-12, epsrel=1e-12)[0] for lo, hi in pieces(-a, a, cuts)))
+    assert abs(hs_norm_T_a(MhKernel(target, proposal), a) - expect) <= 1e-7
+
+
 def test_hs_norm_matches_t_squared_integrand(expr_laplace_tri):
-    # the integrand q(x-y)^2 e^{-|log pi(x) - log pi(y)|} is t(y, x)^2
-    # pi(y)/pi(x) for the Metropolis kernel; same nodes, t from t_eval
+    # the integrand q(u)^2 e^{-|d|} is t(x+u, x)^2 pi(x+u)/pi(x) for the
+    # Metropolis kernel; same (x, u) nodes, t from t_eval
     k = expr_laplace_tri
-    got = hs_norm_T_a(k, 2.0, 5.0)
+    got = hs_norm_T_a(k, 2.0)
     xs, wx = gauss_legendre_grid(-2.0, 2.0, GaussLegendreRule(panels=32))
-    ys, wy = gauss_legendre_grid(-5.0, 5.0, GaussLegendreRule(panels=80))
-    t_yx = k.t_eval(ys[:, None], xs[None, :] - ys[:, None])
-    ratio = np.exp(k.target.log_pdf(ys)[:, None] - k.target.log_pdf(xs)[None, :])
-    assert got == pytest.approx(math.sqrt(float(wy @ (t_yx**2 * ratio) @ wx)), rel=1e-14)
+    us, wu = gauss_legendre_grid(-1.0, 1.0, U_RULE, (0.0,))
+    ys = xs[:, None] + us[None, :]
+    t_yx = k.t_eval(ys, -us[None, :])
+    ratio = np.exp(k.target.log_pdf(ys) - k.target.log_pdf(xs)[:, None])
+    assert got == pytest.approx(math.sqrt(float(wx @ (t_yx**2 * ratio) @ wu)), rel=1e-14)
+
+
+def test_hs_norm_independent_of_domain(laplace_tri):
+    # the core block belongs to P: a spectrum domain A below a + s does not
+    # truncate it
+    narrow, wide = (spectra.spectral_report(laplace_tri, A, 51, 5.0) for A in (5.5, 20.0))
+    assert narrow.hs_norm_t_a == wide.hs_norm_t_a == hs_norm_T_a(laplace_tri, 5.0)
 
 
 def test_hs_norm_memory_peak(expr_laplace_tri, peak_mb):
-    # blocks of 2^16 (y, x) pairs in two reused buffers: about 2.7 MB,
-    # against 7.7 MB when t_eval built each block
-    assert peak_mb(lambda: hs_norm_T_a(expr_laplace_tri, 5.0, 20.0)) < 4.0
+    # one integrate_u call: one reused block buffer and the block
+    # temporaries of the expression target, about 1.1 MB
+    assert peak_mb(lambda: hs_norm_T_a(expr_laplace_tri, 5.0)) < 2.0
 
 
 def test_hs_norm_validation(laplace_tri):
-    with pytest.raises(ValueError):
-        hs_norm_T_a(laplace_tri, 20.0, 20.0)
+    for a in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            hs_norm_T_a(laplace_tri, a)
 
 
 def test_decomposition_residual_negative(laplace_tri):
