@@ -31,7 +31,7 @@ import numpy as np
 
 from .kernel import MhKernel
 from .models import DensityModel, ModelError, ProposalModel, TailRatio
-from .quad import GaussLegendreRule, gauss_legendre_grid, sup_scan
+from .quad import gauss_legendre_grid, sup_scan
 
 __all__ = [
     "AsymptoticReport",
@@ -46,8 +46,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: the rule in u of the limit constants and of bounds.beta
-TAIL_RULE = GaussLegendreRule(nodes_per_panel=16, panels=4)
+#: panels per piece of the rule in u of the limit constants and of
+#: bounds.beta
+TAIL_PANELS = 4
 #: alpha_inf's rejection scan covers [-_X_MAX, _X_MAX]; its tau table has
 #: _TAU_POINTS rows on [0, s]
 _X_MAX = 50.0
@@ -126,9 +127,9 @@ def tail_ratio_for(target: DensityModel, s: float) -> TailRatio:
 
 
 def _tail_weights(proposal: ProposalModel, tau: TailRatio, breakpoints):
-    """TAIL_RULE on [0, s], split at the shape's kinks and ``breakpoints``:
-    the weights times D(u), and tau, at its nodes."""
-    us, ws = gauss_legendre_grid(0.0, proposal.s, TAIL_RULE, (*proposal.kinks, *breakpoints))
+    """TAIL_PANELS panels per piece of [0, s], split at the shape's kinks and
+    ``breakpoints``: the weights times D(u), and tau, at its nodes."""
+    us, ws = gauss_legendre_grid(0.0, proposal.s, TAIL_PANELS, (*proposal.kinks, *breakpoints))
     return proposal.shape(us) * ws, np.array([tau(u) for u in us.tolist()])
 
 

@@ -54,7 +54,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: beta's rule in u is asymptotics.TAIL_RULE, against 8 panels per piece
+#: beta's rule in u has asymptotics.TAIL_PANELS panels per piece, against 8
 #: for the error estimate; converged requires that error to be at most
 #: _BETA_TOL (beta itself is at most 1)
 _BETA_TOL = 1e-8
@@ -211,7 +211,7 @@ def beta(
             values = np.maximum(values, limit[inverse])
         return values
 
-    res = composite_gauss_legendre(integrand, -s, s, asymptotics.TAIL_RULE, (0.0, *k.proposal.kinks))
+    res = composite_gauss_legendre(integrand, -s, s, asymptotics.TAIL_PANELS, (0.0, *k.proposal.kinks))
     converged = zooms_closed and res.error <= _BETA_TOL
     return BetaValue(res.value, res.error, converged, tau is not None)
 

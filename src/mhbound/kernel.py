@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .models import DensityModel, ProposalModel
-from .quad import GaussLegendreRule, gauss_legendre_grid
+from .quad import gauss_legendre_grid
 
 __all__ = ["MhKernel"]
 
@@ -34,14 +34,9 @@ __all__ = ["MhKernel"]
 #: blocks of this size back to the OS, and a new block per step would
 #: fault its pages in again
 BLOCK_ELEMENTS = 2**16
-#: the u-rule of integrate_u: 96 panels of 16 nodes on each piece of
-#: [-s, s], which is 3,072 nodes for a shape whose only kink is at 0
-U_RULE = GaussLegendreRule(nodes_per_panel=16, panels=96)
-
-
-def _accept(d: np.ndarray) -> np.ndarray:
-    """min(1, e^d), in place."""
-    return np.exp(np.minimum(0.0, d, out=d), out=d)
+#: panels of the u-rule of integrate_u on each piece of [-s, s], 3,072
+#: nodes for a shape whose only kink is at 0
+U_PANELS = 96
 
 
 @dataclass
@@ -108,13 +103,14 @@ class MhKernel:
     def u_rule(self):
         """The u-rule: its nodes, and their weights times q(u)."""
         s = self.proposal.s
-        us, ws = gauss_legendre_grid(-s, s, U_RULE, (0.0, *self.proposal.kinks))
+        us, ws = gauss_legendre_grid(-s, s, U_PANELS, (0.0, *self.proposal.kinks))
         return us, self.proposal.shape(us) * ws
 
     def integrate_u(self, xs: np.ndarray, weights: np.ndarray, f) -> np.ndarray:
         """For each x of the 1-D array xs, the sum over the u-rule of
         weights * f(d), with d = log pi(x+u) - log pi(x).  ``f`` maps a
-        (rows, u) block of d in place and returns it."""
+        (rows, u) block of d in place and returns it.  ``np.vecdot`` sums
+        each row on its own, so an x's sum has the same bits in any batch."""
         us = self.u_rule[0]
         out = np.empty(xs.size)
         chunk = max(1, BLOCK_ELEMENTS // us.size)
@@ -126,7 +122,7 @@ class MhKernel:
             xc = xs[start : start + chunk]
             y = np.add(xc[:, None], us[None, :], out=buf[: xc.size])
             d = np.subtract(self.target.log_pdf(y), lx_all[start : start + chunk, None], out=y)
-            out[start : start + chunk] = f(d) @ weights
+            out[start : start + chunk] = np.vecdot(f(d), weights)
         return out
 
     # -- rejection probability ----------------------------------------
@@ -138,7 +134,9 @@ class MhKernel:
         """r(x) = 1 - integral of q(u) min(1, pi(x+u)/pi(x)) du over x
         values of any shape; the result has the shape of xs."""
         xs = np.asarray(xs, dtype=float)
-        accepted = self.integrate_u(xs.reshape(-1), self.u_rule[1], _accept)
+        accepted = self.integrate_u(
+            xs.reshape(-1), self.u_rule[1], lambda d: np.exp(np.minimum(0.0, d, out=d), out=d)
+        )
         return (1.0 - accepted).reshape(xs.shape)
 
     # -- diagnostics ---------------------------------------------------

@@ -19,14 +19,14 @@ run in fixed index order for reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "GaussLegendreRule",
+    "GL_POINTS",
     "AdaptiveSimpsonRule",
     "IntegrationResult",
     "SupScanConfig",
@@ -41,10 +41,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GaussLegendreRule:
-    nodes_per_panel: int = 16
-    panels: int = 64
+#: nodes per panel of every Gauss-Legendre rule in the package; one panel
+#: integrates polynomials of degree 31 exactly
+GL_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -77,9 +76,13 @@ class ScanResult:
     converged: bool
 
 
-@lru_cache(maxsize=64)
-def gauss_legendre_nodes(k: int):
-    x, w = np.polynomial.legendre.leggauss(k)
+@cache
+def gauss_legendre_nodes():
+    """The GL_POINTS Gauss-Legendre nodes and weights on [-1, 1], read-only.
+    Made on first use: importing numpy.polynomial adds 1.5 MB to the
+    resident set of a process that never integrates, such as ``sample``."""
+    x, w = np.polynomial.legendre.leggauss(GL_POINTS)
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -89,18 +92,13 @@ def _split_at_breakpoints(lo: float, hi: float, breakpoints: Iterable[float]):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def gauss_legendre_grid(
-    lo: float,
-    hi: float,
-    rule: GaussLegendreRule = GaussLegendreRule(),
-    breakpoints: Sequence[float] = (),
-):
+def gauss_legendre_grid(lo: float, hi: float, panels: int = 64, breakpoints: Sequence[float] = ()):
     """Nodes and weights of the composite Gauss-Legendre rule on [lo, hi]:
     the interval is split at the breakpoints inside it, and each piece gets
-    ``rule.panels`` equal panels of ``rule.nodes_per_panel`` nodes."""
+    ``panels`` equal panels of GL_POINTS nodes."""
     pieces = _split_at_breakpoints(lo, hi, breakpoints)
-    edges = np.concatenate([np.linspace(a, b, rule.panels + 1)[:-1] for a, b in pieces] + [[hi]])
-    x, w = gauss_legendre_nodes(rule.nodes_per_panel)
+    edges = np.concatenate([np.linspace(a, b, panels + 1)[:-1] for a, b in pieces] + [[hi]])
+    x, w = gauss_legendre_nodes()
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     xs = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -112,7 +110,7 @@ def composite_gauss_legendre(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    rule: GaussLegendreRule = GaussLegendreRule(),
+    panels: int = 64,
     breakpoints: Sequence[float] = (),
 ) -> IntegrationResult:
     """Composite Gauss-Legendre integration; ``f`` must accept ndarrays.
@@ -126,12 +124,12 @@ def composite_gauss_legendre(
     if lo == hi:
         return IntegrationResult(0.0, 0.0, True)
 
-    def one_pass(panels: int) -> float:
-        xs, ws = gauss_legendre_grid(lo, hi, replace(rule, panels=panels), breakpoints)
+    def one_pass(n: int) -> float:
+        xs, ws = gauss_legendre_grid(lo, hi, n, breakpoints)
         return float(np.asarray(f(xs), dtype=float) @ ws)
 
-    coarse = one_pass(rule.panels)
-    fine = one_pass(2 * rule.panels)
+    coarse = one_pass(panels)
+    fine = one_pass(2 * panels)
     return IntegrationResult(fine, abs(fine - coarse), True)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from .bounds import BoundReport, beta
 from .kernel import MhKernel
 from .models import DensityModel
-from .quad import GaussLegendreRule, gauss_legendre_grid
+from .quad import gauss_legendre_grid
 
 __all__ = [
     "Discretization",
@@ -206,16 +206,11 @@ def hs_norm_T_a(k: MhKernel, a: float) -> float:
     Finiteness is the point: the core block is compact."""
     if not a > 0.0:
         raise ValueError("need a > 0")
-    panels = max(4, math.ceil(_HS_X_PANELS_PER_UNIT * a))
-    xs, wx = gauss_legendre_grid(-a, a, GaussLegendreRule(panels=panels))
+    xs, wx = gauss_legendre_grid(-a, a, max(4, math.ceil(_HS_X_PANELS_PER_UNIT * a)))
     us, qw = k.u_rule
-    return math.sqrt(float(wx @ k.integrate_u(xs, k.proposal.shape(us) * qw, _exp_neg_abs)))
-
-
-def _exp_neg_abs(d: np.ndarray) -> np.ndarray:
-    """e^{-|d|}, in place."""
-    np.abs(d, out=d)
-    return np.exp(np.negative(d, out=d), out=d)
+    q2w = k.proposal.shape(us) * qw
+    rows = k.integrate_u(xs, q2w, lambda d: np.exp(np.negative(np.abs(d, out=d), out=d), out=d))
+    return math.sqrt(float(wx @ rows))
 
 
 def decomposition_residual(

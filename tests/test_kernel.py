@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mhbound.kernel import BLOCK_ELEMENTS, U_RULE, MhKernel
+from mhbound.kernel import BLOCK_ELEMENTS, U_PANELS, MhKernel
 from mhbound.models import DensityModel, ProposalModel
 from mhbound.quad import adaptive_simpson, gauss_legendre_grid
 
@@ -72,13 +72,30 @@ def test_rejection_grid_matches_adaptive(laplace_tri, gauss_tri):
 
 def test_rejection_grid_independent_of_block_split(gauss_tri):
     xs = np.linspace(-12.0, 12.0, 4097)
-    us, _ = gauss_legendre_grid(-1.0, 1.0, U_RULE, (0.0,))
+    us, _ = gauss_legendre_grid(-1.0, 1.0, U_PANELS, (0.0,))
     rows = BLOCK_ELEMENTS // us.size
     whole = gauss_tri.rejection_grid(xs)
     # sub-batches that start and end mid-block
     cuts = [0, rows // 2, rows + 3, 5 * rows - 1, 2048, xs.size]
     split = np.concatenate([gauss_tri.rejection_grid(xs[i:j]) for i, j in zip(cuts, cuts[1:])])
     np.testing.assert_allclose(split, whole, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [DensityModel.laplace(), DensityModel.gauss(), DensityModel.from_expression("exp(-abs(x-3))+exp(-abs(x+3))")],
+    ids=["laplace", "gauss", "bimodal"],
+)
+def test_rejection_grid_independent_of_batch(target):
+    # each x's r has the same bits wherever it sits in a batch, so a flat
+    # supremum does not move with the rows scanned beside it
+    k = MhKernel(target, ProposalModel.triangular())
+    xs = np.linspace(-66.0, -1.0, 2049)
+    alone = k.rejection_grid(xs)
+    behind = k.rejection_grid(np.concatenate([np.linspace(0.0, 10.0, 1000), xs]))[1000:]
+    assert np.array_equal(alone, behind)
+    for i in range(0, xs.size, 97):
+        assert k.rejection_prob(float(xs[i])) == alone[i]
 
 
 def test_rejection_grid_reuses_its_block_buffer(expr_laplace_tri, peak_mb):

@@ -7,9 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from mhbound import bounds, spectra
-from mhbound.kernel import U_RULE, MhKernel
+from mhbound.kernel import U_PANELS, MhKernel
 from mhbound.models import DensityModel, ProposalModel
-from mhbound.quad import GaussLegendreRule, gauss_legendre_grid
+from mhbound.quad import gauss_legendre_grid
 from mhbound.spectra import (
     AsymmetryError,
     Discretization,
@@ -206,8 +206,8 @@ def test_hs_norm_matches_t_squared_integrand(expr_laplace_tri):
     # Metropolis kernel; same (x, u) nodes, t from t_eval
     k = expr_laplace_tri
     got = hs_norm_T_a(k, 2.0)
-    xs, wx = gauss_legendre_grid(-2.0, 2.0, GaussLegendreRule(panels=32))
-    us, wu = gauss_legendre_grid(-1.0, 1.0, U_RULE, (0.0,))
+    xs, wx = gauss_legendre_grid(-2.0, 2.0, 32)
+    us, wu = gauss_legendre_grid(-1.0, 1.0, U_PANELS, (0.0,))
     ys = xs[:, None] + us[None, :]
     t_yx = k.t_eval(ys, -us[None, :])
     ratio = np.exp(k.target.log_pdf(ys) - k.target.log_pdf(xs)[:, None])
