@@ -29,7 +29,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .kernel import MhKernel
+from .kernel import R_QUAD_TOL, MhKernel
 from .models import DensityModel, ModelError, ProposalModel, TailRatio
 from .quad import gauss_legendre_grid, sup_scan
 
@@ -72,6 +72,7 @@ class AsymptoticReport:
     degenerate: bool
     even_verified: bool
     identity_gap: float
+    r_quad_error: float
     certified: bool
     verdict: str
 
@@ -175,7 +176,9 @@ def alpha_inf(k: MhKernel) -> AsymptoticReport:
 
     r_inf is taken as the larger of a scan of r over [-_X_MAX, _X_MAX]
     and the limiting tail value (valid because r is continuous and
-    converges to the tail value)."""
+    converges to the tail value).  ``r_quad_error`` is the largest error
+    estimate of the r(x) that scan evaluated; above R_QUAD_TOL the report
+    is not certified."""
     proposal = k.proposal
     tau = tail_ratio_for(k.target, proposal.s)
 
@@ -187,13 +190,14 @@ def alpha_inf(k: MhKernel) -> AsymptoticReport:
     gi = gamma_inf(proposal, tau)
     identity_gap = abs(rp + bi - gi)
 
+    k.r_quad_error = 0.0
     scan = sup_scan(k.rejection_grid, -_X_MAX, _X_MAX)
     r_inf = max(scan.value, rp)
     a_inf = max(r_inf, gi)
 
     degenerate = gi >= 1.0 - 1e-9
     even_verified = _even_target(k.target, _X_MAX)
-    certified = (a_inf < 1.0) and not degenerate and scan.converged
+    certified = (a_inf < 1.0) and not degenerate and scan.converged and k.r_quad_error <= R_QUAD_TOL
     if degenerate:
         verdict = "no certification: tail ratio is degenerate (gamma >= 1)"
     elif not even_verified:
@@ -217,6 +221,7 @@ def alpha_inf(k: MhKernel) -> AsymptoticReport:
         degenerate=degenerate,
         even_verified=even_verified,
         identity_gap=identity_gap,
+        r_quad_error=k.r_quad_error,
         certified=certified,
         verdict=verdict,
     )

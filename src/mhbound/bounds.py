@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import asymptotics
-from .kernel import BLOCK_ELEMENTS, MhKernel
+from .kernel import BLOCK_ELEMENTS, R_QUAD_TOL, MhKernel
 from .models import TailRatio
 from .quad import ScanResult, SupScanConfig, bracket, composite_gauss_legendre, sup_scan, zoom
 
@@ -93,6 +93,7 @@ class BoundReport:
     converged: bool
     tail_resolved: bool
     beta_error: float
+    r_quad_error: float
     certified: bool
     verdict: str
 
@@ -267,7 +268,9 @@ def alpha(
     x_max: Optional[float] = None,
     tau: Optional[TailRatio] = None,
 ) -> BoundReport:
-    """Assemble the windowed bound alpha_a = max(r_a, r_prime_a + beta_a)."""
+    """Assemble the windowed bound alpha_a = max(r_a, r_prime_a + beta_a).
+    ``r_quad_error`` is the largest error estimate of the r(x) evaluated
+    here; above R_QUAD_TOL the window is not converged."""
     if a <= 0:
         raise ValueError("truncation radius a must be positive")
     s = k.proposal.s
@@ -276,11 +279,12 @@ def alpha(
     if tau is None:
         tau = _auto_tau(k)
 
+    k.r_quad_error = 0.0
     core = r_sup_compact(k, a)
     tail = r_sup_tail(k, a, x_max, tau)
     bt = beta(k, a, x_max, tau)
     alpha_a = max(core.value, tail.value + bt.value)
-    converged = core.converged and tail.converged and bt.converged
+    converged = core.converged and tail.converged and bt.converged and k.r_quad_error <= R_QUAD_TOL
     certified = alpha_a < 1.0 and converged and (tail.tail_resolved and bt.tail_resolved)
     if certified:
         verdict = f"quasi-compact certified at level {alpha_a:.6g}"
@@ -296,6 +300,7 @@ def alpha(
         converged=converged,
         tail_resolved=tail.tail_resolved and bt.tail_resolved,
         beta_error=bt.error,
+        r_quad_error=k.r_quad_error,
         certified=certified,
         verdict=verdict,
     )

@@ -207,9 +207,9 @@ def hs_norm_T_a(k: MhKernel, a: float) -> float:
     if not a > 0.0:
         raise ValueError("need a > 0")
     xs, wx = gauss_legendre_grid(-a, a, max(4, math.ceil(_HS_X_PANELS_PER_UNIT * a)))
-    us, qw = k.u_rule
-    q2w = k.proposal.shape(us) * qw
-    rows = k.integrate_u(xs, q2w, lambda d: np.exp(np.negative(np.abs(d, out=d), out=d), out=d))
+    rows = k.integrate_u(
+        xs, lambda u: np.square(k.proposal.shape(u)), lambda d: np.exp(np.negative(np.abs(d, out=d), out=d), out=d)
+    )[0]
     return math.sqrt(float(wx @ rows))
 
 

@@ -268,6 +268,19 @@ def test_alpha_laplace(laplace_tri):
     assert "certified" in rep.verdict
 
 
+def test_reports_cover_their_own_r_evaluations():
+    # each report starts the kernel's largest r(x) error estimate afresh, so
+    # an estimate left over from an earlier call does not reach it
+    k = MhKernel(DensityModel.gauss(), ProposalModel.triangular())
+    k.r_quad_error = 1.0
+    rep = bounds.alpha(k, 4.0)
+    assert 0.0 < rep.r_quad_error <= 1e-11 and rep.converged
+    k.r_quad_error = 1.0
+    limit = asymptotics.alpha_inf(k)
+    assert 0.0 < limit.r_quad_error <= 1e-11 and limit.certified
+    assert k.r_quad_error == limit.r_quad_error
+
+
 def test_alpha_flat_tail_not_certified():
     # Cauchy-like tails: tau = 1, the bound degenerates above 1
     k = MhKernel(DensityModel.from_expression("1/(1+x^2)"), ProposalModel.triangular())

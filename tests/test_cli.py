@@ -252,6 +252,20 @@ def test_kinked_shape_certifies(tmp_path):
     assert best["certified"] and best["beta_error"] <= 1e-15
 
 
+def test_two_roots_in_one_coarse_cell_do_not_certify(tmp_path):
+    # d(x, .) has two roots in one coarse cell of integrate_u near x = 0.5
+    # (see test_kernel.py): r_quad_error exceeds 1e-8, so the window is
+    # neither converged nor certified
+    code = run_cli(
+        "bound", "--out", str(tmp_path), "--format", "json", "--set", "bound.a_list=[1.0]",
+        "--set", "target.family=expr", "--set", "target.expr=exp(-abs(x) + 0.3*exp(-((x-0.7)/0.005)^2))",
+    )
+    assert code == 2
+    report = json.loads((tmp_path / "bound.json").read_text())["result"]["best"]
+    assert report["r_quad_error"] > 1e-8 and report["beta_error"] <= 1e-8
+    assert not report["converged"] and not report["certified"]
+
+
 def test_commands_integrate_without_adaptive_simpson(tmp_path, monkeypatch):
     # adaptive Simpson is only the tests' reference: with it raising in
     # every module, every model builds and every certificate command runs
@@ -329,7 +343,7 @@ def test_report_schemas(tmp_path):
     assert list(bound) == ["reports", "best_index", "best"]
     bound_keys = [
         "a", "r_a", "r_prime_a", "beta_a", "alpha_a", "x_max", "converged",
-        "tail_resolved", "beta_error", "certified", "verdict",
+        "tail_resolved", "beta_error", "r_quad_error", "certified", "verdict",
     ]
     assert [list(r) for r in bound["reports"]] == [bound_keys, bound_keys]
     assert list(bound["best"]) == bound_keys
@@ -337,7 +351,7 @@ def test_report_schemas(tmp_path):
     asym = result("asymptotic")
     assert list(asym) == [
         "tau_table", "tau_mode", "r_inf", "r_prime_inf", "beta_inf", "gamma_inf", "alpha_inf",
-        "degenerate", "even_verified", "identity_gap", "certified", "verdict",
+        "degenerate", "even_verified", "identity_gap", "r_quad_error", "certified", "verdict",
     ]
     assert {tuple(row) for row in asym["tau_table"]} == {("u", "tau")}
 

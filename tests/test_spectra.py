@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from mhbound import bounds, spectra
-from mhbound.kernel import U_PANELS, MhKernel
+from mhbound.kernel import MhKernel
 from mhbound.models import DensityModel, ProposalModel
 from mhbound.quad import gauss_legendre_grid
 from mhbound.spectra import (
@@ -201,17 +201,32 @@ def test_hs_norm_matches_scipy_reference(target, proposal):
     assert abs(hs_norm_T_a(MhKernel(target, proposal), a) - expect) <= 1e-7
 
 
-def test_hs_norm_matches_t_squared_integrand(expr_laplace_tri):
+def test_hs_norm_matches_t_squared_integrand(expr_laplace_tri, monkeypatch):
     # the integrand q(u)^2 e^{-|d|} is t(x+u, x)^2 pi(x+u)/pi(x) for the
-    # Metropolis kernel; same (x, u) nodes, t from t_eval
+    # Metropolis kernel; on the pieces of integrate_u's own u-rule, with
+    # the nodes of its two half panels, and t from t_eval
     k = expr_laplace_tri
+    pieces = []
+    piece_sums = MhKernel._piece_sums
+
+    def recorded(self, x, lx, lo, hi, *args):
+        pieces.append((x, lo, hi))
+        return piece_sums(self, x, lx, lo, hi, *args)
+
+    monkeypatch.setattr(MhKernel, "_piece_sums", recorded)
     got = hs_norm_T_a(k, 2.0)
     xs, wx = gauss_legendre_grid(-2.0, 2.0, 32)
-    us, wu = gauss_legendre_grid(-1.0, 1.0, U_PANELS, (0.0,))
-    ys = xs[:, None] + us[None, :]
-    t_yx = k.t_eval(ys, -us[None, :])
-    ratio = np.exp(k.target.log_pdf(ys) - k.target.log_pdf(xs)[:, None])
-    assert got == pytest.approx(math.sqrt(float(wx @ (t_yx**2 * ratio) @ wu)), rel=1e-14)
+    x, lo, hi = (np.concatenate(parts) for parts in zip(*pieces))
+    row = np.searchsorted(xs, x)
+    # the pieces of each x tile [-s, s] once: no piece was halved
+    np.testing.assert_allclose(np.bincount(row, hi - lo, xs.size), 2.0, rtol=0.0, atol=1e-14)
+    rows = np.zeros(xs.size)
+    for i, a, b in zip(row.tolist(), lo.tolist(), hi.tolist()):
+        us, wu = gauss_legendre_grid(a, b, 2)
+        t_yx = k.t_eval(xs[i] + us, -us)
+        ratio = np.exp(k.target.log_pdf(xs[i] + us) - k.target.log_pdf(xs[i : i + 1]))
+        rows[i] += (t_yx**2 * ratio) @ wu
+    assert got == pytest.approx(math.sqrt(float(wx @ rows)), rel=1e-14)
 
 
 def test_hs_norm_independent_of_domain(laplace_tri):
@@ -222,8 +237,8 @@ def test_hs_norm_independent_of_domain(laplace_tri):
 
 
 def test_hs_norm_memory_peak(expr_laplace_tri, peak_mb):
-    # one integrate_u call: one reused block buffer and the block
-    # temporaries of the expression target, about 1.1 MB
+    # one integrate_u call: one reused block buffer, the block's weights
+    # and the temporaries of the expression target, about 1.5 MB
     assert peak_mb(lambda: hs_norm_T_a(expr_laplace_tri, 5.0)) < 2.0
 
 
