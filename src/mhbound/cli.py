@@ -355,7 +355,7 @@ def main(argv=None) -> int:
         doc = apply_overrides(load_config(args.config), args.overrides)
         cfg = resolve_config(doc)
         return args.fn(args, cfg)
-    except ConfigError as exc:
+    except (ConfigError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except exprlang.DomainError as exc:

@@ -21,9 +21,10 @@ There is one evaluator: a generator that turns a tree into straight-line
 Python source once, with two backends for the names in it.
 ``compile_scalar`` binds them to functions of floats and ``compile_array``
 to numpy functions of arrays, with the same domain rules; ``evaluate`` and
-``evaluate_array`` compile and call in one step.  ``kinks`` locates the
-points where a tree may fail to be smooth, so that quadrature can split
-there.
+``evaluate_array`` compile and call in one step.  ``scalar_lines`` hands
+out the scalar statements themselves, for code that inlines them.
+``kinks`` locates the points where a tree may fail to be smooth, so that
+quadrature can split there.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "DomainError",
     "parse",
     "to_source",
+    "scalar_lines",
     "compile_scalar",
     "compile_array",
     "evaluate",
@@ -437,27 +439,28 @@ def _operator(node: Expr):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _generate(e: Expr, names: dict, templates: dict) -> Callable:
-    """Compile a tree into a Python function of one argument ``v``, with
-    the operator ``templates`` of a backend whose functions are ``names``.
+def _lines(e: Expr, templates: dict, var: str):
+    """The straight-line statements that compute a tree at the value named
+    ``var``, with the operator ``templates`` of a backend: ``(statements,
+    name of the result, constants)``.
 
-    The generated source holds one assignment per operator node, in the
-    walk order of the tree (left operand first), so every operation and
-    every DomainError happens exactly as a node-by-node evaluation would
-    perform it, and no nesting depth reaches the compiler's limits.  It is
-    built from the node types alone: temporaries are ``t0, t1, ...``,
-    numbers are bound as constants ``c0, c1, ...`` in the function's
-    namespace (so inf needs no spelling), and the only other names are the
-    backend's.  The namespace has an empty ``__builtins__``.
+    There is one assignment per operator node, in the walk order of the
+    tree (left operand first), so every operation and every DomainError
+    happens exactly as a node-by-node evaluation would perform it, and no
+    nesting depth reaches the compiler's limits.  The statements are built
+    from the node types alone: temporaries are ``t0, t1, ...``, numbers are
+    constants ``c0, c1, ...`` that the caller binds in the namespace (so
+    inf needs no spelling), and the only other names are the backend's.
+    ``var`` must be none of these names.
 
     A temporary's name is taken again once its value has been consumed.
-    An operand that depends on ``v`` and sits in a temporary is the
+    An operand that depends on ``var`` and sits in a temporary is the
     template's ``out``, and the result takes its name: on arrays, the
     operation then writes into an array that only this code holds, and a
     chain of operations allocates one array."""
     constants = {}
     lines = []
-    operands = []  # (name, whether it depends on v) of finished subtrees
+    operands = []  # (name, whether it depends on var) of finished subtrees
     free = []  # temporaries whose values have been consumed
     stack = [e]  # subtrees to visit, and (template key, operand count) to emit
     while stack:
@@ -472,18 +475,37 @@ def _generate(e: Expr, names: dict, templates: dict) -> Callable:
                 free.append(f"t{len(lines)}")
             target = out or free.pop()
             source = templates[key].format(*(name for name, _ in args), out=out)
-            lines.append(f"    {target} = {source}\n")
+            lines.append(f"{target} = {source}")
             operands.append((target, any(varies for _, varies in args)))
         elif isinstance(item, Num):
             operands.append((f"c{len(constants)}", False))
             constants[operands[-1][0]] = item.value
         elif isinstance(item, Var):
-            operands.append(("v", True))
+            operands.append((var, True))
         else:
             key, children = _operator(item)
             stack.append((key, len(children)))
             stack.extend(reversed(children))
-    source = "def compiled(v):\n" + "".join(lines) + f"    return {operands.pop()[0]}\n"
+    return lines, operands.pop()[0], constants
+
+
+def scalar_lines(e: Expr, var: str):
+    """``e`` on the scalar backend as statements to inline where a float
+    named ``var`` is in scope: ``(statements, name of the result,
+    namespace)``.  The namespace binds the backend's functions and the
+    tree's constants; ``compile_scalar`` wraps the same statements in a
+    function."""
+    lines, result, constants = _lines(e, _TEMPLATES, var)
+    return lines, result, {**_BACKEND, **constants}
+
+
+def _generate(e: Expr, names: dict, templates: dict) -> Callable:
+    """Compile a tree into a Python function of one argument ``v``, with
+    the operator ``templates`` of a backend whose functions are ``names``:
+    the statements of ``_lines`` and a return.  The namespace has an empty
+    ``__builtins__``."""
+    lines, result, constants = _lines(e, templates, "v")
+    source = "def compiled(v):\n" + "".join(f"    {line}\n" for line in lines) + f"    return {result}\n"
     namespace = {"__builtins__": {}, **names, **constants}
     exec(compile(source, "<exprlang>", "exec"), namespace)
     return namespace["compiled"]

@@ -32,6 +32,12 @@ log = logging.getLogger(__name__)
 
 _LOG_2 = math.log(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+#: log pi of the built-in families, as Python source in ``{x}``, ``scale``
+#: and ``log_norm``; it evaluates floats and arrays alike
+_LOG_PDF_SOURCE = {
+    "laplace": "-abs({x} / scale) - log_norm",
+    "gauss": "-0.5 * ({x} / scale) ** 2 - log_norm",
+}
 
 
 class ModelError(ValueError):
@@ -71,15 +77,21 @@ class DensityModel:
             if not source:
                 raise ModelError("expr target requires an expression")
             self._ast = exprlang.parse(source, "x")
-            self._fn = exprlang.compile_scalar(self._ast)
             self._array_fn = exprlang.compile_array(self._ast)
         else:
-            self._ast = self._fn = self._array_fn = None
+            self._ast = self._array_fn = None
         self.family = family
         self.scale = float(scale)
         self.source = source
         #: log of the built-in families' normalizing constant
         self._log_norm = (_LOG_SQRT_2PI if family == "gauss" else _LOG_2) + math.log(self.scale)
+        lines, names = self.log_pdf_source("x", "lx")
+        code = "def log_pdf(x):\n" + "".join(f"    {line}\n" for line in lines) + "    return lx\n"
+        namespace = {"__builtins__": {}, **names}
+        exec(compile(code, "<log_pdf>", "exec"), namespace)
+        #: ``log_pdf_source`` as a function: of a float for an expression,
+        #: of a float or an array for a built-in family
+        self._log_pdf = namespace["log_pdf"]
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -97,24 +109,39 @@ class DensityModel:
     # -- evaluation ---------------------------------------------------
     def log_pdf(self, x):
         """log pi(x); stable in the far tails for the built-in families.
-        Accepts scalars or ndarrays.  An expression target evaluates a
-        float (the sampler's one call per step) with its compiled scalar
-        function, and anything else with its compiled array function."""
-        fn = self._fn
-        if fn is not None and isinstance(x, float):
-            v = fn(float(x))
-            if v <= 0.0:
-                raise ModelError(f"target density is not positive at x={x}")
-            return math.log(v)
-        if self.family == "laplace":
-            return -abs(x / self.scale) - self._log_norm
-        if self.family == "gauss":
-            return -0.5 * (x / self.scale) ** 2 - self._log_norm
+        Accepts scalars or ndarrays.  A built-in family, and an expression
+        at a float, run the statements of ``log_pdf_source``; an expression
+        evaluates anything else with its compiled array function."""
+        if self._ast is None:
+            return self._log_pdf(x)
+        if isinstance(x, float):
+            return self._log_pdf(float(x))
         vals = self._array_fn(x)
         if np.any(vals <= 0.0):
             bad = float(np.asarray(x, dtype=float)[vals <= 0.0].flat[0])
             raise ModelError(f"target density is not positive at x={bad}")
         return np.log(vals, out=vals)[()]
+
+    def log_pdf_source(self, x: str, result: str) -> tuple:
+        """log pi as Python statements that set the name ``result`` from the
+        float named ``x``, and the namespace they read: ``(statements,
+        namespace)``.
+
+        A built-in family's one statement is its formula.  An expression's
+        are the scalar statements of ``exprlang.scalar_lines``, a check
+        that raises ModelError where the value is not positive, and
+        ``math.log``.  ``log_pdf`` compiles them once per model, and
+        ``sampler.run`` inlines them in its step loop."""
+        if self._ast is None:
+            formula = _LOG_PDF_SOURCE[self.family].format(x=x)
+            return [f"{result} = {formula}"], {"abs": abs, "scale": self.scale, "log_norm": self._log_norm}
+        lines, value, names = exprlang.scalar_lines(self._ast, x)
+        lines += [
+            f"if {value} <= 0.0:",
+            f"    raise ModelError(f'target density is not positive at x={{{x}}}')",
+            f"{result} = log({value})",
+        ]
+        return lines, {**names, "ModelError": ModelError, "log": math.log}
 
     def pdf(self, x):
         return np.exp(self.log_pdf(x))

@@ -14,14 +14,18 @@ proposals in batches consumes stream 0 in exactly the same order as a
 scalar loop would, so the vectorized path reproduces the sequential
 definition bit for bit.
 
-The step loop itself is sequential.  It walks each chain in blocks of
-``_BLOCK_STEPS`` steps on Python floats (the block's increments and log
-acceptance uniforms converted with ``tolist``), and stores a block's
-states and accept flags into the chain's arrays with one slice
-assignment each.  For an asymmetric proposal the block's Hastings terms
-log q(-u) - log q(u) are computed as one array as well.  The block bounds
-the size of those lists; it does not change a single operation of the
-chain.
+The step loop itself is sequential.  ``run`` compiles it once, with the
+target's ``DensityModel.log_pdf_source`` (a built-in family's formula, or
+an expression's scalar statements from ``exprlang``'s generator, its
+positivity check and ``math.log``) written into the body, so a step calls
+no ``log_pdf``; a symmetric proposal's loop has no Hastings term.  It
+walks each chain in blocks of ``_BLOCK_STEPS`` steps on Python floats
+(the block's increments, log acceptance uniforms and, for an asymmetric
+proposal, Hastings terms log q(-u) - log q(u) computed as arrays and
+converted with ``tolist``), and stores a block's states and accept flags
+into the chain's arrays with one slice assignment each.  Neither the
+blocks nor the compiled body change a single operation of the chain,
+which ``_accept`` defines step by step.
 
 The KS diagnostic evaluates the target cdf once per kept sample: each
 chain's statistic comes from the cdf of its sorted samples, and the
@@ -34,7 +38,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -152,6 +156,41 @@ def _accept(k: MhKernel, x: float, u: float, unif: float) -> Tuple[float, bool]:
     return x, False
 
 
+def _compile_steps(k: MhKernel) -> Callable:
+    """The step loop of ``run`` for the kernel ``k``: Python source with the
+    target's ``log_pdf_source`` written into its body, compiled once.
+
+    ``steps(x, lx, xs, flags, us, log_unifs)`` walks a block from the state
+    x with log pi(x) = lx, one step per increment and log uniform, appends
+    each state to ``xs`` and each accept flag to ``flags``, and returns the
+    last state and its log pi.  For an asymmetric proposal it takes the
+    block's Hastings terms log q(-u) - log q(u) as one more list, ``gaps``,
+    and adds each to its step's log ratio.  Each step performs the
+    operations of ``_accept`` in the same order, with the log of the
+    uniform taken beforehand."""
+    lines, names = k.target.log_pdf_source("y", "ly")
+    if k.proposal.symmetric:
+        columns, row, log_ratio = "us, log_unifs", "u, log_unif", "ly - lx"
+    else:
+        columns, row, log_ratio = "us, log_unifs, gaps", "u, log_unif, gap", "ly - lx + gap"
+    source = (
+        f"def steps(x, lx, xs, flags, {columns}):\n"
+        f"    for {row} in zip({columns}):\n"
+        "        y = x + u\n"
+        + "".join(f"        {line}\n" for line in lines)
+        + f"        a = log_unif <= {log_ratio}\n"
+        "        if a:\n"
+        "            x = y\n"
+        "            lx = ly\n"
+        "        xs.append(x)\n"
+        "        flags.append(a)\n"
+        "    return x, lx\n"
+    )
+    namespace = {"__builtins__": {}, "zip": zip, **names}
+    exec(compile(source, "<sampler>", "exec"), namespace)
+    return namespace["steps"]
+
+
 def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummary:
     """Run the configured chains and summarize each plus the pool.
 
@@ -169,7 +208,7 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "x", "accepted"])
 
-    log_pdf = k.target.log_pdf
+    steps = _compile_steps(k)
     log_shape = k.proposal.log_shape
     symmetric = k.proposal.symmetric
     summaries = []
@@ -187,25 +226,16 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
             xs = np.empty(cfg.steps)
             acc = np.empty(cfg.steps, dtype=bool)
             x = cfg.x0
-            lx = log_pdf(x)
+            lx = k.target.log_pdf(x)
             for start in range(0, cfg.steps, _BLOCK_STEPS):
                 stop = min(start + _BLOCK_STEPS, cfg.steps)
+                block_us = us[start:stop]
+                gaps = () if symmetric else ((log_shape(-block_us) - log_shape(block_us)).tolist(),)
                 block_xs = []
                 block_acc = []
-                block_us = us[start:stop]
-                if not symmetric:
-                    gaps = iter((log_shape(-block_us) - log_shape(block_us)).tolist())
-                for u, log_unif in zip(block_us.tolist(), log_unifs[start:stop].tolist()):
-                    y = x + u
-                    ly = log_pdf(y)
-                    log_ratio = ly - lx
-                    if not symmetric:
-                        log_ratio += next(gaps)
-                    a = log_unif <= log_ratio
-                    if a:
-                        x, lx = y, ly
-                    block_xs.append(x)
-                    block_acc.append(a)
+                # the call holds the only references to the block's inputs as
+                # lists, so they are freed before the next block makes its own
+                x, lx = steps(x, lx, block_xs, block_acc, block_us.tolist(), log_unifs[start:stop].tolist(), *gaps)
                 xs[start:stop] = block_xs
                 acc[start:stop] = block_acc
                 if writer is not None:

@@ -331,6 +331,19 @@ def test_out_of_domain_target_exits_1(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_target_that_vanishes_exits_1(tmp_path, capsys):
+    # the density is zero for |x| >= 3, which the default chain reaches
+    code = run_cli(
+        "sample", "--out", str(tmp_path), "--set", "target.family=expr", "--set", "target.expr=max(0,1-abs(x)/3)"
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: target density is not positive at x=")
+    assert abs(float(err.strip().rpartition("=")[2])) >= 3.0
+    assert "internal error" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_schemas(tmp_path):
     # each command's JSON result, key for key in order: a schema change
     # has to edit this test

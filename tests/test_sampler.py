@@ -9,7 +9,7 @@ import pytest
 
 from mhbound import sampler
 from mhbound.kernel import BLOCK_ELEMENTS, MhKernel
-from mhbound.models import DensityModel, ProposalModel
+from mhbound.models import DensityModel, ModelError, ProposalModel
 from mhbound.sampler import (
     ChainConfig,
     empirical_rejection,
@@ -173,6 +173,8 @@ def _manual_chain(k, cfg, chain):
 
 
 ASYMMETRIC_SHAPE = "max(0,1-abs(u))*(1-u)"
+#: a positive target that uses every operator and function of the language
+EVERY_OPERATOR = "sqrt(1 + min(x^2, 4)) * exp(-abs(x) / 1.5) + max(0, 1 - abs(x - 0.5)) ^ 1.5 / log(3)"
 
 
 def test_run_matches_manual_loop(tmp_path, laplace_tri):
@@ -187,6 +189,15 @@ def test_run_matches_manual_loop(tmp_path, laplace_tri):
         (MhKernel(DensityModel.gauss(), asym), ChainConfig(steps=block, burn_in=block - 1, x0=-1.5, seed=4)),
         (MhKernel(expr_target, asym), ChainConfig(steps=block + 1, burn_in=block - 50, x0=0.75, seed=5, chains=2)),
     ]
+    # the log-density text of each family and of every operator, inlined in
+    # the step loop
+    every_operator = DensityModel.from_expression(EVERY_OPERATOR)
+    cases += [
+        (MhKernel(DensityModel.laplace(2.5), ProposalModel.triangular()), ChainConfig(steps=block + 1, x0=-4.0, seed=6)),
+        (MhKernel(DensityModel.gauss(2.5), ProposalModel.triangular()), ChainConfig(steps=block + 1, x0=4.0, seed=7)),
+        (MhKernel(every_operator, ProposalModel.triangular()), ChainConfig(steps=block + 1, x0=0.5, seed=8)),
+        (MhKernel(every_operator, asym), ChainConfig(steps=block + 1, x0=-0.5, seed=9)),
+    ]
     assert not asym.symmetric
     trace = tmp_path / "trace.csv"
     for k, cfg in cases:
@@ -200,6 +211,19 @@ def test_run_matches_manual_loop(tmp_path, laplace_tri):
             assert summary.chains[chain].accepted == sum(flags[cfg.burn_in :])
             assert summary.chains[chain].mean == float(np.mean(kept))
             assert summary.chains[chain].variance == float(np.var(kept))
+
+
+def test_run_raises_where_the_chain_leaves_the_support():
+    # the density is zero for |x| >= 3: run stops with the error, and at the
+    # state, of the scalar chain
+    k = MhKernel(DensityModel.from_expression("max(0, 1 - abs(x)/3)"), ProposalModel.triangular())
+    cfg = ChainConfig(steps=2 * sampler._BLOCK_STEPS, x0=2.5, seed=12)
+    with pytest.raises(ModelError) as scalar:
+        _manual_chain(k, cfg, 0)
+    with pytest.raises(ModelError) as compiled:
+        run(k, cfg)
+    assert str(compiled.value) == str(scalar.value)
+    assert abs(float(str(scalar.value).rpartition("=")[2])) >= 3.0
 
 
 def _digest(d):
@@ -249,6 +273,22 @@ def test_run_takes_one_cdf_per_chain(tmp_path, monkeypatch, gauss_tri):
     assert calls == [1400, 1400, 1400]
     pool = [x for states, _ in _read_trace(trace) for x in states[cfg.burn_in :]]
     assert summary.ks_distance == pytest.approx(_ks_by_hand("gauss", pool), rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("target", ["laplace", "exp(-abs(x))"])
+def test_run_takes_one_log_pdf_per_chain(monkeypatch, target):
+    # the step loop inlines the log-density: log_pdf runs only at each x0
+    calls = []
+    log_pdf = DensityModel.log_pdf
+
+    def counting_log_pdf(self, x):
+        calls.append(x)
+        return log_pdf(self, x)
+
+    monkeypatch.setattr(DensityModel, "log_pdf", counting_log_pdf)
+    model = DensityModel(target) if target == "laplace" else DensityModel.from_expression(target)
+    run(MhKernel(model, ProposalModel.triangular()), ChainConfig(steps=1500, x0=0.25, seed=9, chains=3))
+    assert calls == [0.25, 0.25, 0.25]
 
 
 def test_acceptance_rate_exact_ratio(laplace_tri):
