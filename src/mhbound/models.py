@@ -32,11 +32,14 @@ log = logging.getLogger(__name__)
 
 _LOG_2 = math.log(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-#: log pi of the built-in families, as Python source in ``{x}``, ``scale``
-#: and ``log_norm``; it evaluates floats and arrays alike
+#: log pi of the built-in families, as Python statements that set
+#: ``{result}`` from ``{x}`` and read ``scale`` and ``log_norm``.  They run
+#: the same operations on floats and arrays, so both give the same bits (the
+#: square is a product, not a float pow), and on an array the augmented
+#: assignments work in place, in the one array that the division makes.
 _LOG_PDF_SOURCE = {
-    "laplace": "-abs({x} / scale) - log_norm",
-    "gauss": "-0.5 * ({x} / scale) ** 2 - log_norm",
+    "laplace": ["{result} = -abs({x} / scale) - log_norm"],
+    "gauss": ["{result} = {x} / scale", "{result} *= {result}", "{result} *= -0.5", "{result} -= log_norm"],
 }
 
 
@@ -127,14 +130,14 @@ class DensityModel:
         float named ``x``, and the namespace they read: ``(statements,
         namespace)``.
 
-        A built-in family's one statement is its formula.  An expression's
+        A built-in family's statements are its formula.  An expression's
         are the scalar statements of ``exprlang.scalar_lines``, a check
         that raises ModelError where the value is not positive, and
         ``math.log``.  ``log_pdf`` compiles them once per model, and
         ``sampler.run`` inlines them in its step loop."""
         if self._ast is None:
-            formula = _LOG_PDF_SOURCE[self.family].format(x=x)
-            return [f"{result} = {formula}"], {"abs": abs, "scale": self.scale, "log_norm": self._log_norm}
+            lines = [line.format(x=x, result=result) for line in _LOG_PDF_SOURCE[self.family]]
+            return lines, {"abs": abs, "scale": self.scale, "log_norm": self._log_norm}
         lines, value, names = exprlang.scalar_lines(self._ast, x)
         lines += [
             f"if {value} <= 0.0:",

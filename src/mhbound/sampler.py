@@ -22,27 +22,34 @@ no ``log_pdf``; a symmetric proposal's loop has no Hastings term.  It
 walks each chain in blocks of ``_BLOCK_STEPS`` steps on Python floats
 (the block's increments, log acceptance uniforms and, for an asymmetric
 proposal, Hastings terms log q(-u) - log q(u) computed as arrays and
-converted with ``tolist``), and stores a block's states and accept flags
-into the chain's arrays with one slice assignment each.  Neither the
-blocks nor the compiled body change a single operation of the chain,
+converted with ``tolist``) and records only the numbers of the rejected
+steps.  The block's states are then one ``np.cumsum`` of its increments,
+with each rejected increment set to -0.0 and the previous state added to
+the first: x + (-0.0) is x for every float, and cumsum adds left to
+right, so each state is the loop's own sum x + u.  The accept flags are
+True except at the rejected steps.  Neither the blocks, nor the compiled
+body, nor the rebuilt states change a single operation of the chain,
 which ``_accept`` defines step by step.
 
-The KS diagnostic evaluates the target cdf once per kept sample: each
-chain's statistic comes from the cdf of its sorted samples, and the
-pooled one from those cdf values merged and sorted, which are the cdf of
-the sorted pool because the cdf is monotone.
+The KS diagnostic ``_ks_distance`` is exact, bit for bit, and takes the
+target cdf at a few percent of the sorted samples: the cdf is monotone,
+so the cdf values at the ends of a run of samples bound the run's terms,
+and a run whose bound does not exceed the largest term found is skipped.
+The pooled statistic sorts the pooled states in place, after their mean
+and variance are taken.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import BLOCK_ELEMENTS, MhKernel
+from .kernel import MhKernel
 from .models import ProposalModel
 
 __all__ = [
@@ -59,6 +66,8 @@ __all__ = [
 _MAX_REJECTION_ITERS = 10**6
 #: steps per block of the step loop in ``run``
 _BLOCK_STEPS = 4096
+#: widths of the runs of sorted samples that ``_ks_distance`` bounds, coarse to fine
+_KS_WIDTHS = (64, 8, 1)
 
 
 def _stream(seed: int, chain: int, stream: int) -> np.random.Generator:
@@ -151,7 +160,7 @@ def _accept(k: MhKernel, x: float, u: float, unif: float) -> Tuple[float, bool]:
     log_ratio = k.target.log_pdf(y) - k.target.log_pdf(x)
     if not k.proposal.symmetric:
         log_ratio += k.proposal.log_shape(-u) - k.proposal.log_shape(u)
-    if log_ratio >= 0.0 or unif == 0.0 or math.log(unif) <= log_ratio:
+    if log_ratio >= 0.0 or unif == 0.0 or np.log(unif) <= log_ratio:
         return y, True
     return x, False
 
@@ -160,33 +169,32 @@ def _compile_steps(k: MhKernel) -> Callable:
     """The step loop of ``run`` for the kernel ``k``: Python source with the
     target's ``log_pdf_source`` written into its body, compiled once.
 
-    ``steps(x, lx, xs, flags, us, log_unifs)`` walks a block from the state
-    x with log pi(x) = lx, one step per increment and log uniform, appends
-    each state to ``xs`` and each accept flag to ``flags``, and returns the
-    last state and its log pi.  For an asymmetric proposal it takes the
-    block's Hastings terms log q(-u) - log q(u) as one more list, ``gaps``,
-    and adds each to its step's log ratio.  Each step performs the
-    operations of ``_accept`` in the same order, with the log of the
-    uniform taken beforehand."""
+    ``steps(x, lx, rejected, start, us, log_unifs)`` walks a block from the
+    state x with log pi(x) = lx, one step per increment and log uniform,
+    calls ``rejected(i)`` for each rejected step, numbering the block's
+    steps from ``start``, and returns the last state and its log pi.  For an
+    asymmetric proposal it takes the block's Hastings terms log q(-u) -
+    log q(u) as one more list, ``gaps``, and adds each to its step's log
+    ratio.  Each step performs the operations of ``_accept`` in the same
+    order, with the log of the uniform taken beforehand."""
     lines, names = k.target.log_pdf_source("y", "ly")
     if k.proposal.symmetric:
         columns, row, log_ratio = "us, log_unifs", "u, log_unif", "ly - lx"
     else:
         columns, row, log_ratio = "us, log_unifs, gaps", "u, log_unif, gap", "ly - lx + gap"
     source = (
-        f"def steps(x, lx, xs, flags, {columns}):\n"
-        f"    for {row} in zip({columns}):\n"
+        f"def steps(x, lx, rejected, start, {columns}):\n"
+        f"    for i, {row} in zip(count(start), {columns}):\n"
         "        y = x + u\n"
         + "".join(f"        {line}\n" for line in lines)
-        + f"        a = log_unif <= {log_ratio}\n"
-        "        if a:\n"
+        + f"        if log_unif <= {log_ratio}:\n"
         "            x = y\n"
         "            lx = ly\n"
-        "        xs.append(x)\n"
-        "        flags.append(a)\n"
+        "        else:\n"
+        "            rejected(i)\n"
         "    return x, lx\n"
     )
-    namespace = {"__builtins__": {}, "zip": zip, **names}
+    namespace = {"__builtins__": {}, "zip": zip, "count": itertools.count, **names}
     exec(compile(source, "<sampler>", "exec"), namespace)
     return namespace["steps"]
 
@@ -199,7 +207,7 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
     step column restarting per chain) as CSV ``step,x,accepted``, one
     block of steps at a time.  Each step is the transition of ``_accept``
     (its acceptance test compares against the log of the uniform), and
-    the pooled KS distance comes from the per-chain cdf values.
+    the KS distances come from ``_ks_distance``.
     """
     writer = None
     fh = None
@@ -211,66 +219,70 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
     steps = _compile_steps(k)
     log_shape = k.proposal.log_shape
     symmetric = k.proposal.symmetric
+    cdf = k.target.cdf if k.target.is_builtin else None
     summaries = []
-    # kept states of every chain, one row each, and their cdf values: the
-    # chains fill them in place, so pooling copies nothing
+    # kept states of every chain, one row each: the chains fill them in
+    # place, so pooling copies nothing
     pooled = np.empty((cfg.chains, cfg.steps - cfg.burn_in))
-    pooled_cdf = np.empty_like(pooled) if k.target.is_builtin else None
     pooled_accepted = 0
     try:
         for chain in range(cfg.chains):
-            us = proposal_batch(k.proposal, cfg.steps, _stream(cfg.seed, chain, 0))
+            # the increments, which each block turns into its states in place
+            xs = proposal_batch(k.proposal, cfg.steps, _stream(cfg.seed, chain, 0))
             unifs = _stream(cfg.seed, chain, 1).uniform(size=cfg.steps)
             with np.errstate(divide="ignore"):
-                log_unifs = np.log(unifs)
-            xs = np.empty(cfg.steps)
-            acc = np.empty(cfg.steps, dtype=bool)
+                log_unifs = np.log(unifs, out=unifs)
+            acc = np.ones(cfg.steps, dtype=bool)
             x = cfg.x0
             lx = k.target.log_pdf(x)
             for start in range(0, cfg.steps, _BLOCK_STEPS):
                 stop = min(start + _BLOCK_STEPS, cfg.steps)
-                block_us = us[start:stop]
-                gaps = () if symmetric else ((log_shape(-block_us) - log_shape(block_us)).tolist(),)
-                block_xs = []
-                block_acc = []
+                block = xs[start:stop]
+                gaps = () if symmetric else ((log_shape(-block) - log_shape(block)).tolist(),)
+                rejected = []
+                previous = x
                 # the call holds the only references to the block's inputs as
                 # lists, so they are freed before the next block makes its own
-                x, lx = steps(x, lx, block_xs, block_acc, block_us.tolist(), log_unifs[start:stop].tolist(), *gaps)
-                xs[start:stop] = block_xs
-                acc[start:stop] = block_acc
+                x, lx = steps(x, lx, rejected.append, start, block.tolist(), log_unifs[start:stop].tolist(), *gaps)
+                # a rejected step adds -0.0, which leaves every float as it is,
+                # and cumsum adds left to right: each state is the loop's own
+                # sum x + u, bit for bit
+                xs[rejected] = -0.0
+                acc[rejected] = False
+                block[0] += previous
+                np.cumsum(block, out=block)
                 if writer is not None:
-                    writer.writerows(zip(range(start, stop), map(repr, block_xs), map(int, block_acc)))
+                    flags = acc[start:stop].tolist()
+                    writer.writerows(zip(range(start, stop), map(repr, block.tolist()), map(int, flags)))
             pooled[chain] = xs[cfg.burn_in :]
-            cdf = None
-            if pooled_cdf is not None:
-                cdf = pooled_cdf[chain]
-                cdf[:] = k.target.cdf(np.sort(pooled[chain]))
             accepted = int(acc[cfg.burn_in :].sum())
-            summaries.append(_summarize(chain, cfg, pooled[chain], accepted, cdf))
+            ks_distance = None if cdf is None else _ks_distance(cdf, np.sort(pooled[chain]))
+            summaries.append(_summarize(chain, cfg, pooled[chain], accepted, ks_distance))
             pooled_accepted += accepted
     finally:
         if fh is not None:
             fh.close()
 
     allx = pooled.ravel()
+    mean, variance = float(allx.mean()), float(allx.var())
     ks_distance = None
-    if pooled_cdf is not None:
-        pooled_cdf = pooled_cdf.ravel()
-        pooled_cdf.sort()
-        ks_distance = _ks_statistic(pooled_cdf)
+    if cdf is not None:
+        # the moments are taken first: sorting reorders their sums
+        allx.sort()
+        ks_distance = _ks_distance(cdf, allx)
     denom = cfg.chains * (cfg.steps - cfg.burn_in)
     return RunSummary(
         config=cfg,
         chains=summaries,
         acceptance_rate=pooled_accepted / denom,
-        mean=float(allx.mean()),
-        variance=float(allx.var()),
+        mean=mean,
+        variance=variance,
         ks_distance=ks_distance,
     )
 
 
 def _summarize(
-    chain: int, cfg: ChainConfig, kept: np.ndarray, accepted: int, cdf: Optional[np.ndarray]
+    chain: int, cfg: ChainConfig, kept: np.ndarray, accepted: int, ks_distance: Optional[float]
 ) -> ChainSummary:
     n = kept.size
     return ChainSummary(
@@ -282,21 +294,54 @@ def _summarize(
         acceptance_rate=accepted / n,
         mean=float(kept.mean()),
         variance=float(kept.var()),
-        ks_distance=None if cdf is None else _ks_statistic(cdf),
+        ks_distance=ks_distance,
         autocorrelations=_autocorr(kept, min(100, n - 1)),
     )
 
 
+def _ks_terms(cdf: np.ndarray, ranks: np.ndarray, n: int):
+    """The largest Kolmogorov-Smirnov term i/n - F_i or F_i - (i - 1)/n over
+    the 1-based ``ranks`` i in a sorted sample of size n, whose target cdf
+    values F_i are ``cdf``."""
+    grid = ranks / n
+    return max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n)))
+
+
 def _ks_statistic(cdf: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance of a sample from the target, given the
-    target cdf at the sorted sample.  Taken over BLOCK_ELEMENTS values at
-    a time, so a pooled sample adds no n-sized temporaries."""
-    n = cdf.size
+    target cdf at the sorted sample: ``_ks_distance`` without the search."""
+    return float(_ks_terms(cdf, np.arange(1, cdf.size + 1), cdf.size))
+
+
+def _ks_distance(cdf: Callable, srt: np.ndarray) -> float:
+    """``_ks_statistic(cdf(srt))`` of the sorted sample ``srt``, bit for bit,
+    from the cdf at a small fraction of the samples.
+
+    The cdf is monotone, and so is every rounded operation of the terms, so
+    the terms of the run of ranks p..q are at most q/n - F_{p-1} and F_q -
+    (p - 1)/n, reading F_0 as F_1.  The sample is cut into runs of
+    ``_KS_WIDTHS[0]`` samples, with the cdf taken at each run's last sample
+    and the sample before it; each run whose bound exceeds the largest term
+    found so far is cut into runs of the next width, down to single
+    samples, whose terms are exact."""
+    n = srt.size
     dist = -math.inf
-    for start in range(0, n, BLOCK_ELEMENTS):
-        block = cdf[start : start + BLOCK_ELEMENTS]
-        grid = np.arange(start + 1, start + 1 + block.size) / n
-        dist = max(dist, np.max(grid - block), np.max(block - (grid - 1.0 / n)))
+    firsts, width = np.zeros(1, dtype=np.intp), n  # the runs still in question
+    for sub in _KS_WIDTHS:
+        first = (firsts[:, None] + np.arange(0, width, sub)).ravel()
+        first = first[first < n]
+        last = np.minimum(first + sub, n)  # 1-based rank of each run's last sample
+        before = np.maximum(first - 1, 0)
+        at = np.union1d(last - 1, before)
+        f = cdf(srt[at])
+        dist = max(dist, _ks_terms(f, at + 1, n))
+        bound = np.maximum(
+            last / n - f[np.searchsorted(at, before)],
+            f[np.searchsorted(at, last - 1)] - ((first + 1) / n - 1.0 / n),
+        )
+        firsts, width = first[bound > dist], sub
+        if not firsts.size:
+            break
     return float(dist)
 
 

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,25 @@ def test_scale_applied_as_rescaled_density():
 def test_gauss_log_pdf_far_tail_no_underflow():
     m = DensityModel.gauss()
     assert m.log_pdf(60.0) == pytest.approx(-1800.0 - 0.5 * math.log(2 * math.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["laplace", "gauss"])
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+def test_log_pdf_floats_match_arrays(family, scale):
+    # floats and arrays run one formula with the same operations, so the
+    # bits agree (a square by C pow on floats and by numpy on arrays did
+    # not), and an array call holds no array but its result
+    m = DensityModel(family, scale)
+    xs = np.random.default_rng(8).normal(scale=3.0 * scale, size=10**5)
+    floats = np.array([m.log_pdf(x) for x in xs.tolist()])
+    tracemalloc.start()
+    try:
+        arrays = m.log_pdf(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(floats.view(np.uint64), arrays.view(np.uint64))
+    assert peak < 1.5 * xs.nbytes
 
 
 def test_tail_ratio_closed_forms():

@@ -3,9 +3,12 @@ import dataclasses
 import hashlib
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mhbound import sampler
 from mhbound.kernel import BLOCK_ELEMENTS, MhKernel
@@ -119,6 +122,17 @@ def test_forced_move_acceptance_probability(laplace_tri):
     assert abs(accepted / unifs.size - p) <= 3.0 * se
 
 
+@pytest.mark.parametrize("unif", [0.6069010136690235, 0.7300859144743024])
+def test_accept_takes_the_log_of_the_uniform_as_run_does(unif):
+    # uniforms whose math.log is above and below the numpy log that run's
+    # loop compares with: _accept decides as the loop does when the log
+    # ratio is that log or the float just below it
+    log_unif = float(np.log(np.array([unif]))[0])
+    identity = SimpleNamespace(target=SimpleNamespace(log_pdf=float), proposal=SimpleNamespace(symmetric=True))
+    for log_ratio in (log_unif, math.nextafter(log_unif, -math.inf)):
+        assert sampler._accept(identity, 0.0, log_ratio, unif)[1] == (log_unif <= log_ratio)
+
+
 def test_fixed_seed_reproducible(laplace_tri):
     cfg = ChainConfig(steps=500, burn_in=50, seed=123, chains=2)
     a = run(laplace_tri, cfg)
@@ -146,13 +160,13 @@ def test_expression_target_run_pinned():
 
 
 def _read_trace(path):
-    """(states, accept flags) of each chain in a trace CSV, in order."""
+    """(state texts, accept flags) of each chain in a trace CSV, in order."""
     chains = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             if row["step"] == "0":
                 chains.append(([], []))
-            chains[-1][0].append(float(row["x"]))
+            chains[-1][0].append(row["x"])
             chains[-1][1].append(row["accepted"] == "1")
     return chains
 
@@ -178,8 +192,9 @@ EVERY_OPERATOR = "sqrt(1 + min(x^2, 4)) * exp(-abs(x) / 1.5) + max(0, 1 - abs(x 
 
 
 def test_run_matches_manual_loop(tmp_path, laplace_tri):
-    # every state and accept flag of the blocked loop in run() against the
-    # scalar definition, on both sides of each block boundary
+    # every state (bit for bit, as text) and accept flag of the blocked loop
+    # in run() against the scalar definition, on both sides of each block
+    # boundary
     block = sampler._BLOCK_STEPS
     asym = ProposalModel.from_expression(ASYMMETRIC_SHAPE, 1.0)
     expr_target = DensityModel.from_expression("exp(-abs(x))")
@@ -198,6 +213,14 @@ def test_run_matches_manual_loop(tmp_path, laplace_tri):
         (MhKernel(every_operator, ProposalModel.triangular()), ChainConfig(steps=block + 1, x0=0.5, seed=8)),
         (MhKernel(every_operator, asym), ChainConfig(steps=block + 1, x0=-0.5, seed=9)),
     ]
+    # states rebuilt from the increments and the rejected steps: seed 1
+    # rejects the first two steps from -0.0, and the longer chains cross two
+    # block boundaries
+    cases += [
+        (laplace_tri, ChainConfig(steps=50, x0=-0.0, seed=1)),
+        (MhKernel(DensityModel.laplace(), asym), ChainConfig(steps=2 * block + 3, burn_in=7, x0=-0.0, seed=13)),
+        (MhKernel(DensityModel.gauss(), ProposalModel.triangular()), ChainConfig(steps=3 * block - 1, burn_in=block, seed=14, chains=2)),
+    ]
     assert not asym.symmetric
     trace = tmp_path / "trace.csv"
     for k, cfg in cases:
@@ -206,11 +229,13 @@ def test_run_matches_manual_loop(tmp_path, laplace_tri):
         assert len(traced) == cfg.chains
         for chain in range(cfg.chains):
             states, flags = _manual_chain(k, cfg, chain)
-            assert traced[chain] == (states, flags), (k, cfg, chain)
+            assert traced[chain] == ([repr(x) for x in states], flags), (k, cfg, chain)
             kept = states[cfg.burn_in :]
             assert summary.chains[chain].accepted == sum(flags[cfg.burn_in :])
             assert summary.chains[chain].mean == float(np.mean(kept))
             assert summary.chains[chain].variance == float(np.var(kept))
+    run(laplace_tri, ChainConfig(steps=50, x0=-0.0, seed=1), trace=str(trace))
+    assert _read_trace(trace)[0][0][:2] == ["-0.0", "-0.0"]
 
 
 def test_run_raises_where_the_chain_leaves_the_support():
@@ -224,6 +249,25 @@ def test_run_raises_where_the_chain_leaves_the_support():
         run(k, cfg)
     assert str(compiled.value) == str(scalar.value)
     assert abs(float(str(scalar.value).rpartition("=")[2])) >= 3.0
+
+
+def test_run_raising_mid_block_leaves_the_blocks_before(tmp_path):
+    # chain 1 leaves the support at step 4,521, inside its second block: the
+    # error and the trace (chain 0, then chain 1's first block) are those of
+    # the loop that appended every state, pinned here
+    k = MhKernel(DensityModel.from_expression("exp(-abs(x)) * max(0, 1 - abs(x)/5)"), ProposalModel.triangular())
+    cfg = ChainConfig(steps=3 * sampler._BLOCK_STEPS, seed=6, chains=2)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ModelError) as compiled:
+        run(k, cfg, trace=str(path))
+    with pytest.raises(ModelError) as scalar:
+        _manual_chain(k, cfg, 1)
+    assert str(compiled.value) == str(scalar.value) == "target density is not positive at x=-5.2222940412886825"
+    traced = _read_trace(path)
+    assert [len(states) for states, _ in traced] == [cfg.steps, sampler._BLOCK_STEPS]
+    data = path.read_bytes()
+    assert len(data) == 438087
+    assert hashlib.sha256(data).hexdigest() == "6ba09936e02aa50c3ab511cc3c514b1168baabe2011e78b41bc1da99d65575f0"
 
 
 def _digest(d):
@@ -258,21 +302,86 @@ def test_trace_csv_pinned(tmp_path, laplace_tri):
     assert hashlib.sha256(data).hexdigest() == "de0396ac8d5f01cf61e08f6db150b8e2aaae3602120b77a594224f3640ac38a1"
 
 
-def test_run_takes_one_cdf_per_chain(tmp_path, monkeypatch, gauss_tri):
-    calls = []
+def test_run_takes_the_cdf_at_few_kept_samples(monkeypatch, gauss_tri):
+    # the benchmark's gauss op: the KS search takes the cdf at a few percent
+    # of the kept samples, and each distance equals the full statistic
+    points = []
     cdf = DensityModel.cdf
 
     def counting_cdf(self, x):
-        calls.append(np.size(x))
+        points.append(np.size(x))
         return cdf(self, x)
 
     monkeypatch.setattr(DensityModel, "cdf", counting_cdf)
-    trace = tmp_path / "trace.csv"
-    cfg = ChainConfig(steps=1500, burn_in=100, seed=9, chains=3)
-    summary = run(gauss_tri, cfg, trace=str(trace))
-    assert calls == [1400, 1400, 1400]
-    pool = [x for states, _ in _read_trace(trace) for x in states[cfg.burn_in :]]
-    assert summary.ks_distance == pytest.approx(_ks_by_hand("gauss", pool), rel=0, abs=1e-15)
+    distances = []
+    ks_distance = sampler._ks_distance
+
+    def recording_ks_distance(f, srt):
+        distances.append((ks_distance(f, srt), sampler._ks_statistic(cdf(gauss_tri.target, srt))))
+        return distances[-1][0]
+
+    monkeypatch.setattr(sampler, "_ks_distance", recording_ks_distance)
+    cfg = ChainConfig(steps=40000, burn_in=1000, seed=9, chains=16)
+    summary = run(gauss_tri, cfg)
+    assert sum(points) <= 0.1 * cfg.chains * (cfg.steps - cfg.burn_in)
+    assert [fast for fast, _ in distances] == [c.ks_distance for c in summary.chains] + [summary.ks_distance]
+    assert [fast for fast, _ in distances] == [full for _, full in distances]
+
+
+#: sorted samples per run of the KS search's first cut
+KS_RUN = sampler._KS_WIDTHS[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["laplace", "gauss"]),
+    # a few fixed values give ties, within a run and across run ends
+    xs=st.lists(st.one_of(st.floats(-6.0, 6.0), st.sampled_from([-1.5, 0.0, 0.25, 2.0])), min_size=1, max_size=5 * KS_RUN + 7),
+)
+def test_ks_distance_equals_the_full_statistic(family, xs):
+    cdf = DensityModel(family).cdf
+    srt = np.sort(np.array(xs))
+    assert sampler._ks_distance(cdf, srt) == sampler._ks_statistic(cdf(srt))
+
+
+def _uniform_cdf(x):
+    return np.clip(x, 0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 6 * KS_RUN + 9), where=st.floats(0.0, 1.0), plus=st.booleans())
+@example(n=KS_RUN - 1, where=0.5, plus=True)  # one run, shorter than the first width
+@example(n=3 * KS_RUN, where=0.0, plus=True)  # at the first sample
+@example(n=3 * KS_RUN, where=0.0, plus=False)
+@example(n=3 * KS_RUN + 5, where=1.0, plus=True)  # at the last sample
+@example(n=3 * KS_RUN + 5, where=1.0, plus=False)
+@example(n=4 * KS_RUN + 1, where=0.4, plus=True)  # inside a run
+@example(n=4 * KS_RUN + 1, where=0.6, plus=False)
+def test_ks_distance_finds_a_lone_maximum(n, where, plus):
+    # samples at the midpoints (i + 1/2)/n of a uniform target, where every
+    # term is 1/(2n), with one sample moved onto its neighbour (or to 0 or
+    # 1 at the ends) so that one term alone is the largest
+    j = round(where * (n - 1))
+    srt = (np.arange(n) + 0.5) / n
+    if plus:
+        srt[j] = srt[j - 1] if j > 0 else 0.0
+    else:
+        srt[j] = srt[j + 1] if j < n - 1 else 1.0
+    assert sampler._ks_distance(_uniform_cdf, srt) == sampler._ks_statistic(_uniform_cdf(srt))
+
+
+def test_ks_distance_keeps_a_run_whose_bound_is_attained():
+    # n = 512 makes every term exact.  Samples 128..152 share the value of
+    # sample 152, so the term F_128 - 128/n = 24.5/n of the first sample of
+    # the run 128..135 equals that run's bound.  Samples 359..383 share the
+    # value 360/n, so the last sample of a first-cut run (383) has the term
+    # 24/n, found before that run is cut.
+    n = 512
+    srt = (np.arange(n) + 0.5) / n
+    srt[128:153] = srt[152]
+    srt[359:384] = 360 / n
+    assert sampler._ks_statistic(_uniform_cdf(srt)) == 24.5 / n
+    assert sampler._ks_distance(_uniform_cdf, srt) == 24.5 / n
 
 
 @pytest.mark.parametrize("target", ["laplace", "exp(-abs(x))"])
