@@ -1,8 +1,8 @@
 """Target and proposal density models.
 
 Targets may be unnormalized: everything downstream (the accept/reject
-kernel, the truncation constants, the tail ratio, the symmetrized
-discretization, the sampler) touches the target only through density
+kernel, the truncation constants, the tail ratio, the spectrum's
+symmetric matrix, the sampler) touches the target only through density
 ratios, so the normalization constant is never required.
 
 Built-in targets carry closed-form tail ratios; custom expression

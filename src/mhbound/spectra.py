@@ -1,12 +1,10 @@
 """Nystrom discretization of the Metropolis-Hastings operator on a
 truncated domain, with the operator-level checks that mirror the
-windowed bound: the tail block norm against beta_a, the Hilbert-Schmidt
-norm of the core block, and the iterate-decomposition inequality.  The
-Hilbert-Schmidt norm is not taken from the discretization: it integrates
-over |x| <= a and the whole proposal range with ``MhKernel.integrate_u``,
-so it does not depend on the domain [-A, A].
-Eigenvalues and operator 2-norms come from LAPACK through numpy
-(``eigvalsh`` and ``norm(., 2)``).
+windowed bound: the tail block norm against beta_a and the
+Hilbert-Schmidt norm of the core block.  The Hilbert-Schmidt norm is
+not taken from the discretization: it integrates over |x| <= a and the
+whole proposal range with ``MhKernel.integrate_u``, so it does not
+depend on the domain [-A, A].
 
 Every spectral output here is heuristic: it is a discretization of a
 non-compact operator on a truncated domain, and no certified relation
@@ -19,8 +17,14 @@ uniformity keeps the tail-block row masking trivial).  The diagonal
 rejection term is evaluated with the same trapezoid rule on a grid
 extended past the domain edge by the proposal range; this keeps
 interior rows of the transition matrix stochastic to rounding, which is
-what pins the unit eigenvalue.  Boundary rows (within one proposal
-range of the edge) lose the mass that leaves the domain and are flagged.
+what pins the unit eigenvalue.  Boundary rows (whose proposal range
+reaches the edge node) lose the mass that leaves the domain and are
+flagged.
+
+Reversibility makes P self-adjoint on L^2(pi): ``symmetrize`` forms its
+matrix S in the sqrt(pi) coordinates from log pi differences alone, so
+no pi value, which underflows in a far Gauss tail, enters.  Eigenvalues
+and the tail block's 2-norm come from LAPACK through ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -28,11 +32,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .bounds import BoundReport, beta
+from .bounds import beta
 from .kernel import MhKernel
 from .models import DensityModel
 from .quad import gauss_legendre_grid
@@ -41,13 +44,11 @@ __all__ = [
     "Discretization",
     "DiscreteOperator",
     "SpectralReport",
-    "AsymmetryError",
     "discretize",
     "build_p_matrix",
     "symmetrize",
     "norm_T_ac",
     "hs_norm_T_a",
-    "decomposition_residual",
     "spectral_report",
 ]
 
@@ -62,17 +63,12 @@ HEURISTIC_CAVEAT = (
 )
 
 
-class AsymmetryError(RuntimeError):
-    """Symmetrization defect beyond rounding; signals a kernel bug."""
-
-
 @dataclass
 class Discretization:
     half_width: float
     n: int
     nodes: np.ndarray
     weights: np.ndarray
-    masses: np.ndarray
     #: mass truncation defect: normalized target mass outside [-A, A]
     grid_defect: float
     #: relative deviation of the trapezoid mass from the Gauss-Legendre mass
@@ -82,14 +78,10 @@ class Discretization:
     def step(self) -> float:
         return float(self.nodes[1] - self.nodes[0])
 
-    @property
-    def valid(self) -> bool:
-        return self.grid_defect < 1e-6
-
 
 def discretize(target: DensityModel, half_width: float, n: int = 801) -> Discretization:
-    """Uniform nodes on [-A, A] with trapezoid weights and normalized
-    target masses m_i = pi(x_i) w_i / sum."""
+    """Uniform nodes on [-A, A] with trapezoid weights, and the target's
+    truncation and quadrature defects on them."""
     if n < 3 or n % 2 == 0:
         raise ValueError("node count must be odd and at least 3 (node at zero)")
     if half_width <= 0:
@@ -98,9 +90,7 @@ def discretize(target: DensityModel, half_width: float, n: int = 801) -> Discret
     h = nodes[1] - nodes[0]
     weights = np.full(n, h)
     weights[0] = weights[-1] = 0.5 * h
-    dens = target.pdf(nodes)
-    total = float(dens @ weights)
-    masses = dens * weights / total
+    total = float(target.pdf(nodes) @ weights)
 
     def mass(lo: float, hi: float) -> float:
         xs, ws = gauss_legendre_grid(lo, hi, breakpoints=target.kinks(lo, hi))
@@ -111,23 +101,24 @@ def discretize(target: DensityModel, half_width: float, n: int = 801) -> Discret
     # far-tail mass; the integrand is exp(log pi) so underflow is benign
     outside = mass(-3.0 * half_width, -half_width) + mass(half_width, 3.0 * half_width)
     grid_defect = outside / (z + outside)
-    return Discretization(float(half_width), n, nodes, weights, masses, grid_defect, quad_defect)
+    return Discretization(float(half_width), n, nodes, weights, grid_defect, quad_defect)
 
 
 @dataclass
 class DiscreteOperator:
     disc: Discretization
+    #: log pi at the nodes, up to its normalization
+    log_pi: np.ndarray
     p_matrix: np.ndarray
-    t_matrix: np.ndarray
     r_grid: np.ndarray
-    boundary_rows: np.ndarray  # bool mask: rows within one proposal range of the edge
+    boundary_rows: np.ndarray  # bool mask: rows whose proposal range reaches the edge node
     row_sum_defect: float  # max |row sum - 1| over interior rows
 
 
 def build_p_matrix(k: MhKernel, d: Discretization) -> DiscreteOperator:
     """Discrete transition matrix M[i, j] = t(x_i, x_j) w_j with the
     rejection mass r(x_i) (grid-consistent trapezoid value) added on the
-    diagonal."""
+    diagonal; t(x, y) = q(y - x) e^{min(0, d)}, d = log pi(y) - log pi(x)."""
     s = k.proposal.s
     if d.half_width <= s:
         raise ValueError("domain half-width must exceed the proposal range")
@@ -146,51 +137,46 @@ def build_p_matrix(k: MhKernel, d: Discretization) -> DiscreteOperator:
     ext = np.concatenate(
         [nodes[0] - h * np.arange(m_ext, 0, -1), nodes, nodes[-1] + h * np.arange(1, m_ext + 1)]
     )
-    t_full = k.t_eval(nodes[:, None], ext[None, :] - nodes[:, None])
-    r_grid = 1.0 - h * t_full.sum(axis=1)
-    r_grid = np.clip(r_grid, 0.0, 1.0)
+    inner = slice(m_ext, m_ext + n)
+    log_pi = k.target.log_pdf(ext)
+    log_t = k.proposal.log_shape(ext[None, :] - nodes[:, None])
+    log_t += np.minimum(0.0, log_pi[None, :] - log_pi[inner, None])
+    t_full = np.exp(log_t, out=log_t)
+    r_grid = np.clip(1.0 - h * t_full.sum(axis=1), 0.0, 1.0)
 
-    t_matrix = t_full[:, m_ext : m_ext + n] * d.weights[None, :]
-    p_matrix = t_matrix.copy()
-    p_matrix[np.arange(n), np.arange(n)] += r_grid
+    p_matrix = t_full[:, inner] * d.weights[None, :]
+    p_matrix[np.diag_indices(n)] += r_grid
 
-    boundary = np.abs(nodes) > d.half_width - s
+    # rows with |x| >= A - s reach the half-weight edge node; h/2 absorbs linspace's rounding
+    boundary = np.abs(nodes) > d.half_width - s - 0.5 * h
     interior_sums = p_matrix[~boundary].sum(axis=1)
     row_sum_defect = float(np.max(np.abs(interior_sums - 1.0))) if np.any(~boundary) else 0.0
-    return DiscreteOperator(d, p_matrix, t_matrix, r_grid, boundary, row_sum_defect)
+    return DiscreteOperator(d, log_pi[inner], p_matrix, r_grid, boundary, row_sum_defect)
 
 
-def _sym_coords(m: np.ndarray, d: Discretization) -> np.ndarray:
-    root = np.sqrt(d.masses)
-    return (root[:, None] / root[None, :]) * m
+def symmetrize(k: MhKernel, op: DiscreteOperator) -> np.ndarray:
+    """S, the discrete P in the sqrt(pi) coordinates:
+    S_ij = sqrt(w_i w_j) sqrt(q(u) q(-u)) e^{-|d|/2} with u = x_j - x_i
+    and d = log pi(x_j) - log pi(x_i), plus r(x_i) on the diagonal.
+    Symmetric to the bit, as d_ji = -d_ij and u_ji = -u_ij exactly."""
+    nodes, w = op.disc.nodes, op.disc.weights
+    lq = k.proposal.log_shape(nodes[None, :] - nodes[:, None])
+    s_mat = np.exp(0.5 * (lq + lq.T - np.abs(op.log_pi[None, :] - op.log_pi[:, None])))
+    s_mat *= np.sqrt(np.outer(w, w))
+    s_mat[np.diag_indices(op.disc.n)] += op.r_grid
+    return s_mat
 
 
-def symmetrize(m: np.ndarray, d: Discretization) -> np.ndarray:
-    """Similarity transform sqrt(m_i / m_j) M[i, j]; reversibility makes
-    the result symmetric up to rounding."""
-    if np.any(d.masses <= 0.0):
-        raise ValueError("all node masses must be positive")
-    s_mat = _sym_coords(m, d)
-    scale = float(np.max(np.abs(s_mat)))
-    asym = float(np.max(np.abs(s_mat - s_mat.T)))
-    if asym > 1e-9 * max(scale, 1e-300):
-        raise AsymmetryError(
-            f"symmetrization defect {asym:.3e} exceeds rounding; the kernel "
-            "violates detailed balance"
-        )
-    return 0.5 * (s_mat + s_mat.T)
-
-
-def norm_T_ac(k: MhKernel, d: Discretization, a: float, op: Optional[DiscreteOperator] = None) -> float:
-    """Discrete 2-norm of the tail block of the continuous part: rows with
-    |x_i| <= a zeroed, diagonal rejection removed, m-weighted coordinates."""
-    if not 0.0 < a < d.half_width:
+def norm_T_ac(s_mat: np.ndarray, op: DiscreteOperator, a: float) -> float:
+    """Discrete 2-norm of the tail block of the continuous part: B, the
+    rows of S with |x_i| > a and the rejection r taken off the diagonal,
+    has norm sqrt(lambda_max(B B^T))."""
+    if not 0.0 < a < op.disc.half_width:
         raise ValueError("need 0 < a < domain half-width")
-    if op is None:
-        op = build_p_matrix(k, d)
-    tail = np.abs(d.nodes) > a
-    t_ac = op.t_matrix * tail[:, None]
-    return float(np.linalg.norm(_sym_coords(t_ac, d), 2))
+    rows = np.flatnonzero(np.abs(op.disc.nodes) > a)
+    b = s_mat[rows]
+    b[np.arange(rows.size), rows] -= op.r_grid[rows]
+    return math.sqrt(float(np.linalg.eigvalsh(b @ b.T)[-1]))
 
 
 def hs_norm_T_a(k: MhKernel, a: float) -> float:
@@ -213,42 +199,6 @@ def hs_norm_T_a(k: MhKernel, a: float) -> float:
     return math.sqrt(float(wx @ rows))
 
 
-def decomposition_residual(
-    k: MhKernel,
-    d: Discretization,
-    a: float,
-    n_power: int,
-    report: BoundReport,
-    op: Optional[DiscreteOperator] = None,
-) -> float:
-    """Iterate-decomposition check: with K_n the compact remainder, the
-    n-th iterate satisfies ||P^n - K_n|| <= 2 alpha_a^n.  Returns the
-    worst signed slack max_n (||P^n - K_n|| - 2 alpha_a^n) over
-    n <= n_power at discrete scale (expected <= discretization
-    tolerance)."""
-    if not 1 <= n_power <= 8:
-        raise ValueError("n_power must be between 1 and 8")
-    if not 0.0 < a < d.half_width:
-        raise ValueError("need 0 < a < domain half-width")
-    if op is None:
-        op = build_p_matrix(k, d)
-    core = np.abs(d.nodes) <= a
-    p_sym = symmetrize(op.p_matrix, d)
-    r_core = np.diag(op.r_grid * core)
-    tail_block = p_sym * (~core)[:, None]  # rejection + continuous part, tail rows
-
-    worst = -math.inf
-    ra_pow = r_core.copy()
-    tb_pow = tail_block.copy()
-    for n in range(1, n_power + 1):
-        if n > 1:
-            ra_pow = ra_pow @ r_core
-            tb_pow = tb_pow @ tail_block
-        norm = float(np.linalg.norm(ra_pow + tb_pow, 2))
-        worst = max(worst, norm - 2.0 * report.alpha_a**n)
-    return worst
-
-
 @dataclass
 class SpectralReport:
     half_width: float
@@ -268,17 +218,17 @@ class SpectralReport:
 
 
 def spectral_report(k: MhKernel, half_width: float, n: int, a: float) -> SpectralReport:
-    """Full discrete picture: spectrum of the symmetrized operator, the
-    tail block norm next to beta_a, and the core Hilbert-Schmidt norm."""
+    """Full discrete picture: spectrum of S, the tail block norm next to
+    beta_a, and the core Hilbert-Schmidt norm."""
     d = discretize(k.target, half_width, n)
     op = build_p_matrix(k, d)
-    s_mat = symmetrize(op.p_matrix, d)
+    s_mat = symmetrize(k, op)
     eigs = np.linalg.eigvalsh(s_mat)[::-1]
     moduli = np.abs(eigs)
     top = float(eigs[0])
     second = float(np.sort(moduli)[-2]) if n >= 2 else 0.0
     beta_a = beta(k, a).value
-    t_ac = norm_T_ac(k, d, a, op)
+    t_ac = norm_T_ac(s_mat, op, a)
     hs = hs_norm_T_a(k, a)
     unit_count = int(np.sum(np.abs(eigs - 1.0) <= 5e-4))
     return SpectralReport(

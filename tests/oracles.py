@@ -1,10 +1,12 @@
-"""Reference forms of the kernel that only the tests use: each checks a
-shortcut of ``mhbound.kernel.MhKernel`` against a form written out from
-its definition.  ``k`` is an ``MhKernel``."""
+"""Reference forms that only the tests use: each checks a shortcut of
+``mhbound.kernel.MhKernel`` or ``mhbound.spectra`` against a form written
+out from its definition.  ``k`` is an ``MhKernel``."""
 
 import math
 
 import numpy as np
+
+from mhbound.spectra import build_p_matrix, symmetrize
 
 
 def log_t_general(k, x: float, u: float) -> float:
@@ -33,3 +35,33 @@ def detailed_balance_residual(k, x, y, eps: float = 1e-300):
     va = np.exp(a - m)
     vb = np.exp(b - m)
     return (np.abs(va - vb) / np.maximum(np.maximum(va, vb), eps))[()]
+
+
+def decomposition_residual(k, d, a: float, n_power: int, report) -> float:
+    """Iterate-decomposition check on the discretization ``d``: with K_n
+    the compact remainder, the n-th iterate satisfies
+    ||P^n - K_n|| <= 2 alpha_a^n.  Returns the worst signed slack
+    max_n (||P^n - K_n|| - 2 alpha_a^n) over n <= n_power at discrete
+    scale (expected <= discretization tolerance), with P^n - K_n taken
+    in the sqrt(pi) coordinates of ``spectra.symmetrize``; ``report`` is
+    the window's ``BoundReport``."""
+    if not 1 <= n_power <= 8:
+        raise ValueError("n_power must be between 1 and 8")
+    if not 0.0 < a < d.half_width:
+        raise ValueError("need 0 < a < domain half-width")
+    op = build_p_matrix(k, d)
+    core = np.abs(d.nodes) <= a
+    p_sym = symmetrize(k, op)
+    r_core = np.diag(op.r_grid * core)
+    tail_block = p_sym * (~core)[:, None]  # rejection + continuous part, tail rows
+
+    worst = -math.inf
+    ra_pow = r_core.copy()
+    tb_pow = tail_block.copy()
+    for n in range(1, n_power + 1):
+        if n > 1:
+            ra_pow = ra_pow @ r_core
+            tb_pow = tb_pow @ tail_block
+        norm = float(np.linalg.norm(ra_pow + tb_pow, 2))
+        worst = max(worst, norm - 2.0 * report.alpha_a**n)
+    return worst

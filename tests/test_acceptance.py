@@ -14,7 +14,7 @@ import pytest
 from mhbound import asymptotics, bounds, sampler, spectra
 from mhbound.models import DensityModel, ProposalModel, TailRatio
 from mhbound.quad import adaptive_simpson, composite_gauss_legendre
-from oracles import detailed_balance_residual
+from oracles import decomposition_residual, detailed_balance_residual
 
 GAMMA_LAPLACE = 8.0 * math.exp(-0.5) - math.exp(-1.0) - 3.5  # 0.984365836...
 R0_LAPLACE = 1.0 - 2.0 / math.e
@@ -164,8 +164,9 @@ def test_criterion_6_tail_norm_bounded_by_beta(laplace_tri, gauss_tri):
     for name, k in (("laplace", laplace_tri), ("gauss", gauss_tri)):
         d = spectra.discretize(k.target, 20.0, 801)
         op = spectra.build_p_matrix(k, d)
+        s_mat = spectra.symmetrize(k, op)
         for a in (2.0, 5.0, 10.0):
-            norm = spectra.norm_T_ac(k, d, a, op)
+            norm = spectra.norm_T_ac(s_mat, op, a)
             b = bounds.beta(k, a).value
             worst_slack = max(worst_slack, norm - b)
             details.append(f"{name} a={a:g}: {norm:.4f} <= {b:.4f}+0.01")
@@ -179,7 +180,7 @@ def test_criterion_7_decomposition_inequality(laplace_tri, gauss_tri):
     for name, k in (("laplace", laplace_tri), ("gauss", gauss_tri)):
         d = spectra.discretize(k.target, 20.0, 401)
         rep = bounds.alpha(k, 5.0)
-        res = spectra.decomposition_residual(k, d, 5.0, 4, rep)
+        res = decomposition_residual(k, d, 5.0, 4, rep)
         worst = max(worst, res)
     check(
         "7 (||P^n - K_n|| <= 2 alpha^n + 5e-3)",
@@ -191,14 +192,14 @@ def test_criterion_7_decomposition_inequality(laplace_tri, gauss_tri):
 def test_criterion_8_spectral_sanity(laplace_tri):
     d = spectra.discretize(laplace_tri.target, 20.0, 401)
     op = spectra.build_p_matrix(laplace_tri, d)
-    s_mat = spectra.symmetrize(op.p_matrix, d)
+    s_mat = spectra.symmetrize(laplace_tri, op)
     eigs, vecs = np.linalg.eigh(s_mat)
     eigs, vecs = eigs[::-1], vecs[:, ::-1]
     unit = int(np.sum(np.abs(eigs - 1.0) <= 5e-4))
     check("8 (simple unit eigenvalue)", unit == 1, f"{unit} eigenvalue(s) within 5e-4 of 1")
     vec = vecs[:, 0]
     vec = vec * np.sign(vec[int(np.argmax(np.abs(vec)))])
-    prof = np.sqrt(d.masses)
+    prof = np.sqrt(laplace_tri.target.pdf(d.nodes) * d.weights)
     prof = prof / np.linalg.norm(prof)
     core = np.abs(d.nodes) <= d.half_width / 2.0
     rel = float(np.max(np.abs(vec - prof)[core] / prof[core]))

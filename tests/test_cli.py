@@ -196,6 +196,18 @@ def test_spectrum_command_default_config(tmp_path):
     assert sum(abs(e - 1.0) <= 5e-4 for e in eigs) == 1
 
 
+def test_spectrum_on_a_domain_where_the_gauss_masses_underflow(tmp_path):
+    # pi(x) w at |x| = 40 is below the smallest double; S takes log pi
+    # differences only
+    code = run_cli(
+        "spectrum", "--set", "target.family=gauss", "--set", "spectrum.A=40", "--set", "spectrum.n=401",
+        "--out", str(tmp_path), "--format", "json",
+    )
+    assert code == 0
+    eigs = json.loads((tmp_path / "spectrum.json").read_text())["result"]["eigenvalues"]
+    assert sum(abs(e - 1.0) <= 5e-4 for e in eigs) == 1
+
+
 def test_sample_command_with_trace(tmp_path):
     trace = tmp_path / "trace.csv"
     code = run_cli(

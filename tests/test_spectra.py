@@ -10,23 +10,15 @@ from mhbound import bounds, spectra
 from mhbound.kernel import MhKernel
 from mhbound.models import DensityModel, ProposalModel
 from mhbound.quad import gauss_legendre_grid
-from mhbound.spectra import (
-    AsymmetryError,
-    Discretization,
-    build_p_matrix,
-    decomposition_residual,
-    discretize,
-    hs_norm_T_a,
-    norm_T_ac,
-    symmetrize,
-)
+from mhbound.spectra import build_p_matrix, discretize, hs_norm_T_a, norm_T_ac, symmetrize
+
+from oracles import decomposition_residual
 
 
 def test_discretize_masses_and_defects(laplace_tri):
     d = discretize(laplace_tri.target, 20.0, 401)
-    assert d.masses.sum() == pytest.approx(1.0, abs=1e-15)
+    assert d.quad_defect < 1e-3
     assert d.grid_defect < 1e-6
-    assert d.valid
     assert d.step == pytest.approx(0.1, abs=1e-14)
     assert d.nodes[200] == 0.0
 
@@ -44,8 +36,8 @@ def test_interior_rows_stochastic(laplace_tri):
     d = discretize(laplace_tri.target, 20.0, 801)
     op = build_p_matrix(laplace_tri, d)
     assert op.row_sum_defect <= 1e-6
-    # boundary rows lose mass and are flagged
-    assert np.all(op.boundary_rows == (np.abs(d.nodes) > 19.0))
+    # boundary rows, whose range reaches the edge node, lose mass and are flagged
+    assert np.all(op.boundary_rows == (np.abs(d.nodes) >= 19.0 - 1e-9))
     assert op.p_matrix[0].sum() < 1.0
 
 
@@ -61,50 +53,42 @@ def test_unresolved_proposal_range_degenerates(caplog):
     with caplog.at_level(logging.WARNING, logger="mhbound.spectra"):
         op = build_p_matrix(k, d)
     assert any("resolve" in r.getMessage() for r in caplog.records if r.levelno == logging.WARNING)
-    off = op.t_matrix - np.diag(np.diag(op.t_matrix))
+    off = op.p_matrix - np.diag(np.diag(op.p_matrix))
     assert np.all(off == 0.0)
 
 
-def test_symmetrize_equal_masses_identity_case():
-    d = Discretization(
-        half_width=1.0,
-        n=2,
-        nodes=np.array([-0.5, 0.5]),
-        weights=np.array([1.0, 1.0]),
-        masses=np.array([0.5, 0.5]),
-        grid_defect=0.0,
-        quad_defect=0.0,
-    )
-    m = np.array([[0.7, 0.3], [0.3, 0.7]])
-    np.testing.assert_allclose(symmetrize(m, d), m, atol=1e-15)
+def test_boundary_rows_reach_the_edge_node():
+    # with the uniform shape, the row at |x| = A - s reaches the edge
+    # node, which has half weight: it is a boundary row
+    k = MhKernel(DensityModel.laplace(), ProposalModel.uniform())
+    op = build_p_matrix(k, discretize(k.target, 20.0, 801))
+    assert op.row_sum_defect <= 1e-12
 
 
-def test_symmetrize_laplace_asymmetry_tiny(laplace_tri):
-    d = discretize(laplace_tri.target, 15.0, 301)
-    op = build_p_matrix(laplace_tri, d)
-    root = np.sqrt(d.masses)
-    s_raw = (root[:, None] / root[None, :]) * op.p_matrix
-    assert np.max(np.abs(s_raw - s_raw.T)) <= 1e-12
-
-
-def test_symmetrize_detects_broken_kernel(laplace_tri):
-    # dropping the min from the accept rule breaks detailed balance
-    d = discretize(laplace_tri.target, 15.0, 101)
-    q = laplace_tri.proposal.shape(d.nodes[None, :] - d.nodes[:, None]) * d.weights[None, :]
-    with pytest.raises(AsymmetryError):
-        symmetrize(q, d)
-
-
-def test_symmetrize_requires_positive_masses():
-    d = Discretization(1.0, 2, np.array([-1.0, 1.0]), np.ones(2), np.array([1.0, 0.0]), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        symmetrize(np.eye(2), d)
+@pytest.mark.parametrize(
+    "target",
+    [DensityModel.laplace(), DensityModel.gauss(), DensityModel.from_expression("exp(-abs(x))")],
+    ids=["laplace", "gauss", "expr_laplace"],
+)
+def test_symmetrize_matches_t_eval(target):
+    # S is sqrt(t(x_i, x_j) t(x_j, x_i) w_i w_j), with t from t_eval on
+    # the same nodes, plus r on the diagonal; symmetric to the bit
+    k = MhKernel(target, ProposalModel.triangular())
+    d = discretize(k.target, 15.0, 301)
+    op = build_p_matrix(k, d)
+    s_mat = symmetrize(k, op)
+    x = d.nodes
+    t = k.t_eval(x[:, None], x[None, :] - x[:, None])
+    expect = np.sqrt(t * t.T) * np.sqrt(np.outer(d.weights, d.weights))
+    expect[np.diag_indices(d.n)] += op.r_grid
+    assert np.array_equal(s_mat, s_mat.T)
+    np.testing.assert_allclose(s_mat, expect, rtol=1e-13, atol=0.0)
 
 
 def test_invariant_eigenvector(laplace_tri):
     d = discretize(laplace_tri.target, 20.0, 401)
     op = build_p_matrix(laplace_tri, d)
-    s_mat = symmetrize(op.p_matrix, d)
+    s_mat = symmetrize(laplace_tri, op)
     # oracle route: apply M to the all-ones vector (interior rows fixed)
     ones = np.ones(d.n)
     interior = ~op.boundary_rows
@@ -113,7 +97,7 @@ def test_invariant_eigenvector(laplace_tri):
     assert abs(eigs[-1] - 1.0) <= 5e-4
     vec = np.linalg.eigh(s_mat)[1][:, -1]
     vec = vec * np.sign(vec[np.argmax(np.abs(vec))])
-    prof = np.sqrt(d.masses)
+    prof = np.sqrt(laplace_tri.target.pdf(d.nodes) * d.weights)
     prof /= np.linalg.norm(prof)
     core = np.abs(d.nodes) <= 10.0
     rel = np.abs(vec - prof)[core] / prof[core]
@@ -123,12 +107,14 @@ def test_invariant_eigenvector(laplace_tri):
 def test_norm_T_ac_bounded_by_beta(laplace_tri):
     d = discretize(laplace_tri.target, 20.0, 201)
     op = build_p_matrix(laplace_tri, d)
-    value = norm_T_ac(laplace_tri, d, 5.0, op)
+    value = norm_T_ac(symmetrize(laplace_tri, op), op, 5.0)
     assert value <= bounds.beta(laplace_tri, 5.0).value + 0.01
-    # oracle: dense SVD of the same masked symmetrized block
+    # oracle: dense SVD of the masked continuous part of P, similar to
+    # the block through the node masses pi(x_i) w_i
     tail = np.abs(d.nodes) > 5.0
-    root = np.sqrt(d.masses)
-    block = (root[:, None] / root[None, :]) * (op.t_matrix * tail[:, None])
+    root = np.sqrt(laplace_tri.target.pdf(d.nodes) * d.weights)
+    t_matrix = op.p_matrix - np.diag(op.r_grid)
+    block = (root[:, None] / root[None, :]) * (t_matrix * tail[:, None])
     assert value == pytest.approx(np.linalg.svd(block, compute_uv=False)[0], rel=1e-5)
 
 
@@ -136,21 +122,22 @@ def test_norm_T_ac_is_largest_singular_value(laplace_tri):
     d = discretize(laplace_tri.target, 20.0, 401)
     op = build_p_matrix(laplace_tri, d)
     tail = np.abs(d.nodes) > 5.0
-    root = np.sqrt(d.masses)
-    block = (root[:, None] / root[None, :]) * (op.t_matrix * tail[:, None])
+    root = np.sqrt(laplace_tri.target.pdf(d.nodes) * d.weights)
+    t_matrix = op.p_matrix - np.diag(op.r_grid)
+    block = (root[:, None] / root[None, :]) * (t_matrix * tail[:, None])
     sigma = np.linalg.svd(block, compute_uv=False)[0]
-    assert abs(norm_T_ac(laplace_tri, d, 5.0, op) - sigma) <= 1e-12
+    assert abs(norm_T_ac(symmetrize(laplace_tri, op), op, 5.0) - sigma) <= 1e-12
 
 
 def test_norm_T_ac_validation(laplace_tri):
-    d = discretize(laplace_tri.target, 10.0, 101)
+    op = build_p_matrix(laplace_tri, discretize(laplace_tri.target, 10.0, 101))
     with pytest.raises(ValueError):
-        norm_T_ac(laplace_tri, d, 10.0)
+        norm_T_ac(symmetrize(laplace_tri, op), op, 10.0)
 
 
 def test_norm_T_ac_small_a_still_contraction(laplace_tri):
-    d = discretize(laplace_tri.target, 10.0, 201)
-    assert norm_T_ac(laplace_tri, d, 1e-3) <= 1.0 + 1e-9
+    op = build_p_matrix(laplace_tri, discretize(laplace_tri.target, 10.0, 201))
+    assert norm_T_ac(symmetrize(laplace_tri, op), op, 1e-3) <= 1.0 + 1e-9
 
 
 def test_hs_norm_finite_and_stable(laplace_tri):
@@ -271,7 +258,7 @@ def test_refinement_stability_of_eigenvalues(builtin_kernel):
     for n in (401, 801):
         d = discretize(builtin_kernel.target, 20.0, n)
         op = build_p_matrix(builtin_kernel, d)
-        eigs = np.linalg.eigvalsh(symmetrize(op.p_matrix, d))
+        eigs = np.linalg.eigvalsh(symmetrize(builtin_kernel, op))
         tops.append(np.sort(eigs[np.abs(eigs) > 0.3])[::-1][:20])
     assert np.max(np.abs(tops[0] - tops[1])) < 2e-3
 
@@ -279,7 +266,7 @@ def test_refinement_stability_of_eigenvalues(builtin_kernel):
 def test_spectrum_in_unit_interval(builtin_kernel):
     d = discretize(builtin_kernel.target, 20.0, 401)
     op = build_p_matrix(builtin_kernel, d)
-    eigs = np.linalg.eigvalsh(symmetrize(op.p_matrix, d))
+    eigs = np.linalg.eigvalsh(symmetrize(builtin_kernel, op))
     assert eigs[-1] <= 1.0 + 5e-3
     assert eigs[0] >= -1.0 - 5e-3
     assert int(np.sum(np.abs(eigs - 1.0) <= 5e-4)) == 1
@@ -292,3 +279,28 @@ def test_spectral_report_fields(laplace_tri):
     assert d["caveat"] == rep.caveat
     assert len(d["eigenvalues"]) == 151
     assert rep.second_modulus <= rep.top_eigenvalue
+
+
+#: log pi up to a constant, in closed form, for the mass-route reference
+LOG_PI = {"laplace": lambda x: -np.abs(x), "gauss": lambda x: -0.5 * x * x}
+
+
+@pytest.mark.parametrize("proposal", ["triangular", "uniform"])
+@pytest.mark.parametrize("family", ["laplace", "gauss"])
+def test_spectral_report_matches_mass_route(family, proposal):
+    # the route S replaces: P in the Hastings coordinates, made symmetric
+    # by sqrt(m_i / m_j) with closed-form node masses m = pi(x) w, then
+    # LAPACK eigvalsh for the spectrum and an SVD for the tail block
+    k = MhKernel(getattr(DensityModel, family)(), ProposalModel(proposal, 1.0))
+    rep = spectra.spectral_report(k, 20.0, 801, 5.0)
+    d = discretize(k.target, 20.0, 801)
+    op = build_p_matrix(k, d)
+    log_m = LOG_PI[family](d.nodes) + np.log(d.weights)
+    root = np.exp(0.5 * (log_m - log_m.max()))
+    sim = root[:, None] / root[None, :]
+    sym = sim * op.p_matrix
+    eigs = np.sort(np.linalg.eigvalsh(0.5 * (sym + sym.T)))[::-1]
+    tail = np.abs(d.nodes) > 5.0
+    block = sim * ((op.p_matrix - np.diag(op.r_grid)) * tail[:, None])
+    assert np.max(np.abs(rep.eigenvalues - eigs)) <= 1e-12
+    assert abs(rep.norm_t_ac - np.linalg.svd(block, compute_uv=False)[0]) <= 1e-12
