@@ -9,13 +9,17 @@ with r_a the rejection supremum over the core [-a, a], r_prime_a the
 rejection supremum over the tails, and beta_a the integral over the
 proposal range of the tail supremum of sqrt(t(x, x+u) t(x+u, x)).
 
-r_a and r_prime_a come from sup_scan over r(x), with the two tail
-windows as two rows of one scan.  beta_a is a fixed Gauss-Legendre rule
-in u, split at 0 and at the proposal shape's kinks, whose integrand is
-computed for all its nodes in one array pass: per node, the minimum of
-|d(x, u)| over both tail windows on a coarse x-grid, exactly 0 where d
-changes sign and otherwise refined by quad.zoom, the refinement loop of
-sup_scan (see kernel.MhKernel.log_balance for d).
+bound_profile takes every window of a list a_1 < ... < a_n from one pass.
+One sup_scan of r(x) has as its rows the 2n + 1 pieces that +-a_i cut
+[-x_max, x_max] into: r_a is a running maximum over the rings outward
+from [-a_1, a_1], and r_prime_a a running maximum inward from +-x_max.
+beta is a fixed Gauss-Legendre rule in u, split at 0 and at the proposal
+shape's kinks, whose integrand is computed for all its nodes and windows
+in one array pass: per node and tail piece, the minimum of |d(x, u)| on a
+coarse x-grid, exactly 0 where d changes sign and otherwise refined by
+quad.zoom, the refinement loop of sup_scan (see kernel.MhKernel.log_balance
+for d); a window's minimum is the running minimum over the pieces outside
+it.  So r_a rises and r_prime_a and beta_a fall with a by construction.
 
 The tail suprema run over unbounded sets; here they are evaluated on a
 finite window (a, x_max] on each side and merged (by max) with the
@@ -35,8 +39,8 @@ import numpy as np
 
 from . import asymptotics
 from .kernel import BLOCK_ELEMENTS, R_QUAD_TOL, MhKernel
-from .models import TailRatio
-from .quad import ScanResult, SupScanConfig, bracket, composite_gauss_legendre, sup_scan, zoom
+from .models import ModelError, TailRatio
+from .quad import ScanResult, bracket, composite_gauss_legendre, sup_scan, zoom
 
 __all__ = [
     "BoundReport",
@@ -116,11 +120,27 @@ def default_a_list(s: float) -> List[float]:
     return [s, 2.0 * s, 4.0 * s, 8.0 * s, 16.0 * s]
 
 
-def _auto_tau(k: MhKernel) -> Optional[TailRatio]:
-    try:
-        return asymptotics.tail_ratio_for(k.target, k.proposal.s)
-    except asymptotics.TauNotConvergedError:
-        return None
+def _windows(k: MhKernel, a_list: Sequence[float], x_max: Optional[float], tau: Optional[TailRatio]):
+    """a_list as a float array, checked to be positive and increasing;
+    x_max, checked to exceed it or defaulted; and tau, looked up when not
+    given (None when the tail ratio does not converge)."""
+    a = np.array(a_list, dtype=float)
+    if a.ndim != 1 or a.size == 0:
+        raise ModelError("a_list must be a non-empty list of truncation radii")
+    if a[0] <= 0:
+        raise ModelError("truncation radius a must be positive")
+    if np.any(a[1:] <= a[:-1]):
+        raise ModelError("a_list must be strictly increasing")
+    if x_max is None:
+        x_max = default_x_max(float(a[-1]), k.proposal.s)
+    if x_max <= a[-1]:
+        raise ModelError("x_max must exceed a")
+    if tau is None:
+        try:
+            tau = asymptotics.tail_ratio_for(k.target, k.proposal.s)
+        except asymptotics.TauNotConvergedError:
+            pass
+    return a, float(x_max), tau
 
 
 def r_sup_compact(k: MhKernel, a: float) -> ScanResult:
@@ -131,81 +151,71 @@ def r_sup_compact(k: MhKernel, a: float) -> ScanResult:
 
 
 def r_sup_tail(k: MhKernel, a: float, x_max: float, tau: Optional[TailRatio] = None) -> TailSup:
-    """Supremum of the rejection probability over the tails |x| > a.
+    """Supremum of the rejection probability over the tails |x| > a: the
+    one-window case of bound_profile's tail step."""
+    a_arr, x_max, tau = _windows(k, [a], x_max, tau)
+    scan = sup_scan(k.rejection_grid, np.array([a, -x_max]), np.array([x_max, -a]))
+    return _tail_sups(k, scan.value[:1], scan.value[1:], bool(scan.converged.all()), a_arr, x_max, tau)[0]
 
-    One scan takes both windows as rows, and its value is merged with the
-    known limit value when the tail ratio is available.  Otherwise the
-    tail counts as resolved when each window's outer tenth, scanned on 256
-    steps, reaches the window's maximum to within 1e-6."""
-    if a <= 0:
-        raise ValueError("truncation radius a must be positive")
-    if x_max <= a:
-        raise ValueError("x_max must exceed a")
-    if tau is None:
-        tau = _auto_tau(k)
 
-    f = k.rejection_grid
-    window = sup_scan(f, np.array([a, -x_max]), np.array([x_max, -a]))
-    value = float(window.value.max())
-    converged = bool(window.converged.all())
-
+def _tail_sups(k: MhKernel, right, left, converged: bool, a: np.ndarray, x_max: float, tau) -> List[TailSup]:
+    """One TailSup per window from the maxima of r over [a_i, x_max]
+    (``right``) and [-x_max, -a_i] (``left``), merged with the limit value
+    when the tail ratio is known.  Otherwise a tail is resolved when each
+    side's outer tenth, all scanned at once on 256 steps, reaches that
+    side's maximum to within 1e-6."""
+    value = np.maximum(right, left)
     if tau is not None:
         limit = asymptotics.r_prime_inf(k.proposal, tau)
-        value = max(value, limit)
-        return TailSup(value, converged, True)
+        return [TailSup(max(float(v), limit), converged, True) for v in value]
 
-    inner = x_max - 0.1 * (x_max - a)
-    outer = sup_scan(f, np.array([inner, -x_max]), np.array([x_max, -inner]), SupScanConfig(coarse_steps=256))
-    resolved = bool(np.all(outer.value >= window.value - 1e-6))
-    if not resolved:
+    inner, n = x_max - 0.1 * (x_max - a), a.size
+    lo, hi = np.concatenate([inner, np.full(n, -x_max)]), np.concatenate([np.full(n, x_max), -inner])
+    outer = sup_scan(k.rejection_grid, lo, hi, coarse_steps=256).value
+    resolved = (outer[:n] >= right - 1e-6) & (outer[n:] >= left - 1e-6)
+    if not resolved.all():
         log.warning(
             "tail supremum beyond |x|=%g not resolved; the reported value is a "
             "lower estimate, not a valid bound",
             x_max,
         )
-    return TailSup(value, converged and resolved, resolved)
+    return [TailSup(float(v), converged and bool(ok), bool(ok)) for v, ok in zip(value, resolved)]
 
 
 def beta(
     k: MhKernel,
-    a: float,
+    a_list: Sequence[float],
     x_max: Optional[float] = None,
     tau: Optional[TailRatio] = None,
-) -> BetaValue:
-    """Tail constant: integral over u of the tail supremum of
-    sqrt(t(x, x+u) t(x+u, x)) = sqrt(q(u) q(-u)) e^{-|d(x, u)|/2}.
+) -> List[BetaValue]:
+    """Tail constant of each window in ``a_list``: the integral over u of
+    the tail supremum of sqrt(t(x, x+u) t(x+u, x)) = sqrt(q(u) q(-u))
+    e^{-|d(x, u)|/2}.
 
-    A fixed Gauss-Legendre rule in u (split at 0 and at the shape's
-    kinks) evaluates the integrand on all its nodes at once: one array
-    pass finds, per node, the minimum of |d| over both tail windows (see
-    _min_abs_balance), merged with the limiting integrand when the tail
-    ratio is known.  The error is the difference against the rule with
-    doubled panels."""
-    if a <= 0:
-        raise ValueError("truncation radius a must be positive")
-    s = k.proposal.s
-    if x_max is None:
-        x_max = default_x_max(a, s)
-    if x_max <= a:
-        raise ValueError("x_max must exceed a")
-    if tau is None:
-        tau = _auto_tau(k)
-
-    windows = []
-    for lo, hi in ((a, x_max), (-x_max, -a)):
-        xs = np.linspace(lo, hi, _BETA_STEPS + 1)
-        windows.append((xs, k.target.log_pdf(xs)))
+    One array pass finds, per node of the rule in u, the minimum of |d|
+    on each tail piece [a_i, a_{i+1}] and [-a_{i+1}, -a_i], a_{n+1} =
+    x_max (see _min_abs_balance); a window's is the running minimum over
+    the pieces outside it, merged with the limiting integrand when the
+    tail ratio is known.  The error is the difference against the rule
+    with doubled panels."""
+    a, x_max, tau = _windows(k, a_list, x_max, tau)
+    s, n = k.proposal.s, a.size
+    edges = np.append(a, x_max)
+    lo, hi = np.concatenate([edges[:-1], -edges[1:]]), np.concatenate([edges[1:], -edges[:-1]])
+    xs = np.linspace(lo, hi, _BETA_STEPS + 1, axis=1)
+    windows = list(zip(xs, k.target.log_pdf(xs)))
     zooms_closed = True
 
     def integrand(us: np.ndarray) -> np.ndarray:
         nonlocal zooms_closed
         lq = k.proposal.log_shape(us) + k.proposal.log_shape(-us)
-        values = np.zeros(us.size)
+        values = np.zeros((n, us.size))
         live = lq > -np.inf
         if np.any(live):
-            min_d, closed = _min_abs_balance(k, windows, us[live])
+            pieces, closed = _min_abs_balance(k, windows, us[live])
             zooms_closed = zooms_closed and closed
-            values[live] = np.exp(0.5 * (lq[live] - min_d))
+            min_d = np.minimum.accumulate(pieces.reshape(2, n, -1).min(axis=0)[::-1])[::-1]
+            values[:, live] = np.exp(0.5 * (lq[live] - min_d))
         if tau is not None:
             v, inverse = np.unique(np.abs(us), return_inverse=True)
             limit = k.proposal.shape(v) * np.sqrt([tau(float(x)) for x in v])
@@ -213,13 +223,15 @@ def beta(
         return values
 
     res = composite_gauss_legendre(integrand, -s, s, asymptotics.TAIL_PANELS, (0.0, *k.proposal.kinks))
-    converged = zooms_closed and res.error <= _BETA_TOL
-    return BetaValue(res.value, res.error, converged, tau is not None)
+    return [
+        BetaValue(float(v), float(e), zooms_closed and bool(e <= _BETA_TOL), tau is not None)
+        for v, e in zip(res.value, res.error)
+    ]
 
 
 def _min_abs_balance(k: MhKernel, windows, us: np.ndarray):
-    """Minimum over the tail windows of |d(x, u)| for every u in ``us``,
-    and whether every zoom closed.
+    """Minimum over each window of |d(x, u)| for every u in ``us``, one
+    row per window, and whether every zoom closed.
 
     ``windows`` holds each window's coarse x-grid with log pi on it.  The
     coarse pass runs in blocks of BLOCK_ELEMENTS, one row per (window, u).
@@ -259,7 +271,7 @@ def _min_abs_balance(k: MhKernel, windows, us: np.ndarray):
     res = zoom(minus_signed_d, x[live], v[live], lo[live], hi[live], _BETA_TOL_X)
     best = np.zeros(len(windows) * n)
     best[live] = np.maximum(0.0, -res.value)
-    return best.reshape(len(windows), n).min(axis=0), bool(res.converged.all())
+    return best.reshape(len(windows), n), bool(res.converged.all())
 
 
 def alpha(
@@ -268,42 +280,9 @@ def alpha(
     x_max: Optional[float] = None,
     tau: Optional[TailRatio] = None,
 ) -> BoundReport:
-    """Assemble the windowed bound alpha_a = max(r_a, r_prime_a + beta_a).
-    ``r_quad_error`` is the largest error estimate of the r(x) evaluated
-    here; above R_QUAD_TOL the window is not converged."""
-    if a <= 0:
-        raise ValueError("truncation radius a must be positive")
-    s = k.proposal.s
-    if x_max is None:
-        x_max = default_x_max(a, s)
-    if tau is None:
-        tau = _auto_tau(k)
-
-    k.r_quad_error = 0.0
-    core = r_sup_compact(k, a)
-    tail = r_sup_tail(k, a, x_max, tau)
-    bt = beta(k, a, x_max, tau)
-    alpha_a = max(core.value, tail.value + bt.value)
-    converged = core.converged and tail.converged and bt.converged and k.r_quad_error <= R_QUAD_TOL
-    certified = alpha_a < 1.0 and converged and (tail.tail_resolved and bt.tail_resolved)
-    if certified:
-        verdict = f"quasi-compact certified at level {alpha_a:.6g}"
-    else:
-        verdict = f"no certification (alpha = {alpha_a:.6g})"
-    return BoundReport(
-        a=a,
-        r_a=core.value,
-        r_prime_a=tail.value,
-        beta_a=bt.value,
-        alpha_a=alpha_a,
-        x_max=x_max,
-        converged=converged,
-        tail_resolved=tail.tail_resolved and bt.tail_resolved,
-        beta_error=bt.error,
-        r_quad_error=k.r_quad_error,
-        certified=certified,
-        verdict=verdict,
-    )
+    """The windowed bound alpha_a = max(r_a, r_prime_a + beta_a): the
+    one-window profile."""
+    return bound_profile(k, [a], x_max, tau).reports[0]
 
 
 def bound_profile(
@@ -314,17 +293,45 @@ def bound_profile(
 ) -> BoundProfile:
     """One report per truncation radius; the bound holds for every a, so
     the profile's minimizer is the bound to quote.  Windows whose alpha_a
-    tie with the minimum to within _TIE_TOL go to the smallest a."""
-    a_list = list(a_list)
-    if not a_list:
-        raise ValueError("a_list must be non-empty")
-    if any(b <= a for a, b in zip(a_list, a_list[1:])):
-        raise ValueError("a_list must be strictly increasing")
-    if tau is None:
-        tau = _auto_tau(k)
-    if x_max is None:
-        x_max = default_x_max(max(a_list), k.proposal.s)
-    reports = [alpha(k, a, x_max, tau) for a in a_list]
+    tie with the minimum to within _TIE_TOL go to the smallest a.  All
+    windows share one r(x) scan (see the module docstring), and
+    ``r_quad_error``, the largest error estimate of the r(x) evaluated
+    here; above R_QUAD_TOL no window is converged."""
+    a, x_max, tau = _windows(k, a_list, x_max, tau)
+    n = a.size
+    edges = np.concatenate([[-x_max], -a[::-1], a, [x_max]])
+    k.r_quad_error = 0.0
+    scan = sup_scan(k.rejection_grid, edges[:-1], edges[1:])
+    v, r_converged = scan.value, bool(scan.converged.all())
+    r_a = np.maximum.accumulate(np.maximum(v[n:0:-1], v[n:-1]))
+    right, left = np.maximum.accumulate(v[:n:-1])[::-1], np.maximum.accumulate(v[:n])[::-1]
+    tails = _tail_sups(k, right, left, r_converged, a, x_max, tau)
+    reports = []
+    for a_i, core, tail, bt in zip(a.tolist(), r_a.tolist(), tails, beta(k, a, x_max, tau)):
+        alpha_a = max(core, tail.value + bt.value)
+        converged = tail.converged and bt.converged and k.r_quad_error <= R_QUAD_TOL
+        resolved = tail.tail_resolved and bt.tail_resolved
+        certified = alpha_a < 1.0 and converged and resolved
+        if certified:
+            verdict = f"quasi-compact certified at level {alpha_a:.6g}"
+        else:
+            verdict = f"no certification (alpha = {alpha_a:.6g})"
+        reports.append(
+            BoundReport(
+                a=a_i,
+                r_a=core,
+                r_prime_a=tail.value,
+                beta_a=bt.value,
+                alpha_a=alpha_a,
+                x_max=x_max,
+                converged=converged,
+                tail_resolved=resolved,
+                beta_error=bt.error,
+                r_quad_error=k.r_quad_error,
+                certified=certified,
+                verdict=verdict,
+            )
+        )
     lowest = min(r.alpha_a for r in reports)
     best = next(i for i, r in enumerate(reports) if r.alpha_a <= lowest + _TIE_TOL)
     return BoundProfile(reports, best)

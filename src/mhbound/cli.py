@@ -81,6 +81,8 @@ def validate_config(doc: dict) -> None:
             if isinstance(value, bool) or not isinstance(value, allowed):
                 names = "/".join(t.__name__ for t in allowed)
                 raise ConfigError(f"config key {section}.{key} must be {names}")
+            if key == "a_list" and not (value and all(type(a) in (int, float) for a in value)):
+                raise ConfigError("config key bound.a_list must be a non-empty list of numbers")
 
 
 def load_config(path: Optional[str]) -> dict:

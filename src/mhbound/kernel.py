@@ -69,7 +69,7 @@ class MhKernel:
     target: DensityModel
     proposal: ProposalModel
     #: the largest error estimate of an r(x) that ``rejection_grid`` has
-    #: returned since this was last set; bounds.alpha and
+    #: returned since this was last set; bounds.bound_profile and
     #: asymptotics.alpha_inf set it to 0 and report it
     r_quad_error: float = 0.0
 

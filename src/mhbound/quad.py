@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "GL_POINTS",
     "AdaptiveSimpsonRule",
     "IntegrationResult",
-    "SupScanConfig",
     "ScanResult",
     "gauss_legendre_nodes",
     "gauss_legendre_grid",
@@ -58,14 +57,6 @@ class IntegrationResult:
     value: float
     error: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class SupScanConfig:
-    #: number of coarse subintervals; the coarse step is (hi-lo)/coarse_steps
-    coarse_steps: int = 2048
-    #: bracket width at which zoom refinement stops
-    tol_x: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -116,17 +107,18 @@ def composite_gauss_legendre(
     """Composite Gauss-Legendre integration; ``f`` must accept ndarrays.
 
     Each pass calls ``f`` once, on the nodes of ``gauss_legendre_grid``.
-    The reported error is the difference against a doubled-panel
-    evaluation of the same integrand.
+    ``f`` may return one row per integrand, each contracted by ``np.vecdot``
+    to the bits it would get alone.  The reported error is the difference
+    against a doubled-panel evaluation of the same integrand.
     """
     if lo > hi:
         raise ValueError("lo must be <= hi")
     if lo == hi:
         return IntegrationResult(0.0, 0.0, True)
 
-    def one_pass(n: int) -> float:
+    def one_pass(n: int):
         xs, ws = gauss_legendre_grid(lo, hi, n, breakpoints)
-        return float(np.asarray(f(xs), dtype=float) @ ws)
+        return np.vecdot(np.asarray(f(xs), dtype=float), ws)
 
     coarse = one_pass(panels)
     fine = one_pass(2 * panels)
@@ -238,26 +230,23 @@ def zoom(f: Callable, x: np.ndarray, v: np.ndarray, lo: np.ndarray, hi: np.ndarr
 
 
 def sup_scan(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo,
-    hi,
-    cfg: Optional[SupScanConfig] = None,
+    f: Callable[[np.ndarray], np.ndarray], lo, hi, *, coarse_steps: int = 2048, tol_x: float = 1e-8
 ) -> ScanResult:
     """Locate the supremum of f on [lo, hi] by coarse scan + ``zoom``.
 
     ``lo`` and ``hi`` are floats, or equal-length arrays with one interval
-    per row.  f must take arrays: it is called once per level, on a (rows,
-    points) array.  The returned value is the maximum over every point
-    evaluated, so it dominates the value at every coarse grid point by
-    construction.  For float bounds the result holds floats and a bool,
-    otherwise one array entry per row."""
-    if cfg is None:
-        cfg = SupScanConfig()
+    per row.  Each row's coarse step is (hi-lo)/coarse_steps, and the zoom
+    stops once a row's bracket is at most tol_x wide.  f must take arrays:
+    it is called once per level, on a (rows, points) array.  The returned
+    value is the maximum over every point evaluated, so it dominates the
+    value at every coarse grid point by construction.  For float bounds
+    the result holds floats and a bool, otherwise one array entry per
+    row."""
     lo_r, hi_r = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
     if not np.all(lo_r < hi_r):
         raise ValueError("sup_scan requires lo < hi")
-    xs = np.linspace(lo_r, hi_r, cfg.coarse_steps + 1, axis=1)
-    res = zoom(lambda z, rows: f(z), *bracket(xs, np.asarray(f(xs), dtype=float)), cfg.tol_x)
+    xs = np.linspace(lo_r, hi_r, coarse_steps + 1, axis=1)
+    res = zoom(lambda z, rows: f(z), *bracket(xs, np.asarray(f(xs), dtype=float)), tol_x)
     if np.ndim(lo) == np.ndim(hi) == 0:
         return ScanResult(float(res.argmax[0]), float(res.value[0]), bool(res.converged[0]))
     return res

@@ -37,7 +37,7 @@ import numpy as np
 
 from .bounds import beta
 from .kernel import MhKernel
-from .models import DensityModel
+from .models import DensityModel, ModelError
 from .quad import gauss_legendre_grid
 
 __all__ = [
@@ -83,9 +83,9 @@ def discretize(target: DensityModel, half_width: float, n: int = 801) -> Discret
     """Uniform nodes on [-A, A] with trapezoid weights, and the target's
     truncation and quadrature defects on them."""
     if n < 3 or n % 2 == 0:
-        raise ValueError("node count must be odd and at least 3 (node at zero)")
+        raise ModelError("node count must be odd and at least 3 (node at zero)")
     if half_width <= 0:
-        raise ValueError("half_width must be positive")
+        raise ModelError("half_width must be positive")
     nodes = np.linspace(-half_width, half_width, n)
     h = nodes[1] - nodes[0]
     weights = np.full(n, h)
@@ -121,7 +121,7 @@ def build_p_matrix(k: MhKernel, d: Discretization) -> DiscreteOperator:
     diagonal; t(x, y) = q(y - x) e^{min(0, d)}, d = log pi(y) - log pi(x)."""
     s = k.proposal.s
     if d.half_width <= s:
-        raise ValueError("domain half-width must exceed the proposal range")
+        raise ModelError("domain half-width must exceed the proposal range")
     nodes = d.nodes
     h = d.step
     n = d.n
@@ -172,7 +172,7 @@ def norm_T_ac(s_mat: np.ndarray, op: DiscreteOperator, a: float) -> float:
     rows of S with |x_i| > a and the rejection r taken off the diagonal,
     has norm sqrt(lambda_max(B B^T))."""
     if not 0.0 < a < op.disc.half_width:
-        raise ValueError("need 0 < a < domain half-width")
+        raise ModelError("need 0 < a < domain half-width")
     rows = np.flatnonzero(np.abs(op.disc.nodes) > a)
     b = s_mat[rows]
     b[np.arange(rows.size), rows] -= op.r_grid[rows]
@@ -191,7 +191,7 @@ def hs_norm_T_a(k: MhKernel, a: float) -> float:
     P, not to the discretization, so no domain half-width enters.
     Finiteness is the point: the core block is compact."""
     if not a > 0.0:
-        raise ValueError("need a > 0")
+        raise ModelError("need a > 0")
     xs, wx = gauss_legendre_grid(-a, a, max(4, math.ceil(_HS_X_PANELS_PER_UNIT * a)))
     rows = k.integrate_u(
         xs, lambda u: np.square(k.proposal.shape(u)), lambda d: np.exp(np.negative(np.abs(d, out=d), out=d), out=d)
@@ -227,7 +227,7 @@ def spectral_report(k: MhKernel, half_width: float, n: int, a: float) -> Spectra
     moduli = np.abs(eigs)
     top = float(eigs[0])
     second = float(np.sort(moduli)[-2]) if n >= 2 else 0.0
-    beta_a = beta(k, a).value
+    beta_a = beta(k, [a])[0].value
     t_ac = norm_T_ac(s_mat, op, a)
     hs = hs_norm_T_a(k, a)
     unit_count = int(np.sum(np.abs(eigs - 1.0) <= 5e-4))

@@ -1,11 +1,14 @@
 """Reference forms that only the tests use: each checks a shortcut of
-``mhbound.kernel.MhKernel`` or ``mhbound.spectra`` against a form written
-out from its definition.  ``k`` is an ``MhKernel``."""
+``mhbound.kernel.MhKernel``, ``mhbound.bounds`` or ``mhbound.spectra``
+against a form written out from its definition.  ``k`` is an
+``MhKernel``."""
 
 import math
 
 import numpy as np
 
+from mhbound import asymptotics, bounds
+from mhbound.quad import composite_gauss_legendre, sup_scan
 from mhbound.spectra import build_p_matrix, symmetrize
 
 
@@ -65,3 +68,54 @@ def decomposition_residual(k, d, a: float, n_power: int, report) -> float:
         norm = float(np.linalg.norm(ra_pow + tb_pow, 2))
         worst = max(worst, norm - 2.0 * report.alpha_a**n)
     return worst
+
+
+def per_window_report(k, a: float, x_max: float, tau) -> "bounds.BoundReport":
+    """The report of one window computed on its own, as ``bounds.alpha``
+    did before ``bound_profile`` took every window from one pass: r_a from
+    ``r_sup_compact`` on [-a, a]; r_prime_a from a two-row scan of
+    [a, x_max] and [-x_max, -a], merged with r'_inf (``tau`` must be
+    known); beta_a from the minimum of |d| over those two whole windows."""
+    k.r_quad_error = 0.0
+    core = bounds.r_sup_compact(k, a)
+    window = sup_scan(k.rejection_grid, np.array([a, -x_max]), np.array([x_max, -a]))
+    r_prime = max(float(window.value.max()), asymptotics.r_prime_inf(k.proposal, tau))
+    windows = [(xs, k.target.log_pdf(xs)) for xs in (np.linspace(a, x_max, 1025), np.linspace(-x_max, -a, 1025))]
+    closed = []
+
+    def integrand(us):
+        lq = k.proposal.log_shape(us) + k.proposal.log_shape(-us)
+        values = np.zeros(us.size)
+        live = lq > -np.inf
+        if np.any(live):
+            min_d, ok = bounds._min_abs_balance(k, windows, us[live])
+            closed.append(ok)
+            values[live] = np.exp(0.5 * (lq[live] - min_d.min(axis=0)))
+        v, inverse = np.unique(np.abs(us), return_inverse=True)
+        limit = k.proposal.shape(v) * np.sqrt([tau(float(x)) for x in v])
+        return np.maximum(values, limit[inverse])
+
+    s = k.proposal.s
+    bt = composite_gauss_legendre(integrand, -s, s, asymptotics.TAIL_PANELS, (0.0, *k.proposal.kinks))
+    alpha_a = max(core.value, r_prime + float(bt.value))
+    converged = core.converged and bool(window.converged.all()) and all(closed)
+    converged = converged and bt.error <= bounds._BETA_TOL and k.r_quad_error <= bounds.R_QUAD_TOL
+    certified = bool(alpha_a < 1.0 and converged)
+    if certified:
+        verdict = f"quasi-compact certified at level {alpha_a:.6g}"
+    else:
+        verdict = f"no certification (alpha = {alpha_a:.6g})"
+    return bounds.BoundReport(
+        a=a,
+        r_a=core.value,
+        r_prime_a=r_prime,
+        beta_a=float(bt.value),
+        alpha_a=alpha_a,
+        x_max=x_max,
+        converged=bool(converged),
+        tail_resolved=True,
+        beta_error=float(bt.error),
+        r_quad_error=k.r_quad_error,
+        certified=certified,
+        verdict=verdict,
+    )

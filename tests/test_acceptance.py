@@ -167,7 +167,7 @@ def test_criterion_6_tail_norm_bounded_by_beta(laplace_tri, gauss_tri):
         s_mat = spectra.symmetrize(k, op)
         for a in (2.0, 5.0, 10.0):
             norm = spectra.norm_T_ac(s_mat, op, a)
-            b = bounds.beta(k, a).value
+            b = bounds.beta(k, [a])[0].value
             worst_slack = max(worst_slack, norm - b)
             details.append(f"{name} a={a:g}: {norm:.4f} <= {b:.4f}+0.01")
     elapsed = time.monotonic() - start

@@ -10,6 +10,8 @@ from mhbound import asymptotics, bounds, quad
 from mhbound.kernel import MhKernel
 from mhbound.models import DensityModel, ProposalModel
 
+from oracles import per_window_report
+
 R0 = 1.0 - 2.0 / math.e
 R_TAIL = 0.5 - 1.0 / math.e
 BETA_LAPLACE = 8.0 * math.exp(-0.5) - 4.0
@@ -68,14 +70,14 @@ def test_r_sup_tail_gauss_hits_limit(gauss_tri):
 
 
 def test_beta_laplace_closed_form(laplace_tri):
-    res = bounds.beta(laplace_tri, 2.0)
+    res = bounds.beta(laplace_tri, [2.0])[0]
     assert res.value == pytest.approx(BETA_LAPLACE, abs=1e-6)
     assert res.converged and res.tail_resolved
 
 
 def test_beta_gauss_decays(gauss_tri):
-    b4 = bounds.beta(gauss_tri, 4.0).value
-    b16 = bounds.beta(gauss_tri, 16.0).value
+    b4 = bounds.beta(gauss_tri, [4.0])[0].value
+    b16 = bounds.beta(gauss_tri, [16.0])[0].value
     assert b16 < b4 < 1.0
     assert b16 < 0.25
 
@@ -91,14 +93,14 @@ def test_beta_gauss_closed_form(proposal, q, a):
     # on the Gauss tails min_x |d(x, u)| = |u| (2a - |u|) / 2, taken at |x| = a
     with mpmath.workdps(30):
         expect = 2 * mpmath.quad(lambda u: q(u) * mpmath.exp(-u * (2 * a - u) / 4), [0, 1])
-    res = bounds.beta(MhKernel(DensityModel.gauss(), PROPOSALS[proposal]()), a)
+    res = bounds.beta(MhKernel(DensityModel.gauss(), PROPOSALS[proposal]()), [a])[0]
     assert abs(res.value - float(expect)) <= 1e-10
     assert res.converged and res.tail_resolved
 
 
 @pytest.mark.parametrize("a", [1.0, 4.0, 16.0])
 def test_beta_laplace_closed_form_tight(laplace_tri, a):
-    assert abs(bounds.beta(laplace_tri, a).value - BETA_LAPLACE) <= 1e-10
+    assert abs(bounds.beta(laplace_tri, [a])[0].value - BETA_LAPLACE) <= 1e-10
 
 
 #: normalized on [-1.5, 1.5], with kinks at u = 0 and u = +-1/2
@@ -141,7 +143,7 @@ def test_beta_sign_change_is_exact():
     # u, so the integrand is q(u) and beta is 1; a fixed rule in u that only
     # zooms on |d| reads about 8e-4 low here
     k = MhKernel(DensityModel.from_expression("exp(-abs(x-3))+exp(-abs(x+3))"), ProposalModel.triangular())
-    res = bounds.beta(k, 1.0)
+    res = bounds.beta(k, [1.0])[0]
     assert abs(res.value - 1.0) <= 1e-9
     assert res.converged
 
@@ -162,10 +164,10 @@ def test_min_abs_balance_finds_crossings_between_grid_points():
 
     us = np.array([-1.0, 1.0, 2.0])
     eps = (0.25 * (xs[1] - xs[0])) ** 2
-    min_d, closed = bounds._min_abs_balance(Stub(eps), [(xs, np.zeros(xs.size))], us)
+    (min_d,), closed = bounds._min_abs_balance(Stub(eps), [(xs, np.zeros(xs.size))], us)
     assert closed and np.all(min_d == 0.0)
     # the same dip kept above zero: the minimum is eps |u|
-    min_d, closed = bounds._min_abs_balance(Stub(-eps), [(xs, np.zeros(xs.size))], us)
+    (min_d,), closed = bounds._min_abs_balance(Stub(-eps), [(xs, np.zeros(xs.size))], us)
     assert closed
     np.testing.assert_allclose(min_d, eps * np.abs(us), rtol=1e-6)
 
@@ -214,7 +216,7 @@ def _target(name):
 
 @pytest.mark.parametrize("target, proposal, a", sorted(BETA_BEFORE))
 def test_beta_matches_adaptive_values(target, proposal, a):
-    res = bounds.beta(MhKernel(_target(target), PROPOSALS[proposal]()), float(a))
+    res = bounds.beta(MhKernel(_target(target), PROPOSALS[proposal]()), [float(a)])[0]
     assert abs(res.value - BETA_BEFORE[target, proposal, a]) <= 1e-7
     assert res.converged and res.tail_resolved
 
@@ -233,7 +235,7 @@ def test_certificates_do_not_call_rejection_prob(builtin_kernel, monkeypatch):
 
 def test_beta_memory_peak(expr_laplace_tri, peak_mb):
     # about 2.1 MB; 3.7 MB when expression evaluation kept its inputs alive
-    assert peak_mb(lambda: bounds.beta(expr_laplace_tri, 16.0)) < 3.0
+    assert peak_mb(lambda: bounds.beta(expr_laplace_tri, [16.0])) < 3.0
 
 
 def test_beta_is_one_array_pass(gauss_tri, monkeypatch):
@@ -254,7 +256,7 @@ def test_beta_is_one_array_pass(gauss_tri, monkeypatch):
         return log_pdf(self, x)
 
     monkeypatch.setattr(DensityModel, "log_pdf", counted)
-    res = bounds.beta(gauss_tri, 16.0)
+    (res,) = bounds.beta(gauss_tri, [16.0])
     assert res.converged
     assert 0 < len(calls) <= 40
     assert all(isinstance(x, np.ndarray) and x.size > 1 for x in calls)
@@ -290,15 +292,50 @@ def test_alpha_flat_tail_not_certified():
     assert "no certification" in rep.verdict
 
 
-def test_profile_monotonicity(builtin_kernel):
-    prof = bounds.bound_profile(builtin_kernel, [0.5, 1, 2, 4, 8, 16])
+@pytest.mark.parametrize("target", ["laplace", "gauss", "exp(-abs(x-3))+exp(-abs(x+3))"])
+def test_profile_monotonicity(target):
+    # exact: r_a is a running maximum outward, r'_a and beta_a running
+    # extrema inward, over the pieces of one pass
+    prof = bounds.bound_profile(MhKernel(_target(target), ProposalModel.triangular()), [0.5, 1, 2, 4, 8, 16])
     rs = [r.r_a for r in prof.reports]
     rps = [r.r_prime_a for r in prof.reports]
     bts = [r.beta_a for r in prof.reports]
-    tol = 1e-6
-    assert all(b >= a - tol for a, b in zip(rs, rs[1:]))
-    assert all(b <= a + tol for a, b in zip(rps, rps[1:]))
-    assert all(b <= a + tol for a, b in zip(bts, bts[1:]))
+    assert all(b >= a for a, b in zip(rs, rs[1:]))
+    assert all(b <= a for a, b in zip(rps, rps[1:]))
+    assert all(b <= a for a, b in zip(bts, bts[1:]))
+
+
+ORACLE_TARGETS = ["laplace", "gauss", "exp(-abs(x))", "exp(-abs(x-3))+exp(-abs(x+3))", "exp(-abs(x)-x/2)"]
+FLAGS = ("converged", "tail_resolved", "certified")
+
+
+@pytest.mark.parametrize("target", ORACLE_TARGETS)
+def test_profile_matches_per_window_route(target):
+    # the profile's running extrema over pieces against each window scanned
+    # and integrated on its own: one window is the same computation, bit
+    # for bit, and the default five agree to rounding
+    k = MhKernel(_target(target), ProposalModel.triangular())
+    tau = asymptotics.tail_ratio_for(k.target, k.proposal.s)
+    (single,) = bounds.bound_profile(k, [16.0]).reports
+    assert single == per_window_report(k, 16.0, bounds.default_x_max(16.0, 1.0), tau)
+    a_list = bounds.default_a_list(1.0)
+    prof = bounds.bound_profile(k, a_list)
+    for rep, a in zip(prof.reports, a_list):
+        old = per_window_report(k, a, bounds.default_x_max(a_list[-1], 1.0), tau)
+        for name in ("r_a", "r_prime_a", "beta_a", "alpha_a", "beta_error", "r_quad_error"):
+            assert abs(getattr(rep, name) - getattr(old, name)) <= 1e-10, name
+        assert [getattr(rep, f) for f in FLAGS] == [getattr(old, f) for f in FLAGS]
+
+
+def test_profile_is_one_r_scan_and_one_beta_pass(gauss_tri, monkeypatch):
+    rows, passes = [], []
+    scan, min_abs_balance = bounds.sup_scan, bounds._min_abs_balance
+    monkeypatch.setattr(bounds, "sup_scan", lambda f, lo, hi, **kw: rows.append(np.size(lo)) or scan(f, lo, hi, **kw))
+    monkeypatch.setattr(bounds, "_min_abs_balance", lambda *args: passes.append(args) or min_abs_balance(*args))
+    prof = bounds.bound_profile(gauss_tri, bounds.default_a_list(1.0))
+    assert len(prof.reports) == 5 and prof.best.converged
+    # the u-rule and its doubled-panel rule
+    assert rows == [11] and len(passes) == 2
 
 
 def test_profile_laplace_stabilizes(laplace_tri):

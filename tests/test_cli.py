@@ -247,6 +247,30 @@ def test_bad_model_config_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, sets",
+    [
+        ("bound", ["bound.x_max=10"]),
+        ("bound", ["bound.a_list=[]"]),
+        ("bound", ["bound.a_list=[2,1]"]),
+        ("bound", ["bound.a_list=[0]"]),
+        ("bound", ["bound.a_list=[-1,2]"]),
+        ("bound", ['bound.a_list=["x"]']),
+        ("spectrum", ["spectrum.A=10", "spectrum.a=12"]),
+        ("spectrum", ["spectrum.A=0.5"]),
+        ("spectrum", ["spectrum.a=0"]),
+        ("spectrum", ["spectrum.n=4"]),
+        ("spectrum", ["spectrum.n=1"]),
+    ],
+)
+def test_bad_window_or_grid_settings_exit_1(tmp_path, capsys, command, sets):
+    # settings of the right type that the library's argument checks reject
+    code = run_cli(command, "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:") and "internal error" not in err
+
+
 # kinks at u = 0 and u = +-0.5
 KINKED = (
     "--set",

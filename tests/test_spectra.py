@@ -108,7 +108,7 @@ def test_norm_T_ac_bounded_by_beta(laplace_tri):
     d = discretize(laplace_tri.target, 20.0, 201)
     op = build_p_matrix(laplace_tri, d)
     value = norm_T_ac(symmetrize(laplace_tri, op), op, 5.0)
-    assert value <= bounds.beta(laplace_tri, 5.0).value + 0.01
+    assert value <= bounds.beta(laplace_tri, [5.0])[0].value + 0.01
     # oracle: dense SVD of the masked continuous part of P, similar to
     # the block through the node masses pi(x_i) w_i
     tail = np.abs(d.nodes) > 5.0
