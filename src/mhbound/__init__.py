@@ -3,14 +3,13 @@ Metropolis-Hastings operators with finite-range proposals."""
 
 __version__ = "0.1.0"
 
-from .models import DensityModel, ModelError, ProposalModel, TailRatio
+from .models import DensityModel, ModelError, ProposalModel
 from .kernel import MhKernel
 
 __all__ = [
     "__version__",
     "DensityModel",
     "ProposalModel",
-    "TailRatio",
     "ModelError",
     "MhKernel",
 ]

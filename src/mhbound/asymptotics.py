@@ -1,27 +1,29 @@
-"""Asymptotic (limit) bound: tail-ratio estimation and the closed forms
-for the limiting rejection and tail constants.
+"""Asymptotic (limit) bound: the tails' slopes and the closed forms for
+the limiting rejection and tail constants.
 
-For a symmetric finite-range proposal with shape D on [-s, s] and a
-target whose right-tail ratio tau(u) = lim_x pi(x+u)/pi(x) exists, the
-limiting constants are
+Where a tail's ratio tau(u) = lim pi(x+u)/pi(x) exists for every u, it is
+multiplicative and measurable, so tau(u) = e^{cu} with one slope c in
+[-inf, 0] (see the README's limit bound): c_+ for the right tail and c_-
+for the left one, tau_-(u) = lim_{x -> -inf} pi(x-u)/pi(x).  For a
+symmetric finite-range proposal with shape D on [-s, s], a tail of slope c
+has the limiting constants
 
-    r_prime_inf = 1 - int_0^s D(u) (1 + tau(u)) du          (<= 1/2)
-    beta_inf    = 2 int_0^s D(u) sqrt(tau(u)) du
-    gamma_inf   = 1 - int_0^s D(u) (1 - sqrt(tau(u)))^2 du
+    r_prime_inf(c) = 1 - int_0^s D(u) (1 + e^{cu}) du          (<= 1/2)
+    beta_inf(c)    = 2 int_0^s D(u) e^{cu/2} du
+    gamma_inf(c)   = 1 - int_0^s D(u) (1 - e^{cu/2})^2 du
 
-with the algebraic identity r_prime_inf + beta_inf = gamma_inf.  The
-limit bound on the essential spectral radius is
-alpha_inf = max(r_inf, gamma_inf), where r_inf is the global supremum of
-the rejection probability.
+with the algebraic identity r_prime_inf + beta_inf = gamma_inf; gamma
+rises with c.  The limit bound on the essential spectral radius is
+alpha_inf = max(r_inf, gamma(c_+), gamma(c_-)), where r_inf is the global
+supremum of the rejection probability.
 
 The three integrals share one node set, the positive half of
-bounds.beta's rule, so the identity holds to rounding and a numeric tau
-is evaluated at nodes that beta has already used.
+bounds.beta's rule, so the identity holds to rounding.  No node is 0,
+where c u is NaN at c = -inf.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -30,13 +32,12 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .kernel import R_QUAD_TOL, MhKernel
-from .models import DensityModel, ModelError, ProposalModel, TailRatio
+from .models import DensityModel, ModelError, ProposalModel
 from .quad import gauss_legendre_grid, sup_scan
 
 __all__ = [
     "AsymptoticReport",
     "TauNotConvergedError",
-    "tau_numeric",
     "tail_ratio_for",
     "gamma_inf",
     "r_prime_inf",
@@ -53,6 +54,8 @@ TAIL_PANELS = 4
 #: _TAU_POINTS rows on [0, s]
 _X_MAX = 50.0
 _TAU_POINTS = 33
+#: the slope estimator's secants sit at |x| = 10 * 1.5^k, k < 60
+_SECANT_X0, _SECANT_GROWTH, _SECANT_STEPS = 10.0, 1.5, 60
 
 
 class TauNotConvergedError(RuntimeError):
@@ -61,7 +64,7 @@ class TauNotConvergedError(RuntimeError):
 
 @dataclass
 class AsymptoticReport:
-    #: rows {"u": u, "tau": tau(u)}
+    #: rows {"u": u, "tau_plus": e^{c_+ u}, "tau_minus": e^{c_- u}}
     tau_table: List[Dict[str, float]]
     tau_mode: str
     r_inf: float
@@ -70,141 +73,124 @@ class AsymptoticReport:
     gamma_inf: float
     alpha_inf: float
     degenerate: bool
-    even_verified: bool
     identity_gap: float
     r_quad_error: float
     certified: bool
     verdict: str
 
 
-def tau_numeric(
-    target: DensityModel,
-    u: float,
-    x0: float = 10.0,
-    growth: float = 1.5,
-    max_iters: int = 60,
-) -> Tuple[float, bool]:
-    """Numeric tail-ratio limit along x_k = x0 * growth^k.
-
-    Converged when three successive ratios agree within 1e-6.  The last
-    ratio (clamped to [0, 1]) is returned either way.
-    """
-    if u < 0:
-        raise ValueError("tau is defined for u >= 0")
-    if x0 <= 0 or growth <= 1:
-        raise ValueError("need x0 > 0 and growth > 1")
-    if u == 0.0:
-        return 1.0, True
-    history = []
-    x = x0
-    for _ in range(max_iters):
-        ratio = math.exp(min(0.0, target.log_pdf(x + u) - target.log_pdf(x)))
-        history.append(ratio)
-        if len(history) >= 3 and max(history[-3:]) - min(history[-3:]) <= 1e-6:
-            return min(1.0, max(0.0, history[-1])), True
-        x *= growth
-    return min(1.0, max(0.0, history[-1])), False
+def _tail_rule(proposal: ProposalModel):
+    """Nodes on [0, s] of the limit constants' rule, TAIL_PANELS panels per
+    piece split at the shape's kinks, and its weights times D(u)."""
+    us, ws = gauss_legendre_grid(0.0, proposal.s, TAIL_PANELS, proposal.kinks)
+    return us, proposal.shape(us) * ws
 
 
-def tail_ratio_for(target: DensityModel, s: float) -> TailRatio:
-    """Closed-form tau when available, otherwise the numeric limit.
+def _secant_slope(target: DensityModel, side: float, s: float, u_min: float) -> float:
+    """One tail's slope, from the secants (l(x + side*s) - l(x))/s of
+    l = log pi at x = side * 10 * 1.5^k, each clamped to at most 0.  A
+    finite slope is accepted once two successive secants agree to within
+    1e-9 max(1, |c|); -inf once e^{c u_min} underflows, since every node of
+    the rule then sees the constants of c = -inf.  Both are heuristics."""
+    previous, x = math.nan, _SECANT_X0
+    for _ in range(_SECANT_STEPS):
+        c = min(0.0, (target.log_pdf(side * (x + s)) - target.log_pdf(side * x)) / s)
+        if math.exp(c * u_min) == 0.0:
+            return -math.inf
+        if abs(c - previous) <= 1e-9 * max(1.0, abs(c)):
+            return c
+        previous, x = c, x * _SECANT_GROWTH
+    raise TauNotConvergedError(f"the {'right' if side > 0 else 'left'} tail's slope did not settle")
 
-    Raises TauNotConvergedError when the numeric limit does not settle;
-    the windowed (finite-a) bounds are then the only valid output.
-    """
-    closed = target.tail_ratio(s)
+
+def tail_ratio_for(target: DensityModel, proposal: ProposalModel) -> Tuple[float, float]:
+    """(c_+, c_-), the slopes of tau_+-(u) = e^{c_+- u}: the target's closed
+    form when it has one, else the secant estimate of each tail, with the
+    smallest node of ``proposal``'s limit rule as u_min.
+
+    Raises TauNotConvergedError when either side does not settle; the
+    windowed (finite-a) bounds are then the only valid output.  A
+    ModelError from log pi propagates."""
+    closed = target.tail_slopes()
     if closed is not None:
         return closed
-
-    # memoized: beta evaluates the limit at the same u-nodes in every window
-    @functools.lru_cache(maxsize=None)
-    def fn(u: float) -> float:
-        value, converged = tau_numeric(target, u)
-        if not converged:
-            raise TauNotConvergedError(f"tail ratio did not converge at u={u}")
-        return value
-
-    return TailRatio("numeric-limit", s, fn)
+    u_min = float(_tail_rule(proposal)[0].min())
+    return _secant_slope(target, 1.0, proposal.s, u_min), _secant_slope(target, -1.0, proposal.s, u_min)
 
 
-def _tail_weights(proposal: ProposalModel, tau: TailRatio, breakpoints):
-    """TAIL_PANELS panels per piece of [0, s], split at the shape's kinks and
-    ``breakpoints``: the weights times D(u), and tau, at its nodes."""
-    us, ws = gauss_legendre_grid(0.0, proposal.s, TAIL_PANELS, (*proposal.kinks, *breakpoints))
-    return proposal.shape(us) * ws, np.array([tau(u) for u in us.tolist()])
+def _root_ratio(proposal: ProposalModel, c):
+    """e^{c u/2} at the nodes of the limit rule, one row per slope in ``c``,
+    and the rule's weights times D(u)."""
+    us, dw = _tail_rule(proposal)
+    return np.exp(np.multiply.outer(0.5 * np.asarray(c, dtype=float), us)), dw
 
 
-def gamma_inf(proposal: ProposalModel, tau: TailRatio, breakpoints=()) -> float:
-    """Limit bound gamma = 1 - int_0^s D(u) (1 - sqrt(tau(u)))^2 du."""
-    dw, t = _tail_weights(proposal, tau, breakpoints)
-    value = 1.0 - float(dw @ (1.0 - np.sqrt(t)) ** 2)
-    if value >= 1.0 - 1e-9:
+def gamma_inf(proposal: ProposalModel, c):
+    """Limit bound gamma(c) = 1 - int_0^s D(u) (1 - e^{cu/2})^2 du, for a
+    slope or an array of slopes."""
+    h, dw = _root_ratio(proposal, c)
+    value = 1.0 - np.vecdot((1.0 - h) ** 2, dw)
+    if np.any(value >= 1.0 - 1e-9):
         log.warning("degenerate tail ratio: gamma >= 1, the limit bound certifies nothing")
     return value
 
 
-def r_prime_inf(proposal: ProposalModel, tau: TailRatio, breakpoints=()) -> float:
-    """Limiting tail rejection probability 1 - int_0^s D(u)(1 + tau(u)) du.
+def r_prime_inf(proposal: ProposalModel, c):
+    """Limiting tail rejection probability 1 - int_0^s D(u)(1 + e^{cu}) du,
+    for a slope or an array of slopes.
 
     At most 1/2 for every normalized symmetric shape, since then
-    int_0^s D = 1/2 and tau >= 0; ModelError otherwise."""
-    dw, t = _tail_weights(proposal, tau, breakpoints)
-    value = 1.0 - float(dw @ (1.0 + t))
-    if value > 0.5 + 1e-9:
+    int_0^s D = 1/2; ModelError otherwise."""
+    h, dw = _root_ratio(proposal, c)
+    value = 1.0 - np.vecdot(1.0 + h * h, dw)
+    if np.any(value > 0.5 + 1e-9):
         raise ModelError(
-            f"limiting tail rejection {value} exceeds 1/2: the proposal shape is not "
+            f"limiting tail rejection {np.max(value)} exceeds 1/2: the proposal shape is not "
             "both symmetric and normalized, as the limit bound assumes"
         )
     return value
 
 
-def beta_inf(proposal: ProposalModel, tau: TailRatio, breakpoints=()) -> float:
-    """Limiting tail constant 2 int_0^s D(u) sqrt(tau(u)) du."""
-    dw, t = _tail_weights(proposal, tau, breakpoints)
-    return 2.0 * float(dw @ np.sqrt(t))
-
-
-def _even_target(target: DensityModel, x_max: float) -> bool:
-    xs = np.linspace(0.0, x_max, 101)[1:]
-    gap = np.max(np.abs(target.log_pdf(xs) - target.log_pdf(-xs)))
-    return bool(gap <= 1e-9)
+def beta_inf(proposal: ProposalModel, c):
+    """Limiting tail constant 2 int_0^s D(u) e^{cu/2} du, for a slope or an
+    array of slopes."""
+    h, dw = _root_ratio(proposal, c)
+    return 2.0 * np.vecdot(h, dw)
 
 
 def alpha_inf(k: MhKernel) -> AsymptoticReport:
     """Assemble the limit report: tau table, limiting constants, the
     identity check, and the global rejection supremum.
 
-    r_inf is taken as the larger of a scan of r over [-_X_MAX, _X_MAX]
-    and the limiting tail value (valid because r is continuous and
-    converges to the tail value).  ``r_quad_error`` is the largest error
-    estimate of the r(x) that scan evaluated; above R_QUAD_TOL the report
-    is not certified."""
+    alpha_inf = max(r_inf, gamma_+, gamma_-).  The reported r'_inf, beta_inf
+    and gamma_inf, and the identity check, are the binding side's: the one
+    with the larger slope, since gamma rises with c.  r_inf is the largest
+    of a scan of r over [-_X_MAX, _X_MAX] and both sides' limiting values
+    (valid because r is continuous and converges to them).
+    ``r_quad_error`` is the largest error estimate of the r(x) that scan
+    evaluated; above R_QUAD_TOL the report is not certified."""
     proposal = k.proposal
-    tau = tail_ratio_for(k.target, proposal.s)
+    c = np.array(tail_ratio_for(k.target, proposal))
 
     us = np.linspace(0.0, proposal.s, _TAU_POINTS)
-    tau_table = [{"u": u, "tau": tau(u)} for u in us.tolist()]
+    # tau(0) = 1: c * 0 is NaN at c = -inf
+    tau = np.ones((2, us.size))
+    tau[:, 1:] = np.exp(np.multiply.outer(c, us[1:]))
+    tau_table = [{"u": u, "tau_plus": p, "tau_minus": m} for u, p, m in zip(us.tolist(), *tau.tolist())]
 
-    rp = r_prime_inf(proposal, tau)
-    bi = beta_inf(proposal, tau)
-    gi = gamma_inf(proposal, tau)
-    identity_gap = abs(rp + bi - gi)
+    rp, bi, gi = r_prime_inf(proposal, c), beta_inf(proposal, c), gamma_inf(proposal, c)
+    side = int(np.argmax(gi))
+    identity_gap = abs(rp[side] + bi[side] - gi[side])
 
     k.r_quad_error = 0.0
     scan = sup_scan(k.rejection_grid, -_X_MAX, _X_MAX)
-    r_inf = max(scan.value, rp)
-    a_inf = max(r_inf, gi)
+    r_inf = max(scan.value, rp.max())
+    a_inf = max(r_inf, gi[side])
 
-    degenerate = gi >= 1.0 - 1e-9
-    even_verified = _even_target(k.target, _X_MAX)
+    degenerate = bool(gi[side] >= 1.0 - 1e-9)
     certified = (a_inf < 1.0) and not degenerate and scan.converged and k.r_quad_error <= R_QUAD_TOL
     if degenerate:
         verdict = "no certification: tail ratio is degenerate (gamma >= 1)"
-    elif not even_verified:
-        verdict = (
-            f"alpha = {a_inf:.6g} (evenness hypothesis unverified; "
-            "use the windowed bounds for asymmetric targets)"
-        )
     elif certified:
         verdict = f"quasi-compact certified at level {a_inf:.6g}"
     else:
@@ -212,16 +198,15 @@ def alpha_inf(k: MhKernel) -> AsymptoticReport:
 
     return AsymptoticReport(
         tau_table=tau_table,
-        tau_mode=tau.mode,
-        r_inf=r_inf,
-        r_prime_inf=rp,
-        beta_inf=bi,
-        gamma_inf=gi,
-        alpha_inf=a_inf,
+        tau_mode="numeric-limit" if k.target.tail_slopes() is None else "closed-form",
+        r_inf=float(r_inf),
+        r_prime_inf=float(rp[side]),
+        beta_inf=float(bi[side]),
+        gamma_inf=float(gi[side]),
+        alpha_inf=float(a_inf),
         degenerate=degenerate,
-        even_verified=even_verified,
-        identity_gap=identity_gap,
+        identity_gap=float(identity_gap),
         r_quad_error=k.r_quad_error,
-        certified=certified,
+        certified=bool(certified),
         verdict=verdict,
     )

@@ -22,11 +22,12 @@ for d); a window's minimum is the running minimum over the pieces outside
 it.  So r_a rises and r_prime_a and beta_a fall with a by construction.
 
 The tail suprema run over unbounded sets; here they are evaluated on a
-finite window (a, x_max] on each side and merged (by max) with the
-known limit value whenever the tail ratio is available.  When neither
-the limit is available nor the window has visibly flattened, the report
-is flagged: the value is then a best-effort lower estimate of the
-supremum, NOT a valid bound.
+finite window (a, x_max] on each side and merged (by max) with the limit
+values whenever the tails' slopes (c_+, c_-) are available: r_prime_a with
+the larger of the two sides' r_prime_inf, beta's integrand with
+q(|u|) e^{max(c_+, c_-) |u|/2}.  When neither the limit is available nor
+the window has visibly flattened, the report is flagged: the value is then
+a best-effort lower estimate of the supremum, NOT a valid bound.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import asymptotics
 from .kernel import BLOCK_ELEMENTS, R_QUAD_TOL, MhKernel
-from .models import ModelError, TailRatio
+from .models import ModelError
 from .quad import ScanResult, bracket, composite_gauss_legendre, sup_scan, zoom
 
 __all__ = [
@@ -120,10 +121,10 @@ def default_a_list(s: float) -> List[float]:
     return [s, 2.0 * s, 4.0 * s, 8.0 * s, 16.0 * s]
 
 
-def _windows(k: MhKernel, a_list: Sequence[float], x_max: Optional[float], tau: Optional[TailRatio]):
+def _windows(k: MhKernel, a_list: Sequence[float], x_max: Optional[float], slopes: Optional[tuple]):
     """a_list as a float array, checked to be positive and increasing;
-    x_max, checked to exceed it or defaulted; and tau, looked up when not
-    given (None when the tail ratio does not converge)."""
+    x_max, checked to exceed it or defaulted; and the tails' slopes (c_+,
+    c_-), looked up when not given (None when they do not settle)."""
     a = np.array(a_list, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ModelError("a_list must be a non-empty list of truncation radii")
@@ -135,12 +136,12 @@ def _windows(k: MhKernel, a_list: Sequence[float], x_max: Optional[float], tau: 
         x_max = default_x_max(float(a[-1]), k.proposal.s)
     if x_max <= a[-1]:
         raise ModelError("x_max must exceed a")
-    if tau is None:
+    if slopes is None:
         try:
-            tau = asymptotics.tail_ratio_for(k.target, k.proposal.s)
+            slopes = asymptotics.tail_ratio_for(k.target, k.proposal)
         except asymptotics.TauNotConvergedError:
             pass
-    return a, float(x_max), tau
+    return a, float(x_max), slopes
 
 
 def r_sup_compact(k: MhKernel, a: float) -> ScanResult:
@@ -150,23 +151,23 @@ def r_sup_compact(k: MhKernel, a: float) -> ScanResult:
     return sup_scan(k.rejection_grid, -a, a)
 
 
-def r_sup_tail(k: MhKernel, a: float, x_max: float, tau: Optional[TailRatio] = None) -> TailSup:
+def r_sup_tail(k: MhKernel, a: float, x_max: float, slopes: Optional[tuple] = None) -> TailSup:
     """Supremum of the rejection probability over the tails |x| > a: the
     one-window case of bound_profile's tail step."""
-    a_arr, x_max, tau = _windows(k, [a], x_max, tau)
+    a_arr, x_max, slopes = _windows(k, [a], x_max, slopes)
     scan = sup_scan(k.rejection_grid, np.array([a, -x_max]), np.array([x_max, -a]))
-    return _tail_sups(k, scan.value[:1], scan.value[1:], bool(scan.converged.all()), a_arr, x_max, tau)[0]
+    return _tail_sups(k, scan.value[:1], scan.value[1:], bool(scan.converged.all()), a_arr, x_max, slopes)[0]
 
 
-def _tail_sups(k: MhKernel, right, left, converged: bool, a: np.ndarray, x_max: float, tau) -> List[TailSup]:
+def _tail_sups(k: MhKernel, right, left, converged: bool, a: np.ndarray, x_max: float, slopes) -> List[TailSup]:
     """One TailSup per window from the maxima of r over [a_i, x_max]
-    (``right``) and [-x_max, -a_i] (``left``), merged with the limit value
-    when the tail ratio is known.  Otherwise a tail is resolved when each
-    side's outer tenth, all scanned at once on 256 steps, reaches that
-    side's maximum to within 1e-6."""
+    (``right``) and [-x_max, -a_i] (``left``), merged with the larger of
+    the two sides' limit values when the slopes are known.  Otherwise a
+    tail is resolved when each side's outer tenth, all scanned at once on
+    256 steps, reaches that side's maximum to within 1e-6."""
     value = np.maximum(right, left)
-    if tau is not None:
-        limit = asymptotics.r_prime_inf(k.proposal, tau)
+    if slopes is not None:
+        limit = float(np.max(asymptotics.r_prime_inf(k.proposal, slopes)))
         return [TailSup(max(float(v), limit), converged, True) for v in value]
 
     inner, n = x_max - 0.1 * (x_max - a), a.size
@@ -186,7 +187,7 @@ def beta(
     k: MhKernel,
     a_list: Sequence[float],
     x_max: Optional[float] = None,
-    tau: Optional[TailRatio] = None,
+    slopes: Optional[tuple] = None,
 ) -> List[BetaValue]:
     """Tail constant of each window in ``a_list``: the integral over u of
     the tail supremum of sqrt(t(x, x+u) t(x+u, x)) = sqrt(q(u) q(-u))
@@ -195,10 +196,10 @@ def beta(
     One array pass finds, per node of the rule in u, the minimum of |d|
     on each tail piece [a_i, a_{i+1}] and [-a_{i+1}, -a_i], a_{n+1} =
     x_max (see _min_abs_balance); a window's is the running minimum over
-    the pieces outside it, merged with the limiting integrand when the
-    tail ratio is known.  The error is the difference against the rule
-    with doubled panels."""
-    a, x_max, tau = _windows(k, a_list, x_max, tau)
+    the pieces outside it, merged with the limiting integrand q(|u|)
+    e^{max(c_+, c_-) |u|/2} when the slopes are known.  The error is the
+    difference against the rule with doubled panels."""
+    a, x_max, slopes = _windows(k, a_list, x_max, slopes)
     s, n = k.proposal.s, a.size
     edges = np.append(a, x_max)
     lo, hi = np.concatenate([edges[:-1], -edges[1:]]), np.concatenate([edges[1:], -edges[:-1]])
@@ -216,15 +217,13 @@ def beta(
             zooms_closed = zooms_closed and closed
             min_d = np.minimum.accumulate(pieces.reshape(2, n, -1).min(axis=0)[::-1])[::-1]
             values[:, live] = np.exp(0.5 * (lq[live] - min_d))
-        if tau is not None:
-            v, inverse = np.unique(np.abs(us), return_inverse=True)
-            limit = k.proposal.shape(v) * np.sqrt([tau(float(x)) for x in v])
-            values = np.maximum(values, limit[inverse])
+        if slopes is not None:
+            values = np.maximum(values, k.proposal.shape(np.abs(us)) * np.exp(0.5 * max(slopes) * np.abs(us)))
         return values
 
     res = composite_gauss_legendre(integrand, -s, s, asymptotics.TAIL_PANELS, (0.0, *k.proposal.kinks))
     return [
-        BetaValue(float(v), float(e), zooms_closed and bool(e <= _BETA_TOL), tau is not None)
+        BetaValue(float(v), float(e), zooms_closed and bool(e <= _BETA_TOL), slopes is not None)
         for v, e in zip(res.value, res.error)
     ]
 
@@ -278,18 +277,18 @@ def alpha(
     k: MhKernel,
     a: float,
     x_max: Optional[float] = None,
-    tau: Optional[TailRatio] = None,
+    slopes: Optional[tuple] = None,
 ) -> BoundReport:
     """The windowed bound alpha_a = max(r_a, r_prime_a + beta_a): the
     one-window profile."""
-    return bound_profile(k, [a], x_max, tau).reports[0]
+    return bound_profile(k, [a], x_max, slopes).reports[0]
 
 
 def bound_profile(
     k: MhKernel,
     a_list: Sequence[float],
     x_max: Optional[float] = None,
-    tau: Optional[TailRatio] = None,
+    slopes: Optional[tuple] = None,
 ) -> BoundProfile:
     """One report per truncation radius; the bound holds for every a, so
     the profile's minimizer is the bound to quote.  Windows whose alpha_a
@@ -297,7 +296,7 @@ def bound_profile(
     windows share one r(x) scan (see the module docstring), and
     ``r_quad_error``, the largest error estimate of the r(x) evaluated
     here; above R_QUAD_TOL no window is converged."""
-    a, x_max, tau = _windows(k, a_list, x_max, tau)
+    a, x_max, slopes = _windows(k, a_list, x_max, slopes)
     n = a.size
     edges = np.concatenate([[-x_max], -a[::-1], a, [x_max]])
     k.r_quad_error = 0.0
@@ -305,9 +304,9 @@ def bound_profile(
     v, r_converged = scan.value, bool(scan.converged.all())
     r_a = np.maximum.accumulate(np.maximum(v[n:0:-1], v[n:-1]))
     right, left = np.maximum.accumulate(v[:n:-1])[::-1], np.maximum.accumulate(v[:n])[::-1]
-    tails = _tail_sups(k, right, left, r_converged, a, x_max, tau)
+    tails = _tail_sups(k, right, left, r_converged, a, x_max, slopes)
     reports = []
-    for a_i, core, tail, bt in zip(a.tolist(), r_a.tolist(), tails, beta(k, a, x_max, tau)):
+    for a_i, core, tail, bt in zip(a.tolist(), r_a.tolist(), tails, beta(k, a, x_max, slopes)):
         alpha_a = max(core, tail.value + bt.value)
         converged = tail.converged and bt.converged and k.r_quad_error <= R_QUAD_TOL
         resolved = tail.tail_resolved and bt.tail_resolved

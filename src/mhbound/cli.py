@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``bound`` (windowed bounds over a list of truncation
-radii), ``asymptotic`` (limit bound via the tail ratio), ``profile``
+radii), ``asymptotic`` (limit bound via the tail slopes), ``profile``
 (rejection probability on a grid), ``spectrum`` (discretized operator
 spectrum), ``sample`` (chain simulation).
 
@@ -249,8 +249,8 @@ def cmd_asymptotic(args, cfg: dict) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
     payload = _report("asymptotic", cfg, started, report)
-    rows = [[_fmt(row["u"]), _fmt(row["tau"])] for row in report.tau_table]
-    _emit(args, "asymptotic", payload, (["u", "tau"], rows))
+    header = ["u", "tau_plus", "tau_minus"]
+    _emit(args, "asymptotic", payload, (header, [[_fmt(row[key]) for key in header] for row in report.tau_table]))
     return EXIT_OK if report.certified else EXIT_NOT_CERTIFIED
 
 

@@ -5,16 +5,15 @@ kernel, the truncation constants, the tail ratio, the spectrum's
 symmetric matrix, the sampler) touches the target only through density
 ratios, so the normalization constant is never required.
 
-Built-in targets carry closed-form tail ratios; custom expression
-targets fall back to the numeric limit (see asymptotics.tau_numeric).
+Built-in targets carry their closed-form tail slopes; for an expression
+target asymptotics.tail_ratio_for estimates them from secants of log pi.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .quad import composite_gauss_legendre, sup_scan
 
 __all__ = [
     "ModelError",
-    "TailRatio",
     "DensityModel",
     "ProposalModel",
 ]
@@ -45,27 +43,6 @@ _LOG_PDF_SOURCE = {
 
 class ModelError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TailRatio:
-    """Limiting right-tail density ratio u -> lim_x pi(x+u)/pi(x), u in [0, s]."""
-
-    mode: str  # "closed-form" | "numeric-limit"
-    s: float
-    fn: Callable[[float], float]
-
-    def __call__(self, u: float) -> float:
-        if u < 0:
-            raise ValueError("tail ratio is defined on [0, s]; use reflected() below zero")
-        return float(min(1.0, max(0.0, self.fn(u))))
-
-    def reflected(self, u: float) -> float:
-        """Extension to negative u via tau(-u) = 1/tau(u), with 1/0 = +inf."""
-        if u >= 0:
-            return self(u)
-        v = self(-u)
-        return math.inf if v == 0.0 else 1.0 / v
 
 
 class DensityModel:
@@ -172,13 +149,13 @@ class DensityModel:
             return 0.5 * (1.0 + np.fromiter(map(math.erf, w), float, w.size).reshape(z.shape))
         raise ModelError("cdf is only available for built-in families")
 
-    def tail_ratio(self, s: float) -> Optional[TailRatio]:
-        """Closed-form tau when the family admits one, else None."""
+    def tail_slopes(self) -> Optional[tuple]:
+        """(c_+, c_-), the tails' ratios tau_+-(u) = lim pi(x +- u)/pi(x) =
+        e^{c_+- u} as x -> +-inf, in closed form; None for an expression."""
         if self.family == "laplace":
-            scale = self.scale
-            return TailRatio("closed-form", s, lambda u: math.exp(-u / scale))
+            return (-1.0 / self.scale, -1.0 / self.scale)
         if self.family == "gauss":
-            return TailRatio("closed-form", s, lambda u: 1.0 if u == 0.0 else 0.0)
+            return (-math.inf, -math.inf)
         return None
 
     def __repr__(self):

@@ -70,16 +70,17 @@ def decomposition_residual(k, d, a: float, n_power: int, report) -> float:
     return worst
 
 
-def per_window_report(k, a: float, x_max: float, tau) -> "bounds.BoundReport":
+def per_window_report(k, a: float, x_max: float, slopes) -> "bounds.BoundReport":
     """The report of one window computed on its own, as ``bounds.alpha``
     did before ``bound_profile`` took every window from one pass: r_a from
     ``r_sup_compact`` on [-a, a]; r_prime_a from a two-row scan of
-    [a, x_max] and [-x_max, -a], merged with r'_inf (``tau`` must be
-    known); beta_a from the minimum of |d| over those two whole windows."""
+    [a, x_max] and [-x_max, -a], merged with the larger of the two tails'
+    r'_inf (``slopes``, (c_+, c_-), must be known); beta_a from the minimum
+    of |d| over those two whole windows."""
     k.r_quad_error = 0.0
     core = bounds.r_sup_compact(k, a)
     window = sup_scan(k.rejection_grid, np.array([a, -x_max]), np.array([x_max, -a]))
-    r_prime = max(float(window.value.max()), asymptotics.r_prime_inf(k.proposal, tau))
+    r_prime = max(float(window.value.max()), float(np.max(asymptotics.r_prime_inf(k.proposal, slopes))))
     windows = [(xs, k.target.log_pdf(xs)) for xs in (np.linspace(a, x_max, 1025), np.linspace(-x_max, -a, 1025))]
     closed = []
 
@@ -91,9 +92,7 @@ def per_window_report(k, a: float, x_max: float, tau) -> "bounds.BoundReport":
             min_d, ok = bounds._min_abs_balance(k, windows, us[live])
             closed.append(ok)
             values[live] = np.exp(0.5 * (lq[live] - min_d.min(axis=0)))
-        v, inverse = np.unique(np.abs(us), return_inverse=True)
-        limit = k.proposal.shape(v) * np.sqrt([tau(float(x)) for x in v])
-        return np.maximum(values, limit[inverse])
+        return np.maximum(values, k.proposal.shape(np.abs(us)) * np.exp(0.5 * max(slopes) * np.abs(us)))
 
     s = k.proposal.s
     bt = composite_gauss_legendre(integrand, -s, s, asymptotics.TAIL_PANELS, (0.0, *k.proposal.kinks))

@@ -132,10 +132,10 @@ def test_kinked_shape_matches_mpmath(family, level, tau, decay):
         beta_ref = 2 * mpmath.quad(lambda u: q(u) * mpmath.exp(-decay(u)), pieces)
         rp_ref = 1 - mpmath.quad(lambda u: q(u) * (1 + tau(u)), pieces)
         gamma_ref = 1 - mpmath.quad(lambda u: q(u) * (1 - mpmath.sqrt(tau(u))) ** 2, pieces)
-    limit = asymptotics.tail_ratio_for(k.target, p.s)
+    slopes = asymptotics.tail_ratio_for(k.target, p)
     assert abs(rep.beta_a - float(beta_ref)) <= 1e-12
-    assert abs(asymptotics.r_prime_inf(p, limit) - float(rp_ref)) <= 1e-12
-    assert abs(asymptotics.gamma_inf(p, limit) - float(gamma_ref)) <= 1e-12
+    assert np.abs(asymptotics.r_prime_inf(p, slopes) - float(rp_ref)).max() <= 1e-12
+    assert np.abs(asymptotics.gamma_inf(p, slopes) - float(gamma_ref)).max() <= 1e-12
 
 
 def test_beta_sign_change_is_exact():
@@ -199,12 +199,14 @@ BETA_BEFORE = {
     ("exp(-abs(x)-x/2)", "uniform", 1): 0.884796867716124,
     ("exp(-abs(x)-x/2)", "uniform", 4): 0.884796867716124,
     ("exp(-abs(x)-x/2)", "uniform", 16): 0.8847968677161243,
-    ("1/(1+x^2)", "triangular", 1): 0.9999997218616905,
-    ("1/(1+x^2)", "triangular", 4): 0.9999997218616905,
-    ("1/(1+x^2)", "triangular", 16): 0.9999997218616905,
-    ("1/(1+x^2)", "uniform", 1): 0.999999677436828,
-    ("1/(1+x^2)", "uniform", 4): 0.999999677436828,
-    ("1/(1+x^2)", "uniform", 16): 0.999999677436828,
+    # the tails' ratio is 1 (c = 0), so the tail supremum of sqrt(t t) is
+    # q(u) and beta_a = 1 exactly
+    ("1/(1+x^2)", "triangular", 1): 1.0,
+    ("1/(1+x^2)", "triangular", 4): 1.0,
+    ("1/(1+x^2)", "triangular", 16): 1.0,
+    ("1/(1+x^2)", "uniform", 1): 1.0,
+    ("1/(1+x^2)", "uniform", 4): 1.0,
+    ("1/(1+x^2)", "uniform", 16): 1.0,
 }
 
 
@@ -315,13 +317,13 @@ def test_profile_matches_per_window_route(target):
     # and integrated on its own: one window is the same computation, bit
     # for bit, and the default five agree to rounding
     k = MhKernel(_target(target), ProposalModel.triangular())
-    tau = asymptotics.tail_ratio_for(k.target, k.proposal.s)
+    slopes = asymptotics.tail_ratio_for(k.target, k.proposal)
     (single,) = bounds.bound_profile(k, [16.0]).reports
-    assert single == per_window_report(k, 16.0, bounds.default_x_max(16.0, 1.0), tau)
+    assert single == per_window_report(k, 16.0, bounds.default_x_max(16.0, 1.0), slopes)
     a_list = bounds.default_a_list(1.0)
     prof = bounds.bound_profile(k, a_list)
     for rep, a in zip(prof.reports, a_list):
-        old = per_window_report(k, a, bounds.default_x_max(a_list[-1], 1.0), tau)
+        old = per_window_report(k, a, bounds.default_x_max(a_list[-1], 1.0), slopes)
         for name in ("r_a", "r_prime_a", "beta_a", "alpha_a", "beta_error", "r_quad_error"):
             assert abs(getattr(rep, name) - getattr(old, name)) <= 1e-10, name
         assert [getattr(rep, f) for f in FLAGS] == [getattr(old, f) for f in FLAGS]
@@ -355,10 +357,22 @@ def test_profile_validation(laplace_tri):
     assert len(single.reports) == 1
 
 
+@pytest.mark.parametrize("slopes", [(-math.inf, -0.5), (-0.5, -math.inf)])
+def test_windowed_merge_takes_the_binding_tail(laplace_tri, slopes):
+    # each side's limit merges into both: r'_a with the larger r'_inf (the
+    # smaller slope), beta's integrand with the larger slope's, whichever
+    # side it is on
+    p = laplace_tri.proposal
+    tail = bounds.r_sup_tail(laplace_tri, 4.0, 20.0, slopes)
+    assert tail.value == pytest.approx(0.5, abs=1e-15) and tail.tail_resolved
+    (bt,) = bounds.beta(laplace_tri, [4.0], 20.0, slopes)
+    assert abs(bt.value - asymptotics.beta_inf(p, -0.5)) <= 1e-12 and bt.tail_resolved
+
+
 def test_windowed_dominates_limit(builtin_kernel):
-    tau = asymptotics.tail_ratio_for(builtin_kernel.target, builtin_kernel.proposal.s)
-    rp_inf = asymptotics.r_prime_inf(builtin_kernel.proposal, tau)
-    b_inf = asymptotics.beta_inf(builtin_kernel.proposal, tau)
+    c = max(asymptotics.tail_ratio_for(builtin_kernel.target, builtin_kernel.proposal))
+    rp_inf = asymptotics.r_prime_inf(builtin_kernel.proposal, c)
+    b_inf = asymptotics.beta_inf(builtin_kernel.proposal, c)
     for a in (1.0, 4.0):
         rep = bounds.alpha(builtin_kernel, a)
         assert rep.r_prime_a + rep.beta_a >= rp_inf + b_inf - 1e-6

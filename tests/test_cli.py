@@ -130,7 +130,7 @@ def test_asymptotic_command_laplace(tmp_path):
     assert report["result"]["gamma_inf"] == pytest.approx(GAMMA_LAPLACE, abs=1e-6)
     with open(tmp_path / "asymptotic.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["u", "tau"]
+    assert rows[0] == ["u", "tau_plus", "tau_minus"]
 
 
 def test_asymptotic_command_gauss(tmp_path):
@@ -400,9 +400,9 @@ def test_report_schemas(tmp_path):
     asym = result("asymptotic")
     assert list(asym) == [
         "tau_table", "tau_mode", "r_inf", "r_prime_inf", "beta_inf", "gamma_inf", "alpha_inf",
-        "degenerate", "even_verified", "identity_gap", "r_quad_error", "certified", "verdict",
+        "degenerate", "identity_gap", "r_quad_error", "certified", "verdict",
     ]
-    assert {tuple(row) for row in asym["tau_table"]} == {("u", "tau")}
+    assert {tuple(row) for row in asym["tau_table"]} == {("u", "tau_plus", "tau_minus")}
 
     assert list(result("profile")) == ["points", "argmax", "max"]
 

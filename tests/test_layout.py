@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import mhbound
@@ -22,4 +23,14 @@ def test_no_import_inside_a_function():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 imports = [n for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
                 found += [f"{path.name}:{n.lineno} in {fn.name}" for n in imports]
+    assert found == []
+
+
+def test_every_exported_name_resolves():
+    # a deleted name must leave __all__ too
+    found = []
+    for path in sorted(Path(mhbound.__file__).parent.glob("*.py")):
+        name = "mhbound" if path.stem == "__init__" else f"mhbound.{path.stem}"
+        module = importlib.import_module(name)
+        found += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert found == []

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mhbound.models import DensityModel, ModelError, ProposalModel, TailRatio
+from mhbound import asymptotics
+from mhbound.models import DensityModel, ModelError, ProposalModel
 from mhbound.quad import adaptive_simpson
 
 
@@ -55,28 +56,25 @@ def test_log_pdf_floats_match_arrays(family, scale):
 
 
 def test_tail_ratio_closed_forms():
-    lap = DensityModel.laplace().tail_ratio(1.0)
-    assert lap.mode == "closed-form"
-    assert lap(0.5) == pytest.approx(math.exp(-0.5), abs=1e-15)
-    assert lap(0.0) == 1.0
-    gau = DensityModel.gauss().tail_ratio(1.0)
-    assert gau(0.5) == 0.0
-    assert gau(0.0) == 1.0
-    assert DensityModel.from_expression("exp(-x^2)").tail_ratio(1.0) is None
+    # tau_+-(u) = e^{c_+- u}: one slope per tail
+    assert DensityModel.laplace().tail_slopes() == (-1.0, -1.0)
+    assert DensityModel.laplace(2.0).tail_slopes() == (-0.5, -0.5)
+    assert DensityModel.gauss().tail_slopes() == (-math.inf, -math.inf)
+    assert DensityModel.from_expression("exp(-x^2)").tail_slopes() is None
 
 
 def test_tail_ratio_reflection():
-    lap = DensityModel.laplace().tail_ratio(1.0)
-    assert lap.reflected(-0.5) == pytest.approx(1.0 / lap(0.5), rel=1e-12)
-    gau = DensityModel.gauss().tail_ratio(1.0)
-    assert gau.reflected(-0.5) == math.inf
-    with pytest.raises(ValueError):
-        lap(-0.1)
+    # x -> -x swaps the tails' slopes
+    p = ProposalModel.triangular()
+    for expr, slopes in (("exp(-abs(x)-x/2)", (-1.5, -0.5)), ("exp(-abs(x)+x/2)", (-0.5, -1.5))):
+        assert asymptotics.tail_ratio_for(DensityModel.from_expression(expr), p) == pytest.approx(slopes, abs=1e-12)
 
 
 def test_tail_ratio_clamped():
-    t = TailRatio("closed-form", 1.0, lambda u: 1.5)
-    assert t(0.3) == 1.0
+    # a tail that rises outward has no ratio in [0, 1]: its secants are
+    # clamped to 0, which gives the degenerate gamma = 1
+    p = ProposalModel.triangular()
+    assert asymptotics.tail_ratio_for(DensityModel.from_expression("exp(x)"), p) == pytest.approx((0.0, -1.0), abs=1e-12)
 
 
 def test_expr_target_positivity():
