@@ -23,8 +23,12 @@ Python source once, with two backends for the names in it.
 to numpy functions of arrays, with the same domain rules; ``evaluate`` and
 ``evaluate_array`` compile and call in one step.  ``scalar_lines`` hands
 out the scalar statements themselves, for code that inlines them.
-``kinks`` locates the points where a tree may fail to be smooth, so that
-quadrature can split there.
+
+``log_form`` rewrites a positive tree into a tree for its logarithm, so
+that a density compiled from it is never formed as a value that can
+underflow.  ``kinks`` locates the points where a tree may fail to be
+smooth, so that quadrature can split there; an affine argument's zero is
+solved from the tree.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -54,6 +58,7 @@ __all__ = [
     "compile_array",
     "evaluate",
     "evaluate_array",
+    "log_form",
     "kinks",
 ]
 
@@ -555,6 +560,88 @@ def evaluate_array(e: Expr, values: np.ndarray) -> np.ndarray:
     return compile_array(e)(values)
 
 
+# -- rewrites ---------------------------------------------------------------
+
+
+def _fold(e: Expr, visit: Callable):
+    """``visit(node, results)`` on every node of ``e``, each after its
+    operands, where ``results`` are the operands' own results; the root's
+    result.  The walk keeps its own stack, as ``_lines`` does, so no
+    nesting depth reaches the interpreter's recursion limit."""
+    results = []
+    stack = [e]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            node, count = item
+            args = results[len(results) - count :]
+            del results[len(results) - count :]
+            results.append(visit(node, args))
+        else:
+            children = () if isinstance(item, (Num, Var)) else _operator(item)[1]
+            stack.append((item, len(children)))
+            stack.extend(reversed(children))
+    return results.pop()
+
+
+def _log_node(node: Expr, args: list) -> Optional[Expr]:
+    if isinstance(node, Num):
+        return Num(math.log(node.value)) if node.value > 0.0 else None
+    if isinstance(node, Call) and node.func == "exp":
+        return node.args[0]
+    if isinstance(node, BinOp) and node.op in "*/" and None not in args:
+        return BinOp("+" if node.op == "*" else "-", *args)
+    if isinstance(node, BinOp) and node.op == "^" and args[0] is not None:
+        return BinOp("*", node.right, args[0])
+    return None
+
+
+def log_form(e: Expr) -> Optional[Expr]:
+    """A tree for log e built from the structure of ``e``, or None where
+    there is none:
+
+        log(exp a) = a
+        log(a * b) = log a + log b,  log(a / b) = log a - log b
+        log(a ^ b) = b * log a
+        log c      = the number log c, for a number c > 0
+
+    where a product or quotient needs a log form of both operands, and a
+    power one of its base.  So a tree with a log form is positive wherever
+    it is defined.  The log form evaluates only subtrees of ``e``, so it
+    raises DomainError only where ``e`` raises one, and it has no ``exp``
+    or ``^`` of its own to underflow or overflow.  Anything else, a sum, a
+    difference, a negation, the variable, or a call of abs, log, sqrt, min
+    or max, has no log form."""
+    return _fold(e, _log_node)
+
+
+def _affine_node(node: Expr, args: list) -> Optional[tuple]:
+    if isinstance(node, Num):
+        return 0.0, node.value
+    if isinstance(node, Var):
+        return 1.0, 0.0
+    if None in args or not isinstance(node, (Neg, BinOp)):
+        return None
+    if isinstance(node, Neg):
+        return -args[0][0], -args[0][1]
+    (a, b), (c, d) = args
+    if node.op in "+-":
+        sign = 1.0 if node.op == "+" else -1.0
+        return a + sign * c, b + sign * d
+    if node.op == "*" and (a == 0.0 or c == 0.0):
+        return a * d + b * c, b * d
+    if node.op == "/" and c == 0.0 and d != 0.0:
+        return a / d, b / d
+    return None
+
+
+def _affine(e: Expr) -> Optional[tuple]:
+    """(a, b) with e = a x + b, from the structure of ``e``: numbers, the
+    variable, negation, sums and differences, products with a constant
+    factor and quotients by a nonzero number; None for anything else."""
+    return _fold(e, _affine_node)
+
+
 #: points of the scan in ``kinks``, and refinement steps per root or touch
 _KINK_SCAN_POINTS = 4097
 _KINK_BISECTIONS = 60
@@ -571,8 +658,10 @@ def kinks(e: Expr, lo: float, hi: float) -> tuple:
     abs or sqrt argument, of the base of a ``^`` whose exponent is not an
     integer constant, and of the difference of the arguments of min or max.
 
-    Each such function g is scanned on _KINK_SCAN_POINTS points.  A zero
-    there counts where a neighbour is not zero (the ends of a run of
+    Such a function g that is affine with finite coefficients (see
+    ``_affine``) has its zero solved from the tree, so it is the same for
+    every [lo, hi].  Any other g is scanned on _KINK_SCAN_POINTS points.  A
+    zero there counts where a neighbour is not zero (the ends of a run of
     zeros); sign changes are refined by bisection, all at once.  A zero
     that g only touches between two points leaves an interior strict local
     minimum of |g| with no sign change next to it.  Each such minimum is
@@ -600,6 +689,11 @@ def kinks(e: Expr, lo: float, hi: float) -> tuple:
         ):
             g = node.left
         else:
+            continue
+        line = _affine(g)
+        if line is not None and math.isfinite(line[0]) and math.isfinite(line[1]):
+            if line[0] != 0.0:  # a nonzero constant has no zero, and a zero one no kink
+                found.add(-line[1] / line[0] + 0.0)  # + 0.0 makes -0.0 positive
             continue
         fn = compile_array(g)
         v = fn(xs)

@@ -57,7 +57,12 @@ class DensityModel:
             if not source:
                 raise ModelError("expr target requires an expression")
             self._ast = exprlang.parse(source, "x")
-            self._array_fn = exprlang.compile_array(self._ast)
+            log_tree = exprlang.log_form(self._ast)
+            #: whether the compiled code evaluates the expression's log form
+            #: (log pi) or, where it has none, its value (pi)
+            self._logged = log_tree is not None
+            self._tree = log_tree if self._logged else self._ast
+            self._array_fn = exprlang.compile_array(self._tree)
         else:
             self._ast = self._array_fn = None
         self.family = family
@@ -88,19 +93,22 @@ class DensityModel:
 
     # -- evaluation ---------------------------------------------------
     def log_pdf(self, x):
-        """log pi(x); stable in the far tails for the built-in families.
-        Accepts scalars or ndarrays.  A built-in family, and an expression
-        at a float, run the statements of ``log_pdf_source``; an expression
-        evaluates anything else with its compiled array function."""
+        """log pi(x); stable in the far tails for the built-in families and
+        for an expression with a log form.  Accepts scalars or ndarrays.  A
+        built-in family, and an expression at a float, run the statements
+        of ``log_pdf_source``; an expression evaluates anything else with
+        its compiled array function, and raises the same ModelError where
+        log pi(x) is not above -inf (which includes NaN)."""
         if self._ast is None:
             return self._log_pdf(x)
         if isinstance(x, float):
             return self._log_pdf(float(x))
         vals = self._array_fn(x)
-        if np.any(vals <= 0.0):
-            bad = float(np.asarray(x, dtype=float)[vals <= 0.0].flat[0])
+        good = vals > (-math.inf if self._logged else 0.0)
+        if not good.all():
+            bad = float(np.asarray(x, dtype=float)[~good].flat[0])
             raise ModelError(f"target density is not positive at x={bad}")
-        return np.log(vals, out=vals)[()]
+        return (vals if self._logged else np.log(vals, out=vals))[()]
 
     def log_pdf_source(self, x: str, result: str) -> tuple:
         """log pi as Python statements that set the name ``result`` from the
@@ -108,20 +116,24 @@ class DensityModel:
         namespace)``.
 
         A built-in family's statements are its formula.  An expression's
-        are the scalar statements of ``exprlang.scalar_lines``, a check
-        that raises ModelError where the value is not positive, and
-        ``math.log``.  ``log_pdf`` compiles them once per model, and
+        are the scalar statements of ``exprlang.scalar_lines`` for its log
+        form (``exprlang.log_form``), so ``exp(-abs(x))`` runs as
+        ``-abs(x)``, with a check that raises ModelError where the value is
+        not above -inf.  An expression with no log form gets the statements
+        of its value, a check that raises ModelError where the value is not
+        positive, and ``math.log``.  Either check catches NaN.
+        ``log_pdf`` compiles the statements once per model, and
         ``sampler.run`` inlines them in its step loop."""
         if self._ast is None:
             lines = [line.format(x=x, result=result) for line in _LOG_PDF_SOURCE[self.family]]
             return lines, {"abs": abs, "scale": self.scale, "log_norm": self._log_norm}
-        lines, value, names = exprlang.scalar_lines(self._ast, x)
+        lines, value, names = exprlang.scalar_lines(self._tree, x)
         lines += [
-            f"if {value} <= 0.0:",
+            f"if not {value} > {'-inf' if self._logged else '0.0'}:",
             f"    raise ModelError(f'target density is not positive at x={{{x}}}')",
-            f"{result} = log({value})",
+            f"{result} = {value if self._logged else f'log({value})'}",
         ]
-        return lines, {**names, "ModelError": ModelError, "log": math.log}
+        return lines, {**names, "ModelError": ModelError, "log": math.log, "inf": math.inf}
 
     def pdf(self, x):
         return np.exp(self.log_pdf(x))

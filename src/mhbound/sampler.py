@@ -15,15 +15,17 @@ scalar loop would, so the vectorized path reproduces the sequential
 definition bit for bit.
 
 The step loop itself is sequential.  ``run`` compiles it once, with the
-target's ``DensityModel.log_pdf_source`` (a built-in family's formula, or
-an expression's scalar statements from ``exprlang``'s generator, its
-positivity check and ``math.log``) written into the body, so a step calls
-no ``log_pdf``; a symmetric proposal's loop has no Hastings term.  It
-walks each chain in blocks of ``_BLOCK_STEPS`` steps on Python floats
-(the block's increments, log acceptance uniforms and, for an asymmetric
-proposal, Hastings terms log q(-u) - log q(u) computed as arrays and
-converted with ``tolist``) and records only the numbers of the rejected
-steps.  The block's states are then one ``np.cumsum`` of its increments,
+target's ``DensityModel.log_pdf_source`` written into the body: a
+built-in family's formula, or an expression's scalar statements from
+``exprlang``'s generator for its log form (``exp(-abs(x))`` runs as
+``-abs(x)``, with no exp or log) and the check that log pi is above -inf,
+or, for a tree with no log form, its value's statements, their
+positivity check and ``math.log``.  So a step calls no ``log_pdf``; a
+symmetric proposal's loop has no Hastings term.  It walks each chain in
+blocks of ``_BLOCK_STEPS`` steps on Python floats (the block's
+increments, log acceptance uniforms and, for an asymmetric proposal,
+Hastings terms log q(-u) - log q(u) computed as arrays and converted
+with ``tolist``) and records only the numbers of the rejected steps.  The block's states are then one ``np.cumsum`` of its increments,
 with each rejected increment set to -0.0 and the previous state added to
 the first: x + (-0.0) is x for every float, and cumsum adds left to
 right, so each state is the loop's own sum x + u.  The accept flags are

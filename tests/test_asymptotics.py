@@ -68,9 +68,10 @@ def test_tau_numeric_validation(monkeypatch):
     monkeypatch.setattr(target, "log_pdf", lambda x: math.sin(x) - abs(x))
     with pytest.raises(asymptotics.TauNotConvergedError, match="right tail"):
         asymptotics.tail_ratio_for(target, ProposalModel.triangular())
-    # a ModelError from log pi is not a slope that failed to settle
+    # a ModelError from log pi, of a density that vanishes in its tails, is
+    # not a slope that failed to settle
     with pytest.raises(ModelError, match="not positive"):
-        asymptotics.tail_ratio_for(DensityModel.from_expression("exp(-x^2/2)"), ProposalModel.triangular())
+        asymptotics.tail_ratio_for(DensityModel.from_expression("max(0, 1-abs(x)/3)"), ProposalModel.triangular())
 
 
 @pytest.mark.parametrize("family", ["laplace", "gauss"])
@@ -200,6 +201,14 @@ def test_alpha_inf_gauss(gauss_tri):
     rep = asymptotics.alpha_inf(gauss_tri)
     assert rep.gamma_inf == pytest.approx(0.5, abs=1e-9)
     assert rep.alpha_inf == pytest.approx(0.5, abs=1e-9)
+    assert rep.certified
+
+
+def test_alpha_inf_expr_gauss():
+    # log pi of exp(-x^2/2) is -x^2/2, which does not underflow: both tails'
+    # secant slopes fall to -inf, and alpha_inf is the Gauss limit
+    rep = asymptotics.alpha_inf(MhKernel(DensityModel.from_expression("exp(-x^2/2)"), ProposalModel.triangular()))
+    assert abs(rep.alpha_inf - 0.5) <= 1e-12
     assert rep.certified
 
 

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 import weakref
 
 import numpy as np
@@ -333,6 +334,92 @@ def test_compiled_matches_sympy_on_random_expressions():
                 assert arrays[p] == pytest.approx(want, rel=1e-12, abs=1e-300), (text, p, "array")
                 compared_array += 1
     assert compared > 5000 and compared_array > 5000
+
+
+def _random_log_expr(rng: random.Random, depth: int):
+    """A random tree with a log form: a positive number, exp of any tree,
+    a product or quotient of two such trees, or such a tree to any power."""
+    if depth == 0 or rng.random() < 0.2:
+        return Num(round(rng.uniform(0.001, 10.0), 3))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Call("exp", (_random_expr(rng, depth - 1),))
+    if kind == 1:
+        return BinOp(rng.choice("*/"), _random_log_expr(rng, depth - 1), _random_log_expr(rng, depth - 1))
+    return BinOp("^", _random_log_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+
+
+def test_log_form_matches_sympy_on_random_expressions():
+    # independent oracle: the log of sympy's value of the printed tree,
+    # lambdified onto the math module, where that value is a positive normal
+    # float; on trees built to have a log form and on random trees that
+    # happen to.  Where the log form raises DomainError, the tree does too
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x", real=True)
+    names = {"x": x, "abs": sympy.Abs, "min": sympy.Min, "max": sympy.Max}
+    rng = random.Random(271828)
+    points = [-3.0, -1.5, -0.25, 0.0, 0.7, 2.0, 5.5]
+    compared = 0
+    for i in range(2000):
+        tree = _random_log_expr(rng, 4) if i % 2 else _random_expr(rng, 4)
+        form = exprlang.log_form(tree)
+        if i % 2:
+            assert form is not None, to_source(tree)
+        if form is None:
+            continue
+        text = to_source(tree).replace("^", "**")
+        try:
+            ref = sympy.lambdify(x, sympy.parse_expr(text, local_dict=names, evaluate=False), "math")
+        except (ValueError, TypeError):
+            continue
+        fn, value = compile_scalar(form), compile_scalar(tree)
+        for p in points:
+            try:
+                got = fn(p)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    value(p)
+                continue
+            try:
+                want = ref(p)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                continue
+            if not (isinstance(want, float) and sys.float_info.min <= want < math.inf):
+                continue
+            assert got == pytest.approx(math.log(want), rel=1e-12, abs=1e-10), (text, p)
+            compared += 1
+    assert compared > 5000
+
+
+def test_log_form_fallbacks():
+    # a sum, a negation, the variable and the other functions have no log
+    # form, and neither has a product or quotient with such a factor
+    for source in ("exp(-x) + 1", "1/(1+x^2)", "exp(-abs(x)) * max(0, 1 - abs(x)/5)", "-exp(x)", "x", "abs(x)",
+                   "log(x)", "sqrt(exp(x))", "min(1, exp(x))", "0", "-2"):
+        assert exprlang.log_form(parse(source)) is None, source
+    cases = [
+        ("exp(-abs(x))", "-abs(x)"),
+        ("exp(-x^2/2)/2", "-x^2.0 / 2.0 - " + repr(math.log(2.0))),
+        ("exp(x)^3 / exp(x)^0.5", "3.0 * x - 0.5 * x"),
+        ("4 * 2", repr(math.log(4.0)) + " + " + repr(math.log(2.0))),
+    ]
+    for source, log_source in cases:
+        assert to_source(exprlang.log_form(parse(source))) == log_source, source
+    # the walk keeps its own stack: 5000 factors are no recursion
+    assert exprlang.log_form(parse("*".join(["exp(x)"] * 5000))) is not None
+
+
+def test_kinks_of_affine_arguments_are_solved(monkeypatch):
+    # an affine abs argument or min/max difference has its zero solved from
+    # the tree: exactly, the same on every interval, and with no scan (which
+    # would compile the argument)
+    monkeypatch.setattr(exprlang, "compile_array", None)
+    for lo, hi in ((-67.3, 66.1), (-1.0, 5.0), (-1e-3, 1e-9)):
+        got = exprlang.kinks(parse("exp(-abs(x))"), lo, hi)
+        assert got == (0.0,) and math.copysign(1.0, got[0]) == 1.0
+    assert exprlang.kinks(parse("exp(-abs(x-3))+exp(-abs(x+3))"), -20.0, 7.5) == (-3.0, 3.0)
+    assert exprlang.kinks(parse("max(2*x - 1, -x/4) + min(x, x) + abs(2)"), -5.0, 5.0) == (1.0 / 2.25,)
+    assert exprlang.kinks(parse("abs(x/4 + 3)"), -5.0, 5.0) == ()
 
 
 def test_kinks_examples():

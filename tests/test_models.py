@@ -95,6 +95,30 @@ def test_expr_target_scalar_inputs():
         DensityModel.from_expression("x").log_pdf(0)
 
 
+def test_expr_target_log_domain():
+    # an expression with a log form runs as that form: exp(-abs(x)) is
+    # -abs(x), with no exp_ call and no log of a value, and a light tail
+    # whose value underflows keeps its log pi
+    lines, _ = DensityModel.from_expression("exp(-abs(x))").log_pdf_source("x", "lx")
+    assert not any("exp_" in line or "log(" in line for line in lines)
+    gauss = DensityModel.from_expression("exp(-x^2/2)")
+    assert gauss.log_pdf(60.0) == gauss.log_pdf(np.array([60.0]))[0] == -1800.0
+    cubic = DensityModel.from_expression("exp(-abs(x)^3/3)")
+    assert cubic.log_pdf(-66.0) == -(66.0**3) / 3.0
+
+
+def test_expr_target_nan_raises():
+    # exp(x) - exp(x) is inf - inf = NaN at x = 800, in the log form of the
+    # first target and in the value of the second, which has none: log pi is
+    # NaN there, not a density, on floats and on arrays
+    for source in ("exp(exp(x)-exp(x))", "1 + exp(x) - exp(x)"):
+        m = DensityModel.from_expression(source)
+        with pytest.raises(ModelError, match=r"not positive at x=800\.0"):
+            m.log_pdf(800.0)
+        with np.errstate(invalid="ignore"), pytest.raises(ModelError, match=r"not positive at x=800\.0"):
+            m.log_pdf(np.array([0.0, 800.0]))
+
+
 def test_target_constructor_validation():
     with pytest.raises(ModelError):
         DensityModel("cauchy")
