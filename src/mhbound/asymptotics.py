@@ -31,7 +31,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .kernel import R_QUAD_TOL, MhKernel
+from .kernel import MhKernel, certification
 from .models import DensityModel, ModelError, ProposalModel
 from .quad import gauss_legendre_grid, sup_scan
 
@@ -167,8 +167,7 @@ def alpha_inf(k: MhKernel) -> AsymptoticReport:
     with the larger slope, since gamma rises with c.  r_inf is the largest
     of a scan of r over [-_X_MAX, _X_MAX] and both sides' limiting values
     (valid because r is continuous and converges to them).
-    ``r_quad_error`` is the largest error estimate of the r(x) that scan
-    evaluated; above R_QUAD_TOL the report is not certified."""
+    ``r_quad_error`` is that scan's ``ScanResult.error``."""
     proposal = k.proposal
     c = np.array(tail_ratio_for(k.target, proposal))
 
@@ -182,19 +181,12 @@ def alpha_inf(k: MhKernel) -> AsymptoticReport:
     side = int(np.argmax(gi))
     identity_gap = abs(rp[side] + bi[side] - gi[side])
 
-    k.r_quad_error = 0.0
     scan = sup_scan(k.rejection_grid, -_X_MAX, _X_MAX)
     r_inf = max(scan.value, rp.max())
     a_inf = max(r_inf, gi[side])
 
     degenerate = bool(gi[side] >= 1.0 - 1e-9)
-    certified = (a_inf < 1.0) and not degenerate and scan.converged and k.r_quad_error <= R_QUAD_TOL
-    if degenerate:
-        verdict = "no certification: tail ratio is degenerate (gamma >= 1)"
-    elif certified:
-        verdict = f"quasi-compact certified at level {a_inf:.6g}"
-    else:
-        verdict = f"no certification (alpha = {a_inf:.6g})"
+    _, certified, verdict = certification(float(a_inf), scan.error, scan.converged, True, degenerate)
 
     return AsymptoticReport(
         tau_table=tau_table,
@@ -206,7 +198,7 @@ def alpha_inf(k: MhKernel) -> AsymptoticReport:
         alpha_inf=float(a_inf),
         degenerate=degenerate,
         identity_gap=float(identity_gap),
-        r_quad_error=k.r_quad_error,
-        certified=bool(certified),
+        r_quad_error=scan.error,
+        certified=certified,
         verdict=verdict,
     )

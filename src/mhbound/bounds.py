@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import asymptotics
-from .kernel import BLOCK_ELEMENTS, R_QUAD_TOL, MhKernel
+from .kernel import BLOCK_ELEMENTS, MhKernel, certification
 from .models import ModelError
 from .quad import ScanResult, bracket, composite_gauss_legendre, sup_scan, zoom
 
@@ -156,31 +156,33 @@ def r_sup_tail(k: MhKernel, a: float, x_max: float, slopes: Optional[tuple] = No
     one-window case of bound_profile's tail step."""
     a_arr, x_max, slopes = _windows(k, [a], x_max, slopes)
     scan = sup_scan(k.rejection_grid, np.array([a, -x_max]), np.array([x_max, -a]))
-    return _tail_sups(k, scan.value[:1], scan.value[1:], bool(scan.converged.all()), a_arr, x_max, slopes)[0]
+    return _tail_sups(k, scan.value[:1], scan.value[1:], bool(scan.converged.all()), a_arr, x_max, slopes)[0][0]
 
 
-def _tail_sups(k: MhKernel, right, left, converged: bool, a: np.ndarray, x_max: float, slopes) -> List[TailSup]:
+def _tail_sups(k: MhKernel, right, left, converged: bool, a: np.ndarray, x_max: float, slopes):
     """One TailSup per window from the maxima of r over [a_i, x_max]
     (``right``) and [-x_max, -a_i] (``left``), merged with the larger of
     the two sides' limit values when the slopes are known.  Otherwise a
     tail is resolved when each side's outer tenth, all scanned at once on
-    256 steps, reaches that side's maximum to within 1e-6."""
+    256 steps, reaches that side's maximum to within 1e-6.  Also the r(x)
+    error of that scan (0.0 when none ran)."""
     value = np.maximum(right, left)
     if slopes is not None:
         limit = float(np.max(asymptotics.r_prime_inf(k.proposal, slopes)))
-        return [TailSup(max(float(v), limit), converged, True) for v in value]
+        return [TailSup(max(float(v), limit), converged, True) for v in value], 0.0
 
     inner, n = x_max - 0.1 * (x_max - a), a.size
     lo, hi = np.concatenate([inner, np.full(n, -x_max)]), np.concatenate([np.full(n, x_max), -inner])
-    outer = sup_scan(k.rejection_grid, lo, hi, coarse_steps=256).value
-    resolved = (outer[:n] >= right - 1e-6) & (outer[n:] >= left - 1e-6)
+    outer = sup_scan(k.rejection_grid, lo, hi, coarse_steps=256)
+    resolved = (outer.value[:n] >= right - 1e-6) & (outer.value[n:] >= left - 1e-6)
     if not resolved.all():
         log.warning(
             "tail supremum beyond |x|=%g not resolved; the reported value is a "
             "lower estimate, not a valid bound",
             x_max,
         )
-    return [TailSup(float(v), converged and bool(ok), bool(ok)) for v, ok in zip(value, resolved)]
+    tails = [TailSup(float(v), converged and bool(ok), bool(ok)) for v, ok in zip(value, resolved)]
+    return tails, float(outer.error.max())
 
 
 def beta(
@@ -244,7 +246,7 @@ def _min_abs_balance(k: MhKernel, windows, us: np.ndarray):
     The arrays handed to log_pdf are slices of buffers reused across
     blocks and levels, so their pages are faulted in once per call."""
     n = us.size
-    x, v, lo, hi, sign = np.empty((5, len(windows) * n))
+    x, v, lo, hi, error, sign = np.empty((6, len(windows) * n))
     for w, (xs, lx) in enumerate(windows):
         chunk = max(1, BLOCK_ELEMENTS // xs.size)
         y = np.empty((min(chunk, n), xs.size))
@@ -255,7 +257,7 @@ def _min_abs_balance(k: MhKernel, windows, us: np.ndarray):
             crossed = (d.min(axis=1) <= 0.0) & (d.max(axis=1) >= 0.0)
             sign[block] = np.where(crossed, 0.0, np.sign(d[:, 0]))
             np.negative(np.abs(d, out=d), out=d)
-            x[block], v[block], lo[block], hi[block] = bracket(xs, d)
+            x[block], v[block], lo[block], hi[block], error[block] = bracket(xs, d, 0.0)
     live = np.flatnonzero(sign)
     u, sign = np.tile(us, len(windows))[live, None], sign[live, None]
     buf = None
@@ -265,9 +267,9 @@ def _min_abs_balance(k: MhKernel, windows, us: np.ndarray):
         if buf is None:  # the first level has the most rows
             buf = np.empty(xs.shape)
         d = k.log_balance(xs, u[rows], out=buf[: rows.size])
-        return np.multiply(d, -sign[rows], out=d)
+        return np.multiply(d, -sign[rows], out=d), 0.0
 
-    res = zoom(minus_signed_d, x[live], v[live], lo[live], hi[live], _BETA_TOL_X)
+    res = zoom(minus_signed_d, x[live], v[live], lo[live], hi[live], error[live], _BETA_TOL_X)
     best = np.zeros(len(windows) * n)
     best[live] = np.maximum(0.0, -res.value)
     return best.reshape(len(windows), n), bool(res.converged.all())
@@ -294,27 +296,22 @@ def bound_profile(
     the profile's minimizer is the bound to quote.  Windows whose alpha_a
     tie with the minimum to within _TIE_TOL go to the smallest a.  All
     windows share one r(x) scan (see the module docstring), and
-    ``r_quad_error``, the largest error estimate of the r(x) evaluated
-    here; above R_QUAD_TOL no window is converged."""
+    ``r_quad_error``, the largest ``ScanResult.error`` of that scan and of
+    ``_tail_sups``' scan, which ``kernel.certification`` weighs."""
     a, x_max, slopes = _windows(k, a_list, x_max, slopes)
     n = a.size
     edges = np.concatenate([[-x_max], -a[::-1], a, [x_max]])
-    k.r_quad_error = 0.0
     scan = sup_scan(k.rejection_grid, edges[:-1], edges[1:])
     v, r_converged = scan.value, bool(scan.converged.all())
     r_a = np.maximum.accumulate(np.maximum(v[n:0:-1], v[n:-1]))
     right, left = np.maximum.accumulate(v[:n:-1])[::-1], np.maximum.accumulate(v[:n])[::-1]
-    tails = _tail_sups(k, right, left, r_converged, a, x_max, slopes)
+    tails, tail_error = _tail_sups(k, right, left, r_converged, a, x_max, slopes)
+    r_quad_error = max(float(scan.error.max()), tail_error)
     reports = []
     for a_i, core, tail, bt in zip(a.tolist(), r_a.tolist(), tails, beta(k, a, x_max, slopes)):
         alpha_a = max(core, tail.value + bt.value)
-        converged = tail.converged and bt.converged and k.r_quad_error <= R_QUAD_TOL
         resolved = tail.tail_resolved and bt.tail_resolved
-        certified = alpha_a < 1.0 and converged and resolved
-        if certified:
-            verdict = f"quasi-compact certified at level {alpha_a:.6g}"
-        else:
-            verdict = f"no certification (alpha = {alpha_a:.6g})"
+        converged, certified, verdict = certification(alpha_a, r_quad_error, tail.converged and bt.converged, resolved)
         reports.append(
             BoundReport(
                 a=a_i,
@@ -326,7 +323,7 @@ def bound_profile(
                 converged=converged,
                 tail_resolved=resolved,
                 beta_error=bt.error,
-                r_quad_error=k.r_quad_error,
+                r_quad_error=r_quad_error,
                 certified=certified,
                 verdict=verdict,
             )

@@ -262,13 +262,9 @@ def cmd_profile(args, cfg: dict) -> int:
         raise ConfigError("profile needs lo < hi and step > 0")
     count = int(round((hi - lo) / step)) + 1
     xs = lo + step * np.arange(count)
-    rs = k.rejection_grid(xs)
-    payload = _report(
-        "profile",
-        cfg,
-        started,
-        {"points": count, "argmax": float(xs[int(np.argmax(rs))]), "max": float(np.max(rs))},
-    )
+    rs, errors = k.rejection_grid(xs)
+    argmax, top, error = float(xs[int(np.argmax(rs))]), float(np.max(rs)), float(np.max(errors))
+    payload = _report("profile", cfg, started, {"points": count, "argmax": argmax, "max": top, "r_quad_error": error})
     rows = [[_fmt(x), _fmt(r)] for x, r in zip(xs, rs)]
     _emit(args, "profile", payload, (["x", "r_x"], rows))
     return EXIT_OK

@@ -30,7 +30,7 @@ import numpy as np
 from .models import DensityModel, ProposalModel
 from .quad import GL_POINTS, gauss_legendre_nodes
 
-__all__ = ["MhKernel", "R_QUAD_TOL"]
+__all__ = ["MhKernel", "R_QUAD_TOL", "certification"]
 
 #: elements of a two-dimensional grid evaluated at once, in integrate_u
 #: (a block's nodes and their weights together) and in bounds.beta: 512 KB
@@ -53,6 +53,24 @@ _MAX_HALVINGS = 8
 R_QUAD_TOL = 1e-8
 
 
+def certification(alpha: float, r_quad_error: float, scans_converged: bool, resolved: bool, degenerate: bool = False):
+    """(converged, certified, verdict) of a windowed or limit report with
+    bound ``alpha``: converged when its scans converged and r_quad_error
+    <= R_QUAD_TOL; certified when also alpha < 1, its tails resolved and
+    its tail ratio not degenerate.  Below 1, the verdict names what failed."""
+    failed = [reason for ok, reason in (
+        (r_quad_error <= R_QUAD_TOL, f"r(x) quadrature error {r_quad_error:.2g} above {R_QUAD_TOL:.2g}"),
+        (scans_converged, "a scan or integral did not converge"),
+        (resolved, "tail supremum not resolved"),
+    ) if not ok]
+    converged = scans_converged and r_quad_error <= R_QUAD_TOL
+    if degenerate:
+        return converged, False, "no certification: tail ratio is degenerate (gamma >= 1)"
+    if alpha < 1.0 and not failed:
+        return converged, True, f"quasi-compact certified at level {alpha:.6g}"
+    return converged, False, f"no certification (alpha = {alpha:.6g})" + (f": {'; '.join(failed)}" if alpha < 1 else "")
+
+
 @cache
 def _piece_rule():
     """Nodes and weights on [-1, 1] of one Gauss-Legendre panel followed by
@@ -64,14 +82,10 @@ def _piece_rule():
     return nodes, weights
 
 
-@dataclass
+@dataclass(frozen=True)
 class MhKernel:
     target: DensityModel
     proposal: ProposalModel
-    #: the largest error estimate of an r(x) that ``rejection_grid`` has
-    #: returned since this was last set; bounds.bound_profile and
-    #: asymptotics.alpha_inf set it to 0 and report it
-    r_quad_error: float = 0.0
 
     # -- kernel evaluation --------------------------------------------
     def log_t(self, x, u):
@@ -218,15 +232,14 @@ class MhKernel:
     # -- rejection probability ----------------------------------------
     def rejection_prob(self, x: float) -> float:
         """r(x) at one point: ``rejection_grid`` on x."""
-        return float(self.rejection_grid(x))
+        return float(self.rejection_grid(x)[0])
 
-    def rejection_grid(self, xs) -> np.ndarray:
-        """r(x) = 1 - integral of q(u) min(1, pi(x+u)/pi(x)) du over x
-        values of any shape; the result has the shape of xs.  Raises
-        ``r_quad_error`` to the largest error estimate among them."""
+    def rejection_grid(self, xs):
+        """(r, error) over x values of any shape, each of the shape of xs:
+        r(x) = 1 - integral of q(u) min(1, pi(x+u)/pi(x)) du, and its error
+        estimate from ``integrate_u``."""
         xs = np.asarray(xs, dtype=float)
         accepted, error = self.integrate_u(
             xs.reshape(-1), self.proposal.shape, lambda d: np.exp(np.minimum(0.0, d, out=d), out=d)
         )
-        self.r_quad_error = max(self.r_quad_error, float(error.max(initial=0.0)))
-        return (1.0 - accepted).reshape(xs.shape)
+        return (1.0 - accepted).reshape(xs.shape), error.reshape(xs.shape)

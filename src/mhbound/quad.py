@@ -65,6 +65,7 @@ class ScanResult:
     argmax: float
     value: float
     converged: bool
+    error: float  # the largest error estimate of the points evaluated
 
 
 @cache
@@ -193,29 +194,30 @@ _ZOOM_POINTS = 33
 _MAX_LEVELS = 17
 
 
-def bracket(xs: np.ndarray, vals: np.ndarray):
-    """Per row of ``vals`` (rows, n), taken at the points ``xs`` (of the
-    same shape, or one row shared by all): the argmax, the maximum, and the
-    ends of the two grid steps around the argmax, which the next zoom level
-    spans."""
-    xs = np.broadcast_to(xs, vals.shape)
+def bracket(xs: np.ndarray, vals, errors):
+    """Per row of ``vals`` (rows, n) and its ``errors`` (the same shape,
+    or 0.0), taken at the points ``xs`` (the same shape, or one row): the
+    argmax, the maximum, the ends of the two grid steps around the argmax,
+    which the next zoom level spans, and the largest error."""
+    xs, largest = np.broadcast_to(xs, vals.shape), np.broadcast_to(errors, vals.shape).max(axis=1)
     i = vals.argmax(axis=1)
     r = np.arange(i.size)
-    return xs[r, i], vals[r, i], xs[r, np.maximum(i - 1, 0)], xs[r, np.minimum(i + 1, vals.shape[1] - 1)]
+    return xs[r, i], vals[r, i], xs[r, np.maximum(i - 1, 0)], xs[r, np.minimum(i + 1, vals.shape[1] - 1)], largest
 
 
-def zoom(f: Callable, x: np.ndarray, v: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol_x: float) -> ScanResult:
+def zoom(f: Callable, x, v, lo, hi, error, tol_x: float) -> ScanResult:
     """Refine the maximum of every row, starting from a level's ``bracket``:
-    each row's best point ``x`` and value ``v`` so far and its bracket
-    [lo, hi], all updated in place.
+    each row's best point ``x``, value ``v`` and largest ``error`` so far
+    and its bracket [lo, hi], arrays all updated in place.
 
-    Each level calls ``f(xs, rows)`` once: ``rows`` indexes the rows whose
-    bracket is still wider than tol_x, and xs holds _ZOOM_POINTS evenly
-    spaced points across each one's bracket, so a bracket shrinks at least
-    16-fold per level.  A row's value is the maximum over every point
-    evaluated in it (a NaN seed stays, as no value compares above it); its
-    next bracket surrounds the level's argmax.  The result holds arrays,
-    and ``converged`` is whether a row's bracket reached tol_x."""
+    Each level calls ``f(xs, rows)`` once, for values and error estimates:
+    ``rows`` indexes the rows whose bracket is still wider than tol_x, and
+    xs holds _ZOOM_POINTS evenly spaced points across each one's bracket,
+    so a bracket shrinks at least 16-fold per level.  A row's value and
+    error are the maxima over every point evaluated in it (a NaN seed
+    stays, as no value compares above it); its next bracket surrounds the
+    level's argmax.  The result holds arrays, and ``converged`` is whether
+    a row's bracket reached tol_x."""
     buf = np.empty((lo.size, _ZOOM_POINTS))
     for _ in range(_MAX_LEVELS - 1):
         rows = np.flatnonzero(hi - lo > tol_x)
@@ -223,30 +225,28 @@ def zoom(f: Callable, x: np.ndarray, v: np.ndarray, lo: np.ndarray, hi: np.ndarr
             break
         xs = buf[: rows.size]
         xs[...] = np.linspace(lo[rows], hi[rows], _ZOOM_POINTS, axis=1)
-        lx, lv, lo[rows], hi[rows] = bracket(xs, np.asarray(f(xs, rows), dtype=float))
+        lx, lv, lo[rows], hi[rows], le = bracket(xs, *f(xs, rows))
         up = lv > v[rows]
-        x[rows[up]], v[rows[up]] = lx[up], lv[up]
-    return ScanResult(x, v, hi - lo <= tol_x)
+        x[rows[up]], v[rows[up]], error[rows] = lx[up], lv[up], np.maximum(error[rows], le)
+    return ScanResult(x, v, hi - lo <= tol_x, error)
 
 
-def sup_scan(
-    f: Callable[[np.ndarray], np.ndarray], lo, hi, *, coarse_steps: int = 2048, tol_x: float = 1e-8
-) -> ScanResult:
+def sup_scan(f: Callable, lo, hi, *, coarse_steps: int = 2048, tol_x: float = 1e-8) -> ScanResult:
     """Locate the supremum of f on [lo, hi] by coarse scan + ``zoom``.
 
     ``lo`` and ``hi`` are floats, or equal-length arrays with one interval
     per row.  Each row's coarse step is (hi-lo)/coarse_steps, and the zoom
     stops once a row's bracket is at most tol_x wide.  f must take arrays:
-    it is called once per level, on a (rows, points) array.  The returned
-    value is the maximum over every point evaluated, so it dominates the
-    value at every coarse grid point by construction.  For float bounds
-    the result holds floats and a bool, otherwise one array entry per
-    row."""
+    it is called once per level, on a (rows, points) array, for values and
+    error estimates (or 0.0).  The returned value and error are the maxima
+    over every point evaluated, so the value dominates the value at every
+    coarse grid point by construction.  For float bounds the result holds
+    floats and a bool, otherwise one array entry per row."""
     lo_r, hi_r = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
     if not np.all(lo_r < hi_r):
         raise ValueError("sup_scan requires lo < hi")
     xs = np.linspace(lo_r, hi_r, coarse_steps + 1, axis=1)
-    res = zoom(lambda z, rows: f(z), *bracket(xs, np.asarray(f(xs), dtype=float)), tol_x)
+    res = zoom(lambda z, rows: f(z), *bracket(xs, *f(xs)), tol_x)
     if np.ndim(lo) == np.ndim(hi) == 0:
-        return ScanResult(float(res.argmax[0]), float(res.value[0]), bool(res.converged[0]))
+        return ScanResult(float(res.argmax[0]), float(res.value[0]), bool(res.converged[0]), float(res.error[0]))
     return res

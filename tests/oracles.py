@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from mhbound import asymptotics, bounds
+from mhbound.kernel import certification
 from mhbound.quad import composite_gauss_legendre, sup_scan
 from mhbound.spectra import build_p_matrix, symmetrize
 
@@ -76,8 +77,8 @@ def per_window_report(k, a: float, x_max: float, slopes) -> "bounds.BoundReport"
     ``r_sup_compact`` on [-a, a]; r_prime_a from a two-row scan of
     [a, x_max] and [-x_max, -a], merged with the larger of the two tails'
     r'_inf (``slopes``, (c_+, c_-), must be known); beta_a from the minimum
-    of |d| over those two whole windows."""
-    k.r_quad_error = 0.0
+    of |d| over those two whole windows; r_quad_error from the errors of
+    its two r(x) scans."""
     core = bounds.r_sup_compact(k, a)
     window = sup_scan(k.rejection_grid, np.array([a, -x_max]), np.array([x_max, -a]))
     r_prime = max(float(window.value.max()), float(np.max(asymptotics.r_prime_inf(k.proposal, slopes))))
@@ -97,13 +98,9 @@ def per_window_report(k, a: float, x_max: float, slopes) -> "bounds.BoundReport"
     s = k.proposal.s
     bt = composite_gauss_legendre(integrand, -s, s, asymptotics.TAIL_PANELS, (0.0, *k.proposal.kinks))
     alpha_a = max(core.value, r_prime + float(bt.value))
-    converged = core.converged and bool(window.converged.all()) and all(closed)
-    converged = converged and bt.error <= bounds._BETA_TOL and k.r_quad_error <= bounds.R_QUAD_TOL
-    certified = bool(alpha_a < 1.0 and converged)
-    if certified:
-        verdict = f"quasi-compact certified at level {alpha_a:.6g}"
-    else:
-        verdict = f"no certification (alpha = {alpha_a:.6g})"
+    r_quad_error = max(core.error, float(window.error.max()))
+    converged = core.converged and bool(window.converged.all()) and all(closed) and bt.error <= bounds._BETA_TOL
+    converged, certified, verdict = certification(alpha_a, r_quad_error, converged, True, False)
     return bounds.BoundReport(
         a=a,
         r_a=core.value,
@@ -114,7 +111,7 @@ def per_window_report(k, a: float, x_max: float, slopes) -> "bounds.BoundReport"
         converged=bool(converged),
         tail_resolved=True,
         beta_error=float(bt.error),
-        r_quad_error=k.r_quad_error,
+        r_quad_error=r_quad_error,
         certified=certified,
         verdict=verdict,
     )

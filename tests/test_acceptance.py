@@ -210,7 +210,7 @@ def test_criterion_9_sampler_validation(laplace_tri):
     summary = sampler.run(laplace_tri, cfg)
     # stationary acceptance rate by quadrature of r against the target
     def integrand(xs):
-        return laplace_tri.rejection_grid(xs) * laplace_tri.target.pdf(xs)
+        return laplace_tri.rejection_grid(xs)[0] * laplace_tri.target.pdf(xs)
 
     expect = 1.0 - composite_gauss_legendre(integrand, -40.0, 40.0, 128, (0.0,)).value
     n_eff = cfg.steps - cfg.burn_in

@@ -273,16 +273,17 @@ def test_alpha_laplace(laplace_tri):
 
 
 def test_reports_cover_their_own_r_evaluations():
-    # each report starts the kernel's largest r(x) error estimate afresh, so
-    # an estimate left over from an earlier call does not reach it
+    # a report's r_quad_error comes from the scans it ran, so an r(x) with a
+    # larger estimate evaluated earlier on the same kernel does not reach it
+    fresh = MhKernel(DensityModel.gauss(), ProposalModel.triangular())
     k = MhKernel(DensityModel.gauss(), ProposalModel.triangular())
-    k.r_quad_error = 1.0
+    k.rejection_prob(200.0)
     rep = bounds.alpha(k, 4.0)
     assert 0.0 < rep.r_quad_error <= 1e-11 and rep.converged
-    k.r_quad_error = 1.0
+    assert rep.r_quad_error == bounds.alpha(fresh, 4.0).r_quad_error
     limit = asymptotics.alpha_inf(k)
     assert 0.0 < limit.r_quad_error <= 1e-11 and limit.certified
-    assert k.r_quad_error == limit.r_quad_error
+    assert limit.r_quad_error == asymptotics.alpha_inf(fresh).r_quad_error
 
 
 def test_alpha_flat_tail_not_certified():

@@ -291,7 +291,7 @@ def test_kinked_shape_certifies(tmp_path):
 def test_two_roots_in_one_coarse_cell_do_not_certify(tmp_path):
     # d(x, .) has two roots in one coarse cell of integrate_u near x = 0.5
     # (see test_kernel.py): r_quad_error exceeds 1e-8, so the window is
-    # neither converged nor certified
+    # neither converged nor certified, and its verdict says why
     code = run_cli(
         "bound", "--out", str(tmp_path), "--format", "json", "--set", "bound.a_list=[1.0]",
         "--set", "target.family=expr", "--set", "target.expr=exp(-abs(x) + 0.3*exp(-((x-0.7)/0.005)^2))",
@@ -300,6 +300,7 @@ def test_two_roots_in_one_coarse_cell_do_not_certify(tmp_path):
     report = json.loads((tmp_path / "bound.json").read_text())["result"]["best"]
     assert report["r_quad_error"] > 1e-8 and report["beta_error"] <= 1e-8
     assert not report["converged"] and not report["certified"]
+    assert report["verdict"].endswith(f"r(x) quadrature error {report['r_quad_error']:.2g} above 1e-08")
 
 
 def test_commands_integrate_without_adaptive_simpson(tmp_path, monkeypatch):
@@ -404,7 +405,7 @@ def test_report_schemas(tmp_path):
     ]
     assert {tuple(row) for row in asym["tau_table"]} == {("u", "tau_plus", "tau_minus")}
 
-    assert list(result("profile")) == ["points", "argmax", "max"]
+    assert list(result("profile")) == ["points", "argmax", "max", "r_quad_error"]
 
     spectrum = result("spectrum", "spectrum.n=51", "spectrum.A=12")
     assert list(spectrum) == [

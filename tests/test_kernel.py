@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -47,13 +48,13 @@ def test_rejection_prob_flat_region():
 
 def test_rejection_grid_within_unit_interval(laplace_tri):
     xs = np.linspace(-8.0, 8.0, 1000)[::37]
-    rs = laplace_tri.rejection_grid(xs)
+    rs, _ = laplace_tri.rejection_grid(xs)
     assert np.all(rs >= -1e-12) and np.all(rs <= 1.0 + 1e-12)
 
 
 def test_rejection_prob_is_rejection_grid(builtin_kernel):
     for x in np.linspace(-8.0, 8.0, 1000)[::37]:
-        assert builtin_kernel.rejection_prob(float(x)) == builtin_kernel.rejection_grid([x])[0]
+        assert builtin_kernel.rejection_prob(float(x)) == builtin_kernel.rejection_grid([x])[0][0]
 
 
 def test_rejection_grid_matches_adaptive(laplace_tri, gauss_tri):
@@ -62,7 +63,7 @@ def test_rejection_grid_matches_adaptive(laplace_tri, gauss_tri):
     for k in (laplace_tri, gauss_tri):
         s = k.proposal.s
         xs = np.linspace(-6.0, 6.0, 41)
-        fast = k.rejection_grid(xs)
+        fast, _ = k.rejection_grid(xs)
         slow = np.array(
             [
                 1.0 - adaptive_simpson(lambda u: k.t_eval(x, u), -s, s, breakpoints=(0.0, -2.0 * x)).value
@@ -77,10 +78,10 @@ def test_rejection_grid_independent_of_block_split(gauss_tri):
     # integrate_u takes its x in blocks of this many rows of the coarse
     # grid on which it finds the sign changes of d
     rows = BLOCK_ELEMENTS // (2 * _ROOT_POINTS)
-    whole = gauss_tri.rejection_grid(xs)
+    whole, _ = gauss_tri.rejection_grid(xs)
     # sub-batches that start and end mid-block
     cuts = [0, rows // 2, rows + 3, 3 * rows - 1, 3300, xs.size]
-    split = np.concatenate([gauss_tri.rejection_grid(xs[i:j]) for i, j in zip(cuts, cuts[1:])])
+    split = np.concatenate([gauss_tri.rejection_grid(xs[i:j])[0] for i, j in zip(cuts, cuts[1:])])
     np.testing.assert_allclose(split, whole, rtol=0.0, atol=1e-14)
 
 
@@ -94,8 +95,8 @@ def test_rejection_grid_independent_of_batch(target):
     # supremum does not move with the rows scanned beside it
     k = MhKernel(target, ProposalModel.triangular())
     xs = np.linspace(-66.0, -1.0, 2049)
-    alone = k.rejection_grid(xs)
-    behind = k.rejection_grid(np.concatenate([np.linspace(0.0, 10.0, 1000), xs]))[1000:]
+    alone, _ = k.rejection_grid(xs)
+    behind = k.rejection_grid(np.concatenate([np.linspace(0.0, 10.0, 1000), xs]))[0][1000:]
     assert np.array_equal(alone, behind)
     for i in range(0, xs.size, 97):
         assert k.rejection_prob(float(xs[i])) == alone[i]
@@ -141,7 +142,7 @@ def test_rejection_grid_matches_mpmath(name):
     target, log_pdf, cuts = EXACT_CUTS[name]
     xs = [-5.3, -2.3, -0.41, 0.137, 0.49, 2.9, 3.2, 40.0]
     k = MhKernel(target, ProposalModel.triangular())
-    got = k.rejection_grid(np.array(xs))
+    got, error = k.rejection_grid(np.array(xs))
     with mp.workdps(30):
         for x, r in zip(xs, got.tolist()):
             x = mp.mpf(x)
@@ -149,23 +150,34 @@ def test_rejection_grid_matches_mpmath(name):
             pts = sorted({mp.mpf(-1), mp.mpf(0), mp.mpf(1), *(c for c in cuts(x) if -1 < c < 1)})
             accepted = mp.quad(lambda u: (1 - abs(u)) * min(1, mp.exp(log_pdf(x + u) - lx)), pts)
             assert abs(r - float(1 - accepted)) <= 1e-12, float(x)
-    assert k.r_quad_error <= R_QUAD_TOL
+    assert error.max() <= R_QUAD_TOL
 
 
 def test_rejection_grid_reports_its_largest_error_estimate():
     k = MhKernel(DensityModel.gauss(), ProposalModel.triangular())
-    assert k.r_quad_error == 0.0
-    k.rejection_grid(np.linspace(-2.0, 2.0, 9))
-    small = k.r_quad_error
+    xs = np.linspace(-2.0, 2.0, 9)
+    r, error = k.rejection_grid(xs)
+    assert r.shape == error.shape == xs.shape
+    small = error.max()
     assert 0.0 < small <= 1e-14
     # e^{-200 u} on [0, 1]: one panel is 1.8e-4 off, so the piece is
     # halved until the two sums agree, and the estimate stays small
-    k.rejection_prob(200.0)
-    largest = k.r_quad_error
+    (far,), (largest,) = k.rejection_grid([200.0])
     assert small < largest <= R_QUAD_TOL
-    # a later call with smaller estimates keeps the largest
-    k.rejection_grid(np.linspace(-2.0, 2.0, 9))
-    assert k.r_quad_error == largest
+    # an estimate has the same bits in any batch, and no call changes another's
+    r_all, error_all = k.rejection_grid(np.append(xs, 200.0))
+    assert np.array_equal(error_all, np.append(error, largest)) and r_all[-1] == far
+    assert np.array_equal(k.rejection_grid(xs)[1], error)
+    assert k.rejection_grid(np.zeros((2, 3)))[1].shape == (2, 3)
+
+
+def test_kernel_is_frozen():
+    # errors travel with their values: a kernel holds its target and
+    # proposal and nothing that a call could change
+    k = MhKernel(DensityModel.gauss(), ProposalModel.triangular())
+    assert [f.name for f in dataclasses.fields(k)] == ["target", "proposal"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        k.target = DensityModel.laplace()
 
 
 def test_two_roots_in_one_coarse_cell_flag_the_estimate():
@@ -174,8 +186,8 @@ def test_two_roots_in_one_coarse_cell_flag_the_estimate():
     # sign change shows them, and the kinks between them fall inside a
     # piece.  The estimate flags it; it need not bound the error
     k = MhKernel(DensityModel.from_expression("exp(-abs(x) + 0.3*exp(-((x-0.7)/0.005)^2))"), ProposalModel.triangular())
-    k.rejection_prob(0.5)
-    assert k.r_quad_error > R_QUAD_TOL
+    (_,), (error,) = k.rejection_grid([0.5])
+    assert error > R_QUAD_TOL
 
 
 def test_rejection_grid_reuses_its_block_buffer(expr_laplace_tri, peak_mb):

@@ -26,6 +26,25 @@ def test_no_import_inside_a_function():
     assert found == []
 
 
+def test_no_function_assigns_to_an_attribute_of_a_parameter():
+    # a result travels as a return value: a call leaves no state on an object
+    # its caller passed in (self excepted); item assignment is not checked
+    found = set()
+    for path in sorted(Path(mhbound.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = fn.args
+                params = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg] if a}
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                        root = node.value
+                        while isinstance(root, ast.Attribute):
+                            root = root.value
+                        if isinstance(root, ast.Name) and root.id in params - {"self"}:
+                            found.add(f"{path.name}:{node.lineno}")
+    assert sorted(found) == []
+
+
 def test_every_exported_name_resolves():
     # a deleted name must leave __all__ too
     found = []

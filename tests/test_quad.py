@@ -87,35 +87,47 @@ def test_empty_interval():
         adaptive_simpson(math.sin, 1.0, 0.0)
 
 
+def _sin(x):
+    # a scanned function with no error estimate
+    return np.sin(x), 0.0
+
+
 def test_sup_scan_parabola():
-    res = sup_scan(lambda x: -((x - 0.3) ** 2), 0.0, 1.0)
+    res = sup_scan(lambda x: (-((x - 0.3) ** 2), 0.0), 0.0, 1.0)
     assert res.converged
     assert res.argmax == pytest.approx(0.3, abs=1e-6)
     assert res.value == pytest.approx(0.0, abs=1e-12)
+    assert res.error == 0.0
 
 
 def test_sup_scan_sine():
-    res = sup_scan(np.sin, 0.0, 3.2)
+    res = sup_scan(_sin, 0.0, 3.2)
     assert res.argmax == pytest.approx(math.pi / 2.0, abs=1e-6)
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sup_scan_zooms_on_arrays():
-    calls = []
+    calls, largest = [], []
 
     def f(x):
+        # an estimate that only zoom points carry: no coarse point lies
+        # within 1e-4 of pi/2
         calls.append(x)
-        return np.sin(x)
+        error = np.where(np.abs(x - math.pi / 2.0) < 1e-4, x, 0.0)
+        largest.append(float(error.max()))
+        return np.sin(x), error
 
     res = sup_scan(f, 0.0, 3.2)
     assert all(isinstance(x, np.ndarray) for x in calls)
     assert len(calls) <= 8
     assert res.converged
     assert res.argmax == pytest.approx(math.pi / 2.0, abs=1e-6)
+    # the largest estimate of every point evaluated, zoom levels included
+    assert largest[0] == 0.0 and res.error == max(largest) > 1.57
 
 
 def test_sup_scan_maximum_at_interval_end():
-    res = sup_scan(lambda x: x, 0.0, 1.0)
+    res = sup_scan(lambda x: (x, 0.0), 0.0, 1.0)
     assert res.argmax == 1.0
     assert res.value == 1.0
     assert res.converged
@@ -126,11 +138,11 @@ def test_sup_scan_dominates_coarse_grid():
     coeffs = rng.normal(size=6)
 
     def f(x):
-        return sum(c * np.sin((i + 1) * x) for i, c in enumerate(coeffs))
+        return sum(c * np.sin((i + 1) * x) for i, c in enumerate(coeffs)), 0.0
 
     res = sup_scan(f, -2.0, 4.0, coarse_steps=512)
     xs = np.linspace(-2.0, 4.0, 513)
-    assert res.value >= float(np.max(f(xs))) - 1e-15
+    assert res.value >= float(np.max(f(xs)[0])) - 1e-15
 
 
 def test_sup_scan_takes_arrays_only(caplog):
@@ -139,7 +151,7 @@ def test_sup_scan_takes_arrays_only(caplog):
 
     def f(x):
         calls.append(x)
-        return math.sin(x)
+        return math.sin(x), 0.0
 
     with caplog.at_level(logging.DEBUG, logger="mhbound"):
         with pytest.raises(TypeError):
@@ -150,7 +162,7 @@ def test_sup_scan_takes_arrays_only(caplog):
 
 def test_sup_scan_rows_equal_single_scans(gauss_tri, laplace_tri):
     cases = [
-        (np.sin, [0.0, -3.0, 1.0, 2.5], [3.2, 0.5, 7.0, 2.6]),
+        (_sin, [0.0, -3.0, 1.0, 2.5], [3.2, 0.5, 7.0, 2.6]),
         # r(x) on both tail windows, as r_sup_tail scans them; gauss's r
         # rises towards 1/2 with |x|, and laplace's is flat there, so its
         # argmax holds only if r does not depend on its batch
@@ -169,10 +181,11 @@ def test_sup_scan_rows_equal_single_scans(gauss_tri, laplace_tri):
         assert all(len(shape) == 2 and shape[0] <= len(lo) for shape in calls)
         for i in range(len(lo)):
             one = sup_scan(f, lo[i], hi[i])
-            assert (type(one.argmax), type(one.value), type(one.converged)) == (float, float, bool)
+            assert (type(one.argmax), type(one.value), type(one.converged), type(one.error)) == (float, float, bool, float)
             assert rows.argmax[i] == one.argmax
             assert rows.value[i] == one.value
             assert rows.converged[i] == one.converged
+            assert rows.error[i] == one.error
 
 
 def test_sup_scan_propagates_value_error_without_scalar_retry():
@@ -189,7 +202,7 @@ def test_sup_scan_propagates_value_error_without_scalar_retry():
 
 def test_sup_scan_invalid_interval():
     with pytest.raises(ValueError):
-        sup_scan(np.sin, 1.0, 1.0)
+        sup_scan(_sin, 1.0, 1.0)
 
 
 def test_panel_builders_share_one_rule():
