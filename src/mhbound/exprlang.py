@@ -589,6 +589,8 @@ def _log_node(node: Expr, args: list) -> Optional[Expr]:
         return Num(math.log(node.value)) if node.value > 0.0 else None
     if isinstance(node, Call) and node.func == "exp":
         return node.args[0]
+    if isinstance(node, Call) and node.func == "sqrt" and args[0] is not None:
+        return BinOp("*", Num(0.5), args[0])
     if isinstance(node, BinOp) and node.op in "*/" and None not in args:
         return BinOp("+" if node.op == "*" else "-", *args)
     if isinstance(node, BinOp) and node.op == "^" and args[0] is not None:
@@ -602,16 +604,16 @@ def log_form(e: Expr) -> Optional[Expr]:
 
         log(exp a) = a
         log(a * b) = log a + log b,  log(a / b) = log a - log b
-        log(a ^ b) = b * log a
+        log(a ^ b) = b * log a,      log(sqrt a) = 0.5 * log a
         log c      = the number log c, for a number c > 0
 
     where a product or quotient needs a log form of both operands, and a
-    power one of its base.  So a tree with a log form is positive wherever
-    it is defined.  The log form evaluates only subtrees of ``e``, so it
-    raises DomainError only where ``e`` raises one, and it has no ``exp``
-    or ``^`` of its own to underflow or overflow.  Anything else, a sum, a
-    difference, a negation, the variable, or a call of abs, log, sqrt, min
-    or max, has no log form."""
+    power or a square root one of its base.  So a tree with a log form is
+    positive wherever it is defined.  The log form evaluates only subtrees
+    of ``e``, so it raises DomainError only where ``e`` raises one, and it
+    has no ``exp``, ``^`` or ``sqrt`` of its own to underflow or overflow.
+    Anything else, a sum, a difference, a negation, the variable, or a
+    call of abs, log, min or max, has no log form."""
     return _fold(e, _log_node)
 
 

@@ -338,14 +338,17 @@ def test_compiled_matches_sympy_on_random_expressions():
 
 def _random_log_expr(rng: random.Random, depth: int):
     """A random tree with a log form: a positive number, exp of any tree,
-    a product or quotient of two such trees, or such a tree to any power."""
+    a product or quotient of two such trees, or such a tree to any power or
+    under a square root."""
     if depth == 0 or rng.random() < 0.2:
         return Num(round(rng.uniform(0.001, 10.0), 3))
-    kind = rng.randrange(3)
+    kind = rng.randrange(4)
     if kind == 0:
         return Call("exp", (_random_expr(rng, depth - 1),))
     if kind == 1:
         return BinOp(rng.choice("*/"), _random_log_expr(rng, depth - 1), _random_log_expr(rng, depth - 1))
+    if kind == 2:
+        return Call("sqrt", (_random_log_expr(rng, depth - 1),))
     return BinOp("^", _random_log_expr(rng, depth - 1), _random_expr(rng, depth - 1))
 
 
@@ -393,15 +396,18 @@ def test_log_form_matches_sympy_on_random_expressions():
 
 def test_log_form_fallbacks():
     # a sum, a negation, the variable and the other functions have no log
-    # form, and neither has a product or quotient with such a factor
+    # form, and neither has a product or quotient with such a factor, nor a
+    # square root of one
     for source in ("exp(-x) + 1", "1/(1+x^2)", "exp(-abs(x)) * max(0, 1 - abs(x)/5)", "-exp(x)", "x", "abs(x)",
-                   "log(x)", "sqrt(exp(x))", "min(1, exp(x))", "0", "-2"):
+                   "log(x)", "sqrt(1 + x^2)", "min(1, exp(x))", "0", "-2"):
         assert exprlang.log_form(parse(source)) is None, source
     cases = [
         ("exp(-abs(x))", "-abs(x)"),
         ("exp(-x^2/2)/2", "-x^2.0 / 2.0 - " + repr(math.log(2.0))),
         ("exp(x)^3 / exp(x)^0.5", "3.0 * x - 0.5 * x"),
         ("4 * 2", repr(math.log(4.0)) + " + " + repr(math.log(2.0))),
+        ("sqrt(exp(x))", "0.5 * x"),
+        ("exp(-x^2/2)/sqrt(6.2832)", "-x^2.0 / 2.0 - 0.5 * " + repr(math.log(6.2832))),
     ]
     for source, log_source in cases:
         assert to_source(exprlang.log_form(parse(source))) == log_source, source
