@@ -66,7 +66,7 @@ def certification(alpha: float, r_quad_error: float, scans_converged: bool, reso
     converged = scans_converged and r_quad_error <= R_QUAD_TOL
     if degenerate:
         return converged, False, "no certification: tail ratio is degenerate (gamma >= 1)"
-    if alpha < 1.0 and not failed:
+    if alpha < 1 and not failed:
         return converged, True, f"quasi-compact certified at level {alpha:.6g}"
     return converged, False, f"no certification (alpha = {alpha:.6g})" + (f": {'; '.join(failed)}" if alpha < 1 else "")
 
@@ -235,9 +235,8 @@ class MhKernel:
         return float(self.rejection_grid(x)[0])
 
     def rejection_grid(self, xs):
-        """(r, error) over x values of any shape, each of the shape of xs:
-        r(x) = 1 - integral of q(u) min(1, pi(x+u)/pi(x)) du, and its error
-        estimate from ``integrate_u``."""
+        """(r(x), its error estimate) over x values of any shape, each of the
+        shape of xs: r(x) = 1 - integral of q(u) min(1, pi(x+u)/pi(x)) du."""
         xs = np.asarray(xs, dtype=float)
         accepted, error = self.integrate_u(
             xs.reshape(-1), self.proposal.shape, lambda d: np.exp(np.minimum(0.0, d, out=d), out=d)

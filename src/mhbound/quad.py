@@ -194,12 +194,13 @@ _ZOOM_POINTS = 33
 _MAX_LEVELS = 17
 
 
-def bracket(xs: np.ndarray, vals, errors):
-    """Per row of ``vals`` (rows, n) and its ``errors`` (the same shape,
-    or 0.0), taken at the points ``xs`` (the same shape, or one row): the
+def bracket(xs: np.ndarray, vals: np.ndarray, errors):
+    """Per row of ``vals`` (rows, n), taken at the points ``xs`` (the same
+    shape, or one row), with ``errors`` (the same shape, or 0.0): the
     argmax, the maximum, the ends of the two grid steps around the argmax,
     which the next zoom level spans, and the largest error."""
-    xs, largest = np.broadcast_to(xs, vals.shape), np.broadcast_to(errors, vals.shape).max(axis=1)
+    xs = np.broadcast_to(xs, vals.shape)
+    largest = errors.max(axis=1) if np.ndim(errors) else np.full(vals.shape[0], errors)
     i = vals.argmax(axis=1)
     r = np.arange(i.size)
     return xs[r, i], vals[r, i], xs[r, np.maximum(i - 1, 0)], xs[r, np.minimum(i + 1, vals.shape[1] - 1)], largest
