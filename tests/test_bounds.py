@@ -286,6 +286,26 @@ def test_reports_cover_their_own_r_evaluations():
     assert limit.r_quad_error == asymptotics.alpha_inf(fresh).r_quad_error
 
 
+def test_profile_error_covers_the_tail_flatness_scan(monkeypatch):
+    # with no slopes the tails' flatness check is a second r(x) scan, and on
+    # laplace its largest error estimate is above the first scan's
+    def unresolved(*args, **kwargs):
+        raise asymptotics.TauNotConvergedError("tail ratio not converged")
+
+    errors, scan = [], bounds.sup_scan
+
+    def recorded(f, lo, hi, **kwargs):
+        res = scan(f, lo, hi, **kwargs)
+        errors.append(float(res.error.max()))
+        return res
+
+    monkeypatch.setattr(asymptotics, "tail_ratio_for", unresolved)
+    monkeypatch.setattr(bounds, "sup_scan", recorded)
+    prof = bounds.bound_profile(MhKernel(DensityModel.laplace(), ProposalModel.triangular()), [1.0, 4.0])
+    assert len(errors) == 2 and errors[0] < errors[1]
+    assert [rep.r_quad_error for rep in prof.reports] == [errors[1]] * 2
+
+
 def test_alpha_flat_tail_not_certified():
     # Cauchy-like tails: tau = 1, the bound degenerates above 1
     k = MhKernel(DensityModel.from_expression("1/(1+x^2)"), ProposalModel.triangular())
