@@ -23,11 +23,11 @@ it.  So r_a rises and r_prime_a and beta_a fall with a by construction.
 
 The tail suprema run over unbounded sets; here they are evaluated on a
 finite window (a, x_max] on each side and merged (by max) with the limit
-values whenever the tails' slopes (c_+, c_-) are available: r_prime_a with
-the larger of the two sides' r_prime_inf, beta's integrand with
-q(|u|) e^{max(c_+, c_-) |u|/2}.  When neither the limit is available nor
-the window has visibly flattened, the report is flagged: the value is then
-a best-effort lower estimate of the supremum, NOT a valid bound.
+values of the tails' slopes (c_+, c_-): r_prime_a with the larger of the
+two sides' r_prime_inf, beta's integrand with q(|u|) e^{max(c_+, c_-)
+|u|/2}.  _windows alone looks the slopes up.  When they do not settle, it
+logs one warning and no window is resolved: the values are then
+best-effort lower estimates of the suprema, NOT a valid bound.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .quad import ScanResult, bracket, composite_gauss_legendre, sup_scan, zoom
 __all__ = [
     "BoundReport",
     "BoundProfile",
-    "TailSup",
     "BetaValue",
     "r_sup_compact",
     "r_sup_tail",
@@ -73,18 +72,10 @@ _TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class TailSup:
-    value: float
-    converged: bool
-    tail_resolved: bool
-
-
-@dataclass(frozen=True)
 class BetaValue:
     value: float
     error: float
     converged: bool
-    tail_resolved: bool
 
 
 @dataclass
@@ -121,10 +112,10 @@ def default_a_list(s: float) -> List[float]:
     return [s, 2.0 * s, 4.0 * s, 8.0 * s, 16.0 * s]
 
 
-def _windows(k: MhKernel, a_list: Sequence[float], x_max: Optional[float], slopes: Optional[tuple]):
+def _windows(k: MhKernel, a_list: Sequence[float], x_max: Optional[float]):
     """a_list as a float array, checked to be positive and increasing;
     x_max, checked to exceed it or defaulted; and the tails' slopes (c_+,
-    c_-), looked up when not given (None when they do not settle)."""
+    c_-), or None, with a warning, when they do not settle."""
     a = np.array(a_list, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ModelError("a_list must be a non-empty list of truncation radii")
@@ -136,12 +127,20 @@ def _windows(k: MhKernel, a_list: Sequence[float], x_max: Optional[float], slope
         x_max = default_x_max(float(a[-1]), k.proposal.s)
     if x_max <= a[-1]:
         raise ModelError("x_max must exceed a")
-    if slopes is None:
-        try:
-            slopes = asymptotics.tail_ratio_for(k.target, k.proposal)
-        except asymptotics.TauNotConvergedError:
-            pass
+    try:
+        slopes = asymptotics.tail_ratio_for(k.target, k.proposal)
+    except asymptotics.TauNotConvergedError as exc:
+        log.warning("%s: the tail suprema beyond |x|=%g are not resolved, so no window certifies", exc, x_max)
+        slopes = None
     return a, float(x_max), slopes
+
+
+def _merge_limit(k: MhKernel, tail_max, slopes):
+    """The tails' maxima merged (by max) with the larger of the two sides'
+    r_prime_inf, when the slopes are known."""
+    if slopes is None:
+        return tail_max
+    return np.maximum(tail_max, np.max(asymptotics.r_prime_inf(k.proposal, slopes)))
 
 
 def r_sup_compact(k: MhKernel, a: float) -> ScanResult:
@@ -151,46 +150,15 @@ def r_sup_compact(k: MhKernel, a: float) -> ScanResult:
     return sup_scan(k.rejection_grid, -a, a)
 
 
-def r_sup_tail(k: MhKernel, a: float, x_max: float, slopes: Optional[tuple] = None) -> TailSup:
+def r_sup_tail(k: MhKernel, a: float, x_max: float) -> float:
     """Supremum of the rejection probability over the tails |x| > a: the
     one-window case of bound_profile's tail step."""
-    a_arr, x_max, slopes = _windows(k, [a], x_max, slopes)
+    _, x_max, slopes = _windows(k, [a], x_max)
     scan = sup_scan(k.rejection_grid, np.array([a, -x_max]), np.array([x_max, -a]))
-    return _tail_sups(k, scan.value[:1], scan.value[1:], bool(scan.converged.all()), a_arr, x_max, slopes)[0][0]
+    return float(_merge_limit(k, scan.value.max(), slopes))
 
 
-def _tail_sups(k: MhKernel, right, left, converged: bool, a: np.ndarray, x_max: float, slopes):
-    """One TailSup per window from the maxima of r over [a_i, x_max]
-    (``right``) and [-x_max, -a_i] (``left``), merged with the larger of
-    the two sides' limit values when the slopes are known.  Otherwise a
-    tail is resolved when each side's outer tenth, all scanned at once on
-    256 steps, reaches that side's maximum to within 1e-6.  Also the r(x)
-    error of that scan (0.0 when none ran)."""
-    value = np.maximum(right, left)
-    if slopes is not None:
-        limit = float(np.max(asymptotics.r_prime_inf(k.proposal, slopes)))
-        return [TailSup(max(float(v), limit), converged, True) for v in value], 0.0
-
-    inner, n = x_max - 0.1 * (x_max - a), a.size
-    lo, hi = np.concatenate([inner, np.full(n, -x_max)]), np.concatenate([np.full(n, x_max), -inner])
-    outer = sup_scan(k.rejection_grid, lo, hi, coarse_steps=256)
-    resolved = (outer.value[:n] >= right - 1e-6) & (outer.value[n:] >= left - 1e-6)
-    if not resolved.all():
-        log.warning(
-            "tail supremum beyond |x|=%g not resolved; the reported value is a "
-            "lower estimate, not a valid bound",
-            x_max,
-        )
-    tails = [TailSup(float(v), converged and bool(ok), bool(ok)) for v, ok in zip(value, resolved)]
-    return tails, float(outer.error.max())
-
-
-def beta(
-    k: MhKernel,
-    a_list: Sequence[float],
-    x_max: Optional[float] = None,
-    slopes: Optional[tuple] = None,
-) -> List[BetaValue]:
+def beta(k: MhKernel, a_list: Sequence[float], x_max: Optional[float] = None) -> List[BetaValue]:
     """Tail constant of each window in ``a_list``: the integral over u of
     the tail supremum of sqrt(t(x, x+u) t(x+u, x)) = sqrt(q(u) q(-u))
     e^{-|d(x, u)|/2}.
@@ -201,7 +169,11 @@ def beta(
     the pieces outside it, merged with the limiting integrand q(|u|)
     e^{max(c_+, c_-) |u|/2} when the slopes are known.  The error is the
     difference against the rule with doubled panels."""
-    a, x_max, slopes = _windows(k, a_list, x_max, slopes)
+    return _beta(k, *_windows(k, a_list, x_max))
+
+
+def _beta(k: MhKernel, a: np.ndarray, x_max: float, slopes) -> List[BetaValue]:
+    """beta on windows that _windows checked, with its slopes."""
     s, n = k.proposal.s, a.size
     edges = np.append(a, x_max)
     lo, hi = np.concatenate([edges[:-1], -edges[1:]]), np.concatenate([edges[1:], -edges[:-1]])
@@ -224,10 +196,7 @@ def beta(
         return values
 
     res = composite_gauss_legendre(integrand, -s, s, asymptotics.TAIL_PANELS, (0.0, *k.proposal.kinks))
-    return [
-        BetaValue(float(v), float(e), zooms_closed and bool(e <= _BETA_TOL), slopes is not None)
-        for v, e in zip(res.value, res.error)
-    ]
+    return [BetaValue(float(v), float(e), zooms_closed and bool(e <= _BETA_TOL)) for v, e in zip(res.value, res.error)]
 
 
 def _min_abs_balance(k: MhKernel, windows, us: np.ndarray):
@@ -275,48 +244,38 @@ def _min_abs_balance(k: MhKernel, windows, us: np.ndarray):
     return best.reshape(len(windows), n), bool(res.converged.all())
 
 
-def alpha(
-    k: MhKernel,
-    a: float,
-    x_max: Optional[float] = None,
-    slopes: Optional[tuple] = None,
-) -> BoundReport:
+def alpha(k: MhKernel, a: float, x_max: Optional[float] = None) -> BoundReport:
     """The windowed bound alpha_a = max(r_a, r_prime_a + beta_a): the
     one-window profile."""
-    return bound_profile(k, [a], x_max, slopes).reports[0]
+    return bound_profile(k, [a], x_max).reports[0]
 
 
-def bound_profile(
-    k: MhKernel,
-    a_list: Sequence[float],
-    x_max: Optional[float] = None,
-    slopes: Optional[tuple] = None,
-) -> BoundProfile:
+def bound_profile(k: MhKernel, a_list: Sequence[float], x_max: Optional[float] = None) -> BoundProfile:
     """One report per truncation radius; the bound holds for every a, so
     the profile's minimizer is the bound to quote.  Windows whose alpha_a
     tie with the minimum to within _TIE_TOL go to the smallest a.  All
     windows share one r(x) scan (see the module docstring), and
-    ``r_quad_error``, the largest ``ScanResult.error`` of that scan and of
-    ``_tail_sups``' scan, which ``kernel.certification`` weighs."""
-    a, x_max, slopes = _windows(k, a_list, x_max, slopes)
+    ``r_quad_error``, the largest ``ScanResult.error`` of that scan, which
+    ``kernel.certification`` weighs.  The tails are resolved, in every
+    window or in none, when the slopes are known."""
+    a, x_max, slopes = _windows(k, a_list, x_max)
     n = a.size
     edges = np.concatenate([[-x_max], -a[::-1], a, [x_max]])
     scan = sup_scan(k.rejection_grid, edges[:-1], edges[1:])
     v, r_converged = scan.value, bool(scan.converged.all())
     r_a = np.maximum.accumulate(np.maximum(v[n:0:-1], v[n:-1]))
     right, left = np.maximum.accumulate(v[:n:-1])[::-1], np.maximum.accumulate(v[:n])[::-1]
-    tails, tail_error = _tail_sups(k, right, left, r_converged, a, x_max, slopes)
-    r_quad_error = max(float(scan.error.max()), tail_error)
+    r_prime = _merge_limit(k, np.maximum(right, left), slopes)
+    r_quad_error, resolved = float(scan.error.max()), slopes is not None
     reports = []
-    for a_i, core, tail, bt in zip(a.tolist(), r_a.tolist(), tails, beta(k, a, x_max, slopes)):
-        alpha_a = max(core, tail.value + bt.value)
-        resolved = tail.tail_resolved and bt.tail_resolved
-        converged, certified, verdict = certification(alpha_a, r_quad_error, tail.converged and bt.converged, resolved)
+    for a_i, core, tail, bt in zip(a.tolist(), r_a.tolist(), r_prime.tolist(), _beta(k, a, x_max, slopes)):
+        alpha_a = max(core, tail + bt.value)
+        converged, certified, verdict = certification(alpha_a, r_quad_error, r_converged and bt.converged, resolved)
         reports.append(
             BoundReport(
                 a=a_i,
                 r_a=core,
-                r_prime_a=tail.value,
+                r_prime_a=tail,
                 beta_a=bt.value,
                 alpha_a=alpha_a,
                 x_max=x_max,

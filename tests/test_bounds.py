@@ -36,43 +36,21 @@ def test_r_sup_compact_validation(laplace_tri):
 
 
 def test_r_sup_tail_laplace(laplace_tri):
-    res = bounds.r_sup_tail(laplace_tri, 3.0, 30.0)
-    assert res.value == pytest.approx(R_TAIL, abs=1e-6)
-    assert res.tail_resolved
+    assert bounds.r_sup_tail(laplace_tri, 3.0, 30.0) == pytest.approx(R_TAIL, abs=1e-6)
+    assert bounds.alpha(laplace_tri, 3.0, 30.0).tail_resolved
     with pytest.raises(ValueError):
         bounds.r_sup_tail(laplace_tri, 30.0, 30.0)
 
 
-def test_r_sup_tail_without_tail_ratio(monkeypatch, caplog):
-    # with no tail ratio the window scans alone decide, through their flatness check
-    def unresolved(*args, **kwargs):
-        raise asymptotics.TauNotConvergedError("tail ratio not converged")
-
-    monkeypatch.setattr(asymptotics, "tail_ratio_for", unresolved)
-    tri = ProposalModel.triangular()
-    res = bounds.r_sup_tail(MhKernel(DensityModel.laplace(), tri), 1.0, 66.0)
-    assert res.tail_resolved and res.converged
-    assert res.value == pytest.approx(R_TAIL, abs=1e-9)
-    # a second mode in both tails, then in the right or the left one only
-    for expr in ("exp(-abs(x-30))+exp(-abs(x+30))", "exp(-abs(x))+exp(-abs(x-30))", "exp(-abs(x))+exp(-abs(x+30))"):
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="mhbound.bounds"):
-            res = bounds.r_sup_tail(MhKernel(DensityModel.from_expression(expr), tri), 1.0, 66.0)
-        assert not res.tail_resolved and not res.converged
-        records = [r for r in caplog.records if r.name == "mhbound.bounds"]
-        assert len(records) == 1 and records[0].levelno == logging.WARNING
-
-
 def test_r_sup_tail_gauss_hits_limit(gauss_tri):
-    res = bounds.r_sup_tail(gauss_tri, 5.0, 50.0)
-    assert res.value == pytest.approx(0.5, abs=1e-9)
-    assert res.tail_resolved
+    assert bounds.r_sup_tail(gauss_tri, 5.0, 50.0) == pytest.approx(0.5, abs=1e-9)
+    assert bounds.alpha(gauss_tri, 5.0, 50.0).tail_resolved
 
 
 def test_beta_laplace_closed_form(laplace_tri):
     res = bounds.beta(laplace_tri, [2.0])[0]
     assert res.value == pytest.approx(BETA_LAPLACE, abs=1e-6)
-    assert res.converged and res.tail_resolved
+    assert res.converged
 
 
 def test_beta_gauss_decays(gauss_tri):
@@ -95,7 +73,7 @@ def test_beta_gauss_closed_form(proposal, q, a):
         expect = 2 * mpmath.quad(lambda u: q(u) * mpmath.exp(-u * (2 * a - u) / 4), [0, 1])
     res = bounds.beta(MhKernel(DensityModel.gauss(), PROPOSALS[proposal]()), [a])[0]
     assert abs(res.value - float(expect)) <= 1e-10
-    assert res.converged and res.tail_resolved
+    assert res.converged
 
 
 @pytest.mark.parametrize("a", [1.0, 4.0, 16.0])
@@ -220,7 +198,7 @@ def _target(name):
 def test_beta_matches_adaptive_values(target, proposal, a):
     res = bounds.beta(MhKernel(_target(target), PROPOSALS[proposal]()), [float(a)])[0]
     assert abs(res.value - BETA_BEFORE[target, proposal, a]) <= 1e-7
-    assert res.converged and res.tail_resolved
+    assert res.converged
 
 
 def test_certificates_do_not_call_rejection_prob(builtin_kernel, monkeypatch):
@@ -286,9 +264,9 @@ def test_reports_cover_their_own_r_evaluations():
     assert limit.r_quad_error == asymptotics.alpha_inf(fresh).r_quad_error
 
 
-def test_profile_error_covers_the_tail_flatness_scan(monkeypatch):
-    # with no slopes the tails' flatness check is a second r(x) scan, and on
-    # laplace its largest error estimate is above the first scan's
+def test_no_slopes_resolves_no_window(monkeypatch, caplog):
+    # without the tails' slopes no window's tail supremum is resolved: one
+    # warning says so, and the windows' own r(x) scan is the only one
     def unresolved(*args, **kwargs):
         raise asymptotics.TauNotConvergedError("tail ratio not converged")
 
@@ -301,9 +279,14 @@ def test_profile_error_covers_the_tail_flatness_scan(monkeypatch):
 
     monkeypatch.setattr(asymptotics, "tail_ratio_for", unresolved)
     monkeypatch.setattr(bounds, "sup_scan", recorded)
-    prof = bounds.bound_profile(MhKernel(DensityModel.laplace(), ProposalModel.triangular()), [1.0, 4.0])
-    assert len(errors) == 2 and errors[0] < errors[1]
-    assert [rep.r_quad_error for rep in prof.reports] == [errors[1]] * 2
+    with caplog.at_level(logging.WARNING, logger="mhbound.bounds"):
+        prof = bounds.bound_profile(MhKernel(DensityModel.laplace(), ProposalModel.triangular()), [1.0, 4.0])
+    assert all(not rep.tail_resolved and not rep.certified for rep in prof.reports)
+    assert all(rep.converged for rep in prof.reports)
+    assert prof.reports[1].verdict.endswith("tail supremum not resolved")
+    records = [r for r in caplog.records if r.name == "mhbound.bounds"]
+    assert len(records) == 1 and records[0].levelno == logging.WARNING
+    assert len(errors) == 1 and [rep.r_quad_error for rep in prof.reports] == errors * 2
 
 
 def test_alpha_flat_tail_not_certified():
@@ -379,15 +362,16 @@ def test_profile_validation(laplace_tri):
 
 
 @pytest.mark.parametrize("slopes", [(-math.inf, -0.5), (-0.5, -math.inf)])
-def test_windowed_merge_takes_the_binding_tail(laplace_tri, slopes):
+def test_windowed_merge_takes_the_binding_tail(laplace_tri, slopes, monkeypatch):
     # each side's limit merges into both: r'_a with the larger r'_inf (the
     # smaller slope), beta's integrand with the larger slope's, whichever
     # side it is on
+    monkeypatch.setattr(asymptotics, "tail_ratio_for", lambda target, proposal: slopes)
     p = laplace_tri.proposal
-    tail = bounds.r_sup_tail(laplace_tri, 4.0, 20.0, slopes)
-    assert tail.value == pytest.approx(0.5, abs=1e-15) and tail.tail_resolved
-    (bt,) = bounds.beta(laplace_tri, [4.0], 20.0, slopes)
-    assert abs(bt.value - asymptotics.beta_inf(p, -0.5)) <= 1e-12 and bt.tail_resolved
+    assert bounds.r_sup_tail(laplace_tri, 4.0, 20.0) == pytest.approx(0.5, abs=1e-15)
+    (bt,) = bounds.beta(laplace_tri, [4.0], 20.0)
+    assert abs(bt.value - asymptotics.beta_inf(p, -0.5)) <= 1e-12
+    assert bounds.alpha(laplace_tri, 4.0, 20.0).tail_resolved
 
 
 def test_windowed_dominates_limit(builtin_kernel):
