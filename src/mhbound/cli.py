@@ -12,8 +12,8 @@ the tool version, and the wall-clock duration; its ``result`` is the
 command's report dataclass, field by field.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 ran fine but the
-result is not certified (unconverged scan or degenerate tail ratio),
-3 internal error.
+result is not certified (unconverged scan or degenerate tail ratio) or,
+for ``profile``, not converged, 3 internal error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, asymptotics, bounds, exprlang
-from .kernel import MhKernel
+from .kernel import R_QUAD_TOL, MhKernel, quad_error_reason
 from .models import DensityModel, ModelError, ProposalModel
 from .sampler import ChainConfig, run as run_chains
 from .spectra import spectral_report
@@ -41,6 +42,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NOT_CERTIFIED = 2
 EXIT_INTERNAL = 3
+
+log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -264,10 +267,13 @@ def cmd_profile(args, cfg: dict) -> int:
     xs = lo + step * np.arange(count)
     rs, errors = k.rejection_grid(xs)
     argmax, top, error = float(xs[int(np.argmax(rs))]), float(np.max(rs)), float(np.max(errors))
-    payload = _report("profile", cfg, started, {"points": count, "argmax": argmax, "max": top, "r_quad_error": error})
+    converged = error <= R_QUAD_TOL
+    if not converged:
+        log.warning("profile not converged: %s", quad_error_reason(error))
+    result = {"points": count, "argmax": argmax, "max": top, "r_quad_error": error, "converged": converged}
     rows = [[_fmt(x), _fmt(r)] for x, r in zip(xs, rs)]
-    _emit(args, "profile", payload, (["x", "r_x"], rows))
-    return EXIT_OK
+    _emit(args, "profile", _report("profile", cfg, started, result), (["x", "r_x"], rows))
+    return EXIT_OK if converged else EXIT_NOT_CERTIFIED
 
 
 def cmd_spectrum(args, cfg: dict) -> int:

@@ -30,7 +30,7 @@ import numpy as np
 from .models import DensityModel, ProposalModel
 from .quad import GL_POINTS, gauss_legendre_nodes
 
-__all__ = ["MhKernel", "R_QUAD_TOL", "certification"]
+__all__ = ["MhKernel", "R_QUAD_TOL", "certification", "quad_error_reason"]
 
 #: elements of a two-dimensional grid evaluated at once, in integrate_u
 #: (a block's nodes and their weights together) and in bounds.beta: 512 KB
@@ -53,13 +53,18 @@ _MAX_HALVINGS = 8
 R_QUAD_TOL = 1e-8
 
 
+def quad_error_reason(r_quad_error: float) -> str:
+    """Why a report whose r_quad_error is above R_QUAD_TOL is not converged."""
+    return f"r(x) quadrature error {r_quad_error:.2g} above {R_QUAD_TOL:.2g}"
+
+
 def certification(alpha: float, r_quad_error: float, scans_converged: bool, resolved: bool, degenerate: bool = False):
     """(converged, certified, verdict) of a windowed or limit report with
     bound ``alpha``: converged when its scans converged and r_quad_error
     <= R_QUAD_TOL; certified when also alpha < 1, its tails resolved and
     its tail ratio not degenerate.  Below 1, the verdict names what failed."""
     failed = [reason for ok, reason in (
-        (r_quad_error <= R_QUAD_TOL, f"r(x) quadrature error {r_quad_error:.2g} above {R_QUAD_TOL:.2g}"),
+        (r_quad_error <= R_QUAD_TOL, quad_error_reason(r_quad_error)),
         (scans_converged, "a scan or integral did not converge"),
         (resolved, "tail supremum not resolved"),
     ) if not ok]

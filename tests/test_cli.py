@@ -15,6 +15,7 @@ from mhbound.cli import (
     resolve_config,
     validate_config,
 )
+from mhbound.kernel import R_QUAD_TOL, quad_error_reason
 from mhbound.models import ProposalModel
 
 GAMMA_LAPLACE = 8.0 * math.exp(-0.5) - math.exp(-1.0) - 3.5
@@ -167,6 +168,19 @@ def test_profile_command(tmp_path):
     assert len(rows) == 1002  # 1001 grid points on [-5, 5] at step 0.01
     best = max(rows[1:], key=lambda r: float(r[1]))
     assert abs(float(best[0])) <= 0.005
+
+
+def test_unconverged_profile_warns_and_exits_2(tmp_path, caplog):
+    # a narrow bump beside the kink: the largest r(x) error is about 5e-7
+    target = "target.expr=exp(-abs(x) + 0.3*exp(-((x-0.7)/0.005)^2))"
+    with caplog.at_level(logging.WARNING, logger="mhbound.cli"):
+        code = run_cli("profile", "--out", str(tmp_path), "--set", "target.family=expr", "--set", target)
+    assert code == 2
+    result = json.loads((tmp_path / "profile.json").read_text())["result"]
+    assert not result["converged"] and result["r_quad_error"] > R_QUAD_TOL
+    (record,) = [r for r in caplog.records if r.name == "mhbound.cli"]
+    assert record.levelno == logging.WARNING
+    assert quad_error_reason(result["r_quad_error"]) in record.getMessage()
 
 
 def test_spectrum_command(tmp_path):
@@ -405,7 +419,7 @@ def test_report_schemas(tmp_path):
     ]
     assert {tuple(row) for row in asym["tau_table"]} == {("u", "tau_plus", "tau_minus")}
 
-    assert list(result("profile")) == ["points", "argmax", "max", "r_quad_error"]
+    assert list(result("profile")) == ["points", "argmax", "max", "r_quad_error", "converged"]
 
     spectrum = result("spectrum", "spectrum.n=51", "spectrum.A=12")
     assert list(spectrum) == [
