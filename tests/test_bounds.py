@@ -279,14 +279,17 @@ def test_no_slopes_resolves_no_window(monkeypatch, caplog):
 
     monkeypatch.setattr(asymptotics, "tail_ratio_for", unresolved)
     monkeypatch.setattr(bounds, "sup_scan", recorded)
+    k = MhKernel(DensityModel.laplace(), ProposalModel.triangular())
     with caplog.at_level(logging.WARNING, logger="mhbound.bounds"):
-        prof = bounds.bound_profile(MhKernel(DensityModel.laplace(), ProposalModel.triangular()), [1.0, 4.0])
+        prof = bounds.bound_profile(k, [1.0, 4.0])
     assert all(not rep.tail_resolved and not rep.certified for rep in prof.reports)
     assert all(rep.converged for rep in prof.reports)
     assert prof.reports[1].verdict.endswith("tail supremum not resolved")
     records = [r for r in caplog.records if r.name == "mhbound.bounds"]
     assert len(records) == 1 and records[0].levelno == logging.WARNING
     assert len(errors) == 1 and [rep.r_quad_error for rep in prof.reports] == errors * 2
+    # the tails' maximum alone, with no limit merged into it
+    assert bounds.r_sup_tail(k, 1.0, 66.0) == pytest.approx(R_TAIL, abs=1e-9)
 
 
 def test_alpha_flat_tail_not_certified():
