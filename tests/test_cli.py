@@ -171,7 +171,8 @@ def test_profile_command(tmp_path):
 
 
 def test_unconverged_profile_warns_and_exits_2(tmp_path, caplog):
-    # a narrow bump beside the kink: the largest r(x) error is about 5e-7
+    # near x = 0.5, d(x, .) has two roots in one coarse cell of integrate_u,
+    # and the largest r(x) error estimate is about 5e-7
     target = "target.expr=exp(-abs(x) + 0.3*exp(-((x-0.7)/0.005)^2))"
     with caplog.at_level(logging.WARNING, logger="mhbound.cli"):
         code = run_cli("profile", "--out", str(tmp_path), "--set", "target.family=expr", "--set", target)
