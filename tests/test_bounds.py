@@ -42,6 +42,30 @@ def test_r_sup_tail_laplace(laplace_tri):
         bounds.r_sup_tail(laplace_tri, 30.0, 30.0)
 
 
+@pytest.fixture
+def no_slopes(monkeypatch):
+    """Tail slopes that do not settle."""
+    def unresolved(*args, **kwargs):
+        raise asymptotics.TauNotConvergedError("tail ratio not converged")
+
+    monkeypatch.setattr(asymptotics, "tail_ratio_for", unresolved)
+
+
+def test_r_sup_tail_without_tail_ratio(no_slopes, caplog):
+    # with no tail ratio r_sup_tail is the window scan's maximum alone, with
+    # no limit merged into it, and the window's tail is not resolved
+    tri = ProposalModel.triangular()
+    laplace = MhKernel(DensityModel.laplace(), tri)
+    with caplog.at_level(logging.WARNING, logger="mhbound.bounds"):
+        assert bounds.r_sup_tail(laplace, 1.0, 66.0) == pytest.approx(R_TAIL, abs=1e-9)
+    records = [r for r in caplog.records if r.name == "mhbound.bounds"]
+    assert len(records) == 1 and records[0].levelno == logging.WARNING
+    # a second mode in both tails, then in the right or the left one only
+    for expr in ("exp(-abs(x-30))+exp(-abs(x+30))", "exp(-abs(x))+exp(-abs(x-30))", "exp(-abs(x))+exp(-abs(x+30))"):
+        rep = bounds.alpha(MhKernel(DensityModel.from_expression(expr), tri), 1.0, 66.0)
+        assert not rep.tail_resolved and not rep.certified
+
+
 def test_r_sup_tail_gauss_hits_limit(gauss_tri):
     assert bounds.r_sup_tail(gauss_tri, 5.0, 50.0) == pytest.approx(0.5, abs=1e-9)
     assert bounds.alpha(gauss_tri, 5.0, 50.0).tail_resolved
@@ -264,12 +288,10 @@ def test_reports_cover_their_own_r_evaluations():
     assert limit.r_quad_error == asymptotics.alpha_inf(fresh).r_quad_error
 
 
-def test_no_slopes_resolves_no_window(monkeypatch, caplog):
-    # without the tails' slopes no window's tail supremum is resolved: one
-    # warning says so, and the windows' own r(x) scan is the only one
-    def unresolved(*args, **kwargs):
-        raise asymptotics.TauNotConvergedError("tail ratio not converged")
-
+def test_profile_error_covers_the_tail_flatness_scan(no_slopes, monkeypatch):
+    # with no slopes the tails are covered by the windows' own r(x) scan
+    # alone, with no second flatness scan, so the profile's error is that
+    # one scan's largest estimate
     errors, scan = [], bounds.sup_scan
 
     def recorded(f, lo, hi, **kwargs):
@@ -277,8 +299,14 @@ def test_no_slopes_resolves_no_window(monkeypatch, caplog):
         errors.append(float(res.error.max()))
         return res
 
-    monkeypatch.setattr(asymptotics, "tail_ratio_for", unresolved)
     monkeypatch.setattr(bounds, "sup_scan", recorded)
+    prof = bounds.bound_profile(MhKernel(DensityModel.laplace(), ProposalModel.triangular()), [1.0, 4.0])
+    assert len(errors) == 1 and [rep.r_quad_error for rep in prof.reports] == errors * 2
+
+
+def test_no_slopes_resolves_no_window(no_slopes, caplog):
+    # without the tails' slopes no window's tail supremum is resolved, and
+    # one warning says so
     k = MhKernel(DensityModel.laplace(), ProposalModel.triangular())
     with caplog.at_level(logging.WARNING, logger="mhbound.bounds"):
         prof = bounds.bound_profile(k, [1.0, 4.0])
@@ -287,9 +315,6 @@ def test_no_slopes_resolves_no_window(monkeypatch, caplog):
     assert prof.reports[1].verdict.endswith("tail supremum not resolved")
     records = [r for r in caplog.records if r.name == "mhbound.bounds"]
     assert len(records) == 1 and records[0].levelno == logging.WARNING
-    assert len(errors) == 1 and [rep.r_quad_error for rep in prof.reports] == errors * 2
-    # the tails' maximum alone, with no limit merged into it
-    assert bounds.r_sup_tail(k, 1.0, 66.0) == pytest.approx(R_TAIL, abs=1e-9)
 
 
 def test_alpha_flat_tail_not_certified():
