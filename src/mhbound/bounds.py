@@ -179,6 +179,8 @@ def _beta(k: MhKernel, a: np.ndarray, x_max: float, slopes) -> List[BetaValue]:
     lo, hi = np.concatenate([edges[:-1], -edges[1:]]), np.concatenate([edges[1:], -edges[:-1]])
     xs = np.linspace(lo, hi, _BETA_STEPS + 1, axis=1)
     windows = list(zip(xs, k.target.log_pdf(xs)))
+    # the coarse blocks of every window, in both passes of the rule in u
+    coarse = np.empty(BLOCK_ELEMENTS)
     zooms_closed = True
 
     def integrand(us: np.ndarray) -> np.ndarray:
@@ -187,7 +189,7 @@ def _beta(k: MhKernel, a: np.ndarray, x_max: float, slopes) -> List[BetaValue]:
         values = np.zeros((n, us.size))
         live = lq > -np.inf
         if np.any(live):
-            pieces, closed = _min_abs_balance(k, windows, us[live])
+            pieces, closed = _min_abs_balance(k, windows, us[live], coarse)
             zooms_closed = zooms_closed and closed
             min_d = np.minimum.accumulate(pieces.reshape(2, n, -1).min(axis=0)[::-1])[::-1]
             values[:, live] = np.exp(0.5 * (lq[live] - min_d))
@@ -199,12 +201,13 @@ def _beta(k: MhKernel, a: np.ndarray, x_max: float, slopes) -> List[BetaValue]:
     return [BetaValue(float(v), float(e), zooms_closed and bool(e <= _BETA_TOL)) for v, e in zip(res.value, res.error)]
 
 
-def _min_abs_balance(k: MhKernel, windows, us: np.ndarray):
+def _min_abs_balance(k: MhKernel, windows, us: np.ndarray, coarse: np.ndarray):
     """Minimum over each window of |d(x, u)| for every u in ``us``, one
     row per window, and whether every zoom closed.
 
     ``windows`` holds each window's coarse x-grid with log pi on it.  The
-    coarse pass runs in blocks of BLOCK_ELEMENTS, one row per (window, u).
+    coarse pass runs in blocks of BLOCK_ELEMENTS, one row per (window, u),
+    each written into the caller's buffer ``coarse``.
     Where d takes both signs on a row the minimum is exactly 0: log pi is
     continuous, so pi(x+u) q(-u) = pi(x) q(u) somewhere in the window.
     Every other row has one sign sigma on its grid, and quad.zoom refines
@@ -212,16 +215,15 @@ def _min_abs_balance(k: MhKernel, windows, us: np.ndarray):
     the minimum is max(0, -sup(-sigma d)): a zoom that reaches a crossing
     finds -sigma d > 0 there.
 
-    The arrays handed to log_pdf are slices of buffers reused across
+    x + u, log pi and d are written into slices of buffers reused across
     blocks and levels, so their pages are faulted in once per call."""
     n = us.size
     x, v, lo, hi, error, sign = np.empty((6, len(windows) * n))
     for w, (xs, lx) in enumerate(windows):
-        chunk = max(1, BLOCK_ELEMENTS // xs.size)
-        y = np.empty((min(chunk, n), xs.size))
+        chunk = BLOCK_ELEMENTS // xs.size
         for start in range(0, n, chunk):
             ub = us[start : start + chunk, None]
-            d = k.log_balance(xs, ub, lx, out=y[: ub.size])
+            d = k.log_balance(xs, ub, lx, out=coarse[: ub.size * xs.size].reshape(ub.size, xs.size))
             block = slice(w * n + start, w * n + start + ub.size)
             crossed = (d.min(axis=1) <= 0.0) & (d.max(axis=1) >= 0.0)
             sign[block] = np.where(crossed, 0.0, np.sign(d[:, 0]))

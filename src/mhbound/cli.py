@@ -263,7 +263,10 @@ def cmd_profile(args, cfg: dict) -> int:
     lo, hi, step = (float(cfg["profile"][key]) for key in ("lo", "hi", "step"))
     if hi <= lo or step <= 0:
         raise ConfigError("profile needs lo < hi and step > 0")
-    count = int(round((hi - lo) / step)) + 1
+    steps = (hi - lo) / step
+    if not np.isfinite(steps):
+        raise ConfigError(f"profile needs a finite number of steps, and (hi - lo) / step is {steps}")
+    count = int(round(steps)) + 1
     xs = lo + step * np.arange(count)
     rs, errors = k.rejection_grid(xs)
     argmax, top, error = float(xs[int(np.argmax(rs))]), float(np.max(rs)), float(np.max(errors))

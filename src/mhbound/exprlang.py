@@ -444,7 +444,7 @@ def _operator(node: Expr):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _lines(e: Expr, templates: dict, var: str):
+def _lines(e: Expr, templates: dict, var: str, into: Optional[str] = None):
     """The straight-line statements that compute a tree at the value named
     ``var``, with the operator ``templates`` of a backend: ``(statements,
     name of the result, constants)``.
@@ -462,7 +462,12 @@ def _lines(e: Expr, templates: dict, var: str):
     An operand that depends on ``var`` and sits in a temporary is the
     template's ``out``, and the result takes its name: on arrays, the
     operation then writes into an array that only this code holds, and a
-    chain of operations allocates one array."""
+    chain of operations allocates one array.  When the tree reads ``var``
+    once, the operation that reads it takes the name ``into``, if given, as
+    its ``out``: then every operation that depends on ``var`` writes into
+    that array, and none allocates one."""
+    if into is not None and _fold(e, lambda node, reads: sum(reads, isinstance(node, Var))) != 1:
+        into = None
     constants = {}
     lines = []
     operands = []  # (name, whether it depends on var) of finished subtrees
@@ -479,6 +484,8 @@ def _lines(e: Expr, templates: dict, var: str):
             if out is None and not free:
                 free.append(f"t{len(lines)}")
             target = out or free.pop()
+            if out is None and (var, True) in args:
+                out = into
             source = templates[key].format(*(name for name, _ in args), out=out)
             lines.append(f"{target} = {source}")
             operands.append((target, any(varies for _, varies in args)))
@@ -504,13 +511,14 @@ def scalar_lines(e: Expr, var: str):
     return lines, result, {**_BACKEND, **constants}
 
 
-def _generate(e: Expr, names: dict, templates: dict) -> Callable:
-    """Compile a tree into a Python function of one argument ``v``, with
-    the operator ``templates`` of a backend whose functions are ``names``:
-    the statements of ``_lines`` and a return.  The namespace has an empty
-    ``__builtins__``."""
-    lines, result, constants = _lines(e, templates, "v")
-    source = "def compiled(v):\n" + "".join(f"    {line}\n" for line in lines) + f"    return {result}\n"
+def _generate(e: Expr, names: dict, templates: dict, into: Optional[str] = None) -> Callable:
+    """Compile a tree into a Python function of ``v``, and of ``into`` when
+    that is given, with the operator ``templates`` of a backend whose
+    functions are ``names``: the statements of ``_lines`` and a return.
+    The namespace has an empty ``__builtins__``."""
+    lines, result, constants = _lines(e, templates, "v", into)
+    params = "v" if into is None else f"v, {into}"
+    source = f"def compiled({params}):\n" + "".join(f"    {line}\n" for line in lines) + f"    return {result}\n"
     namespace = {"__builtins__": {}, **names, **constants}
     exec(compile(source, "<exprlang>", "exec"), namespace)
     return namespace["compiled"]
@@ -522,23 +530,30 @@ def compile_scalar(e: Expr) -> Callable[[float], float]:
     return _generate(e, _BACKEND, _TEMPLATES)
 
 
-def compile_array(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile a tree into an elementwise function of a numpy array, from
-    the same generator as ``compile_scalar`` on the numpy backend.
+def compile_array(e: Expr) -> Callable[..., np.ndarray]:
+    """Compile a tree into an elementwise function of a numpy array and an
+    optional ``out``, from the same generator as ``compile_scalar`` on the
+    numpy backend.
 
     Numbers stay floats, so a constant exponent of ``^`` is tested as a
     scalar.  The result has the input's shape (a constant tree's value is
-    filled in), and it is a new array that the caller may overwrite."""
-    fn = _generate(e, _ARRAY_BACKEND, _ARRAY_TEMPLATES)
+    filled in), and the caller may overwrite it.  It is ``out``, an array
+    of the input's shape that may be the input itself, when that is given
+    and the tree reads its variable at most once; otherwise it is a new
+    array."""
+    fn = _generate(e, _ARRAY_BACKEND, _ARRAY_TEMPLATES, "out")
 
-    def compiled(values: np.ndarray) -> np.ndarray:
+    def compiled(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         # a 0-d input would make numpy scalars, which cannot be ``out``
         vector = np.atleast_1d(values)
-        out = fn(vector)
-        if out is vector:  # the tree is the bare variable
-            return values.copy()
-        return out.reshape(values.shape) if np.ndim(out) else np.full(values.shape, out)
+        result = fn(vector, None if out is None else np.atleast_1d(out))
+        if result is vector or np.ndim(result) == 0:  # the bare variable, or a constant tree
+            if out is None:
+                out = np.empty(values.shape)
+            out[...] = result
+            return out
+        return result.reshape(values.shape) if values.ndim == 0 else result
 
     return compiled
 

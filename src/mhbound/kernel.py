@@ -34,9 +34,10 @@ __all__ = ["MhKernel", "R_QUAD_TOL", "certification", "quad_error_reason"]
 
 #: elements of a two-dimensional grid evaluated at once, in integrate_u
 #: (a block's nodes and their weights together) and in bounds.beta: 512 KB
-#: of float64.  Both loops write their blocks into buffers made once per
-#: call, because glibc hands freed blocks of this size back to the OS, and
-#: a new block per step would fault its pages in again
+#: of float64.  Both loops write each block's points, log pi on them and d
+#: into one buffer made once per call (``DensityModel.log_pdf``'s ``out``),
+#: because glibc hands freed blocks of this size back to the OS, and a new
+#: block per step would fault its pages in again
 BLOCK_ELEMENTS = 2**16
 #: integrate_u looks for the sign changes of d on _ROOT_POINTS points per
 #: half of [-s, s], from +-s to +-_ROOT_INNER s (d(x, 0) = 0 exactly), and
@@ -116,12 +117,16 @@ class MhKernel:
         """d(x, u) = log(pi(x+u) q(-u)) - log(pi(x) q(u)), so that
         t(x, x+u) t(x+u, x) = q(u) q(-u) e^{-|d|}; defined where q(u) and
         q(-u) are positive.  Broadcasts over x and u; ``log_pi_x`` is
-        log pi(x) when the caller already has it, and ``out``, if given,
-        receives x + u."""
+        log pi(x) when the caller already has it.  ``out``, if given, is an
+        array of the broadcast shape that receives d, which is returned:
+        x + u, then log pi(x + u) over it, are computed in it too."""
         if log_pi_x is None:
             log_pi_x = self.target.log_pdf(x)
         gap = self.proposal.log_shape(-u) - self.proposal.log_shape(u)
-        return self.target.log_pdf(np.add(x, u, out=out)) - log_pi_x + gap
+        d = self.target.log_pdf(np.add(x, u, out=out), out=out)
+        d -= log_pi_x
+        d += gap
+        return d
 
     def sqrt_tt(self, x, u):
         """sqrt(t(x, x+u) * t(x+u, x)); the integrand of the tail constant.
@@ -163,9 +168,9 @@ class MhKernel:
         fixed = np.array([-s, 0.0, *self.proposal.kinks, s])
         half = np.linspace(_ROOT_INNER * s, s, _ROOT_POINTS)
         grid = np.concatenate([-half[::-1], half])
-        # each block's x + u and then d, and a block's u-nodes and then
-        # x + u and d, go into one buffer, so its pages are faulted in once
-        # per call
+        # each block's x + u, log pi and then d, and a block's u-nodes and
+        # then x + u, log pi and d, go into one buffer, so its pages are
+        # faulted in once per call
         buf = np.empty(BLOCK_ELEMENTS)
         chunk = BLOCK_ELEMENTS // grid.size
         for start in range(0, xs.size, chunk):
@@ -192,7 +197,7 @@ class MhKernel:
         of d(x, .) on ``grid``, refined by bisection."""
         s = self.proposal.s
         y = np.add(x[:, None], grid, out=buf[: x.size * grid.size].reshape(x.size, grid.size))
-        up = np.subtract(self.target.log_pdf(y), lx[:, None], out=y) > 0.0
+        up = np.subtract(self.target.log_pdf(y, out=y), lx[:, None], out=y) > 0.0
         change = up[:, 1:] != up[:, :-1]
         change[:, _ROOT_POINTS - 1] = False  # the cell across u = 0
         row, cell = np.nonzero(change)
@@ -229,7 +234,7 @@ class MhKernel:
             w *= half
             w *= wts
             y = np.add(x[p, None], u, out=u)
-            g = f(np.subtract(self.target.log_pdf(y), lx[p, None], out=y))
+            g = f(np.subtract(self.target.log_pdf(y, out=y), lx[p, None], out=y))
             one[p] = np.vecdot(g[:, :GL_POINTS], w[:, :GL_POINTS])
             two[p] = np.vecdot(g[:, GL_POINTS:], w[:, GL_POINTS:])
         return one, two

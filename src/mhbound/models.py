@@ -11,8 +11,10 @@ target asymptotics.tail_ratio_for estimates them from secants of log pi.
 
 from __future__ import annotations
 
+import ast
 import logging
 import math
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -33,12 +35,50 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 #: log pi of the built-in families, as Python statements that set
 #: ``{result}`` from ``{x}`` and read ``scale`` and ``log_norm``.  They run
 #: the same operations on floats and arrays, so both give the same bits (the
-#: square is a product, not a float pow), and on an array the augmented
-#: assignments work in place, in the one array that the division makes.
+#: square is a product, not a float pow).  ``_Into`` rewrites them to write
+#: an array's result into a caller's array.
 _LOG_PDF_SOURCE = {
     "laplace": ["{result} = -abs({x} / scale) - log_norm"],
     "gauss": ["{result} = {x} / scale", "{result} *= {result}", "{result} *= -0.5", "{result} -= log_norm"],
 }
+#: numpy's ufunc for each operation that _LOG_PDF_SOURCE assigns
+_UFUNCS = {ast.USub: np.negative, ast.Sub: np.subtract, ast.Div: np.divide, "abs": np.absolute}
+
+
+class _Into(ast.NodeTransformer):
+    """Runs the statements of _LOG_PDF_SOURCE on an array in the array
+    ``out``, with the same operations in the same order: each operation of
+    a plain assignment becomes its ufunc with ``out=out``, and augmented
+    assignments already work in place.  Each operation reads at most one
+    array, ``{x}`` or the operation before it, so all can write into out."""
+
+    def _ufunc(self, key, *args):
+        out = ast.keyword("out", ast.Name("out", ast.Load()))
+        return ast.Call(ast.Name(_UFUNCS[key].__name__, ast.Load()), list(args), [out])
+
+    def visit_AugAssign(self, node):
+        return node
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        return self._ufunc(type(node.op), node.left, node.right)
+
+    def visit_UnaryOp(self, node):
+        self.generic_visit(node)
+        return self._ufunc(type(node.op), node.operand)
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        return self._ufunc(node.func.id, *node.args)
+
+
+@cache
+def _into_source(family: str) -> str:
+    """The source of ``log_pdf_into(x, out)``: a built-in family's
+    _LOG_PDF_SOURCE run on an array x in the array out (see _Into)."""
+    body = "".join(f"    {line.format(x='x', result='lx')}\n" for line in _LOG_PDF_SOURCE[family])
+    tree = _Into().visit(ast.parse(f"def log_pdf_into(x, out):\n{body}    return lx\n"))
+    return ast.unparse(tree) + "\n"
 
 
 class ModelError(ValueError):
@@ -72,11 +112,16 @@ class DensityModel:
         self._log_norm = (_LOG_SQRT_2PI if family == "gauss" else _LOG_2) + math.log(self.scale)
         lines, names = self.log_pdf_source("x", "lx")
         code = "def log_pdf(x):\n" + "".join(f"    {line}\n" for line in lines) + "    return lx\n"
+        if family != "expr":
+            code += _into_source(family)
+            names.update((f.__name__, f) for f in _UFUNCS.values())
         namespace = {"__builtins__": {}, **names}
         exec(compile(code, "<log_pdf>", "exec"), namespace)
         #: ``log_pdf_source`` as a function: of a float for an expression,
         #: of a float or an array for a built-in family
         self._log_pdf = namespace["log_pdf"]
+        #: a built-in family's ``log_pdf_source`` on an array, into ``out``
+        self._log_pdf_into = namespace.get("log_pdf_into")
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -92,23 +137,40 @@ class DensityModel:
         return cls("expr", 1.0, source)
 
     # -- evaluation ---------------------------------------------------
-    def log_pdf(self, x):
+    def log_pdf(self, x, out=None):
         """log pi(x); stable in the far tails for the built-in families and
         for an expression with a log form.  Accepts scalars or ndarrays.  A
         built-in family, and an expression at a float, run the statements
         of ``log_pdf_source``; an expression evaluates anything else with
         its compiled array function, and raises the same ModelError where
-        log pi(x) is not above -inf (which includes NaN)."""
+        log pi(x) is not above -inf (which includes NaN).
+
+        ``out``, an array of x's shape, receives the result of an array x
+        and is returned; it may be x itself.  A built-in family and an
+        expression whose log form reads x once then make no array of their
+        own (``exprlang.compile_array``); other expressions make one."""
         if self._ast is None:
-            return self._log_pdf(x)
+            return self._log_pdf(x) if out is None else self._log_pdf_into(x, out)
         if isinstance(x, float):
             return self._log_pdf(float(x))
-        vals = self._array_fn(x)
+        vals = self._array_fn(x, out if self._logged else None)
         good = vals > (-math.inf if self._logged else 0.0)
         if not good.all():
+            if vals is out and np.may_share_memory(x, out):
+                # the log form was evaluated over x, so the point is gone
+                raise ModelError(
+                    f"target density is not positive: log pi is {vals[~good].flat[0]} at a point whose x "
+                    "the evaluation overwrote"
+                )
             bad = float(np.asarray(x, dtype=float)[~good].flat[0])
             raise ModelError(f"target density is not positive at x={bad}")
-        return (vals if self._logged else np.log(vals, out=vals))[()]
+        if out is None:
+            out = vals
+        if not self._logged:
+            np.log(vals, out=out)
+        elif vals is not out:  # a log form that reads x more than once
+            out[...] = vals
+        return out if out.ndim else out[()]
 
     def log_pdf_source(self, x: str, result: str) -> tuple:
         """log pi as Python statements that set the name ``result`` from the
@@ -244,17 +306,29 @@ class ProposalModel:
         over an array; a scalar gives a numpy scalar."""
         s = self.s
         u = np.asarray(u, dtype=float)
-        inside = np.abs(u) <= s
-        if self.family == "triangular":
-            out = np.where(inside, (1.0 - np.abs(u) / s) / s, 0.0)
-        elif self.family == "uniform":
-            out = np.where(inside, 1.0 / (2.0 * s), 0.0)
-        elif self.family == "epanechnikov":
-            out = np.where(inside, 0.75 * (1.0 - (u / s) ** 2) / s, 0.0)
-        else:
+        if self.family == "expr":
             out = np.zeros_like(u)
+            inside = np.abs(u) <= s
             if np.any(inside):
                 out[inside] = self._array_fn(u[inside])
+            return out[()]
+        # a built-in shape's operations run in place in one array, and its
+        # mask is the one other array
+        out = np.abs(u, out=np.empty(u.shape))
+        outside = ~(out <= s)
+        if self.family == "triangular":
+            out /= s
+            np.subtract(1.0, out, out=out)
+            out /= s
+        elif self.family == "uniform":
+            out.fill(1.0 / (2.0 * s))
+        else:
+            np.divide(u, s, out=out)
+            out **= 2
+            np.subtract(1.0, out, out=out)
+            np.multiply(0.75, out, out=out)
+            out /= s
+        out[outside] = 0.0
         return out[()]
 
     def log_shape(self, u):

@@ -97,6 +97,11 @@ def discretize(target: DensityModel, half_width: float, n: int = 801) -> Discret
         return float(target.pdf(xs) @ ws)
 
     z = mass(-half_width, half_width)
+    if not z > 0.0:
+        raise ModelError(
+            f"the target's mass on [-A, A], A = {half_width:g}, underflows to 0 on the Gauss-Legendre nodes, "
+            "which miss the region where the density is not negligible; use a smaller A"
+        )
     quad_defect = abs(1.0 - total / z)
     # far-tail mass; the integrand is exp(log pi) so underflow is benign
     outside = mass(-3.0 * half_width, -half_width) + mass(half_width, 3.0 * half_width)

@@ -90,7 +90,7 @@ def per_window_report(k, a: float, x_max: float, slopes) -> "bounds.BoundReport"
         values = np.zeros(us.size)
         live = lq > -np.inf
         if np.any(live):
-            min_d, ok = bounds._min_abs_balance(k, windows, us[live])
+            min_d, ok = bounds._min_abs_balance(k, windows, us[live], np.empty(bounds.BLOCK_ELEMENTS))
             closed.append(ok)
             values[live] = np.exp(0.5 * (lq[live] - min_d.min(axis=0)))
         return np.maximum(values, k.proposal.shape(np.abs(us)) * np.exp(0.5 * max(slopes) * np.abs(us)))

@@ -276,6 +276,11 @@ def test_bad_model_config_exits_1(tmp_path, capsys):
         ("spectrum", ["spectrum.a=0"]),
         ("spectrum", ["spectrum.n=4"]),
         ("spectrum", ["spectrum.n=1"]),
+        # every Gauss-Legendre node of the mass on [-A, A] falls where pi
+        # underflows
+        ("spectrum", ["target.family=gauss", "spectrum.A=1e6", "spectrum.n=101"]),
+        # (hi - lo) / step overflows to inf
+        ("profile", ["profile.lo=-1e308", "profile.hi=1e308"]),
     ],
 )
 def test_bad_window_or_grid_settings_exit_1(tmp_path, capsys, command, sets):

@@ -198,6 +198,24 @@ def test_rejection_grid_reuses_its_block_buffer(expr_laplace_tri, peak_mb):
     assert peak_mb(lambda: expr_laplace_tri.rejection_grid(xs)) < 8.0
 
 
+@pytest.mark.parametrize(
+    "proposal",
+    [ProposalModel.triangular(), ProposalModel.from_expression("max(0,1-abs(u))*(1-u)", 1.0)],
+    ids=["triangular", "asymmetric"],
+)
+@pytest.mark.parametrize("target", ["laplace", "gauss", "exp(-abs(x))"])
+def test_log_balance_into_buffer(target, proposal):
+    # out receives d, with the bits of the form that makes its own arrays
+    model = DensityModel(target) if target in ("laplace", "gauss") else DensityModel.from_expression(target)
+    k = MhKernel(model, proposal)
+    xs, us = np.linspace(-30.0, 30.0, 1025), np.linspace(-0.99, 0.99, 63)[:, None]
+    buf = np.empty((us.size, xs.size))
+    for log_pi_x in (None, model.log_pdf(xs)):
+        fresh = k.log_balance(xs, us, log_pi_x)
+        assert k.log_balance(xs, us, log_pi_x, out=buf) is buf
+        assert np.array_equal(fresh.view(np.uint64), buf.view(np.uint64))
+
+
 def test_detailed_balance_random_pairs(builtin_kernel):
     rng = np.random.default_rng(7)
     xs = rng.uniform(-20, 20, 10**4)
@@ -234,9 +252,9 @@ def test_rejection_grid_log_pdf_points_per_x(monkeypatch, proposal):
     points = []
     log_pdf = DensityModel.log_pdf
 
-    def recorded(self, x):
+    def recorded(self, x, out=None):
         points.append(np.size(x))
-        return log_pdf(self, x)
+        return log_pdf(self, x, out)
 
     monkeypatch.setattr(DensityModel, "log_pdf", recorded)
     xs = np.linspace(-8.0, 8.0, 101)

@@ -41,18 +41,61 @@ def test_gauss_log_pdf_far_tail_no_underflow():
 def test_log_pdf_floats_match_arrays(family, scale):
     # floats and arrays run one formula with the same operations, so the
     # bits agree (a square by C pow on floats and by numpy on arrays did
-    # not), and an array call holds no array but its result
+    # not); an array call holds no array but its result, and a call into a
+    # caller's array, or over x itself, holds none and returns that array
     m = DensityModel(family, scale)
     xs = np.random.default_rng(8).normal(scale=3.0 * scale, size=10**5)
     floats = np.array([m.log_pdf(x) for x in xs.tolist()])
+    buf, in_place = np.empty_like(xs), xs.copy()
     tracemalloc.start()
     try:
         arrays = m.log_pdf(xs)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert m.log_pdf(xs, out=buf) is buf
+        assert m.log_pdf(in_place, out=in_place) is in_place
+        peak_into = tracemalloc.get_traced_memory()[1] - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(floats.view(np.uint64), arrays.view(np.uint64))
+    for values in (arrays, buf, in_place):
+        assert np.array_equal(floats.view(np.uint64), values.view(np.uint64))
     assert peak < 1.5 * xs.nbytes
+    assert peak_into < 0.01 * xs.nbytes
+
+
+@pytest.mark.parametrize(
+    "source, reads_once",
+    [("exp(-abs(x))", True), ("exp(-x^2/2)", True), ("exp(-abs(x-3))+exp(-abs(x+3))", False), ("1/(1+x^2)", False)],
+)
+def test_expr_log_pdf_into_buffer(source, reads_once):
+    # a log form that reads x once is evaluated in the caller's array, with
+    # a mask of bools as the one other array; any other tree makes its own
+    # array and copies or logs it into that one
+    m = DensityModel.from_expression(source)
+    xs = np.random.default_rng(9).normal(scale=5.0, size=10**5)
+    fresh = m.log_pdf(xs)
+    buf, in_place = np.empty_like(xs), xs.copy()
+    tracemalloc.start()
+    try:
+        assert m.log_pdf(xs, out=buf) is buf
+        assert m.log_pdf(in_place, out=in_place) is in_place
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for values in (buf, in_place):
+        assert np.array_equal(fresh.view(np.uint64), values.view(np.uint64))
+    assert (peak < 0.5 * xs.nbytes) == reads_once
+
+
+def test_expr_log_pdf_error_over_its_input():
+    # evaluated over x, a log form that leaves its domain cannot name the
+    # point, and says so
+    m = DensityModel.from_expression("exp(-exp(x))")
+    xs = np.array([0.0, 800.0])
+    with pytest.raises(ModelError, match=r"not positive at x=800\.0"):
+        m.log_pdf(xs, out=np.empty(2))
+    with pytest.raises(ModelError, match=r"log pi is -inf at a point whose x"):
+        m.log_pdf(xs, out=xs)
 
 
 def test_tail_ratio_closed_forms():
@@ -205,6 +248,32 @@ def test_proposal_constructor_validation():
         ProposalModel.triangular(s=-1.0)
     with pytest.raises(ModelError):
         ProposalModel("expr", s=1.0)
+
+
+@pytest.mark.parametrize("s", [1.0, 0.3, 2.5])
+def test_builtin_shapes_match_where_form(s):
+    # one array per call, with the operations of the np.where forms: the
+    # same bits on every input, at +-s, at +-0.0, +-inf and NaN too
+    u = np.concatenate([np.random.default_rng(4).uniform(-2.0 * s, 2.0 * s, 10**4), [s, -s, 0.0, -0.0, np.inf, -np.inf, np.nan]])
+    inside = np.abs(u) <= s
+    where = {
+        "triangular": np.where(inside, (1.0 - np.abs(u) / s) / s, 0.0),
+        "uniform": np.where(inside, 1.0 / (2.0 * s), 0.0),
+        "epanechnikov": np.where(inside, 0.75 * (1.0 - (u / s) ** 2) / s, 0.0),
+    }
+    for family, expected in where.items():
+        p = ProposalModel(family, s)
+        tracemalloc.start()
+        try:
+            values = p.shape(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64)), family
+        # the result and a mask of bools: 2.1 times u's bytes with np.where
+        assert peak < 1.3 * u.nbytes, family
+        assert p.shape(u[0]).view(np.uint64) == expected[0].view(np.uint64)
+        assert p.shape(u[:6].reshape(2, 3)).shape == (2, 3)
 
 
 def test_array_and_scalar_shape_agree():
