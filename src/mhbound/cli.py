@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -42,6 +43,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NOT_CERTIFIED = 2
 EXIT_INTERNAL = 3
+
+#: the most points a command allocates: the states of ``sample``
+#: (sample.chains x sample.steps) and the grid of ``profile``
+MAX_POINTS = 10**8
 
 log = logging.getLogger(__name__)
 
@@ -86,6 +91,8 @@ def validate_config(doc: dict) -> None:
                 raise ConfigError(f"config key {section}.{key} must be {names}")
             if key == "a_list" and not (value and all(type(a) in (int, float) for a in value)):
                 raise ConfigError("config key bound.a_list must be a non-empty list of numbers")
+            if any(isinstance(v, float) and not math.isfinite(v) for v in (value if key == "a_list" else [value])):
+                raise ConfigError(f"config key {section}.{key} must be finite, got {value!r}")
 
 
 def load_config(path: Optional[str]) -> dict:
@@ -216,6 +223,13 @@ def _report(command: str, cfg: dict, started: float, result) -> dict:
     }
 
 
+def _check_size(what: str, count) -> None:
+    """Raise a ConfigError, before anything is allocated, where ``count``
+    is above ``MAX_POINTS``."""
+    if count > MAX_POINTS:
+        raise ConfigError(f"{what} is {count:.3g}, above the limit of {MAX_POINTS:.0e}")
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -266,7 +280,8 @@ def cmd_profile(args, cfg: dict) -> int:
     steps = (hi - lo) / step
     if not np.isfinite(steps):
         raise ConfigError(f"profile needs a finite number of steps, and (hi - lo) / step is {steps}")
-    count = int(round(steps)) + 1
+    count = round(steps) + 1
+    _check_size("profile points", count)
     xs = lo + step * np.arange(count)
     rs, errors = k.rejection_grid(xs)
     argmax, top, error = float(xs[int(np.argmax(rs))]), float(np.max(rs)), float(np.max(errors))
@@ -294,6 +309,7 @@ def cmd_sample(args, cfg: dict) -> int:
     started = time.monotonic()
     k = build_kernel(cfg)
     sc = cfg["sample"]
+    _check_size("sample.chains x sample.steps", sc["chains"] * sc["steps"])
     try:
         chain_cfg = ChainConfig(
             steps=int(sc["steps"]),

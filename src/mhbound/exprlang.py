@@ -89,6 +89,10 @@ class DomainError(ArithmeticError):
         self.argument = argument
         super().__init__(f"domain error: {function}({argument!r})")
 
+    def __reduce__(self):
+        # pickled by its fields, as a worker of ``sampler.run`` sends it
+        return type(self), (self.function, self.argument)
+
 
 @dataclass(frozen=True)
 class Num:

@@ -12,10 +12,17 @@ the proposal rejection sampler (pairs of uniforms: candidate in
 uniforms, one per step.  Because the streams are separate, drawing
 proposals in batches consumes stream 0 in exactly the same order as a
 scalar loop would, so the vectorized path reproduces the sequential
-definition bit for bit.
+definition bit for bit.  A chain's numbers depend on its own streams
+alone, so the process that walks it changes none of them.
 
-The step loop itself is sequential.  ``run`` compiles it once, with the
-target's ``DensityModel.log_pdf_source`` written into the body: a
+``run`` spreads the chains over one process per CPU it may use
+(``_spread``).  Each process walks its share with the same block loop,
+into one shared buffer, and the calling process makes the summaries, the
+autocorrelations (the only BLAS call) and the trace once every worker is
+reaped.
+
+Each chain's step loop is sequential.  ``run`` compiles it once, with
+the target's ``DensityModel.log_pdf_source`` written into the body: a
 built-in family's formula, or an expression's scalar statements from
 ``exprlang``'s generator for its log form (``exp(-abs(x))`` runs as
 ``-abs(x)``, with no exp or log) and the check that log pi is above -inf,
@@ -25,9 +32,10 @@ symmetric proposal's loop has no Hastings term.  It walks each chain in
 blocks of ``_BLOCK_STEPS`` steps on Python floats (the block's
 increments, log acceptance uniforms and, for an asymmetric proposal,
 Hastings terms log q(-u) - log q(u) computed as arrays and converted
-with ``tolist``) and records only the numbers of the rejected steps.  The block's states are then one ``np.cumsum`` of its increments,
-with each rejected increment set to -0.0 and the previous state added to
-the first: x + (-0.0) is x for every float, and cumsum adds left to
+with ``tolist``) and records only the numbers of the rejected steps.
+The block's states are then one ``np.cumsum`` of its increments, with
+each rejected increment set to -0.0 and the previous state added to the
+first: x + (-0.0) is x for every float, and cumsum adds left to
 right, so each state is the loop's own sum x + u.  The accept flags are
 True except at the rejected steps.  Neither the blocks, nor the compiled
 body, nor the rebuilt states change a single operation of the chain,
@@ -46,6 +54,10 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import mmap
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -66,6 +78,9 @@ __all__ = [
 ]
 
 _MAX_REJECTION_ITERS = 10**6
+#: the signal that stops a worker of ``run``: SIGKILL, 9 wherever os.fork
+#: exists (the signal module costs 0.2 MB and 0.4 ms to import)
+_SIGKILL = 9
 #: steps per block of the step loop in ``run``
 _BLOCK_STEPS = 4096
 #: widths of the runs of sorted samples that ``_ks_distance`` bounds, coarse to fine
@@ -201,46 +216,25 @@ def _compile_steps(k: MhKernel) -> Callable:
     return namespace["steps"]
 
 
-def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummary:
-    """Run the configured chains and summarize each plus the pool.
-
-    The summary covers the post-burn-in states x_{burn_in+1..steps}.
-    ``trace`` streams every step of every chain (chains consecutive, the
-    step column restarting per chain) as CSV ``step,x,accepted``, one
-    block of steps at a time.  Each step is the transition of ``_accept``
-    (its acceptance test compares against the log of the uniform), and
-    the KS distances come from ``_ks_distance``.
-    """
-    writer = None
-    fh = None
-    if trace is not None:
-        fh = open(trace, "w", newline="")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "x", "accepted"])
-
-    steps = _compile_steps(k)
-    log_shape = k.proposal.log_shape
-    symmetric = k.proposal.symmetric
-    cdf = k.target.cdf if k.target.is_builtin else None
-    summaries = []
-    # kept states of every chain, one row each: the chains fill them in
-    # place, so pooling copies nothing
-    pooled = np.empty((cfg.chains, cfg.steps - cfg.burn_in))
-    pooled_accepted = 0
-    try:
-        for chain in range(cfg.chains):
+def _walk(k: MhKernel, cfg: ChainConfig, steps: Callable, lx0: float, chains, kept, burn, acc):
+    """Walk ``chains`` from x0, whose log pi is ``lx0``, into their rows of the
+    states ``burn`` and ``kept`` and the accept flags ``acc``.  Return None, or
+    (chain, steps completed, error) for the first one that raises."""
+    p = k.proposal
+    for chain in chains:
+        start = 0
+        try:
             # the increments, which each block turns into its states in place
-            xs = proposal_batch(k.proposal, cfg.steps, _stream(cfg.seed, chain, 0))
+            xs = proposal_batch(p, cfg.steps, _stream(cfg.seed, chain, 0))
             unifs = _stream(cfg.seed, chain, 1).uniform(size=cfg.steps)
             with np.errstate(divide="ignore"):
                 log_unifs = np.log(unifs, out=unifs)
-            acc = np.ones(cfg.steps, dtype=bool)
-            x = cfg.x0
-            lx = k.target.log_pdf(x)
+            acc[chain] = True
+            x, lx = cfg.x0, lx0
             for start in range(0, cfg.steps, _BLOCK_STEPS):
                 stop = min(start + _BLOCK_STEPS, cfg.steps)
                 block = xs[start:stop]
-                gaps = () if symmetric else ((log_shape(-block) - log_shape(block)).tolist(),)
+                gaps = () if p.symmetric else ((p.log_shape(-block) - p.log_shape(block)).tolist(),)
                 rejected = []
                 previous = x
                 # the call holds the only references to the block's inputs as
@@ -250,22 +244,102 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
                 # and cumsum adds left to right: each state is the loop's own
                 # sum x + u, bit for bit
                 xs[rejected] = -0.0
-                acc[rejected] = False
+                acc[chain, rejected] = False
                 block[0] += previous
                 np.cumsum(block, out=block)
-                if writer is not None:
-                    flags = acc[start:stop].tolist()
-                    writer.writerows(zip(range(start, stop), map(repr, block.tolist()), map(int, flags)))
-            pooled[chain] = xs[cfg.burn_in :]
-            accepted = int(acc[cfg.burn_in :].sum())
-            ks_distance = None if cdf is None else _ks_distance(cdf, np.sort(pooled[chain]))
-            summaries.append(_summarize(chain, cfg, pooled[chain], accepted, ks_distance))
-            pooled_accepted += accepted
+                cut = min(max(start, cfg.burn_in), stop)  # where the block's burn-in ends
+                burn[chain, start:cut] = block[: cut - start]
+                kept[chain, cut - cfg.burn_in : stop - cfg.burn_in] = block[cut - start :]
+        except Exception as exc:
+            return chain, start, exc
+    return None
+
+
+def _spread(k: MhKernel, cfg: ChainConfig, steps: Callable, lx0: float, kept, burn, acc):
+    """``_walk`` on w = min(chains, usable CPUs) processes, chain c on worker
+    c mod w; on one without ``os.fork`` or ``os.sched_getaffinity``, or
+    where another thread runs (a lock it holds would stay held in a child).
+    Worker 0 is this process; each other is a child that pickles its outcome
+    up a pipe and leaves through ``os._exit``.  Every child is reaped, killed
+    first on an error here.  Return the lowest-numbered failing outcome."""
+    parallel = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1
+    w = min(cfg.chains, len(os.sched_getaffinity(0))) if parallel else 1
+    children = {}
+    try:
+        for worker in range(1, w):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(_walk(k, cfg, steps, lx0, range(worker, cfg.chains, w), kept, burn, acc), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children[pid] = os.fdopen(read, "rb"), range(worker, cfg.chains, w)
+        outcomes = [_walk(k, cfg, steps, lx0, range(0, cfg.chains, w), kept, burn, acc)]
+        for pid, (pipe, share) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            why = f"died from signal {-code}" if code < 0 else f"exited with status {code}"
+            died = share[0], 0, RuntimeError(f"the worker of chains {list(share)} {why}")
+            outcomes.append(died if code else pickle.loads(data))
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+    return min(filter(None, outcomes), key=lambda outcome: outcome[0], default=None)
+
+
+def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummary:
+    """Run the configured chains and summarize each plus the pool.
+
+    The summary covers the post-burn-in states x_{burn_in+1..steps}.
+    ``trace`` receives every step of every chain (chains consecutive, the
+    step column restarting per chain) as CSV ``step,x,accepted``.  Each
+    step is the transition of ``_accept`` (its acceptance test compares
+    against the log of the uniform), and the KS distances come from
+    ``_ks_distance``.  Where chains raise, the first one's error is raised
+    and the trace ends with its completed blocks.
+    """
+    fh = None
+    if trace is not None:
+        fh = open(trace, "w", newline="")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["step", "x", "accepted"])
+    # one shared buffer, which the workers fill: the kept states, one row per
+    # chain (so pooling copies nothing), the burn-in states and the accept flags
+    buf = mmap.mmap(-1, 9 * cfg.chains * cfg.steps)
+    kept = np.ndarray((cfg.chains, cfg.steps - cfg.burn_in), buffer=buf)
+    burn = np.ndarray((cfg.chains, cfg.burn_in), buffer=buf, offset=kept.nbytes)
+    acc = np.ndarray((cfg.chains, cfg.steps), bool, buf, kept.nbytes + burn.nbytes)
+    try:
+        failure = _spread(k, cfg, _compile_steps(k), k.target.log_pdf(cfg.x0), kept, burn, acc)
+        if fh is not None:
+            counts = [cfg.steps] * cfg.chains if failure is None else [cfg.steps] * failure[0] + [failure[1]]
+            for chain, n in enumerate(counts):
+                states = np.concatenate((burn[chain], kept[chain]))
+                for start in range(0, n, _BLOCK_STEPS):
+                    block = slice(start, min(start + _BLOCK_STEPS, n))
+                    xs, flags = states[block].tolist(), acc[chain, block].tolist()
+                    writer.writerows(zip(range(n)[block], map(repr, xs), map(int, flags)))
+        if failure is not None:
+            raise failure[2]
     finally:
         if fh is not None:
             fh.close()
 
-    allx = pooled.ravel()
+    cdf = k.target.cdf if k.target.is_builtin else None
+    summaries = []
+    for chain in range(cfg.chains):
+        ks_distance = None if cdf is None else _ks_distance(cdf, np.sort(kept[chain]))
+        summaries.append(_summarize(chain, cfg, kept[chain], int(acc[chain, cfg.burn_in :].sum()), ks_distance))
+    allx = kept.ravel()
     mean, variance = float(allx.mean()), float(allx.var())
     ks_distance = None
     if cdf is not None:
@@ -276,7 +350,7 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
     return RunSummary(
         config=cfg,
         chains=summaries,
-        acceptance_rate=pooled_accepted / denom,
+        acceptance_rate=sum(c.accepted for c in summaries) / denom,
         mean=mean,
         variance=variance,
         ks_distance=ks_distance,

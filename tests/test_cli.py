@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from mhbound import __version__, quad
+from mhbound import __version__, cli, quad
 from mhbound.cli import (
     ConfigError,
     apply_overrides,
@@ -289,6 +289,51 @@ def test_bad_window_or_grid_settings_exit_1(tmp_path, capsys, command, sets):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("config error:") and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "command, sets",
+    [
+        ("sample", ["proposal.s=Infinity", "sample.steps=2000"]),
+        ("sample", ["sample.x0=NaN"]),
+        ("sample", ["target.scale=NaN"]),
+        ("bound", ["bound.x_max=NaN"]),
+        ("bound", ["bound.a_list=[1, -Infinity]"]),
+    ],
+)
+def test_non_finite_numbers_exit_1(tmp_path, capsys, command, sets):
+    # json.loads reads NaN and Infinity; the config check rejects them
+    code = run_cli(command, "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)])
+    assert code == 1
+    key = sets[0].partition("=")[0]
+    assert capsys.readouterr().err.startswith(f"config error: config key {key} must be finite, got ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, sets, message",
+    [
+        ("sample", ["sample.chains=1000000000000"], "sample.chains x sample.steps is 1e+17"),
+        ("profile", ["profile.lo=-1e300", "profile.hi=1e300"], "profile points is 2e+302"),
+        ("profile", ["profile.step=1e-300"], "profile points is 1e+301"),
+    ],
+)
+def test_sizes_above_the_limit_exit_1(tmp_path, capsys, peak_mb, command, sets, message):
+    # the size is checked before the states or the grid are allocated
+    codes = []
+    argv = [command, "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)]]
+    assert peak_mb(lambda: codes.append(run_cli(*argv))) < 5.0
+    assert codes == [1]
+    assert capsys.readouterr().err == f"config error: {message}, above the limit of 1e+08\n"
+
+
+def test_size_limit_admits_its_own_value(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_POINTS", 1000)
+    burn_in = ("--set", "sample.burn_in=100")
+    assert run_cli("sample", "--out", str(tmp_path), "--set", "sample.chains=2", "--set", "sample.steps=500", *burn_in) == 0
+    assert run_cli("sample", "--out", str(tmp_path), "--set", "sample.chains=2", "--set", "sample.steps=501", *burn_in) == 1
+    assert run_cli("profile", "--out", str(tmp_path), "--set", "profile.step=0.01", "--set", "profile.hi=4.99") == 0
+    assert run_cli("profile", "--out", str(tmp_path), "--set", "profile.step=0.01") == 1
 
 
 # kinks at u = 0 and u = +-0.5

@@ -3,6 +3,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -281,6 +288,149 @@ def test_run_raising_mid_block_leaves_the_blocks_before(tmp_path):
     assert hashlib.sha256(data).hexdigest() == "6ba09936e02aa50c3ab511cc3c514b1168baabe2011e78b41bc1da99d65575f0"
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def _cpus(monkeypatch, n):
+    """Make ``run`` see n CPUs, so that it walks its chains on n processes
+    where it has that many chains."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test with TimeoutError, instead of hanging, after 60 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test ran for more than 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("chains, cpus", [(3, 2), (5, 2), (5, 3), (3, 4), (8, 8)])
+def test_run_on_several_processes_matches_manual_loop(tmp_path, monkeypatch, deadline, chains, cpus):
+    # shares of uneven length, and burn-in ending inside the first block:
+    # every state and flag is the scalar definition's, and the summary is
+    # that of the run in one process
+    k = MhKernel(DensityModel.from_expression("exp(-abs(x))"), ProposalModel.from_expression(ASYMMETRIC_SHAPE, 1.0))
+    cfg = ChainConfig(steps=sampler._BLOCK_STEPS + 10, burn_in=sampler._BLOCK_STEPS - 5, x0=0.5, seed=21, chains=chains)
+    trace = tmp_path / "trace.csv"
+    _cpus(monkeypatch, cpus)
+    summary = run(k, cfg, trace=str(trace))
+    _assert_no_child_left()
+    traced = _read_trace(trace)
+    for chain in range(chains):
+        states, flags = _manual_chain(k, cfg, chain)
+        assert traced[chain] == ([repr(x) for x in states], flags), chain
+    _cpus(monkeypatch, 1)
+    assert dataclasses.asdict(summary) == dataclasses.asdict(run(k, cfg))
+
+
+@needs_fork
+@pytest.mark.parametrize("seed, chains, first, traced", [(6, 4, 1, [3, 1]), (8, 3, 0, [])])
+def test_run_raises_the_error_of_the_first_failing_chain(tmp_path, monkeypatch, deadline, seed, chains, first, traced):
+    # several chains leave the support; on any number of processes run raises
+    # the error of the lowest-numbered one and writes the same trace: the
+    # chains before it, then its completed blocks (``traced`` counts blocks)
+    k = MhKernel(DensityModel.from_expression("exp(-abs(x)) * max(0, 1 - abs(x)/5)"), ProposalModel.triangular())
+    cfg = ChainConfig(steps=3 * sampler._BLOCK_STEPS, seed=seed, chains=chains)
+    with pytest.raises(ModelError) as scalar:
+        _manual_chain(k, cfg, first)
+    traces = []
+    for cpus in range(1, chains + 1):
+        _cpus(monkeypatch, cpus)
+        path = tmp_path / f"trace{cpus}.csv"
+        with pytest.raises(ModelError) as compiled:
+            run(k, cfg, trace=str(path))
+        _assert_no_child_left()
+        assert str(compiled.value) == str(scalar.value)
+        traces.append(path.read_bytes())
+    assert [len(states) for states, _ in _read_trace(tmp_path / "trace1.csv")] == [n * sampler._BLOCK_STEPS for n in traced]
+    assert traces == traces[:1] * chains
+
+
+@needs_fork
+def test_run_raises_when_a_worker_dies(monkeypatch, deadline, laplace_tri):
+    # a worker killed by a signal: run names its chains and the signal, and
+    # leaves no child behind
+    parent = os.getpid()
+    batch = sampler.proposal_batch
+
+    def killed_in_a_worker(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return batch(*args)
+
+    monkeypatch.setattr(sampler, "proposal_batch", killed_in_a_worker)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"the worker of chains \[1, 3\] died from signal 9"):
+        run(laplace_tri, ChainConfig(steps=100, seed=1, chains=4))
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_run_interrupted_kills_and_reaps_its_workers(monkeypatch, deadline, laplace_tri):
+    # an interrupt in the calling process, while a worker is still walking
+    parent = os.getpid()
+
+    def interrupted_or_slow(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(sampler, "proposal_batch", interrupted_or_slow)
+    _cpus(monkeypatch, 2)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run(laplace_tri, ChainConfig(steps=100, seed=1, chains=2))
+    assert time.monotonic() - started < 30
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("chains, beside_a_thread", [(1, False), (4, True)])
+def test_run_forks_nothing_for_one_chain_or_beside_a_thread(monkeypatch, laplace_tri, chains, beside_a_thread):
+    _cpus(monkeypatch, 4)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("run forked"))
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    if beside_a_thread:
+        thread.start()
+    try:
+        assert len(run(laplace_tri, ChainConfig(steps=100, seed=1, chains=chains)).chains) == chains
+    finally:
+        done.set()
+    if beside_a_thread:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_sample_pinned_to_one_cpu_writes_the_same_files(tmp_path):
+    # the CLI on one CPU (one process) and on every CPU this process may use
+    cpu = min(os.sched_getaffinity(0))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    outputs = []
+    for pin in (None, lambda: os.sched_setaffinity(0, {cpu})):
+        out = tmp_path / ("pinned" if pin else "free")
+        argv = ["sample", "--out", str(out), "--trace", f"{out}.csv", "--set", "sample.steps=3000"]
+        argv += ["--set", "sample.burn_in=100", "--set", "sample.chains=3", "--set", "sample.seed=4"]
+        subprocess.run([sys.executable, "-m", "mhbound.cli", *argv], env=env, preexec_fn=pin, check=True, timeout=120)
+        report = json.loads((out / "sample.json").read_text())
+        del report["duration_seconds"]
+        outputs.append((report, (out / "sample.csv").read_bytes(), Path(f"{out}.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def _digest(d):
     return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
 
@@ -397,7 +547,8 @@ def test_ks_distance_keeps_a_run_whose_bound_is_attained():
 
 @pytest.mark.parametrize("target", ["laplace", "exp(-abs(x))"])
 def test_run_takes_one_log_pdf_per_chain(monkeypatch, target):
-    # the step loop inlines the log-density: log_pdf runs only at each x0
+    # the step loop inlines the log-density: log_pdf runs once, at the x0
+    # that every chain starts from
     calls = []
     log_pdf = DensityModel.log_pdf
 
@@ -408,7 +559,7 @@ def test_run_takes_one_log_pdf_per_chain(monkeypatch, target):
     monkeypatch.setattr(DensityModel, "log_pdf", counting_log_pdf)
     model = DensityModel(target) if target == "laplace" else DensityModel.from_expression(target)
     run(MhKernel(model, ProposalModel.triangular()), ChainConfig(steps=1500, x0=0.25, seed=9, chains=3))
-    assert calls == [0.25, 0.25, 0.25]
+    assert calls == [0.25]
 
 
 def test_acceptance_rate_exact_ratio(laplace_tri):
