@@ -307,17 +307,17 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
     ``_ks_distance``.  Where chains raise, the first one's error is raised
     and the trace ends with its completed blocks.
     """
-    fh = None
-    if trace is not None:
-        fh = open(trace, "w", newline="")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "x", "accepted"])
     # one shared buffer, which the workers fill: the kept states, one row per
     # chain (so pooling copies nothing), the burn-in states and the accept flags
     buf = mmap.mmap(-1, 9 * cfg.chains * cfg.steps)
     kept = np.ndarray((cfg.chains, cfg.steps - cfg.burn_in), buffer=buf)
     burn = np.ndarray((cfg.chains, cfg.burn_in), buffer=buf, offset=kept.nbytes)
     acc = np.ndarray((cfg.chains, cfg.steps), bool, buf, kept.nbytes + burn.nbytes)
+    fh = None
+    if trace is not None:
+        fh = open(trace, "w", newline="")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["step", "x", "accepted"])
     try:
         failure = _spread(k, cfg, _compile_steps(k), k.target.log_pdf(cfg.x0), kept, burn, acc)
         if fh is not None:
