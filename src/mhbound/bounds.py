@@ -40,8 +40,8 @@ import numpy as np
 
 from . import asymptotics
 from .kernel import BLOCK_ELEMENTS, MhKernel, certification
-from .models import ModelError
-from .quad import ScanResult, bracket, composite_gauss_legendre, sup_scan, zoom
+from .models import ModelError, check_log_pdf
+from .quad import ScanResult, composite_gauss_legendre, sup_scan, zoom
 
 __all__ = [
     "BoundReport",
@@ -178,8 +178,10 @@ def _beta(k: MhKernel, a: np.ndarray, x_max: float, slopes) -> List[BetaValue]:
     edges = np.append(a, x_max)
     lo, hi = np.concatenate([edges[:-1], -edges[1:]]), np.concatenate([edges[1:], -edges[:-1]])
     xs = np.linspace(lo, hi, _BETA_STEPS + 1, axis=1)
-    windows = list(zip(xs, k.target.log_pdf(xs)))
-    # the coarse blocks of every window, in both passes of the rule in u
+    lx = k.target.log_pdf(xs)
+    check_log_pdf(xs, lx)
+    windows = list(zip(xs, lx))
+    # the coarse blocks of every window, on the nodes of both rules in u
     coarse = np.empty(BLOCK_ELEMENTS)
     zooms_closed = True
 
@@ -207,28 +209,33 @@ def _min_abs_balance(k: MhKernel, windows, us: np.ndarray, coarse: np.ndarray):
 
     ``windows`` holds each window's coarse x-grid with log pi on it.  The
     coarse pass runs in blocks of BLOCK_ELEMENTS, one row per (window, u),
-    each written into the caller's buffer ``coarse``.
-    Where d takes both signs on a row the minimum is exactly 0: log pi is
-    continuous, so pi(x+u) q(-u) = pi(x) q(u) somewhere in the window.
-    Every other row has one sign sigma on its grid, and quad.zoom refines
-    the maximum of the smooth -sigma d from the row's coarse bracket, so
-    the minimum is max(0, -sup(-sigma d)): a zoom that reaches a crossing
-    finds -sigma d > 0 there.
+    each written into the caller's buffer ``coarse``; it reads a row's
+    argmin and argmax of d and nothing else.  Where d takes both signs on
+    a row the minimum is exactly 0: log pi is continuous, so pi(x+u) q(-u)
+    = pi(x) q(u) somewhere in the window.  Every other row has one sign
+    sigma on its grid, and the argmax of -sigma d = -|d| is the argmin of
+    d where d > 0 and its argmax where d < 0 (the first on ties, as in
+    quad.bracket).  quad.zoom refines the maximum of the smooth -sigma d
+    from the two grid steps around it, so the minimum is max(0,
+    -sup(-sigma d)): a zoom that reaches a crossing finds -sigma d > 0
+    there.
 
     x + u, log pi and d are written into slices of buffers reused across
     blocks and levels, so their pages are faulted in once per call."""
     n = us.size
-    x, v, lo, hi, error, sign = np.empty((6, len(windows) * n))
+    x, v, lo, hi, sign = np.empty((5, len(windows) * n))
     for w, (xs, lx) in enumerate(windows):
         chunk = BLOCK_ELEMENTS // xs.size
         for start in range(0, n, chunk):
             ub = us[start : start + chunk, None]
             d = k.log_balance(xs, ub, lx, out=coarse[: ub.size * xs.size].reshape(ub.size, xs.size))
             block = slice(w * n + start, w * n + start + ub.size)
-            crossed = (d.min(axis=1) <= 0.0) & (d.max(axis=1) >= 0.0)
-            sign[block] = np.where(crossed, 0.0, np.sign(d[:, 0]))
-            np.negative(np.abs(d, out=d), out=d)
-            x[block], v[block], lo[block], hi[block], error[block] = bracket(xs, d, 0.0)
+            r, low, high = np.arange(ub.size), d.argmin(axis=1), d.argmax(axis=1)
+            above, below = d[r, low] > 0.0, d[r, high] < 0.0
+            sign[block] = 1.0 * above - below
+            i = np.where(above, low, high)
+            x[block], v[block] = xs[i], -np.abs(d[r, i])
+            lo[block], hi[block] = xs[np.maximum(i - 1, 0)], xs[np.minimum(i + 1, xs.size - 1)]
     live = np.flatnonzero(sign)
     u, sign = np.tile(us, len(windows))[live, None], sign[live, None]
     buf = None
@@ -240,7 +247,7 @@ def _min_abs_balance(k: MhKernel, windows, us: np.ndarray, coarse: np.ndarray):
         d = k.log_balance(xs, u[rows], out=buf[: rows.size])
         return np.multiply(d, -sign[rows], out=d), 0.0
 
-    res = zoom(minus_signed_d, x[live], v[live], lo[live], hi[live], error[live], _BETA_TOL_X)
+    res = zoom(minus_signed_d, x[live], v[live], lo[live], hi[live], np.zeros(live.size), _BETA_TOL_X)
     best = np.zeros(len(windows) * n)
     best[live] = np.maximum(0.0, -res.value)
     return best.reshape(len(windows), n), bool(res.converged.all())

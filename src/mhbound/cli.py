@@ -26,6 +26,7 @@ import logging
 import math
 import sys
 import time
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -45,7 +46,8 @@ EXIT_NOT_CERTIFIED = 2
 EXIT_INTERNAL = 3
 
 #: the most points a command allocates: the states of ``sample``
-#: (sample.chains x sample.steps) and the grid of ``profile``
+#: (sample.chains x sample.steps), the grid of ``profile`` and the matrix
+#: of ``spectrum`` (spectrum.n x spectrum.n)
 MAX_POINTS = 10**8
 
 log = logging.getLogger(__name__)
@@ -91,8 +93,13 @@ def validate_config(doc: dict) -> None:
                 raise ConfigError(f"config key {section}.{key} must be {names}")
             if key == "a_list" and not (value and all(type(a) in (int, float) for a in value)):
                 raise ConfigError("config key bound.a_list must be a non-empty list of numbers")
-            if any(isinstance(v, float) and not math.isfinite(v) for v in (value if key == "a_list" else [value])):
-                raise ConfigError(f"config key {section}.{key} must be finite, got {value!r}")
+            for v in value if key == "a_list" else [value] if float in allowed else []:
+                try:
+                    finite = math.isfinite(v)
+                except OverflowError:  # an int beyond the float range
+                    raise ConfigError(f"config key {section}.{key} holds an integer too large for a float")
+                if not finite:
+                    raise ConfigError(f"config key {section}.{key} must be finite, got {value!r}")
 
 
 def load_config(path: Optional[str]) -> dict:
@@ -289,7 +296,7 @@ def cmd_profile(args, cfg: dict) -> int:
     if not converged:
         log.warning("profile not converged: %s", quad_error_reason(error))
     result = {"points": count, "argmax": argmax, "max": top, "r_quad_error": error, "converged": converged}
-    rows = [[_fmt(x), _fmt(r)] for x, r in zip(xs, rs)]
+    rows = [[repr(x), repr(r)] for x, r in zip(xs.tolist(), rs.tolist())]
     _emit(args, "profile", _report("profile", cfg, started, result), (["x", "r_x"], rows))
     return EXIT_OK if converged else EXIT_NOT_CERTIFIED
 
@@ -298,9 +305,10 @@ def cmd_spectrum(args, cfg: dict) -> int:
     started = time.monotonic()
     k = _symmetric_kernel(cfg)
     sc = cfg["spectrum"]
+    _check_size("spectrum.n x spectrum.n", sc["n"] * sc["n"])
     report = spectral_report(k, float(sc["A"]), int(sc["n"]), float(sc["a"]))
     payload = _report("spectrum", cfg, started, report)
-    rows = [[i, _fmt(ev)] for i, ev in enumerate(report.eigenvalues)]
+    rows = [[i, repr(ev)] for i, ev in enumerate(report.eigenvalues.tolist())]
     _emit(args, "spectrum", payload, (["index", "eigenvalue"], rows))
     return EXIT_OK
 
@@ -345,7 +353,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parse_args keeps no state."""
     parser = _Parser(prog="mhbound", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"mhbound {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

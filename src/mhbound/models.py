@@ -26,6 +26,7 @@ __all__ = [
     "ModelError",
     "DensityModel",
     "ProposalModel",
+    "check_log_pdf",
 ]
 
 log = logging.getLogger(__name__)
@@ -83,6 +84,17 @@ def _into_source(family: str) -> str:
 
 class ModelError(ValueError):
     pass
+
+
+def check_log_pdf(x: np.ndarray, lx: np.ndarray) -> None:
+    """Raise a ModelError that names the first x where log pi, ``lx``, is
+    -inf.  A built-in family's log pi overflows to -inf far enough out (a
+    gauss scale of 1e-300, or a window 1e300 wide), and a difference of two
+    -infs is NaN.  The callers check the x arrays they hold anyway, so
+    ``log_pdf`` makes no pass of its own."""
+    bad = lx == -math.inf
+    if bad.any():
+        raise ModelError(f"log pi of the target is -inf at x={float(x[bad].flat[0])!r}: the density underflows")
 
 
 class DensityModel:
@@ -245,7 +257,8 @@ class ProposalModel:
     shapes must declare s explicitly; the constructor verifies the
     declared range, the normalization, and that the declared sup of the
     shape actually dominates it (the sampler's rejection box depends on
-    that).
+    that).  ``sup_shape`` is that declared sup, or else a built-in shape's
+    closed form, shape(0), or an expression's ``sup_scan``.
     """
 
     _VERIFY_POINTS = 50
@@ -368,6 +381,8 @@ class ProposalModel:
         return bool(np.max(np.abs(self.shape(us) - self.shape(-us))) <= 1e-12)
 
     def _resolve_sup(self, declared: Optional[float]) -> float:
+        if declared is None and self.family != "expr":
+            return float(self.shape(0.0))  # every built-in shape peaks at u = 0
         scan = sup_scan(lambda u: (self.shape(u), 0.0), -self.s, self.s, coarse_steps=1024, tol_x=1e-10)
         if declared is None:
             return scan.value

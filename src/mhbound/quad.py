@@ -1,8 +1,10 @@
 """One-dimensional quadrature and supremum-over-interval scanning.
 
 The package integrates with one rule, composite Gauss-Legendre split at
-known kinks (``gauss_legendre_grid`` builds its nodes), so an integrand is
-evaluated on one array.  ``adaptive_simpson`` is only the tests' reference.
+known kinks (``gauss_legendre_grid`` builds its nodes).  An integrand is
+evaluated once, on one array: the rule's nodes and those of the rule with
+doubled panels, whose difference is the error estimate.
+``adaptive_simpson`` is only the tests' reference.
 
 sup_scan is a coarse-grid scan followed by a zoom: each level evaluates
 the function once, on an array of evenly spaced points across the two
@@ -107,22 +109,20 @@ def composite_gauss_legendre(
 ) -> IntegrationResult:
     """Composite Gauss-Legendre integration; ``f`` must accept ndarrays.
 
-    Each pass calls ``f`` once, on the nodes of ``gauss_legendre_grid``.
-    ``f`` may return one row per integrand, each contracted by ``np.vecdot``
-    to the bits it would get alone.  The reported error is the difference
-    against a doubled-panel evaluation of the same integrand.
-    """
+    ``f`` is called once, on the nodes of ``gauss_legendre_grid`` with
+    ``panels`` panels followed by those with ``2 * panels``.  It may return
+    one row per integrand; each half of a row is contracted by ``np.vecdot``
+    with its rule's weights, to the bits that rule would get alone.  The
+    value is the doubled-panel sum, and the error its difference against
+    the other."""
     if lo > hi:
         raise ValueError("lo must be <= hi")
     if lo == hi:
         return IntegrationResult(0.0, 0.0, True)
-
-    def one_pass(n: int):
-        xs, ws = gauss_legendre_grid(lo, hi, n, breakpoints)
-        return np.vecdot(np.asarray(f(xs), dtype=float), ws)
-
-    coarse = one_pass(panels)
-    fine = one_pass(2 * panels)
+    xs, ws = gauss_legendre_grid(lo, hi, panels, breakpoints)
+    xs2, ws2 = gauss_legendre_grid(lo, hi, 2 * panels, breakpoints)
+    vals = np.asarray(f(np.concatenate([xs, xs2])), dtype=float)
+    coarse, fine = np.vecdot(vals[..., : xs.size], ws), np.vecdot(vals[..., xs.size :], ws2)
     return IntegrationResult(fine, abs(fine - coarse), True)
 
 

@@ -106,6 +106,8 @@ class ChainConfig:
             raise ValueError("need 0 <= burn_in < steps")
         if self.chains <= 0:
             raise ValueError("chains must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -8,8 +8,8 @@ import math
 import numpy as np
 
 from mhbound import asymptotics, bounds
-from mhbound.kernel import certification
-from mhbound.quad import composite_gauss_legendre, sup_scan
+from mhbound.kernel import BLOCK_ELEMENTS, certification
+from mhbound.quad import bracket, composite_gauss_legendre, sup_scan, zoom
 from mhbound.spectra import build_p_matrix, symmetrize
 
 
@@ -115,3 +115,32 @@ def per_window_report(k, a: float, x_max: float, slopes) -> "bounds.BoundReport"
         certified=certified,
         verdict=verdict,
     )
+
+
+def min_abs_balance_min_max(k, windows, us: np.ndarray):
+    """``bounds._min_abs_balance`` with the coarse pass it had before it
+    read every row from one argmin and one argmax of d: a row's min and
+    max of d for the crossing test, the sign of its first point, and
+    ``quad.bracket`` on -|d|."""
+    n = us.size
+    x, v, lo, hi, error, sign = np.empty((6, len(windows) * n))
+    for w, (xs, lx) in enumerate(windows):
+        chunk = BLOCK_ELEMENTS // xs.size
+        for start in range(0, n, chunk):
+            ub = us[start : start + chunk, None]
+            d = k.log_balance(xs, ub, lx)
+            block = slice(w * n + start, w * n + start + ub.size)
+            crossed = (d.min(axis=1) <= 0.0) & (d.max(axis=1) >= 0.0)
+            sign[block] = np.where(crossed, 0.0, np.sign(d[:, 0]))
+            np.negative(np.abs(d, out=d), out=d)
+            x[block], v[block], lo[block], hi[block], error[block] = bracket(xs, d, 0.0)
+    live = np.flatnonzero(sign)
+    u, sign = np.tile(us, len(windows))[live, None], sign[live, None]
+
+    def minus_signed_d(xs, rows):
+        return -sign[rows] * k.log_balance(xs, u[rows]), 0.0
+
+    res = zoom(minus_signed_d, x[live], v[live], lo[live], hi[live], error[live], bounds._BETA_TOL_X)
+    best = np.zeros(len(windows) * n)
+    best[live] = np.maximum(0.0, -res.value)
+    return best.reshape(len(windows), n), bool(res.converged.all())

@@ -10,7 +10,7 @@ from mhbound import asymptotics, bounds, quad
 from mhbound.kernel import MhKernel
 from mhbound.models import DensityModel, ProposalModel
 
-from oracles import per_window_report
+from oracles import min_abs_balance_min_max, per_window_report
 
 R0 = 1.0 - 2.0 / math.e
 R_TAIL = 0.5 - 1.0 / math.e
@@ -379,8 +379,29 @@ def test_profile_is_one_r_scan_and_one_beta_pass(gauss_tri, monkeypatch):
     monkeypatch.setattr(bounds, "_min_abs_balance", lambda *args: passes.append(args) or min_abs_balance(*args))
     prof = bounds.bound_profile(gauss_tri, bounds.default_a_list(1.0))
     assert len(prof.reports) == 5 and prof.best.converged
-    # the u-rule and its doubled-panel rule
-    assert rows == [11] and len(passes) == 2
+    # one pass, on the nodes of the u-rule and then of its doubled-panel rule
+    panels = asymptotics.TAIL_PANELS
+    rules = [quad.gauss_legendre_grid(-1.0, 1.0, n, (0.0,))[0] for n in (panels, 2 * panels)]
+    assert rows == [11] and len(passes) == 1
+    assert np.array_equal(passes[0][2], np.concatenate(rules))
+
+
+@pytest.mark.parametrize("target", ["laplace", "gauss", "exp(-abs(x-3))+exp(-abs(x+3))"])
+def test_min_abs_balance_matches_the_min_max_pass(target, monkeypatch):
+    # the argmin/argmax coarse pass gives the bits of the min/max/abs/argmax
+    # pass, on the windows and u-nodes that beta gives it
+    model = DensityModel(target) if target in ("laplace", "gauss") else DensityModel.from_expression(target)
+    k = MhKernel(model, ProposalModel.triangular())
+    calls, real = [], bounds._min_abs_balance
+    monkeypatch.setattr(bounds, "_min_abs_balance", lambda *args: calls.append((args, real(*args))) or calls[-1][1])
+    bounds.beta(k, bounds.default_a_list(1.0))
+    ((_, windows, us, _), (best, closed)), = calls
+    want, want_closed = min_abs_balance_min_max(k, windows, us)
+    assert best.tobytes() == want.tobytes() and closed == want_closed
+    # one-signed rows of each sign, and rows that cross 0 for the bimodal
+    # target, whose modes at +-3 lie in tail windows
+    assert np.any(best[:, us > 0] > 0.0) and np.any(best[:, us < 0] > 0.0)
+    assert np.any(best == 0.0) == target.startswith("exp")
 
 
 def test_profile_laplace_stabilizes(laplace_tri):

@@ -244,8 +244,72 @@ def test_sample_command_with_trace(tmp_path):
     assert header == "step,x,accepted"
 
 
-def test_sample_config_error(tmp_path):
+def test_sample_config_error(tmp_path, capsys):
     assert run_cli("sample", "--out", str(tmp_path), "--set", "sample.steps=0") == 1
+    # numpy's SeedSequence rejects a negative seed; the config check does first
+    assert run_cli("sample", "--out", str(tmp_path), "--set", "sample.seed=-1") == 1
+    assert capsys.readouterr().err.endswith("config error: seed must be non-negative, got -1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["proposal.s", "bound.x_max", "target.scale"])
+def test_integers_too_large_for_a_float_exit_1(tmp_path, capsys, key):
+    # json.loads reads 1 followed by 400 zeros as an int, which float() rejects
+    assert run_cli("bound", "--out", str(tmp_path), "--set", f"{key}=1{'0' * 400}") == 1
+    assert capsys.readouterr().err == f"config error: config key {key} holds an integer too large for a float\n"
+    with pytest.raises(ConfigError, match="a_list holds an integer too large"):
+        validate_config({"bound": {"a_list": [1, 10**400]}})
+    validate_config({"spectrum": {"n": 10**400}})  # an int key; the size limit rejects it
+
+
+@pytest.mark.parametrize(
+    "command, sets",
+    [
+        (command, ["target.family=gauss", "target.scale=1e-300"]) for command in ("bound", "asymptotic", "profile")
+    ]
+    + [(command, ["target.family=gauss", "proposal.s=1e300"]) for command in ("bound", "profile")],
+)
+def test_log_pi_of_minus_inf_exits_1(tmp_path, capsys, command, sets):
+    # gauss's log pi overflows to -inf away from 0; a difference of two -infs
+    # would be NaN, which reached reports or stopped the best-window search
+    code = run_cli(command, "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: log pi of the target is -inf at x=")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _outputs(runs, out, fresh):
+    """Exit codes and output files of the ``runs`` of cli.main, in order,
+    with a new parser per run when ``fresh``; the JSON without its
+    duration."""
+    codes, files = [], {}
+    for i, argv in enumerate(runs):
+        if fresh:
+            cli._build_parser.cache_clear()
+        codes.append(run_cli(*argv, "--out", str(out / str(i))))
+        for path in sorted((out / str(i)).glob("*")):
+            text = path.read_text()
+            if path.suffix == ".json":
+                doc = json.loads(text)
+                del doc["duration_seconds"]
+                text = json.dumps(doc)
+            files[f"{i}/{path.name}"] = text
+    return codes, files
+
+
+def test_cached_parser_gives_what_fresh_parsers_give(tmp_path):
+    runs = [
+        ("profile", "--set", "profile.step=0.1"),
+        ("sample", "--set", "sample.steps=2000", "--set", "sample.burn_in=100", "--format", "csv"),
+        ("spectrum", "--format", "xml"),
+        ("asymptotic", "--format", "json"),
+        ("bound", "--frobnicate"),
+        ("profile", "--set", "profile.step=0.2", "--set", "target.family=gauss"),
+    ]
+    cached = _outputs(runs, tmp_path / "cached", fresh=False)
+    assert cli._build_parser() is cli._build_parser()
+    assert cached == _outputs(runs, tmp_path / "fresh", fresh=True)
+    assert cached[0] == [0, 0, 1, 0, 1, 0] and len(cached[1]) == 6
 
 
 def test_bad_model_config_exits_1(tmp_path, capsys):
@@ -316,6 +380,7 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, command, sets):
         ("sample", ["sample.chains=1000000000000"], "sample.chains x sample.steps is 1e+17"),
         ("profile", ["profile.lo=-1e300", "profile.hi=1e300"], "profile points is 2e+302"),
         ("profile", ["profile.step=1e-300"], "profile points is 1e+301"),
+        ("spectrum", ["spectrum.n=100001"], "spectrum.n x spectrum.n is 1e+10"),
     ],
 )
 def test_sizes_above_the_limit_exit_1(tmp_path, capsys, peak_mb, command, sets, message):
@@ -334,6 +399,9 @@ def test_size_limit_admits_its_own_value(tmp_path, monkeypatch):
     assert run_cli("sample", "--out", str(tmp_path), "--set", "sample.chains=2", "--set", "sample.steps=501", *burn_in) == 1
     assert run_cli("profile", "--out", str(tmp_path), "--set", "profile.step=0.01", "--set", "profile.hi=4.99") == 0
     assert run_cli("profile", "--out", str(tmp_path), "--set", "profile.step=0.01") == 1
+    monkeypatch.setattr(cli, "MAX_POINTS", 31 * 31)
+    assert run_cli("spectrum", "--out", str(tmp_path), "--set", "spectrum.n=31") == 0
+    assert run_cli("spectrum", "--out", str(tmp_path), "--set", "spectrum.n=33") == 1
 
 
 # kinks at u = 0 and u = +-0.5

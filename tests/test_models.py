@@ -7,7 +7,7 @@ import pytest
 
 from mhbound import asymptotics
 from mhbound.models import DensityModel, ModelError, ProposalModel
-from mhbound.quad import adaptive_simpson
+from mhbound.quad import adaptive_simpson, sup_scan
 
 
 def test_builtin_densities_match_expressions():
@@ -210,6 +210,15 @@ def test_triangular_values():
     assert p.shape(2.0) == 0.0
     assert p.log_shape(2.0) == -math.inf
     assert p.sup_shape == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("family", ["triangular", "uniform", "epanechnikov"])
+@pytest.mark.parametrize("s", [1e-3, 0.3, 1.0, 2.5, 7.0])
+def test_builtin_sup_shape_is_the_scanned_sup(family, s):
+    # shape(0) in closed form, the bits of the sup_scan it replaced
+    p = ProposalModel(family, s)
+    scan = sup_scan(lambda u: (p.shape(u), 0.0), -s, s, coarse_steps=1024, tol_x=1e-10)
+    assert type(p.sup_shape) is float and p.sup_shape == scan.value
 
 
 def test_custom_proposal_range_verified():

@@ -222,11 +222,17 @@ def test_panel_builders_share_one_rule():
     whole = gauss_legendre_grid(-20.0, 20.0, 320)
     for got, want in zip(whole, reference_panels(-20.0, 20.0, 320)):
         assert np.array_equal(got, want)
-    # composite_gauss_legendre integrates on those nodes, then on doubled panels
+    # composite_gauss_legendre calls f once, on those nodes followed by the
+    # nodes of the doubled panels
     calls = []
     composite_gauss_legendre(lambda x: calls.append(x) or np.ones_like(x), -1.0, 2.0, 4, (0.5,))
-    assert np.array_equal(calls[0], gauss_legendre_grid(-1.0, 2.0, 4, (0.5,))[0])
-    assert np.array_equal(calls[1], gauss_legendre_grid(-1.0, 2.0, 8, (0.5,))[0])
+    assert len(calls) == 1
+    both = [gauss_legendre_grid(-1.0, 2.0, n, (0.5,))[0] for n in (4, 8)]
+    assert np.array_equal(calls[0], np.concatenate(both))
+    # each half is summed as that rule alone would sum it
+    res = composite_gauss_legendre(np.cos, -1.0, 2.0, 4, (0.5,))
+    coarse, fine = (np.vecdot(np.cos(x), w) for x, w in (gauss_legendre_grid(-1.0, 2.0, n, (0.5,)) for n in (4, 8)))
+    assert res.value == fine and res.error == abs(fine - coarse)
 
 
 def test_gauss_legendre_nodes_cached_and_correct():
