@@ -127,7 +127,7 @@ def apply_overrides(doc: dict, overrides) -> dict:
             raise ConfigError(f"--set key must be section.key, got {key!r}")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer of more digits than Python converts
             value = raw
         doc.setdefault(parts[0], {})[parts[1]] = value
     validate_config(doc)
@@ -234,7 +234,9 @@ def _check_size(what: str, count) -> None:
     """Raise a ConfigError, before anything is allocated, where ``count``
     is above ``MAX_POINTS``."""
     if count > MAX_POINTS:
-        raise ConfigError(f"{what} is {count:.3g}, above the limit of {MAX_POINTS:.0e}")
+        # an int beyond the float range has no float format
+        size = f"{count:.3g}" if count < 1e308 else f"about 1e+{math.floor(math.log10(count))}"
+        raise ConfigError(f"{what} is {size}, above the limit of {MAX_POINTS:.0e}")
 
 
 def _fmt(x: float) -> str:

@@ -17,9 +17,12 @@ alone, so the process that walks it changes none of them.
 
 ``run`` spreads the chains over one process per CPU it may use
 (``_spread``).  Each process walks its share with the same block loop,
-into one shared buffer, and the calling process makes the summaries, the
-autocorrelations (the only BLAS call) and the trace once every worker is
-reaped.
+into one shared buffer, and summarizes each chain once it is walked: the
+moments, the KS distance and the autocorrelations, whose dot products
+are OpenBLAS calls.  A forked child keeps the calling process's BLAS
+thread count, so it splits each dot product as that process would.  The
+calling process orders the summaries by chain, takes the pooled
+statistics and writes the trace once every worker is reaped.
 
 Each chain's step loop is sequential.  ``run`` compiles it once, with
 the target's ``DensityModel.log_pdf_source`` written into the body: a
@@ -64,7 +67,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .kernel import MhKernel
-from .models import ProposalModel
+from .models import ModelError, ProposalModel
 
 __all__ = [
     "ChainConfig",
@@ -220,9 +223,12 @@ def _compile_steps(k: MhKernel) -> Callable:
 
 def _walk(k: MhKernel, cfg: ChainConfig, steps: Callable, lx0: float, chains, kept, burn, acc):
     """Walk ``chains`` from x0, whose log pi is ``lx0``, into their rows of the
-    states ``burn`` and ``kept`` and the accept flags ``acc``.  Return None, or
-    (chain, steps completed, error) for the first one that raises."""
+    states ``burn`` and ``kept`` and the accept flags ``acc``, and summarize
+    each one once it is walked.  Return the summaries, and None or (chain,
+    steps completed, error) for the first chain that raises."""
     p = k.proposal
+    cdf = k.target.cdf if k.target.is_builtin else None
+    summaries = []
     for chain in chains:
         start = 0
         try:
@@ -253,17 +259,20 @@ def _walk(k: MhKernel, cfg: ChainConfig, steps: Callable, lx0: float, chains, ke
                 burn[chain, start:cut] = block[: cut - start]
                 kept[chain, cut - cfg.burn_in : stop - cfg.burn_in] = block[cut - start :]
         except Exception as exc:
-            return chain, start, exc
-    return None
+            return summaries, (chain, start, exc)
+        ks_distance = None if cdf is None else _ks_distance(cdf, np.sort(kept[chain]))
+        summaries.append(_summarize(chain, cfg, kept[chain], int(acc[chain, cfg.burn_in :].sum()), ks_distance))
+    return summaries, None
 
 
 def _spread(k: MhKernel, cfg: ChainConfig, steps: Callable, lx0: float, kept, burn, acc):
     """``_walk`` on w = min(chains, usable CPUs) processes, chain c on worker
     c mod w; on one without ``os.fork`` or ``os.sched_getaffinity``, or
     where another thread runs (a lock it holds would stay held in a child).
-    Worker 0 is this process; each other is a child that pickles its outcome
-    up a pipe and leaves through ``os._exit``.  Every child is reaped, killed
-    first on an error here.  Return the lowest-numbered failing outcome."""
+    Worker 0 is this process; each other is a child that pickles what
+    ``_walk`` returns up a pipe and leaves through ``os._exit``.  Every child
+    is reaped, killed first on an error here.  Return the summaries of the
+    chains walked, in worker order, and the lowest-numbered failure."""
     parallel = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1
     w = min(cfg.chains, len(os.sched_getaffinity(0))) if parallel else 1
     children = {}
@@ -281,21 +290,26 @@ def _spread(k: MhKernel, cfg: ChainConfig, steps: Callable, lx0: float, kept, bu
                     os._exit(status)
             os.close(write)
             children[pid] = os.fdopen(read, "rb"), range(worker, cfg.chains, w)
-        outcomes = [_walk(k, cfg, steps, lx0, range(0, cfg.chains, w), kept, burn, acc)]
+        summaries, failure = _walk(k, cfg, steps, lx0, range(0, cfg.chains, w), kept, burn, acc)
+        failures = [failure]
         for pid, (pipe, share) in list(children.items()):
             with pipe:
                 data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
-            why = f"died from signal {-code}" if code < 0 else f"exited with status {code}"
-            died = share[0], 0, RuntimeError(f"the worker of chains {list(share)} {why}")
-            outcomes.append(died if code else pickle.loads(data))
+            if code:
+                why = f"died from signal {-code}" if code < 0 else f"exited with status {code}"
+                failures.append((share[0], 0, RuntimeError(f"the worker of chains {list(share)} {why}")))
+            else:
+                theirs, failure = pickle.loads(data)
+                summaries += theirs
+                failures.append(failure)
     finally:
         for pid, (pipe, _) in children.items():
             pipe.close()
             os.kill(pid, _SIGKILL)
             os.waitpid(pid, 0)
-    return min(filter(None, outcomes), key=lambda outcome: outcome[0], default=None)
+    return summaries, min(filter(None, failures), key=lambda failure: failure[0], default=None)
 
 
 def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummary:
@@ -308,6 +322,11 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
     against the log of the uniform), and the KS distances come from
     ``_ks_distance``.  Where chains raise, the first one's error is raised
     and the trace ends with its completed blocks.
+
+    A ModelError is raised before any worker starts where the chains cannot
+    leave x0: log pi(x0) is -inf, or x0 - s and x0 + s round to x0.  One is
+    also raised, after the trace, where a mean, a variance or an
+    autocorrelation is not finite.
     """
     # one shared buffer, which the workers fill: the kept states, one row per
     # chain (so pooling copies nothing), the burn-in states and the accept flags
@@ -321,7 +340,12 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "x", "accepted"])
     try:
-        failure = _spread(k, cfg, _compile_steps(k), k.target.log_pdf(cfg.x0), kept, burn, acc)
+        lx0 = k.target.log_pdf(cfg.x0)
+        if not lx0 > -math.inf:
+            raise ModelError(f"x0={cfg.x0!r} is outside the target's support: log pi(x0) is {lx0}")
+        if cfg.x0 - k.proposal.s == cfg.x0 == cfg.x0 + k.proposal.s:
+            raise ModelError(f"no increment moves the chain from x0={cfg.x0!r}: x0 - s and x0 + s round to x0")
+        summaries, failure = _spread(k, cfg, _compile_steps(k), lx0, kept, burn, acc)
         if fh is not None:
             counts = [cfg.steps] * cfg.chains if failure is None else [cfg.steps] * failure[0] + [failure[1]]
             for chain, n in enumerate(counts):
@@ -336,18 +360,17 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
         if fh is not None:
             fh.close()
 
-    cdf = k.target.cdf if k.target.is_builtin else None
-    summaries = []
-    for chain in range(cfg.chains):
-        ks_distance = None if cdf is None else _ks_distance(cdf, np.sort(kept[chain]))
-        summaries.append(_summarize(chain, cfg, kept[chain], int(acc[chain, cfg.burn_in :].sum()), ks_distance))
+    summaries.sort(key=lambda c: c.chain)
     allx = kept.ravel()
     mean, variance = float(allx.mean()), float(allx.var())
+    moments = [mean, variance, *(v for c in summaries for v in (c.mean, c.variance, *c.autocorrelations))]
+    if not all(map(math.isfinite, moments)):
+        raise ModelError("the states spread too far for floats: a mean, variance or autocorrelation overflows")
     ks_distance = None
-    if cdf is not None:
+    if k.target.is_builtin:
         # the moments are taken first: sorting reorders their sums
         allx.sort()
-        ks_distance = _ks_distance(cdf, allx)
+        ks_distance = _ks_distance(k.target.cdf, allx)
     denom = cfg.chains * (cfg.steps - cfg.burn_in)
     return RunSummary(
         config=cfg,

@@ -88,6 +88,8 @@ def discretize(target: DensityModel, half_width: float, n: int = 801) -> Discret
         raise ModelError("half_width must be positive")
     nodes = np.linspace(-half_width, half_width, n)
     h = nodes[1] - nodes[0]
+    if float(h) * float(h) == math.inf:
+        raise ModelError(f"node spacing {h:g} is too wide: the products of two weights overflow")
     weights = np.full(n, h)
     weights[0] = weights[-1] = 0.5 * h
     total = float(target.pdf(nodes) @ weights)

@@ -278,6 +278,40 @@ def test_log_pi_of_minus_inf_exits_1(tmp_path, capsys, command, sets):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ("laplace", "no increment moves the chain from x0=1e+300: x0 - s and x0 + s round to x0"),
+        ("gauss", "x0=1e+300 is outside the target's support: log pi(x0) is -inf"),
+    ],
+)
+def test_sample_from_an_x0_the_chain_cannot_leave_exits_1(tmp_path, capsys, family, message):
+    # the chain stayed at x0 and exited 0 with an infinite variance and NaN
+    # autocorrelations: every step was accepted (laplace) or rejected (gauss)
+    code = run_cli("sample", "--out", str(tmp_path), "--set", f"target.family={family}", "--set", "sample.x0=1e300")
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_sample_whose_moments_overflow_exits_1(tmp_path, capsys):
+    # states near 1e300 that move: their variance is not a float
+    sets = ["sample.x0=1e300", "target.scale=1e300", "proposal.s=1e300", "sample.steps=2000", "sample.burn_in=100"]
+    code = run_cli("sample", "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: the states spread too far for floats: a mean, variance or autocorrelation overflows\n"
+    )
+
+
+def test_integer_of_more_digits_than_python_converts_exits_1(tmp_path, capsys):
+    # json.loads refuses an int literal of more than 4,300 digits; the text
+    # is then taken as a string, which the type check rejects
+    assert run_cli("sample", "--out", str(tmp_path), "--set", f"sample.steps=1{'0' * 5000}") == 1
+    assert capsys.readouterr().err == "config error: config key sample.steps must be int\n"
+
+
 def _outputs(runs, out, fresh):
     """Exit codes and output files of the ``runs`` of cli.main, in order,
     with a new parser per run when ``fresh``; the JSON without its
@@ -345,6 +379,8 @@ def test_bad_model_config_exits_1(tmp_path, capsys):
         ("spectrum", ["target.family=gauss", "spectrum.A=1e6", "spectrum.n=101"]),
         # (hi - lo) / step overflows to inf
         ("profile", ["profile.lo=-1e308", "profile.hi=1e308"]),
+        # the node spacing is 4e299, and the product of two weights overflows
+        ("spectrum", ["target.scale=1e300", "proposal.s=1e300", "spectrum.n=101"]),
     ],
 )
 def test_bad_window_or_grid_settings_exit_1(tmp_path, capsys, command, sets):
@@ -381,6 +417,8 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, command, sets):
         ("profile", ["profile.lo=-1e300", "profile.hi=1e300"], "profile points is 2e+302"),
         ("profile", ["profile.step=1e-300"], "profile points is 1e+301"),
         ("spectrum", ["spectrum.n=100001"], "spectrum.n x spectrum.n is 1e+10"),
+        # an int beyond the float range
+        ("spectrum", [f"spectrum.n=1{'0' * 400}"], "spectrum.n x spectrum.n is about 1e+800"),
     ],
 )
 def test_sizes_above_the_limit_exit_1(tmp_path, capsys, peak_mb, command, sets, message):

@@ -397,6 +397,30 @@ def test_run_interrupted_kills_and_reaps_its_workers(monkeypatch, deadline, lapl
     _assert_no_child_left()
 
 
+@needs_fork
+def test_workers_summarize_their_chains_as_one_process_does(monkeypatch, deadline, laplace_tri):
+    # more than 10,000 kept states per chain, where OpenBLAS may split the
+    # autocorrelations' dot products over its threads, and a threaded matrix
+    # product in this process before the workers fork
+    square = np.ones((512, 512))
+    square @ square
+    cfg = ChainConfig(steps=12000, burn_in=1000, seed=3, chains=4)
+    summaries = []
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        summaries.append([_digest(dataclasses.asdict(c)) for c in run(laplace_tri, cfg).chains])
+        _assert_no_child_left()
+    assert summaries[0] == summaries[1]
+
+
+def test_run_raises_where_no_increment_moves_x0(laplace_tri):
+    # at 2^53 the spacing below is 1 and above 2, so x0 - 1 moves the chain;
+    # at 2^54 both x0 - 1 and x0 + 1 round to x0
+    assert run(laplace_tri, ChainConfig(steps=100, x0=2.0**53)).chains[0].variance > 0.0
+    with pytest.raises(ModelError, match=r"no increment moves the chain from x0=1\.8014398509481984e\+16"):
+        run(laplace_tri, ChainConfig(steps=100, x0=2.0**54))
+
+
 @pytest.mark.parametrize("chains, beside_a_thread", [(1, False), (4, True)])
 def test_run_forks_nothing_for_one_chain_or_beside_a_thread(monkeypatch, laplace_tri, chains, beside_a_thread):
     _cpus(monkeypatch, 4)
@@ -465,7 +489,9 @@ def test_trace_csv_pinned(tmp_path, laplace_tri):
 
 def test_run_takes_the_cdf_at_few_kept_samples(monkeypatch, gauss_tri):
     # the benchmark's gauss op: the KS search takes the cdf at a few percent
-    # of the kept samples, and each distance equals the full statistic
+    # of the kept samples, and each distance equals the full statistic; on
+    # one process, so that every cdf call is counted here
+    _cpus(monkeypatch, 1)
     points = []
     cdf = DensityModel.cdf
 
