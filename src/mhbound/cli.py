@@ -36,7 +36,7 @@ from . import __version__, asymptotics, bounds, exprlang
 from .kernel import R_QUAD_TOL, MhKernel, quad_error_reason
 from .models import DensityModel, ModelError, ProposalModel
 from .sampler import ChainConfig, run as run_chains
-from .spectra import spectral_report
+from .spectra import hs_rule_nodes, spectral_report
 
 __all__ = ["main", "ConfigError", "load_config", "resolve_config", "build_kernel"]
 
@@ -156,6 +156,20 @@ def resolve_config(doc: dict) -> dict:
     out["profile"].setdefault("lo", -5.0 * s)
     out["profile"].setdefault("hi", 5.0 * s)
     out["profile"].setdefault("step", 0.01 * s)
+    # the defaults that are multiples of s overflow for an s near the float maximum
+    derived = {
+        "bound.a_list": max(out["bound"]["a_list"]),
+        "bound.x_max": out["bound"]["x_max"],
+        "spectrum.a": out["spectrum"]["a"],
+        "spectrum.A": out["spectrum"]["A"],
+        "profile.lo": out["profile"]["lo"],
+        "profile.hi": out["profile"]["hi"],
+    }
+    overflowed = [key for key, value in derived.items() if not math.isfinite(value)]
+    if overflowed:
+        raise ConfigError(
+            f"proposal.s={s!r} is too large: the defaults {', '.join(overflowed)}, multiples of it, overflow"
+        )
     return out
 
 
@@ -212,12 +226,15 @@ def _json_value(obj):
 
 def _emit(args, name: str, payload: dict, csv_spec) -> None:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.format in ("json", "both"):
-        (out / f"{name}.json").write_text(json.dumps(payload, indent=2, default=_json_value) + "\n")
-    if args.format in ("csv", "both") and csv_spec is not None:
-        header, rows = csv_spec
-        _write_csv(out / f"{name}.csv", header, rows)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        if args.format in ("json", "both"):
+            (out / f"{name}.json").write_text(json.dumps(payload, indent=2, default=_json_value) + "\n")
+        if args.format in ("csv", "both") and csv_spec is not None:
+            header, rows = csv_spec
+            _write_csv(out / f"{name}.csv", header, rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output directory {args.out}: {exc.strerror or exc}")
 
 
 def _report(command: str, cfg: dict, started: float, result) -> dict:
@@ -237,6 +254,17 @@ def _check_size(what: str, count) -> None:
         # an int beyond the float range has no float format
         size = f"{count:.3g}" if count < 1e308 else f"about 1e+{math.floor(math.log10(count))}"
         raise ConfigError(f"{what} is {size}, above the limit of {MAX_POINTS:.0e}")
+
+
+def _check_finite(report) -> None:
+    """Raise a ModelError that names the first float field of the report
+    dataclass ``report`` that holds a number that is not finite."""
+    for f in dataclasses.fields(report):
+        value = np.asarray(getattr(report, f.name))
+        if value.dtype.kind == "f" and not np.isfinite(value).all():
+            raise ModelError(
+                f"{f.name} is {value[~np.isfinite(value)][0]}: this config's scales are beyond what floats resolve"
+            )
 
 
 def _fmt(x: float) -> str:
@@ -274,6 +302,7 @@ def cmd_asymptotic(args, cfg: dict) -> int:
     except asymptotics.TauNotConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
+    _check_finite(report)
     payload = _report("asymptotic", cfg, started, report)
     header = ["u", "tau_plus", "tau_minus"]
     _emit(args, "asymptotic", payload, (header, [[_fmt(row[key]) for key in header] for row in report.tau_table]))
@@ -308,7 +337,9 @@ def cmd_spectrum(args, cfg: dict) -> int:
     k = _symmetric_kernel(cfg)
     sc = cfg["spectrum"]
     _check_size("spectrum.n x spectrum.n", sc["n"] * sc["n"])
+    _check_size("the Hilbert-Schmidt rule's node count on [-spectrum.a, spectrum.a]", hs_rule_nodes(float(sc["a"])))
     report = spectral_report(k, float(sc["A"]), int(sc["n"]), float(sc["a"]))
+    _check_finite(report)
     payload = _report("spectrum", cfg, started, report)
     rows = [[i, repr(ev)] for i, ev in enumerate(report.eigenvalues.tolist())]
     _emit(args, "spectrum", payload, (["index", "eigenvalue"], rows))
@@ -330,7 +361,13 @@ def cmd_sample(args, cfg: dict) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
-    summary = run_chains(k, chain_cfg, trace=args.trace)
+    try:
+        summary = run_chains(k, chain_cfg, trace=args.trace)
+    except OSError as exc:
+        # only the trace's own open names the trace; a failed fork or mmap is internal
+        if args.trace is None or exc.filename != args.trace:
+            raise
+        raise ConfigError(f"cannot open the trace file {args.trace}: {exc.strerror}")
     payload = _report("sample", cfg, started, summary)
     rows = [
         [c.chain, c.seed, c.accepted, _fmt(c.acceptance_rate), _fmt(c.mean), _fmt(c.variance)]

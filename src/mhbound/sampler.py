@@ -12,17 +12,23 @@ the proposal rejection sampler (pairs of uniforms: candidate in
 uniforms, one per step.  Because the streams are separate, drawing
 proposals in batches consumes stream 0 in exactly the same order as a
 scalar loop would, so the vectorized path reproduces the sequential
-definition bit for bit.  A chain's numbers depend on its own streams
-alone, so the process that walks it changes none of them.
+definition bit for bit.  ``proposal_batch`` draws the pairs into one
+fixed buffer of ``_PAIRS`` pairs, refilled until it has its increments,
+and drops the pairs after the last one it keeps.  A chain's numbers
+depend on its own streams alone, so the process that walks it changes
+none of them.
 
 ``run`` spreads the chains over one process per CPU it may use
 (``_spread``).  Each process walks its share with the same block loop,
-into one shared buffer, and summarizes each chain once it is walked: the
-moments, the KS distance and the autocorrelations, whose dot products
-are OpenBLAS calls.  A forked child keeps the calling process's BLAS
-thread count, so it splits each dot product as that process would.  The
-calling process orders the summaries by chain, takes the pooled
-statistics and writes the trace once every worker is reaped.
+into one shared buffer, through one array of increments and one of log
+uniforms that every chain it walks reuses (a fresh pair per chain would
+take its page faults again in each forked worker).  It summarizes each
+chain once it is walked: the moments, the KS distance and the
+autocorrelations, whose dot products are OpenBLAS calls.  A forked child
+keeps the calling process's BLAS thread count, so it splits each dot
+product as that process would.  The calling process orders the
+summaries by chain, takes the pooled statistics and writes the trace
+once every worker is reaped.
 
 Each chain's step loop is sequential.  ``run`` compiles it once, with
 the target's ``DensityModel.log_pdf_source`` written into the body: a
@@ -80,12 +86,16 @@ __all__ = [
     "empirical_rejection",
 ]
 
+#: the most (candidate, height) pairs drawn for one increment
 _MAX_REJECTION_ITERS = 10**6
+_OVER_CAP = "proposal rejection sampling exceeded the iteration cap; the declared sup of the shape is suspect"
 #: the signal that stops a worker of ``run``: SIGKILL, 9 wherever os.fork
 #: exists (the signal module costs 0.2 MB and 0.4 ms to import)
 _SIGKILL = 9
 #: steps per block of the step loop in ``run``
 _BLOCK_STEPS = 4096
+#: (candidate, height) pairs that ``proposal_batch`` draws at a time
+_PAIRS = 8192
 #: widths of the runs of sorted samples that ``_ks_distance`` bounds, coarse to fine
 _KS_WIDTHS = (64, 8, 1)
 
@@ -146,25 +156,38 @@ def sample_proposal(p: ProposalModel, rng: np.random.Generator) -> float:
         v = rng.uniform(0.0, sup)
         if v <= p.shape(c):
             return c
-    raise RuntimeError(
-        "proposal rejection sampling exceeded the iteration cap; "
-        "the declared sup of the shape is suspect"
-    )
+    raise RuntimeError(_OVER_CAP)
 
 
-def proposal_batch(p: ProposalModel, count: int, rng: np.random.Generator) -> np.ndarray:
+def proposal_batch(
+    p: ProposalModel, count: int, rng: np.random.Generator, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """``count`` increments, consuming the stream in the same (candidate,
-    height) pair order as repeated ``sample_proposal`` calls."""
+    height) pair order as repeated ``sample_proposal`` calls, into ``out``
+    (``count`` floats) or a new array, which is returned.
+
+    The pairs are drawn ``_PAIRS`` at a time into one buffer of uniforms on
+    [0, 1) (each one ``next_double``, as ``uniform`` draws it) and scaled
+    in place; the pairs after the count-th accepted candidate are dropped.
+    Where whole buffers of more than ``_MAX_REJECTION_ITERS`` pairs in all
+    pass without an accepted candidate, it raises as ``sample_proposal``
+    does."""
     s, sup = p.s, p.sup_shape
-    out = np.empty(count)
-    have = 0
-    # expected acceptance fraction is 1 / (2 s sup); over-draw a little
-    block = max(256, int(count * 2.0 * s * sup * 1.1) + 64)
+    if out is None:
+        out = np.empty(count)
+    pairs = np.empty((_PAIRS, 2))
+    c, v = pairs[:, 0], pairs[:, 1]
+    have = misses = 0
     while have < count:
-        pairs = rng.uniform(size=(block, 2))
-        c = -s + 2.0 * s * pairs[:, 0]
-        v = sup * pairs[:, 1]
+        rng.random(out=pairs)
+        # -s + 2 s d, as uniform(-s, s) computes it
+        c *= 2.0 * s
+        c -= s
+        v *= sup
         good = c[v <= p.shape(c)]
+        misses = 0 if good.size else misses + _PAIRS
+        if misses > _MAX_REJECTION_ITERS:
+            raise RuntimeError(_OVER_CAP)
         take = min(good.size, count - have)
         out[have : have + take] = good[:take]
         have += take
@@ -229,14 +252,16 @@ def _walk(k: MhKernel, cfg: ChainConfig, steps: Callable, lx0: float, chains, ke
     p = k.proposal
     cdf = k.target.cdf if k.target.is_builtin else None
     summaries = []
+    # the increments, which each block turns into its states in place, and the
+    # log uniforms: one pair of arrays for every chain of this worker
+    xs, log_unifs = np.empty(cfg.steps), np.empty(cfg.steps)
     for chain in chains:
         start = 0
         try:
-            # the increments, which each block turns into its states in place
-            xs = proposal_batch(p, cfg.steps, _stream(cfg.seed, chain, 0))
-            unifs = _stream(cfg.seed, chain, 1).uniform(size=cfg.steps)
+            proposal_batch(p, cfg.steps, _stream(cfg.seed, chain, 0), xs)
+            _stream(cfg.seed, chain, 1).random(out=log_unifs)
             with np.errstate(divide="ignore"):
-                log_unifs = np.log(unifs, out=unifs)
+                np.log(log_unifs, out=log_unifs)
             acc[chain] = True
             x, lx = cfg.x0, lx0
             for start in range(0, cfg.steps, _BLOCK_STEPS):
@@ -251,6 +276,7 @@ def _walk(k: MhKernel, cfg: ChainConfig, steps: Callable, lx0: float, chains, ke
                 # a rejected step adds -0.0, which leaves every float as it is,
                 # and cumsum adds left to right: each state is the loop's own
                 # sum x + u, bit for bit
+                rejected = np.array(rejected, dtype=np.intp)
                 xs[rejected] = -0.0
                 acc[chain, rejected] = False
                 block[0] += previous
@@ -433,7 +459,9 @@ def _ks_distance(cdf: Callable, srt: np.ndarray) -> float:
         first = first[first < n]
         last = np.minimum(first + sub, n)  # 1-based rank of each run's last sample
         before = np.maximum(first - 1, 0)
-        at = np.union1d(last - 1, before)
+        # the union of two sorted index arrays: one merge, duplicates dropped
+        at = np.sort(np.concatenate((last - 1, before)), kind="stable")
+        at = at[np.diff(at, prepend=-1) > 0]
         f = cdf(srt[at])
         dist = max(dist, _ks_terms(f, at + 1, n))
         bound = np.maximum(

@@ -38,7 +38,7 @@ import numpy as np
 from .bounds import beta
 from .kernel import MhKernel
 from .models import DensityModel, ModelError
-from .quad import gauss_legendre_grid
+from .quad import GL_POINTS, gauss_legendre_grid
 
 __all__ = [
     "Discretization",
@@ -49,6 +49,7 @@ __all__ = [
     "symmetrize",
     "norm_T_ac",
     "hs_norm_T_a",
+    "hs_rule_nodes",
     "spectral_report",
 ]
 
@@ -186,6 +187,20 @@ def norm_T_ac(s_mat: np.ndarray, op: DiscreteOperator, a: float) -> float:
     return math.sqrt(float(np.linalg.eigvalsh(b @ b.T)[-1]))
 
 
+def _hs_panels(a: float) -> int:
+    """Panels of ``hs_norm_T_a``'s x-rule on [-a, a]: ceil(16a), at least 4,
+    in integers, so exact at every finite a (the float 16a overflows above
+    about 1.1e307)."""
+    num, den = float(a).as_integer_ratio()
+    return max(4, -(-_HS_X_PANELS_PER_UNIT * num // den))
+
+
+def hs_rule_nodes(a: float) -> int:
+    """Nodes of ``hs_norm_T_a``'s x-rule on [-a, a], which it integrates
+    over the proposal range in blocks."""
+    return GL_POINTS * _hs_panels(a)
+
+
 def hs_norm_T_a(k: MhKernel, a: float) -> float:
     """Hilbert-Schmidt norm of the core block 1_{[-a, a]} T: the square root
     of the double integral of t(x+u, x)^2 pi(x+u)/pi(x) over |x| <= a and
@@ -199,7 +214,7 @@ def hs_norm_T_a(k: MhKernel, a: float) -> float:
     Finiteness is the point: the core block is compact."""
     if not a > 0.0:
         raise ModelError("need a > 0")
-    xs, wx = gauss_legendre_grid(-a, a, max(4, math.ceil(_HS_X_PANELS_PER_UNIT * a)))
+    xs, wx = gauss_legendre_grid(-a, a, _hs_panels(a))
     rows = k.integrate_u(
         xs, lambda u: np.square(k.proposal.shape(u)), lambda d: np.exp(np.negative(np.abs(d, out=d), out=d), out=d)
     )[0]

@@ -1,7 +1,7 @@
 """Reference forms that only the tests use: each checks a shortcut of
-``mhbound.kernel.MhKernel``, ``mhbound.bounds`` or ``mhbound.spectra``
-against a form written out from its definition.  ``k`` is an
-``MhKernel``."""
+``mhbound.kernel.MhKernel``, ``mhbound.bounds``, ``mhbound.spectra`` or
+``mhbound.sampler`` against a form written out from its definition.
+``k`` is an ``MhKernel``."""
 
 import math
 
@@ -144,3 +144,23 @@ def min_abs_balance_min_max(k, windows, us: np.ndarray):
     best = np.zeros(len(windows) * n)
     best[live] = np.maximum(0.0, -res.value)
     return best.reshape(len(windows), n), bool(res.converged.all())
+
+
+def proposal_batch_one_shot(p, count: int, rng) -> np.ndarray:
+    """``sampler.proposal_batch`` as it was before it drew through a fixed
+    pair buffer: each pass draws every pair it expects to need at once,
+    with ``uniform``, and scales them into new arrays."""
+    s, sup = p.s, p.sup_shape
+    out = np.empty(count)
+    have = 0
+    # expected acceptance fraction is 1 / (2 s sup); over-draw a little
+    block = max(256, int(count * 2.0 * s * sup * 1.1) + 64)
+    while have < count:
+        pairs = rng.uniform(size=(block, 2))
+        c = -s + 2.0 * s * pairs[:, 0]
+        v = sup * pairs[:, 1]
+        good = c[v <= p.shape(c)]
+        take = min(good.size, count - have)
+        out[have : have + take] = good[:take]
+        have += take
+    return out

@@ -1,12 +1,14 @@
 import csv
+import errno
 import json
 import logging
 import math
+import os
 import sys
 
 import pytest
 
-from mhbound import __version__, cli, quad
+from mhbound import __version__, cli, quad, sampler
 from mhbound.cli import (
     ConfigError,
     apply_overrides,
@@ -419,6 +421,18 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, command, sets):
         ("spectrum", ["spectrum.n=100001"], "spectrum.n x spectrum.n is 1e+10"),
         # an int beyond the float range
         ("spectrum", [f"spectrum.n=1{'0' * 400}"], "spectrum.n x spectrum.n is about 1e+800"),
+        # the Hilbert-Schmidt rule's x-nodes, 16 max(4, ceil(16a)), which the
+        # rule allocated before the limit covered it
+        (
+            "spectrum",
+            ["target.family=gauss", "target.scale=1.7e16", "spectrum.a=1.7e16", "proposal.s=0.5"],
+            "the Hilbert-Schmidt rule's node count on [-spectrum.a, spectrum.a] is 4.35e+18",
+        ),
+        (
+            "spectrum",
+            ["target.scale=1.87e16", "proposal.s=1.87e16"],
+            "the Hilbert-Schmidt rule's node count on [-spectrum.a, spectrum.a] is 2.39e+19",
+        ),
     ],
 )
 def test_sizes_above_the_limit_exit_1(tmp_path, capsys, peak_mb, command, sets, message):
@@ -430,6 +444,46 @@ def test_sizes_above_the_limit_exit_1(tmp_path, capsys, peak_mb, command, sets, 
     assert capsys.readouterr().err == f"config error: {message}, above the limit of 1e+08\n"
 
 
+@pytest.mark.parametrize("command", ["bound", "asymptotic", "spectrum"])
+def test_proposal_range_whose_defaults_overflow_exits_1(tmp_path, capsys, command):
+    # each default that is a multiple of s is inf; the commands named other
+    # causes: a_list not increasing, a tail rejection above 1/2, A = inf
+    code = run_cli(command, "--out", str(tmp_path), "--set", "proposal.s=1.7976931348623155e+308")
+    assert code == 1
+    assert capsys.readouterr().err.endswith(
+        "config error: proposal.s=1.7976931348623155e+308 is too large: the defaults bound.a_list, bound.x_max, "
+        "spectrum.a, spectrum.A, profile.lo, profile.hi, multiples of it, overflow\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unusable_trace_path_exits_1(tmp_path, capsys):
+    trace = tmp_path / "missing" / "t.csv"
+    assert run_cli("sample", "--out", str(tmp_path), "--trace", str(trace), "--set", "sample.steps=2000") == 1
+    assert capsys.readouterr().err == f"config error: cannot open the trace file {trace}: {os.strerror(errno.ENOENT)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_allocation_beside_a_trace_stays_an_internal_error(tmp_path, capsys, monkeypatch):
+    # an OSError that is not the trace's own open is not a usage error
+    def no_memory(*args):
+        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+    monkeypatch.setattr(sampler.mmap, "mmap", no_memory)
+    trace = tmp_path / "t.csv"
+    assert run_cli("sample", "--out", str(tmp_path), "--trace", str(trace), "--set", "sample.steps=2000") == 3
+    assert capsys.readouterr().err == f"internal error: OSError: [Errno {errno.ENOMEM}] {os.strerror(errno.ENOMEM)}\n"
+
+
+def test_unusable_out_directory_exits_1(tmp_path, capsys):
+    # a directory below a regular file cannot be made
+    (tmp_path / "file").touch()
+    out = tmp_path / "file" / "x"
+    assert run_cli("profile", "--out", str(out)) == 1
+    reason = os.strerror(errno.ENOTDIR)
+    assert capsys.readouterr().err == f"config error: cannot write the output directory {out}: {reason}\n"
+
+
 def test_size_limit_admits_its_own_value(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "MAX_POINTS", 1000)
     burn_in = ("--set", "sample.burn_in=100")
@@ -438,8 +492,14 @@ def test_size_limit_admits_its_own_value(tmp_path, monkeypatch):
     assert run_cli("profile", "--out", str(tmp_path), "--set", "profile.step=0.01", "--set", "profile.hi=4.99") == 0
     assert run_cli("profile", "--out", str(tmp_path), "--set", "profile.step=0.01") == 1
     monkeypatch.setattr(cli, "MAX_POINTS", 31 * 31)
-    assert run_cli("spectrum", "--out", str(tmp_path), "--set", "spectrum.n=31") == 0
-    assert run_cli("spectrum", "--out", str(tmp_path), "--set", "spectrum.n=33") == 1
+    # a = 2: the Hilbert-Schmidt rule's 512 nodes stay below this limit
+    small_a = ("--set", "spectrum.a=2")
+    assert run_cli("spectrum", "--out", str(tmp_path), "--set", "spectrum.n=31", *small_a) == 0
+    assert run_cli("spectrum", "--out", str(tmp_path), "--set", "spectrum.n=33", *small_a) == 1
+    # 16 max(4, ceil(16a)) nodes: 1024 at a = 4, 1040 at a = 4.01
+    monkeypatch.setattr(cli, "MAX_POINTS", 16 * 64)
+    assert run_cli("spectrum", "--out", str(tmp_path), "--set", "spectrum.n=31", "--set", "spectrum.a=4") == 0
+    assert run_cli("spectrum", "--out", str(tmp_path), "--set", "spectrum.n=31", "--set", "spectrum.a=4.01") == 1
 
 
 # kinks at u = 0 and u = +-0.5

@@ -88,5 +88,20 @@ def check(argv) -> None:
 # to x0 (laplace); both reported inf and NaN with exit 0
 @example(argv=["sample", "--set", "target.family=gauss", "--set", "sample.x0=1e300"])
 @example(argv=["sample", "--set", "target.family=laplace", "--set", "sample.x0=1e300"])
+# q(u)^2 = 1e600 overflows: hs_norm_t_a was inf with exit 0
+@example(argv=["spectrum", "--set", "target.family=laplace", "--set", "proposal.s=1e-300", "--set", "spectrum.n=101"])
+@example(argv=["spectrum", "--set", "target.family=gauss", "--set", "proposal.s=1e-300", "--set", "spectrum.n=101"])
+# a subnormal s: r_inf was -inf and beta_inf NaN with exit 2
+@example(
+    argv=[
+        "asymptotic",
+        "--set",
+        "target.family=gauss",
+        "--set",
+        "target.scale=8.399087376125471e+282",
+        "--set",
+        "proposal.s=2.225073858507203e-309",
+    ]
+)
 def test_every_config_exits_0_1_or_2_with_finite_reports(argv):
     check(argv)

@@ -30,6 +30,8 @@ from mhbound.sampler import (
     _stream,
 )
 
+from oracles import proposal_batch_one_shot
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -106,6 +108,39 @@ def test_batch_matches_scalar_draws():
     rng = _stream(9, 0, 0)
     scalars = [sample_proposal(p, rng) for _ in range(50)]
     np.testing.assert_allclose(batch, scalars, rtol=0, atol=0)
+
+
+#: a shape whose box acceptance is 0.1, so each buffer of pairs yields about 819 increments
+PEAKED_SHAPE = "5*max(0,1-abs(u))^9"
+
+
+@pytest.mark.parametrize(
+    "p",
+    [getattr(ProposalModel, family)(s) for family in ("triangular", "uniform", "epanechnikov") for s in (1e-3, 1, 7)]
+    + [ProposalModel.from_expression(PEAKED_SHAPE, 1.0)],
+    ids=lambda p: f"{p.family}-{p.s:g}",
+)
+@pytest.mark.parametrize("count", [0, 1, 8191, 8192, 3 * 8192 + 1, 40000])
+def test_pair_buffer_draws_what_one_block_draws(p, count):
+    # the buffer's refills and the dropped surplus leave the increments of
+    # the one-shot draw, bit for bit
+    expected = proposal_batch_one_shot(p, count, _stream(3, 1, 0))
+    got = proposal_batch(p, count, _stream(3, 1, 0))
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_proposal_batch_fills_and_returns_out():
+    p = ProposalModel.triangular()
+    out = np.full(5000, np.nan)
+    assert proposal_batch(p, 5000, _stream(8, 0, 0), out) is out
+    assert out.tobytes() == proposal_batch(p, 5000, _stream(8, 0, 0)).tobytes()
+
+
+def test_proposal_batch_stops_where_the_declared_sup_is_suspect():
+    # acceptance 1 / (2 s sup) = 5e-301: a draw that no buffer could finish
+    p = ProposalModel.from_expression("max(0,1-abs(u))", 1.0, sup_shape=1e300)
+    with pytest.raises(RuntimeError, match="exceeded the iteration cap; the declared sup of the shape is suspect"):
+        proposal_batch(p, 10, _stream(1, 0, 0))
 
 
 def test_step_flat_target_always_accepts():
