@@ -40,7 +40,7 @@ import numpy as np
 
 from . import asymptotics
 from .kernel import BLOCK_ELEMENTS, MhKernel, certification
-from .models import ModelError, check_log_pdf
+from .models import ModelError
 from .quad import ScanResult, composite_gauss_legendre, sup_scan, zoom
 
 __all__ = [
@@ -179,7 +179,6 @@ def _beta(k: MhKernel, a: np.ndarray, x_max: float, slopes) -> List[BetaValue]:
     lo, hi = np.concatenate([edges[:-1], -edges[1:]]), np.concatenate([edges[1:], -edges[:-1]])
     xs = np.linspace(lo, hi, _BETA_STEPS + 1, axis=1)
     lx = k.target.log_pdf(xs)
-    check_log_pdf(xs, lx)
     windows = list(zip(xs, lx))
     # the coarse blocks of every window, on the nodes of both rules in u
     coarse = np.empty(BLOCK_ELEMENTS)

@@ -362,8 +362,10 @@ def pow_(a: float, b: float) -> float:
 
 
 _BACKEND = {f.__name__: f for f in (exp_, log_, sqrt_, div_, pow_, abs, min, max)}
-#: source templates of the operators, filled with operand names
-_TEMPLATES = {"neg": "-{}", "+": "{} + {}", "-": "{} - {}", "*": "{} * {}",
+#: source templates of the operators, filled with operand names: "/c" is a
+#: division by a nonzero number and "sq" a square, which need no domain check
+#: (a * a has the same bits on floats and arrays, and overflows to inf)
+_TEMPLATES = {"neg": "-{}", "+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/c": "{} / {}", "sq": "{0} * {0}",
               "/": "div_({}, {})", "^": "pow_({}, {})", "exp": "exp_({})", "log": "log_({})",
               "sqrt": "sqrt_({})", "abs": "abs({})", "min": "min({}, {})", "max": "max({}, {})"}
 
@@ -426,19 +428,25 @@ def _pow_array(a, b, out):
 
 
 _ARRAY_BACKEND = {"negative": np.negative, "add": np.add, "subtract": np.subtract, "multiply": np.multiply,
-                  "div_": _div_array, "pow_": _pow_array, "exp_": _exp_array, "log_": _log_array,
+                  "divide": np.divide, "div_": _div_array, "pow_": _pow_array, "exp_": _exp_array, "log_": _log_array,
                   "sqrt_": _sqrt_array, "abs": np.abs, "min": np.minimum, "max": np.maximum}
 #: the operators as calls with ``out``: ufuncs for the Python operators,
 #: and the scalar templates' functions otherwise
 _ARRAY_TEMPLATES = {"neg": "negative({}, out={out})", "+": "add({}, {}, out={out})",
                     "-": "subtract({}, {}, out={out})", "*": "multiply({}, {}, out={out})",
+                    "/c": "divide({}, {}, out={out})", "sq": "multiply({0}, {0}, out={out})",
                     **{key: t.replace(")", ", out={out})") for key, t in _TEMPLATES.items() if "(" in t}}
 
 
 def _operator(node: Expr):
-    """Template key and operand subtrees of an operator node."""
+    """Template key and operand subtrees of an operator node; a square has
+    one operand, multiplied by itself."""
     if isinstance(node, Neg):
         return "neg", (node.operand,)
+    if isinstance(node, BinOp) and node.op == "^" and node.right == Num(2.0):
+        return "sq", (node.left,)
+    if isinstance(node, BinOp) and node.op == "/" and isinstance(node.right, Num) and node.right.value != 0.0:
+        return "/c", (node.left, node.right)
     if isinstance(node, BinOp) and node.op in ("+", "-", "*", "/", "^"):
         return node.op, (node.left, node.right)
     if isinstance(node, Call):
@@ -505,14 +513,16 @@ def _lines(e: Expr, templates: dict, var: str, into: Optional[str] = None):
     return lines, operands.pop()[0], constants
 
 
-def scalar_lines(e: Expr, var: str):
+def scalar_lines(e: Expr, var: str, result: str):
     """``e`` on the scalar backend as statements to inline where a float
-    named ``var`` is in scope: ``(statements, name of the result,
-    namespace)``.  The namespace binds the backend's functions and the
-    tree's constants; ``compile_scalar`` wraps the same statements in a
-    function."""
-    lines, result, constants = _lines(e, _TEMPLATES, var)
-    return lines, result, {**_BACKEND, **constants}
+    named ``var`` is in scope, the last of which assigns the name
+    ``result``: ``(statements, namespace)``.  The namespace binds the
+    backend's functions and the tree's constants; ``compile_scalar`` wraps
+    the same statements in a function."""
+    lines, value, constants = _lines(e, _TEMPLATES, var)
+    # the root's operation comes last and assigns value; a leaf has none
+    lines = [*lines[:-1], result + lines[-1][len(value) :]] if lines else [f"{result} = {value}"]
+    return lines, {**_BACKEND, **constants}
 
 
 def _generate(e: Expr, names: dict, templates: dict, into: Optional[str] = None) -> Callable:
@@ -544,10 +554,14 @@ def compile_array(e: Expr) -> Callable[..., np.ndarray]:
     filled in), and the caller may overwrite it.  It is ``out``, an array
     of the input's shape that may be the input itself, when that is given
     and the tree reads its variable at most once; otherwise it is a new
-    array."""
+    array.  A float64 array of one or more dimensions goes straight to the
+    generated code where the tree operates on its variable."""
     fn = _generate(e, _ARRAY_BACKEND, _ARRAY_TEMPLATES, "out")
+    varies = not isinstance(e, Var) and _fold(e, lambda node, reads: any(reads) or isinstance(node, Var))
 
     def compiled(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        if varies and type(values) is np.ndarray and values.ndim and values.dtype == np.float64:
+            return fn(values, out)
         values = np.asarray(values, dtype=float)
         # a 0-d input would make numpy scalars, which cannot be ``out``
         vector = np.atleast_1d(values)
@@ -641,7 +655,7 @@ def _affine_node(node: Expr, args: list) -> Optional[tuple]:
         return 0.0, node.value
     if isinstance(node, Var):
         return 1.0, 0.0
-    if None in args or not isinstance(node, (Neg, BinOp)):
+    if None in args or isinstance(node, Call) or isinstance(node, BinOp) and node.op == "^":
         return None
     if isinstance(node, Neg):
         return -args[0][0], -args[0][1]
@@ -691,7 +705,7 @@ def kinks(e: Expr, lo: float, hi: float) -> tuple:
     the scan, unless it lies within _KINK_MERGE (hi - lo) of a kink
     already found.  A DomainError here is one that ``e`` itself raises on
     [lo, hi]."""
-    xs = np.linspace(lo, hi, _KINK_SCAN_POINTS)
+    xs = None  # the scan's points, made for the first argument that is not affine
     found = set()
     touches = []
     stack = [e]
@@ -716,6 +730,8 @@ def kinks(e: Expr, lo: float, hi: float) -> tuple:
             if line[0] != 0.0:  # a nonzero constant has no zero, and a zero one no kink
                 found.add(-line[1] / line[0] + 0.0)  # + 0.0 makes -0.0 positive
             continue
+        if xs is None:
+            xs = np.linspace(lo, hi, _KINK_SCAN_POINTS)
         fn = compile_array(g)
         v = fn(xs)
         zero = v == 0.0

@@ -27,7 +27,7 @@ from functools import cache
 
 import numpy as np
 
-from .models import DensityModel, ProposalModel, check_log_pdf
+from .models import DensityModel, ProposalModel
 from .quad import GL_POINTS, gauss_legendre_nodes
 
 __all__ = ["MhKernel", "R_QUAD_TOL", "certification", "quad_error_reason"]
@@ -158,14 +158,12 @@ class MhKernel:
         assumption is that d changes sign at most once in each of its
         cells, s / 32 wide.  Two roots in one cell leave no sign change,
         so the kinks between them fall inside a piece; the estimate then
-        reads large, but it may understate the error.  A ModelError names
-        the first x where log pi(x) is -inf (``models.check_log_pdf``)."""
+        reads large, but it may understate the error."""
         s = self.proposal.s
         value, error = np.zeros(xs.size), np.zeros(xs.size)
         if xs.size == 0:
             return value, error
         lx_all = self.target.log_pdf(xs)
-        check_log_pdf(xs, lx_all)
         kinks = np.array(self.target.kinks(float(xs.min()) - s, float(xs.max()) + s))
         fixed = np.array([-s, 0.0, *self.proposal.kinks, s])
         half = np.linspace(_ROOT_INNER * s, s, _ROOT_POINTS)

@@ -5,135 +5,81 @@ kernel, the truncation constants, the tail ratio, the spectrum's
 symmetric matrix, the sampler) touches the target only through density
 ratios, so the normalization constant is never required.
 
-Built-in targets carry their closed-form tail slopes; for an expression
-target asymptotics.tail_ratio_for estimates them from secants of log pi.
+Every target's log pi is an ``exprlang`` tree, which ``exprlang``'s one
+generator compiles: a built-in family's formula, with ``Num`` nodes that
+hold its scale and normalizing constant, or an expression's log form.
+Built-in targets also carry their closed-form tail slopes and cdf; for an
+expression target asymptotics.tail_ratio_for estimates the slopes from
+secants of log pi.
 """
 
 from __future__ import annotations
 
-import ast
 import logging
 import math
-from functools import cache
 from typing import Optional
 
 import numpy as np
 
 from . import exprlang
+from .exprlang import BinOp, Call, Neg, Num, Var
 from .quad import composite_gauss_legendre, sup_scan
 
 __all__ = [
     "ModelError",
     "DensityModel",
     "ProposalModel",
-    "check_log_pdf",
 ]
 
 log = logging.getLogger(__name__)
-
-_LOG_2 = math.log(2.0)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-#: log pi of the built-in families, as Python statements that set
-#: ``{result}`` from ``{x}`` and read ``scale`` and ``log_norm``.  They run
-#: the same operations on floats and arrays, so both give the same bits (the
-#: square is a product, not a float pow).  ``_Into`` rewrites them to write
-#: an array's result into a caller's array.
-_LOG_PDF_SOURCE = {
-    "laplace": ["{result} = -abs({x} / scale) - log_norm"],
-    "gauss": ["{result} = {x} / scale", "{result} *= {result}", "{result} *= -0.5", "{result} -= log_norm"],
-}
-#: numpy's ufunc for each operation that _LOG_PDF_SOURCE assigns
-_UFUNCS = {ast.USub: np.negative, ast.Sub: np.subtract, ast.Div: np.divide, "abs": np.absolute}
-
-
-class _Into(ast.NodeTransformer):
-    """Runs the statements of _LOG_PDF_SOURCE on an array in the array
-    ``out``, with the same operations in the same order: each operation of
-    a plain assignment becomes its ufunc with ``out=out``, and augmented
-    assignments already work in place.  Each operation reads at most one
-    array, ``{x}`` or the operation before it, so all can write into out."""
-
-    def _ufunc(self, key, *args):
-        out = ast.keyword("out", ast.Name("out", ast.Load()))
-        return ast.Call(ast.Name(_UFUNCS[key].__name__, ast.Load()), list(args), [out])
-
-    def visit_AugAssign(self, node):
-        return node
-
-    def visit_BinOp(self, node):
-        self.generic_visit(node)
-        return self._ufunc(type(node.op), node.left, node.right)
-
-    def visit_UnaryOp(self, node):
-        self.generic_visit(node)
-        return self._ufunc(type(node.op), node.operand)
-
-    def visit_Call(self, node):
-        self.generic_visit(node)
-        return self._ufunc(node.func.id, *node.args)
-
-
-@cache
-def _into_source(family: str) -> str:
-    """The source of ``log_pdf_into(x, out)``: a built-in family's
-    _LOG_PDF_SOURCE run on an array x in the array out (see _Into)."""
-    body = "".join(f"    {line.format(x='x', result='lx')}\n" for line in _LOG_PDF_SOURCE[family])
-    tree = _Into().visit(ast.parse(f"def log_pdf_into(x, out):\n{body}    return lx\n"))
-    return ast.unparse(tree) + "\n"
 
 
 class ModelError(ValueError):
     pass
 
 
-def check_log_pdf(x: np.ndarray, lx: np.ndarray) -> None:
-    """Raise a ModelError that names the first x where log pi, ``lx``, is
-    -inf.  A built-in family's log pi overflows to -inf far enough out (a
-    gauss scale of 1e-300, or a window 1e300 wide), and a difference of two
-    -infs is NaN.  The callers check the x arrays they hold anyway, so
-    ``log_pdf`` makes no pass of its own."""
-    bad = lx == -math.inf
-    if bad.any():
-        raise ModelError(f"log pi of the target is -inf at x={float(x[bad].flat[0])!r}: the density underflows")
+#: each built-in family's log pi at scale 1 as a function of a tree for its
+#: variable, and the log of its normalizing constant
+_FAMILIES = {
+    "laplace": (lambda z: Neg(Call("abs", (z,))), math.log(2.0)),
+    "gauss": (lambda z: BinOp("*", BinOp("^", z, Num(2.0)), Num(-0.5)), 0.5 * math.log(2.0 * math.pi)),
+}
 
 
 class DensityModel:
     """Positive continuous (possibly unnormalized) target density on R."""
 
     def __init__(self, family: str, scale: float = 1.0, source: Optional[str] = None):
-        if family not in ("laplace", "gauss", "expr"):
+        if family not in ("expr", *_FAMILIES):
             raise ModelError(f"unknown target family {family!r}")
         if scale <= 0:
             raise ModelError("scale must be positive")
+        self.family = family
+        self.scale = float(scale)
+        self.source = source
         if family == "expr":
             if not source:
                 raise ModelError("expr target requires an expression")
             self._ast = exprlang.parse(source, "x")
             log_tree = exprlang.log_form(self._ast)
-            #: whether the compiled code evaluates the expression's log form
-            #: (log pi) or, where it has none, its value (pi)
-            self._logged = log_tree is not None
-            self._tree = log_tree if self._logged else self._ast
-            self._array_fn = exprlang.compile_array(self._tree)
         else:
-            self._ast = self._array_fn = None
-        self.family = family
-        self.scale = float(scale)
-        self.source = source
-        #: log of the built-in families' normalizing constant
-        self._log_norm = (_LOG_SQRT_2PI if family == "gauss" else _LOG_2) + math.log(self.scale)
+            log_kernel, log_norm = _FAMILIES[family]
+            # x / 1.0 is x, so scale 1 needs no division
+            z = Var("x") if self.scale == 1.0 else BinOp("/", Var("x"), Num(self.scale))
+            self._ast = log_tree = BinOp("-", log_kernel(z), Num(log_norm + math.log(self.scale)))
+        #: whether the compiled code evaluates log pi, or pi for an expression
+        #: with no log form
+        self._logged = log_tree is not None
+        self._tree = log_tree if self._logged else self._ast
+        #: log pi must be above it, or pi above 0.0
+        self._floor = -math.inf if self._logged else 0.0
+        self._array_fn = exprlang.compile_array(self._tree)
         lines, names = self.log_pdf_source("x", "lx")
         code = "def log_pdf(x):\n" + "".join(f"    {line}\n" for line in lines) + "    return lx\n"
-        if family != "expr":
-            code += _into_source(family)
-            names.update((f.__name__, f) for f in _UFUNCS.values())
         namespace = {"__builtins__": {}, **names}
         exec(compile(code, "<log_pdf>", "exec"), namespace)
-        #: ``log_pdf_source`` as a function: of a float for an expression,
-        #: of a float or an array for a built-in family
+        #: ``log_pdf_source`` as a function of a float
         self._log_pdf = namespace["log_pdf"]
-        #: a built-in family's ``log_pdf_source`` on an array, into ``out``
-        self._log_pdf_into = namespace.get("log_pdf_into")
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -152,22 +98,21 @@ class DensityModel:
     def log_pdf(self, x, out=None):
         """log pi(x); stable in the far tails for the built-in families and
         for an expression with a log form.  Accepts scalars or ndarrays.  A
-        built-in family, and an expression at a float, run the statements
-        of ``log_pdf_source``; an expression evaluates anything else with
-        its compiled array function, and raises the same ModelError where
-        log pi(x) is not above -inf (which includes NaN).
+        float runs the statements of ``log_pdf_source``, and anything else
+        the compiled array function of the same tree; both raise the same
+        ModelError where log pi(x) is not above -inf (which includes NaN),
+        so no caller meets a -inf or a NaN.
 
         ``out``, an array of x's shape, receives the result of an array x
         and is returned; it may be x itself.  A built-in family and an
         expression whose log form reads x once then make no array of their
         own (``exprlang.compile_array``); other expressions make one."""
-        if self._ast is None:
-            return self._log_pdf(x) if out is None else self._log_pdf_into(x, out)
         if isinstance(x, float):
-            return self._log_pdf(float(x))
+            return self._log_pdf(x)
         vals = self._array_fn(x, out if self._logged else None)
-        good = vals > (-math.inf if self._logged else 0.0)
-        if not good.all():
+        # one pass that allocates nothing; NaN propagates through the minimum
+        if not np.minimum.reduce(vals, axis=None, initial=math.inf) > self._floor:
+            good = vals > self._floor
             if vals is out and np.may_share_memory(x, out):
                 # the log form was evaluated over x, so the point is gone
                 raise ModelError(
@@ -189,39 +134,35 @@ class DensityModel:
         float named ``x``, and the namespace they read: ``(statements,
         namespace)``.
 
-        A built-in family's statements are its formula.  An expression's
-        are the scalar statements of ``exprlang.scalar_lines`` for its log
+        They are the scalar statements of ``exprlang.scalar_lines`` for the
+        target's tree: a built-in family's formula, or an expression's log
         form (``exprlang.log_form``), so ``exp(-abs(x))`` runs as
-        ``-abs(x)``, with a check that raises ModelError where the value is
-        not above -inf.  An expression with no log form gets the statements
-        of its value, a check that raises ModelError where the value is not
-        positive, and ``math.log``.  Either check catches NaN.
+        ``-abs(x)``, followed by a check that raises ModelError where the
+        value is not above -inf.  An expression with no log form gets the
+        statements of its value, a check that raises ModelError where the
+        value is not positive, and ``math.log``.  Either check catches NaN.
         ``log_pdf`` compiles the statements once per model, and
         ``sampler.run`` inlines them in its step loop."""
-        if self._ast is None:
-            lines = [line.format(x=x, result=result) for line in _LOG_PDF_SOURCE[self.family]]
-            return lines, {"abs": abs, "scale": self.scale, "log_norm": self._log_norm}
-        lines, value, names = exprlang.scalar_lines(self._tree, x)
+        lines, names = exprlang.scalar_lines(self._tree, x, result)
         lines += [
-            f"if not {value} > {'-inf' if self._logged else '0.0'}:",
+            f"if not {result} > floor:",
             f"    raise ModelError(f'target density is not positive at x={{{x}}}')",
-            f"{result} = {value if self._logged else f'log({value})'}",
         ]
-        return lines, {**names, "ModelError": ModelError, "log": math.log, "inf": math.inf}
+        if not self._logged:
+            lines.append(f"{result} = log({result})")
+        return lines, {**names, "ModelError": ModelError, "log": math.log, "floor": self._floor}
 
     def pdf(self, x):
         return np.exp(self.log_pdf(x))
 
     def kinks(self, lo: float, hi: float) -> tuple:
-        """Points in (lo, hi) where the density may have a kink: 0 for
-        laplace, none for gauss, ``exprlang.kinks`` for an expression."""
-        if self.family == "expr":
-            return exprlang.kinks(self._ast, lo, hi)
-        return (0.0,) if self.family == "laplace" and lo < 0.0 < hi else ()
+        """Points in (lo, hi) where the density may have a kink
+        (``exprlang.kinks``): 0 for laplace, none for gauss."""
+        return exprlang.kinks(self._ast, lo, hi)
 
     @property
     def is_builtin(self) -> bool:
-        return self.family in ("laplace", "gauss")
+        return self.family in _FAMILIES
 
     def cdf(self, x) -> np.ndarray:
         """Distribution function, elementwise over an array; built-in

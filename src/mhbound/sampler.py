@@ -31,24 +31,23 @@ summaries by chain, takes the pooled statistics and writes the trace
 once every worker is reaped.
 
 Each chain's step loop is sequential.  ``run`` compiles it once, with
-the target's ``DensityModel.log_pdf_source`` written into the body: a
-built-in family's formula, or an expression's scalar statements from
-``exprlang``'s generator for its log form (``exp(-abs(x))`` runs as
-``-abs(x)``, with no exp or log) and the check that log pi is above -inf,
-or, for a tree with no log form, its value's statements, their
-positivity check and ``math.log``.  So a step calls no ``log_pdf``; a
-symmetric proposal's loop has no Hastings term.  It walks each chain in
-blocks of ``_BLOCK_STEPS`` steps on Python floats (the block's
-increments, log acceptance uniforms and, for an asymmetric proposal,
-Hastings terms log q(-u) - log q(u) computed as arrays and converted
-with ``tolist``) and records only the numbers of the rejected steps.
-The block's states are then one ``np.cumsum`` of its increments, with
-each rejected increment set to -0.0 and the previous state added to the
-first: x + (-0.0) is x for every float, and cumsum adds left to
-right, so each state is the loop's own sum x + u.  The accept flags are
-True except at the rejected steps.  Neither the blocks, nor the compiled
-body, nor the rebuilt states change a single operation of the chain,
-which ``_accept`` defines step by step.
+the target's ``DensityModel.log_pdf_source`` written into the body: the
+scalar statements of ``exprlang``'s generator for the target's tree (a
+built-in family's formula, or an expression's log form, so
+``exp(-abs(x))`` runs as ``-abs(x)``, with no exp or log, or else its
+value and ``math.log``) and ``log_pdf``'s check that log pi is above
+-inf.  So a step calls no ``log_pdf``; a symmetric proposal's loop has
+no Hastings term.  It walks each chain in blocks of ``_BLOCK_STEPS``
+steps on Python floats (the block's increments, log acceptance uniforms
+and, for an asymmetric proposal, Hastings terms log q(-u) - log q(u)
+computed as arrays and converted with ``tolist``) and records only the
+numbers of the rejected steps.  The block's states are then one
+``np.cumsum`` of its increments, with each rejected increment set to
+-0.0 and the previous state added to the first: x + (-0.0) is x for
+every float, and cumsum adds left to right, so each state is the loop's
+own sum x + u.  The accept flags are True except at the rejected steps.
+Neither the blocks, nor the compiled body, nor the rebuilt states change
+a single operation of the chain, which ``_accept`` defines step by step.
 
 The KS diagnostic ``_ks_distance`` is exact, bit for bit, and takes the
 target cdf at a few percent of the sorted samples: the cdf is monotone,
@@ -349,10 +348,11 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
     ``_ks_distance``.  Where chains raise, the first one's error is raised
     and the trace ends with its completed blocks.
 
-    A ModelError is raised before any worker starts where the chains cannot
-    leave x0: log pi(x0) is -inf, or x0 - s and x0 + s round to x0.  One is
-    also raised, after the trace, where a mean, a variance or an
-    autocorrelation is not finite.
+    A ModelError is raised before any worker starts where log pi(x0) is
+    -inf, where x0 - s and x0 + s round to x0, or where the rejection box's
+    area 2 s sup_shape is at least ``_MAX_REJECTION_ITERS``.  One is also
+    raised, after the trace, where a mean, variance or autocorrelation is
+    not finite.
     """
     # one shared buffer, which the workers fill: the kept states, one row per
     # chain (so pooling copies nothing), the burn-in states and the accept flags
@@ -367,10 +367,15 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
         writer.writerow(["step", "x", "accepted"])
     try:
         lx0 = k.target.log_pdf(cfg.x0)
-        if not lx0 > -math.inf:
-            raise ModelError(f"x0={cfg.x0!r} is outside the target's support: log pi(x0) is {lx0}")
         if cfg.x0 - k.proposal.s == cfg.x0 == cfg.x0 + k.proposal.s:
             raise ModelError(f"no increment moves the chain from x0={cfg.x0!r}: x0 - s and x0 + s round to x0")
+        # the box's area is the mean number of pairs drawn per increment
+        area = 2.0 * k.proposal.s * k.proposal.sup_shape
+        if area >= _MAX_REJECTION_ITERS:
+            raise ModelError(
+                f"proposal.sup_shape={k.proposal.sup_shape!r} is too large: the rejection box's area 2 s sup_shape "
+                f"is {area:.3g}, at least the cap of {_MAX_REJECTION_ITERS} draws per increment"
+            )
         summaries, failure = _spread(k, cfg, _compile_steps(k), lx0, kept, burn, acc)
         if fh is not None:
             counts = [cfg.steps] * cfg.chains if failure is None else [cfg.steps] * failure[0] + [failure[1]]

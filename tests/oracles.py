@@ -1,7 +1,7 @@
 """Reference forms that only the tests use: each checks a shortcut of
-``mhbound.kernel.MhKernel``, ``mhbound.bounds``, ``mhbound.spectra`` or
-``mhbound.sampler`` against a form written out from its definition.
-``k`` is an ``MhKernel``."""
+``mhbound.models``, ``mhbound.kernel.MhKernel``, ``mhbound.bounds``,
+``mhbound.spectra`` or ``mhbound.sampler`` against a form written out from
+its definition.  ``k`` is an ``MhKernel``."""
 
 import math
 
@@ -11,6 +11,25 @@ from mhbound import asymptotics, bounds
 from mhbound.kernel import BLOCK_ELEMENTS, certification
 from mhbound.quad import bracket, composite_gauss_legendre, sup_scan, zoom
 from mhbound.spectra import build_p_matrix, symmetrize
+
+
+def laplace_log_pdf(x, scale: float):
+    """log pi of the laplace family, on a float or an array, as written out
+    before the built-in families became ``exprlang`` trees."""
+    log_norm = math.log(2.0) + math.log(scale)
+    return -abs(x / scale) - log_norm
+
+
+def gauss_log_pdf(x, scale: float):
+    """log pi of the gauss family, on a float or an array, as written out
+    before the built-in families became ``exprlang`` trees: the square is
+    a product."""
+    log_norm = 0.5 * math.log(2.0 * math.pi) + math.log(scale)
+    result = x / scale
+    result *= result
+    result *= -0.5
+    result -= log_norm
+    return result
 
 
 def log_t_general(k, x: float, u: float) -> float:

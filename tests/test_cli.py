@@ -276,7 +276,7 @@ def test_log_pi_of_minus_inf_exits_1(tmp_path, capsys, command, sets):
     # would be NaN, which reached reports or stopped the best-window search
     code = run_cli(command, "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("config error: log pi of the target is -inf at x=")
+    assert capsys.readouterr().err.startswith("config error: target density is not positive at x=")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -284,7 +284,7 @@ def test_log_pi_of_minus_inf_exits_1(tmp_path, capsys, command, sets):
     "family, message",
     [
         ("laplace", "no increment moves the chain from x0=1e+300: x0 - s and x0 + s round to x0"),
-        ("gauss", "x0=1e+300 is outside the target's support: log pi(x0) is -inf"),
+        ("gauss", "target density is not positive at x=1e+300"),
     ],
 )
 def test_sample_from_an_x0_the_chain_cannot_leave_exits_1(tmp_path, capsys, family, message):
@@ -293,6 +293,20 @@ def test_sample_from_an_x0_the_chain_cannot_leave_exits_1(tmp_path, capsys, fami
     code = run_cli("sample", "--out", str(tmp_path), "--set", f"target.family={family}", "--set", "sample.x0=1e300")
     assert code == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sup, area", [(1e300, "2e+300"), (5e5, "1e+06")])
+def test_sample_whose_rejection_box_reaches_the_cap_exits_1(tmp_path, capsys, sup, area):
+    # a box of area 2 s sup needs that many draws per increment on average:
+    # 2e300 ran into the iteration cap and exited 3
+    sets = ["proposal.family=expr", "proposal.expr=max(0,1-abs(u))", f"proposal.sup_shape={sup!r}"]
+    code = run_cli("sample", "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"config error: proposal.sup_shape={sup!r} is too large: the rejection box's area 2 s sup_shape "
+        f"is {area}, at least the cap of 1000000 draws per increment\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 

@@ -88,6 +88,18 @@ def check(argv) -> None:
 # to x0 (laplace); both reported inf and NaN with exit 0
 @example(argv=["sample", "--set", "target.family=gauss", "--set", "sample.x0=1e300"])
 @example(argv=["sample", "--set", "target.family=laplace", "--set", "sample.x0=1e300"])
+# a declared sup of 1e300: the rejection sampler ran into its cap, exit 3
+@example(
+    argv=[
+        "sample",
+        "--set",
+        "proposal.family=expr",
+        "--set",
+        "proposal.expr=max(0,1-abs(u))",
+        "--set",
+        "proposal.sup_shape=1e300",
+    ]
+)
 # q(u)^2 = 1e600 overflows: hs_norm_t_a was inf with exit 0
 @example(argv=["spectrum", "--set", "target.family=laplace", "--set", "proposal.s=1e-300", "--set", "spectrum.n=101"])
 @example(argv=["spectrum", "--set", "target.family=gauss", "--set", "proposal.s=1e-300", "--set", "spectrum.n=101"])

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -84,15 +85,22 @@ def test_eval_examples():
 
 
 def test_domain_errors():
+    # on both backends; a division by the number 0 keeps its check, and so
+    # does a power whose exponent is not 2
     for source, x, function in [
         ("log(x)", -1.0, "log"),
         ("sqrt(x)", -4.0, "sqrt"),
         ("1/x", 0.0, "/"),
+        ("x/0", 2.0, "/"),
         ("x^0.5", -2.0, "^"),
+        ("(-x)^2.5", 1.0, "^"),
         ("x^-1", 0.0, "^"),
     ]:
         with pytest.raises(DomainError) as exc:
             compile_scalar(parse(source, "x"))(x)
+        assert exc.value.function == function, source
+        with pytest.raises(DomainError) as exc:
+            compile_array(parse(source, "x"))(np.array([1.5, x]))
         assert exc.value.function == function, source
 
 
@@ -145,6 +153,8 @@ HAND_TABLE = [
     ("1e-2 * x", 100.0, 1.0),
     ("-(-x)", 7.0, 7.0),
     ("x ^ -1", 4.0, 0.25),
+    ("1e200 ^ 2", 0.0, math.inf),
+    ("x / 2", 5.0, 2.5),
 ]
 
 
@@ -167,6 +177,33 @@ def _random_expr(rng: random.Random, depth: int):
     func = rng.choice(list(exprlang.FUNCTIONS))
     args = tuple(_random_expr(rng, depth - 1) for _ in range(exprlang.FUNCTIONS[func]))
     return Call(func, args)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "square, product",
+    [("x^2", "x*x"), ("(x-1/3)^2", "(x-1/3)*(x-1/3)"), ("sqrt(abs(x))^2", "sqrt(abs(x))*sqrt(abs(x))")],
+)
+def test_square_is_the_product_on_both_backends(square, product):
+    # a^2 is emitted as a * a: the product's bits on floats and arrays, no
+    # pow_ call, and inf where it overflows, with no error
+    xs = np.array([1e200, -1e200, 800.0, *np.random.default_rng(12).normal(scale=10.0, size=1000).tolist()])
+    want = evaluate_array(parse(product), xs)
+    scalars = np.array([evaluate(parse(square), x) for x in xs.tolist()])
+    for got in (scalars, evaluate_array(parse(square), xs)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), square
+    lines, _ = exprlang.scalar_lines(parse(square), "x", "y")
+    assert not any("pow_" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "source, checked", [("x/2", False), ("x/1e-300", False), ("x/0", True), ("x/x", True), ("x/-2", True)]
+)
+def test_division_by_a_nonzero_number_has_no_check(source, checked):
+    # a Num divisor other than 0 cannot leave the domain; -2 is a negation
+    lines, _ = exprlang.scalar_lines(parse(source), "x", "y")
+    assert any("div_" in line for line in lines) == checked
+    assert lines[-1].startswith("y = ")
 
 
 def test_round_trip_1000_random_expressions():
@@ -426,6 +463,14 @@ def test_kinks_of_affine_arguments_are_solved(monkeypatch):
     assert exprlang.kinks(parse("exp(-abs(x-3))+exp(-abs(x+3))"), -20.0, 7.5) == (-3.0, 3.0)
     assert exprlang.kinks(parse("max(2*x - 1, -x/4) + min(x, x) + abs(2)"), -5.0, 5.0) == (1.0 / 2.25,)
     assert exprlang.kinks(parse("abs(x/4 + 3)"), -5.0, 5.0) == ()
+    # nor is the scan's grid made
+    tracemalloc.start()
+    try:
+        exprlang.kinks(parse("-abs(x/2.5) - 0.5"), -3.0, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * exprlang._KINK_SCAN_POINTS / 4
 
 
 def test_kinks_examples():

@@ -1,10 +1,12 @@
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from mhbound import asymptotics
 from mhbound.models import DensityModel, ModelError, ProposalModel
 from mhbound.quad import adaptive_simpson, sup_scan
@@ -63,14 +65,38 @@ def test_log_pdf_floats_match_arrays(family, scale):
     assert peak_into < 0.01 * xs.nbytes
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("family", ["laplace", "gauss"])
+@pytest.mark.parametrize("scale", [1.0, 2.5, 1e-3])
+def test_log_pdf_matches_the_closed_forms(family, scale):
+    # the exprlang tree of a built-in family gives its formula's bits on
+    # floats and arrays, and a ModelError that names x where the formula
+    # gives -inf (gauss's square overflows at 1e160)
+    m = DensityModel(family, scale)
+    formula = getattr(oracles, f"{family}_log_pdf")
+    edges = [0.0, -0.0, 1e-310, -1e-310, 1e150, -1e150, 1e160, -1e160]
+    xs = np.array(edges + np.random.default_rng(10).normal(scale=3.0 * scale, size=1000).tolist())
+    want = np.array([formula(x, scale) for x in xs.tolist()])
+    finite = want > -math.inf
+    floats = np.array([m.log_pdf(x) for x in xs[finite].tolist()])
+    for got in (floats, m.log_pdf(xs[finite]), formula(xs[finite], scale)):
+        assert np.array_equal(got.view(np.uint64), want[finite].view(np.uint64))
+    for x in xs[~finite].tolist():
+        with pytest.raises(ModelError, match=f"not positive at x={re.escape(repr(x))}$"):
+            m.log_pdf(x)
+        with pytest.raises(ModelError, match=f"not positive at x={re.escape(repr(x))}$"):
+            m.log_pdf(np.array([1.0, x, -x]))
+    assert finite.all() == (family == "laplace")
+
+
 @pytest.mark.parametrize(
     "source, reads_once",
     [("exp(-abs(x))", True), ("exp(-x^2/2)", True), ("exp(-abs(x-3))+exp(-abs(x+3))", False), ("1/(1+x^2)", False)],
 )
 def test_expr_log_pdf_into_buffer(source, reads_once):
-    # a log form that reads x once is evaluated in the caller's array, with
-    # a mask of bools as the one other array; any other tree makes its own
-    # array and copies or logs it into that one
+    # a log form that reads x once is evaluated in the caller's array, and
+    # its check makes no other array; any other tree makes its own array
+    # and copies or logs it into that one
     m = DensityModel.from_expression(source)
     xs = np.random.default_rng(9).normal(scale=5.0, size=10**5)
     fresh = m.log_pdf(xs)
