@@ -167,7 +167,7 @@ def alpha_inf(k: MhKernel) -> AsymptoticReport:
     with the larger slope, since gamma rises with c.  r_inf is the largest
     of a scan of r over [-_X_MAX, _X_MAX] and both sides' limiting values
     (valid because r is continuous and converges to them).
-    ``r_quad_error`` is that scan's ``ScanResult.error``."""
+    ``r_quad_error`` is that scan's ``Estimate.error``."""
     proposal = k.proposal
     c = np.array(tail_ratio_for(k.target, proposal))
 

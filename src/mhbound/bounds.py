@@ -41,12 +41,11 @@ import numpy as np
 from . import asymptotics
 from .kernel import BLOCK_ELEMENTS, MhKernel, certification
 from .models import ModelError
-from .quad import ScanResult, composite_gauss_legendre, sup_scan, zoom
+from .quad import Estimate, composite_gauss_legendre, sup_scan, zoom
 
 __all__ = [
     "BoundReport",
     "BoundProfile",
-    "BetaValue",
     "r_sup_compact",
     "r_sup_tail",
     "beta",
@@ -69,13 +68,6 @@ _BETA_TOL_X = 1e-8
 #: alpha_a within this of the profile's minimum tie with it; far below
 #: _BETA_TOL, so only rounding separates tied windows
 _TIE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class BetaValue:
-    value: float
-    error: float
-    converged: bool
 
 
 @dataclass
@@ -143,7 +135,7 @@ def _merge_limit(k: MhKernel, tail_max, slopes):
     return np.maximum(tail_max, np.max(asymptotics.r_prime_inf(k.proposal, slopes)))
 
 
-def r_sup_compact(k: MhKernel, a: float) -> ScanResult:
+def r_sup_compact(k: MhKernel, a: float) -> Estimate:
     """Supremum of the rejection probability over the core [-a, a]."""
     if a <= 0:
         raise ValueError("truncation radius a must be positive")
@@ -158,7 +150,7 @@ def r_sup_tail(k: MhKernel, a: float, x_max: float) -> float:
     return float(_merge_limit(k, scan.value.max(), slopes))
 
 
-def beta(k: MhKernel, a_list: Sequence[float], x_max: Optional[float] = None) -> List[BetaValue]:
+def beta(k: MhKernel, a_list: Sequence[float], x_max: Optional[float] = None) -> List[Estimate]:
     """Tail constant of each window in ``a_list``: the integral over u of
     the tail supremum of sqrt(t(x, x+u) t(x+u, x)) = sqrt(q(u) q(-u))
     e^{-|d(x, u)|/2}.
@@ -167,12 +159,12 @@ def beta(k: MhKernel, a_list: Sequence[float], x_max: Optional[float] = None) ->
     on each tail piece [a_i, a_{i+1}] and [-a_{i+1}, -a_i], a_{n+1} =
     x_max (see _min_abs_balance); a window's is the running minimum over
     the pieces outside it, merged with the limiting integrand q(|u|)
-    e^{max(c_+, c_-) |u|/2} when the slopes are known.  The error is the
-    difference against the rule with doubled panels."""
+    e^{max(c_+, c_-) |u|/2} when the slopes are known.  A window's Estimate
+    has the difference against the rule with doubled panels as its error."""
     return _beta(k, *_windows(k, a_list, x_max))
 
 
-def _beta(k: MhKernel, a: np.ndarray, x_max: float, slopes) -> List[BetaValue]:
+def _beta(k: MhKernel, a: np.ndarray, x_max: float, slopes) -> List[Estimate]:
     """beta on windows that _windows checked, with its slopes."""
     s, n = k.proposal.s, a.size
     edges = np.append(a, x_max)
@@ -199,7 +191,7 @@ def _beta(k: MhKernel, a: np.ndarray, x_max: float, slopes) -> List[BetaValue]:
         return values
 
     res = composite_gauss_legendre(integrand, -s, s, asymptotics.TAIL_PANELS, (0.0, *k.proposal.kinks))
-    return [BetaValue(float(v), float(e), zooms_closed and bool(e <= _BETA_TOL)) for v, e in zip(res.value, res.error)]
+    return [Estimate(float(v), float(e), zooms_closed and bool(e <= _BETA_TOL)) for v, e in zip(res.value, res.error)]
 
 
 def _min_abs_balance(k: MhKernel, windows, us: np.ndarray, coarse: np.ndarray):
@@ -263,7 +255,7 @@ def bound_profile(k: MhKernel, a_list: Sequence[float], x_max: Optional[float] =
     the profile's minimizer is the bound to quote.  Windows whose alpha_a
     tie with the minimum to within _TIE_TOL go to the smallest a.  All
     windows share one r(x) scan (see the module docstring), and
-    ``r_quad_error``, the largest ``ScanResult.error`` of that scan, which
+    ``r_quad_error``, the largest ``Estimate.error`` of that scan, which
     ``kernel.certification`` weighs.  The tails are resolved, in every
     window or in none, when the slopes are known."""
     a, x_max, slopes = _windows(k, a_list, x_max)

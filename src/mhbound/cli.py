@@ -426,7 +426,8 @@ def main(argv=None) -> int:
     try:
         doc = apply_overrides(load_config(args.config), args.overrides)
         cfg = resolve_config(doc)
-        return args.fn(args, cfg)
+        with np.errstate(over="ignore"):  # one context per command; log_pdf or _check_finite names an inf
+            return args.fn(args, cfg)
     except (ConfigError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -40,6 +40,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .quad import bisect, zoom
+
 __all__ = [
     "Expr",
     "Num",
@@ -677,15 +679,16 @@ def _affine(e: Expr) -> Optional[tuple]:
     return _fold(e, _affine_node)
 
 
-#: points of the scan in ``kinks``, and refinement steps per root or touch
+#: points of the scan in ``kinks``, quad.bisect's steps per root, and the
+#: width, as a fraction of hi - lo, at which the zoom on a touch stops
 _KINK_SCAN_POINTS = 4097
 _KINK_BISECTIONS = 60
+_KINK_TOUCH_TOL_X = 1e-16
 #: a refined minimum of |g| at most this fraction of max |g| on the scan is
 #: rounding error: g touches zero there
 _KINK_TOUCH = 1e-12
 #: a touch this fraction of (hi - lo) from a kink already found is that kink
 _KINK_MERGE = 1e-12
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def kinks(e: Expr, lo: float, hi: float) -> tuple:
@@ -697,14 +700,13 @@ def kinks(e: Expr, lo: float, hi: float) -> tuple:
     ``_affine``) has its zero solved from the tree, so it is the same for
     every [lo, hi].  Any other g is scanned on _KINK_SCAN_POINTS points.  A
     zero there counts where a neighbour is not zero (the ends of a run of
-    zeros); sign changes are refined by bisection, all at once.  A zero
-    that g only touches between two points leaves an interior strict local
-    minimum of |g| with no sign change next to it.  Each such minimum is
-    refined by golden-section search on its two cells, all at once, and
-    counts where the refined |g| is at most _KINK_TOUCH times max |g| on
-    the scan, unless it lies within _KINK_MERGE (hi - lo) of a kink
-    already found.  A DomainError here is one that ``e`` itself raises on
-    [lo, hi]."""
+    zeros); sign changes are refined by ``quad.bisect``.  A zero that g
+    only touches between two points leaves an interior strict local minimum
+    of |g| with no sign change next to it, refined by ``quad.zoom`` on -|g|
+    over its two cells; it counts where the refined |g| is at most
+    _KINK_TOUCH times max |g| on the scan, unless it lies within
+    _KINK_MERGE (hi - lo) of a kink already found.  A DomainError here is
+    one that ``e`` itself raises on [lo, hi]."""
     xs = None  # the scan's points, made for the first argument that is not affine
     found = set()
     touches = []
@@ -739,25 +741,17 @@ def kinks(e: Expr, lo: float, hi: float) -> tuple:
         found.update(xs[ends].tolist())
         sign = np.sign(v)
         i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
-        a, b, sign_a = xs[i], xs[i + 1], sign[i]
-        for _ in range(_KINK_BISECTIONS if i.size else 0):
-            m = 0.5 * (a + b)
-            left = np.sign(fn(m)) == sign_a
-            a, b = np.where(left, m, a), np.where(left, b, m)
+        a, b = bisect(lambda m: np.sign(fn(m)) == sign[i], xs[i], xs[i + 1], _KINK_BISECTIONS)
         found.update((0.5 * (a + b)).tolist())
         size = np.abs(v)
         mid = size[1:-1]
         j = 1 + np.flatnonzero(
             (mid < size[:-2]) & (mid < size[2:]) & (sign[:-2] == sign[1:-1]) & (sign[1:-1] == sign[2:])
         )
-        a, b = xs[j - 1], xs[j + 1]
-        for _ in range(_KINK_BISECTIONS if j.size else 0):
-            c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-            left = np.abs(fn(c)) < np.abs(fn(d))
-            a, b = np.where(left, a, c), np.where(left, d, b)
-        m = 0.5 * (a + b)
+        seeds = xs[j], -size[j], xs[j - 1], xs[j + 1], np.zeros(j.size)
+        touch = zoom(lambda z, rows: (-np.abs(fn(z)), 0.0), *seeds, _KINK_TOUCH_TOL_X * (hi - lo))
         scale = np.max(size, initial=0.0, where=np.isfinite(size))
-        touches.extend(m[np.abs(fn(m)) <= _KINK_TOUCH * scale].tolist())
+        touches.extend(touch.argmax[-touch.value <= _KINK_TOUCH * scale].tolist())
     kept = sorted(x for x in found if lo < x < hi)
     for x in touches:
         if lo < x < hi and all(abs(x - k) > _KINK_MERGE * (hi - lo) for k in kept):

@@ -10,11 +10,11 @@ for a batch of x it integrates weight(u) f(d), d = log pi(x+u) - log pi(x),
 over [-s, s] on a u-rule made for each x.  The rule is split at u = 0, at
 the proposal shape's kinks (``ProposalModel.kinks``), at the target's
 kinks shifted to u = kink - x (``DensityModel.kinks``) and at each sign
-change of d(x, .), where min(1, e^d) and e^{-|d|} have their kink, so
-every kink of the integrand sits on a piece boundary.  Each piece gets one
-Gauss-Legendre panel and two half panels, whose difference estimates the
-error.  The pieces of a block of x are evaluated as one array, in blocks
-of BLOCK_ELEMENTS elements.  r(x) is ``rejection_grid``, one call of that
+change of d(x, .) (``quad.bisect``), where min(1, e^d) and e^{-|d|} have
+their kink, so every kink of the integrand sits on a piece boundary.
+Each piece gets one Gauss-Legendre panel and two half panels, whose
+difference estimates the error.  The pieces of a block of x are
+evaluated as one array, in blocks of BLOCK_ELEMENTS elements.  r(x) is ``rejection_grid``, one call of that
 loop, and ``rejection_prob`` is the same rule at one x;
 ``spectra.hs_norm_T_a`` is another.
 """
@@ -28,7 +28,7 @@ from functools import cache
 import numpy as np
 
 from .models import DensityModel, ProposalModel
-from .quad import GL_POINTS, gauss_legendre_nodes
+from .quad import GL_POINTS, bisect, gauss_legendre_nodes
 
 __all__ = ["MhKernel", "R_QUAD_TOL", "certification", "quad_error_reason"]
 
@@ -41,7 +41,7 @@ __all__ = ["MhKernel", "R_QUAD_TOL", "certification", "quad_error_reason"]
 BLOCK_ELEMENTS = 2**16
 #: integrate_u looks for the sign changes of d on _ROOT_POINTS points per
 #: half of [-s, s], from +-s to +-_ROOT_INNER s (d(x, 0) = 0 exactly), and
-#: refines each with _ROOT_BISECTIONS bisection steps
+#: refines each with _ROOT_BISECTIONS steps of quad.bisect
 _ROOT_POINTS = 33
 _ROOT_INNER = 1e-13
 _ROOT_BISECTIONS = 40
@@ -194,7 +194,7 @@ class MhKernel:
         """The pieces [lo, hi] of each x's u-rule and the index of their x,
         in order of x and then of u: [-s, s] split at ``fixed``, at the
         target's ``kinks`` shifted to u = kink - x, and at each sign change
-        of d(x, .) on ``grid``, refined by bisection."""
+        of d(x, .) on ``grid``, refined by ``quad.bisect``."""
         s = self.proposal.s
         y = np.add(x[:, None], grid, out=buf[: x.size * grid.size].reshape(x.size, grid.size))
         up = np.subtract(self.target.log_pdf(y, out=y), lx[:, None], out=y) > 0.0
@@ -202,10 +202,7 @@ class MhKernel:
         change[:, _ROOT_POINTS - 1] = False  # the cell across u = 0
         row, cell = np.nonzero(change)
         a, b, side, xr, lxr = grid[cell], grid[cell + 1], up[row, cell], x[row], lx[row]
-        for _ in range(_ROOT_BISECTIONS if row.size else 0):
-            m = 0.5 * (a + b)
-            same = (self.target.log_pdf(xr + m) - lxr > 0.0) == side
-            a, b = np.where(same, m, a), np.where(same, b, m)
+        a, b = bisect(lambda m: (self.target.log_pdf(xr + m) - lxr > 0.0) == side, a, b, _ROOT_BISECTIONS)
         count = np.bincount(row, minlength=x.size)
         cuts = np.full((x.size, fixed.size + kinks.size + count.max()), s)
         cuts[:, : fixed.size] = fixed

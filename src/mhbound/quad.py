@@ -9,11 +9,12 @@ doubled panels, whose difference is the error estimate.
 sup_scan is a coarse-grid scan followed by a zoom: each level evaluates
 the function once, on an array of evenly spaced points across the two
 grid steps around the level's maximum, for every row of a batch of
-intervals at once.  ``zoom`` is that refinement loop, and the only one in
-the package: bounds.beta calls it too, on its own coarse pass.  It is not
-a global optimizer: the documented assumption is that the scanned
-function's oscillation on the coarse step is below the requested
-tolerance.
+intervals at once.  ``zoom`` is that refinement loop; bounds.beta and
+exprlang.kinks run it on their own coarse passes.  It is not a global
+optimizer: the documented assumption is that the scanned function's
+oscillation on the coarse step is below the requested tolerance.
+``bisect`` is the one bisection loop, and ``Estimate`` the one record of
+every supremum (with its argmax) and integral, with arrays for a batch.
 
 All functions here are pure and safe to call concurrently; reductions
 run in fixed index order for reproducibility.
@@ -30,8 +31,7 @@ import numpy as np
 __all__ = [
     "GL_POINTS",
     "AdaptiveSimpsonRule",
-    "IntegrationResult",
-    "ScanResult",
+    "Estimate",
     "gauss_legendre_nodes",
     "gauss_legendre_grid",
     "adaptive_simpson",
@@ -39,6 +39,7 @@ __all__ = [
     "bracket",
     "zoom",
     "sup_scan",
+    "bisect",
 ]
 
 
@@ -55,19 +56,11 @@ class AdaptiveSimpsonRule:
 
 
 @dataclass(frozen=True)
-class IntegrationResult:
+class Estimate:
     value: float
     error: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    # floats and a bool for one interval, arrays for a batch of rows
-    argmax: float
-    value: float
-    converged: bool
-    error: float  # the largest error estimate of the points evaluated
+    argmax: float | None = None
 
 
 @cache
@@ -106,7 +99,7 @@ def composite_gauss_legendre(
     hi: float,
     panels: int = 64,
     breakpoints: Sequence[float] = (),
-) -> IntegrationResult:
+) -> Estimate:
     """Composite Gauss-Legendre integration; ``f`` must accept ndarrays.
 
     ``f`` is called once, on the nodes of ``gauss_legendre_grid`` with
@@ -118,12 +111,12 @@ def composite_gauss_legendre(
     if lo > hi:
         raise ValueError("lo must be <= hi")
     if lo == hi:
-        return IntegrationResult(0.0, 0.0, True)
+        return Estimate(0.0, 0.0, True)
     xs, ws = gauss_legendre_grid(lo, hi, panels, breakpoints)
     xs2, ws2 = gauss_legendre_grid(lo, hi, 2 * panels, breakpoints)
     vals = np.asarray(f(np.concatenate([xs, xs2])), dtype=float)
     coarse, fine = np.vecdot(vals[..., : xs.size], ws), np.vecdot(vals[..., xs.size :], ws2)
-    return IntegrationResult(fine, abs(fine - coarse), True)
+    return Estimate(fine, abs(fine - coarse), True)
 
 
 def adaptive_simpson(
@@ -132,7 +125,7 @@ def adaptive_simpson(
     hi: float,
     rule: AdaptiveSimpsonRule = AdaptiveSimpsonRule(),
     breakpoints: Sequence[float] = (),
-) -> IntegrationResult:
+) -> Estimate:
     """Adaptive Simpson integration with Richardson correction; the
     tests' reference for the Gauss-Legendre rule, not used by the package.
 
@@ -142,7 +135,7 @@ def adaptive_simpson(
     if lo > hi:
         raise ValueError("lo must be <= hi")
     if lo == hi:
-        return IntegrationResult(0.0, 0.0, True)
+        return Estimate(0.0, 0.0, True)
 
     total = 0.0
     err = 0.0
@@ -152,7 +145,7 @@ def adaptive_simpson(
         total += v
         err += e
         converged = converged and ok
-    return IntegrationResult(total, err, converged)
+    return Estimate(total, err, converged)
 
 
 def _adaptive_segment(f, lo, hi, rule: AdaptiveSimpsonRule):
@@ -206,7 +199,7 @@ def bracket(xs: np.ndarray, vals: np.ndarray, errors):
     return xs[r, i], vals[r, i], xs[r, np.maximum(i - 1, 0)], xs[r, np.minimum(i + 1, vals.shape[1] - 1)], largest
 
 
-def zoom(f: Callable, x, v, lo, hi, error, tol_x: float) -> ScanResult:
+def zoom(f: Callable, x, v, lo, hi, error, tol_x: float) -> Estimate:
     """Refine the maximum of every row, starting from a level's ``bracket``:
     each row's best point ``x``, value ``v`` and largest ``error`` so far
     and its bracket [lo, hi], arrays all updated in place.
@@ -217,8 +210,8 @@ def zoom(f: Callable, x, v, lo, hi, error, tol_x: float) -> ScanResult:
     so a bracket shrinks at least 16-fold per level.  A row's value and
     error are the maxima over every point evaluated in it (a NaN seed
     stays, as no value compares above it); its next bracket surrounds the
-    level's argmax.  The result holds arrays, and ``converged`` is whether
-    a row's bracket reached tol_x."""
+    level's argmax.  The Estimate holds arrays, and ``converged`` is
+    whether a row's bracket reached tol_x."""
     buf = np.empty((lo.size, _ZOOM_POINTS))
     for _ in range(_MAX_LEVELS - 1):
         rows = np.flatnonzero(hi - lo > tol_x)
@@ -229,10 +222,10 @@ def zoom(f: Callable, x, v, lo, hi, error, tol_x: float) -> ScanResult:
         lx, lv, lo[rows], hi[rows], le = bracket(xs, *f(xs, rows))
         up = lv > v[rows]
         x[rows[up]], v[rows[up]], error[rows] = lx[up], lv[up], np.maximum(error[rows], le)
-    return ScanResult(x, v, hi - lo <= tol_x, error)
+    return Estimate(v, error, hi - lo <= tol_x, x)
 
 
-def sup_scan(f: Callable, lo, hi, *, coarse_steps: int = 2048, tol_x: float = 1e-8) -> ScanResult:
+def sup_scan(f: Callable, lo, hi, *, coarse_steps: int = 2048, tol_x: float = 1e-8) -> Estimate:
     """Locate the supremum of f on [lo, hi] by coarse scan + ``zoom``.
 
     ``lo`` and ``hi`` are floats, or equal-length arrays with one interval
@@ -241,13 +234,23 @@ def sup_scan(f: Callable, lo, hi, *, coarse_steps: int = 2048, tol_x: float = 1e
     it is called once per level, on a (rows, points) array, for values and
     error estimates (or 0.0).  The returned value and error are the maxima
     over every point evaluated, so the value dominates the value at every
-    coarse grid point by construction.  For float bounds the result holds
-    floats and a bool, otherwise one array entry per row."""
+    coarse grid point by construction.  For float bounds the Estimate
+    holds floats and a bool, otherwise one array entry per row."""
     lo_r, hi_r = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
     if not np.all(lo_r < hi_r):
         raise ValueError("sup_scan requires lo < hi")
     xs = np.linspace(lo_r, hi_r, coarse_steps + 1, axis=1)
     res = zoom(lambda z, rows: f(z), *bracket(xs, *f(xs)), tol_x)
     if np.ndim(lo) == np.ndim(hi) == 0:
-        return ScanResult(float(res.argmax[0]), float(res.value[0]), bool(res.converged[0]), float(res.error[0]))
+        return Estimate(float(res.value[0]), float(res.error[0]), bool(res.converged[0]), float(res.argmax[0]))
     return res
+
+
+def bisect(same: Callable, a, b, steps: int):
+    """Halve each bracket [a, b] of arrays ``steps`` times, keeping the half
+    with the sign change; ``same(m)`` is, per row, whether m is on a's side."""
+    for _ in range(steps if a.size else 0):
+        m = 0.5 * (a + b)
+        left = same(m)
+        a, b = np.where(left, m, a), np.where(left, b, m)
+    return a, b

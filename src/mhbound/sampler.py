@@ -85,8 +85,12 @@ __all__ = [
     "empirical_rejection",
 ]
 
-#: the most (candidate, height) pairs drawn for one increment
+#: the cap on (candidate, height) pairs drawn for one increment, and the box
+#: area (the mean pairs per increment) that ``run`` refuses: an increment hits
+#: the cap with chance about e^{-cap / area}, a run draws at most 10^8 of them
+#: (cli.MAX_POINTS), so area < cap / 50 keeps a run's chance at or below 10^8 e^{-50}, about 2e-14
 _MAX_REJECTION_ITERS = 10**6
+_MAX_BOX_AREA = _MAX_REJECTION_ITERS // 50
 _OVER_CAP = "proposal rejection sampling exceeded the iteration cap; the declared sup of the shape is suspect"
 #: the signal that stops a worker of ``run``: SIGKILL, 9 wherever os.fork
 #: exists (the signal module costs 0.2 MB and 0.4 ms to import)
@@ -350,7 +354,7 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
 
     A ModelError is raised before any worker starts where log pi(x0) is
     -inf, where x0 - s and x0 + s round to x0, or where the rejection box's
-    area 2 s sup_shape is at least ``_MAX_REJECTION_ITERS``.  One is also
+    area 2 s sup_shape is at least ``_MAX_BOX_AREA``.  One is also
     raised, after the trace, where a mean, variance or autocorrelation is
     not finite.
     """
@@ -369,12 +373,11 @@ def run(k: MhKernel, cfg: ChainConfig, trace: Optional[str] = None) -> RunSummar
         lx0 = k.target.log_pdf(cfg.x0)
         if cfg.x0 - k.proposal.s == cfg.x0 == cfg.x0 + k.proposal.s:
             raise ModelError(f"no increment moves the chain from x0={cfg.x0!r}: x0 - s and x0 + s round to x0")
-        # the box's area is the mean number of pairs drawn per increment
         area = 2.0 * k.proposal.s * k.proposal.sup_shape
-        if area >= _MAX_REJECTION_ITERS:
+        if area >= _MAX_BOX_AREA:
             raise ModelError(
                 f"proposal.sup_shape={k.proposal.sup_shape!r} is too large: the rejection box's area 2 s sup_shape "
-                f"is {area:.3g}, at least the cap of {_MAX_REJECTION_ITERS} draws per increment"
+                f"is {area:.3g}, at least the limit of {_MAX_BOX_AREA}, a fiftieth of the cap on draws per increment"
             )
         summaries, failure = _spread(k, cfg, _compile_steps(k), lx0, kept, burn, acc)
         if fh is not None:

@@ -1,13 +1,14 @@
 """Reference forms that only the tests use: each checks a shortcut of
 ``mhbound.models``, ``mhbound.kernel.MhKernel``, ``mhbound.bounds``,
-``mhbound.spectra`` or ``mhbound.sampler`` against a form written out from
-its definition.  ``k`` is an ``MhKernel``."""
+``mhbound.spectra``, ``mhbound.sampler``, ``mhbound.exprlang`` or
+``mhbound.quad`` against a form written out from its definition.  ``k`` is
+an ``MhKernel``."""
 
 import math
 
 import numpy as np
 
-from mhbound import asymptotics, bounds
+from mhbound import asymptotics, bounds, exprlang, kernel
 from mhbound.kernel import BLOCK_ELEMENTS, certification
 from mhbound.quad import bracket, composite_gauss_legendre, sup_scan, zoom
 from mhbound.spectra import build_p_matrix, symmetrize
@@ -134,6 +135,28 @@ def per_window_report(k, a: float, x_max: float, slopes) -> "bounds.BoundReport"
         certified=certified,
         verdict=verdict,
     )
+
+
+def pieces_bisection(target, xr, lxr, side, a, b):
+    """The sign-change refinement of ``kernel.MhKernel._pieces`` as it was
+    written out before ``quad.bisect``: the cells [a, b] of the rows with
+    points xr, log pi there lxr and d > 0 at a where ``side``."""
+    for _ in range(kernel._ROOT_BISECTIONS if a.size else 0):
+        m = 0.5 * (a + b)
+        same = (target.log_pdf(xr + m) - lxr > 0.0) == side
+        a, b = np.where(same, m, a), np.where(same, b, m)
+    return a, b
+
+
+def kinks_bisection(fn, a, b, sign_a):
+    """The sign-change refinement of ``exprlang.kinks`` as it was written
+    out before ``quad.bisect``: the cells [a, b] of g = ``fn``, whose sign
+    at a is sign_a."""
+    for _ in range(exprlang._KINK_BISECTIONS if a.size else 0):
+        m = 0.5 * (a + b)
+        left = np.sign(fn(m)) == sign_a
+        a, b = np.where(left, m, a), np.where(left, b, m)
+    return a, b
 
 
 def min_abs_balance_min_max(k, windows, us: np.ndarray):

@@ -4,7 +4,9 @@ import json
 import logging
 import math
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -280,6 +282,17 @@ def test_log_pi_of_minus_inf_exits_1(tmp_path, capsys, command, sets):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_overflow_in_log_pi_prints_only_the_config_error(tmp_path):
+    # numpy's "overflow encountered in multiply" from the generated code
+    # reached stderr, under an anonymous source line, before this line
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["asymptotic", "--out", str(tmp_path), "--set", "target.family=gauss", "--set", "target.scale=1e-300"]
+    done = subprocess.run([sys.executable, "-m", "mhbound.cli", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr == "config error: target density is not positive at x=-50.0\n"
+    assert done.stdout == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "family, message",
     [
@@ -296,18 +309,29 @@ def test_sample_from_an_x0_the_chain_cannot_leave_exits_1(tmp_path, capsys, fami
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("sup, area", [(1e300, "2e+300"), (5e5, "1e+06")])
+@pytest.mark.parametrize("sup, area", [(1e300, "2e+300"), (5e5, "1e+06"), (499999.0, "1e+06"), (1e4, "2e+04")])
 def test_sample_whose_rejection_box_reaches_the_cap_exits_1(tmp_path, capsys, sup, area):
     # a box of area 2 s sup needs that many draws per increment on average:
-    # 2e300 ran into the iteration cap and exited 3
+    # 2e300 ran into the iteration cap and exited 3, and so did 999,998,
+    # where each increment reached the cap with chance about e^-1
     sets = ["proposal.family=expr", "proposal.expr=max(0,1-abs(u))", f"proposal.sup_shape={sup!r}"]
+    sets += ["sample.steps=10", "sample.burn_in=1"]
     code = run_cli("sample", "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)])
     assert code == 1
     assert capsys.readouterr().err == (
         f"config error: proposal.sup_shape={sup!r} is too large: the rejection box's area 2 s sup_shape "
-        f"is {area}, at least the cap of 1000000 draws per increment\n"
+        f"is {area}, at least the limit of 20000, a fiftieth of the cap on draws per increment\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_whose_rejection_box_is_just_under_the_limit_runs(tmp_path):
+    # area 19,998: about 2e4 pairs per increment, and the cap of 10^6 is
+    # out of reach
+    sets = ["proposal.family=expr", "proposal.expr=max(0,1-abs(u))", "proposal.sup_shape=9999"]
+    sets += ["sample.steps=10", "sample.burn_in=1"]
+    assert run_cli("sample", "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)]) == 0
+    assert json.loads((tmp_path / "sample.json").read_text())["result"]["config"]["steps"] == 10
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")

@@ -100,6 +100,23 @@ def check(argv) -> None:
         "proposal.sup_shape=1e300",
     ]
 )
+# a box of area 999,998, just under the cap: each increment reached the cap
+# with chance about e^-1, exit 3
+@example(
+    argv=[
+        "sample",
+        "--set",
+        "proposal.family=expr",
+        "--set",
+        "proposal.expr=max(0,1-abs(u))",
+        "--set",
+        "proposal.sup_shape=499999",
+        "--set",
+        "sample.steps=10",
+        "--set",
+        "sample.burn_in=1",
+    ]
+)
 # q(u)^2 = 1e600 overflows: hs_norm_t_a was inf with exit 0
 @example(argv=["spectrum", "--set", "target.family=laplace", "--set", "proposal.s=1e-300", "--set", "spectrum.n=101"])
 @example(argv=["spectrum", "--set", "target.family=gauss", "--set", "proposal.s=1e-300", "--set", "spectrum.n=101"])

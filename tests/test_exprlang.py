@@ -491,11 +491,13 @@ def test_kinks_examples():
 
 def test_kinks_find_a_zero_touched_between_scan_points():
     # sqrt(x^2 - 2x + 1) is |x - 1|: its argument touches 0 at x = 1 without
-    # changing sign, between scan points on [-3, 3] and on one at [-3, 5]
-    tree = parse("sqrt(x^2 - 2*x + 1)", "x")
-    for lo, hi in ((-3.0, 3.0), (-3.0, 5.0)):
-        got = exprlang.kinks(tree, lo, hi)
-        assert len(got) == 1 and abs(got[0] - 1.0) <= 1e-7, (lo, hi, got)
+    # changing sign, between scan points on [-3, 3] and on one at [-3, 5];
+    # so does the difference (x - 1)^2 of the arguments of max(x^2, 2x - 1)
+    for source in ("sqrt(x^2 - 2*x + 1)", "max(x^2, 2*x - 1)"):
+        tree = parse(source, "x")
+        for lo, hi in ((-3.0, 3.0), (-3.0, 5.0)):
+            got = exprlang.kinks(tree, lo, hi)
+            assert len(got) == 1 and abs(got[0] - 1.0) <= 1e-7, (source, lo, hi, got)
     # a positive minimum is no kink, and a touch next to a found kink is
     # that kink
     assert exprlang.kinks(parse("sqrt(x^2 + 1e-3)", "x"), -3.0, 3.0) == ()

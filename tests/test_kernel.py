@@ -5,10 +5,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from mhbound.kernel import _ROOT_POINTS, BLOCK_ELEMENTS, R_QUAD_TOL, MhKernel
+from mhbound.kernel import _ROOT_INNER, _ROOT_POINTS, BLOCK_ELEMENTS, R_QUAD_TOL, MhKernel
 from mhbound.models import DensityModel, ProposalModel
 from mhbound.quad import adaptive_simpson
-from oracles import detailed_balance_residual, log_t_general
+from oracles import detailed_balance_residual, log_t_general, pieces_bisection
 
 R0_LAPLACE = 1.0 - 2.0 / math.e  # closed form for the triangular proposal at the mode
 R_TAIL_LAPLACE = 0.5 - 1.0 / math.e
@@ -169,6 +169,23 @@ def test_rejection_grid_reports_its_largest_error_estimate():
     assert np.array_equal(error_all, np.append(error, largest)) and r_all[-1] == far
     assert np.array_equal(k.rejection_grid(xs)[1], error)
     assert k.rejection_grid(np.zeros((2, 3)))[1].shape == (2, 3)
+
+
+def test_pieces_split_at_the_bisected_sign_change(gauss_tri):
+    # for gauss d(x, u) = -u (2x + u) / 2 changes sign at u = -2x, between
+    # two grid points; the cut is the midpoint of the 40 halvings of that
+    # cell, to the bit
+    s, x = gauss_tri.proposal.s, np.array([0.3, -0.2])
+    lx = gauss_tri.target.log_pdf(x)
+    half = np.linspace(_ROOT_INNER * s, s, _ROOT_POINTS)
+    grid, fixed = np.concatenate([-half[::-1], half]), np.array([-s, 0.0, *gauss_tri.proposal.kinks, s])
+    lo, hi, own = gauss_tri._pieces(x, lx, grid, fixed, np.array([]), np.empty(BLOCK_ELEMENTS))
+    for row in range(x.size):
+        cell = np.searchsorted(grid, -2.0 * x[row])
+        a, b = grid[cell - 1 : cell], grid[cell : cell + 1]
+        side = gauss_tri.target.log_pdf(x[row] + a) - lx[row] > 0.0
+        a, b = pieces_bisection(gauss_tri.target, x[row : row + 1], lx[row : row + 1], side, a, b)
+        assert 0.5 * (a[0] + b[0]) in hi[own == row]
 
 
 def test_kernel_is_frozen():

@@ -5,10 +5,14 @@ import random
 import numpy as np
 import pytest
 
+import oracles
+from mhbound import exprlang, kernel
+from mhbound.models import DensityModel
 from mhbound.quad import (
     GL_POINTS,
     AdaptiveSimpsonRule,
     adaptive_simpson,
+    bisect,
     composite_gauss_legendre,
     gauss_legendre_grid,
     gauss_legendre_nodes,
@@ -186,6 +190,31 @@ def test_sup_scan_rows_equal_single_scans(gauss_tri, laplace_tri):
             assert rows.value[i] == one.value
             assert rows.converged[i] == one.converged
             assert rows.error[i] == one.error
+
+
+def test_bisect_gives_the_cell_ends_of_the_loops_it_replaced():
+    # random cells, each with its own sign at a; the ends must keep their bits
+    rng = np.random.default_rng(31)
+    a = rng.uniform(-3.0, 3.0, 200)
+    b = a + rng.uniform(1e-6, 0.5, a.size)
+    # the kernel's 40 steps on d(x, u) = log pi(x + u) - log pi(x), for a
+    # bimodal target whose d changes sign in many of the cells
+    target = DensityModel.from_expression("exp(-abs(x-3))+exp(-abs(x+3))")
+    xr = rng.uniform(-6.0, 6.0, a.size)
+    lxr = target.log_pdf(xr)
+    side = target.log_pdf(xr + a) - lxr > 0.0
+    got = bisect(lambda m: (target.log_pdf(xr + m) - lxr > 0.0) == side, a, b, kernel._ROOT_BISECTIONS)
+    want = oracles.pieces_bisection(target, xr, lxr, side, a, b)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # exprlang.kinks's 60 steps on a cubic
+    fn = exprlang.compile_array(exprlang.parse("x^3 - x - 0.1", "x"))
+    sign_a = np.sign(fn(a))
+    got = bisect(lambda m: np.sign(fn(m)) == sign_a, a, b, exprlang._KINK_BISECTIONS)
+    want = oracles.kinks_bisection(fn, a, b, sign_a)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # no brackets make no calls
+    empty = np.empty(0)
+    assert bisect(None, empty, empty, 40) == (empty, empty)
 
 
 def test_sup_scan_propagates_value_error_without_scalar_retry():
