@@ -49,6 +49,8 @@ EXIT_INTERNAL = 3
 #: (sample.chains x sample.steps), the grid of ``profile`` and the matrix
 #: of ``spectrum`` (spectrum.n x spectrum.n)
 MAX_POINTS = 10**8
+#: points of a profile evaluated, and then written, at a time
+_PROFILE_BLOCK = 2**14
 
 log = logging.getLogger(__name__)
 
@@ -257,13 +259,14 @@ def _check_size(what: str, count) -> None:
 
 
 def _check_finite(report) -> None:
-    """Raise a ModelError that names the first float field of the report
-    dataclass ``report`` that holds a number that is not finite."""
-    for f in dataclasses.fields(report):
-        value = np.asarray(getattr(report, f.name))
+    """Raise a ModelError that names the first float field of ``report``, a
+    report dataclass or a dict of named values, that holds a number that
+    is not finite."""
+    for name, value in (report if isinstance(report, dict) else _json_value(report)).items():
+        value = np.asarray(value)
         if value.dtype.kind == "f" and not np.isfinite(value).all():
             raise ModelError(
-                f"{f.name} is {value[~np.isfinite(value)][0]}: this config's scales are beyond what floats resolve"
+                f"{name} is {value[~np.isfinite(value)][0]}: this config's scales are beyond what floats resolve"
             )
 
 
@@ -279,6 +282,8 @@ def cmd_bound(args, cfg: dict) -> int:
     k = _symmetric_kernel(cfg)
     a_list = [float(a) for a in cfg["bound"]["a_list"]]
     profile = bounds.bound_profile(k, a_list, float(cfg["bound"]["x_max"]))
+    for report in profile.reports:
+        _check_finite(report)
     rows = [
         [_fmt(r.a), _fmt(r.r_a), _fmt(r.r_prime_a), _fmt(r.beta_a), _fmt(r.alpha_a), int(r.converged)]
         for r in profile.reports
@@ -320,14 +325,29 @@ def cmd_profile(args, cfg: dict) -> int:
         raise ConfigError(f"profile needs a finite number of steps, and (hi - lo) / step is {steps}")
     count = round(steps) + 1
     _check_size("profile points", count)
-    xs = lo + step * np.arange(count)
-    rs, errors = k.rejection_grid(xs)
-    argmax, top, error = float(xs[int(np.argmax(rs))]), float(np.max(rs)), float(np.max(errors))
+    blocks = [(start, min(start + _PROFILE_BLOCK, count)) for start in range(0, count, _PROFILE_BLOCK)]
+
+    def points(start, stop):
+        return lo + step * np.arange(start, stop)
+
+    # r goes into one array, 8 bytes a point, and is written only once every
+    # block has been evaluated, so an error leaves --out empty
+    rs, errors = np.empty(count), []
+    for start, stop in blocks:
+        rs[start:stop], error = k.rejection_grid(points(start, stop))
+        errors.append(error.max())
+    i = int(np.argmax(rs))
+    argmax, top, error = float(points(i, i + 1)[0]), float(np.max(rs)), float(np.max(errors))
+    _check_finite({"r_x": rs, "r_quad_error": error})
     converged = error <= R_QUAD_TOL
     if not converged:
         log.warning("profile not converged: %s", quad_error_reason(error))
     result = {"points": count, "argmax": argmax, "max": top, "r_quad_error": error, "converged": converged}
-    rows = [[repr(x), repr(r)] for x, r in zip(xs.tolist(), rs.tolist())]
+    rows = (
+        [repr(x), repr(r)]
+        for start, stop in blocks
+        for x, r in zip(points(start, stop).tolist(), rs[start:stop].tolist())
+    )
     _emit(args, "profile", _report("profile", cfg, started, result), (["x", "r_x"], rows))
     return EXIT_OK if converged else EXIT_NOT_CERTIFIED
 

@@ -14,9 +14,13 @@ change of d(x, .) (``quad.bisect``), where min(1, e^d) and e^{-|d|} have
 their kink, so every kink of the integrand sits on a piece boundary.
 Each piece gets one Gauss-Legendre panel and two half panels, whose
 difference estimates the error.  The pieces of a block of x are
-evaluated as one array, in blocks of BLOCK_ELEMENTS elements.  r(x) is ``rejection_grid``, one call of that
-loop, and ``rejection_prob`` is the same rule at one x;
-``spectra.hs_norm_T_a`` is another.
+evaluated as one array, in blocks of BLOCK_ELEMENTS elements.  Most x
+share their pieces ([-s, 0] and [0, s], or their halves), and a piece's
+nodes and weights depend on its ends alone, so each block makes them
+once per distinct piece; only x + u, log pi, d and f(d) are computed
+for every piece.  r(x) is ``rejection_grid``, one call of that loop, and
+``rejection_prob`` is the same rule at one x; ``spectra.hs_norm_T_a`` is
+another.
 """
 
 from __future__ import annotations
@@ -33,11 +37,11 @@ from .quad import GL_POINTS, bisect, gauss_legendre_nodes
 __all__ = ["MhKernel", "R_QUAD_TOL", "certification", "quad_error_reason"]
 
 #: elements of a two-dimensional grid evaluated at once, in integrate_u
-#: (a block's nodes and their weights together) and in bounds.beta: 512 KB
-#: of float64.  Both loops write each block's points, log pi on them and d
-#: into one buffer made once per call (``DensityModel.log_pdf``'s ``out``),
-#: because glibc hands freed blocks of this size back to the OS, and a new
-#: block per step would fault its pages in again
+#: (a block's x + u and its gathered weights together) and in bounds.beta:
+#: 512 KB of float64.  Both loops write each block's points, log pi on them
+#: and d into one buffer made once per call (``DensityModel.log_pdf``'s
+#: ``out``), because glibc hands freed blocks of this size back to the OS,
+#: and a new block per step would fault its pages in again
 BLOCK_ELEMENTS = 2**16
 #: integrate_u looks for the sign changes of d on _ROOT_POINTS points per
 #: half of [-s, s], from +-s to +-_ROOT_INNER s (d(x, 0) = 0 exactly), and
@@ -119,13 +123,18 @@ class MhKernel:
         q(-u) are positive.  Broadcasts over x and u; ``log_pi_x`` is
         log pi(x) when the caller already has it.  ``out``, if given, is an
         array of the broadcast shape that receives d, which is returned:
-        x + u, then log pi(x + u) over it, are computed in it too."""
+        x + u, then log pi(x + u) over it, are computed in it too.
+
+        Only an asymmetric shape adds the Hastings term log q(-u) - log q(u):
+        for a symmetric one (``ProposalModel.symmetric``) d is log pi(x+u) -
+        log pi(x), as in ``integrate_u``; where q > 0 the term is exactly 0.0
+        for the built-in shapes and any shape of |u|, so d keeps its bits."""
         if log_pi_x is None:
             log_pi_x = self.target.log_pdf(x)
-        gap = self.proposal.log_shape(-u) - self.proposal.log_shape(u)
         d = self.target.log_pdf(np.add(x, u, out=out), out=out)
         d -= log_pi_x
-        d += gap
+        if not self.proposal.symmetric:
+            d += self.proposal.log_shape(-u) - self.proposal.log_shape(u)
         return d
 
     def sqrt_tt(self, x, u):
@@ -153,6 +162,8 @@ class MhKernel:
         _MAX_HALVINGS times.  An x's estimate is the sum over its pieces.
         Each piece is summed with ``np.vecdot`` and an x's pieces in a
         fixed order, so an x's value has the same bits in any batch.
+        ``weight`` must be elementwise in u: a piece's nodes and weights
+        are made once per distinct piece of a block (see _piece_sums).
 
         The sign changes of d come from a coarse grid, and the documented
         assumption is that d changes sign at most once in each of its
@@ -216,21 +227,29 @@ class MhKernel:
 
     def _piece_sums(self, x, lx, lo, hi, weight, f, buf):
         """One-panel and two-panel sums of weight(u) f(d) on each piece
-        [lo, hi] of the point x (one x and log pi(x) per piece)."""
+        [lo, hi] of the point x (one x and log pi(x) per piece).  Each
+        block makes the nodes and weights once per distinct (lo, hi), in a
+        table of at most its rows, and gathers them into ``buf`` beside
+        x + u, with the bits each piece would get alone."""
         nodes, wts = _piece_rule()
         one, two = np.empty(lo.size), np.empty(lo.size)
-        # a block's nodes and their weights make BLOCK_ELEMENTS elements
+        # a block's x + u and its weights make BLOCK_ELEMENTS elements
         rows = BLOCK_ELEMENTS // (2 * nodes.size)
         for start in range(0, lo.size, rows):
             p = slice(start, start + rows)
-            n = min(rows, lo.size - start)
-            half = (0.5 * (hi[p] - lo[p]))[:, None]
-            u = np.multiply(half, nodes, out=buf[: n * nodes.size].reshape(n, nodes.size))
-            u += (0.5 * (hi[p] + lo[p]))[:, None]
-            w = weight(u)
-            w *= half
-            w *= wts
-            y = np.add(x[p, None], u, out=u)
+            # the block's distinct pairs, as complex numbers lo + i hi, so
+            # that one 1-D sort finds them
+            ends, row = np.unique(np.stack([lo[p], hi[p]], 1).view(complex).ravel(), return_inverse=True)
+            half = (0.5 * (ends.imag - ends.real))[:, None]
+            table_u = half * nodes
+            table_u += (0.5 * (ends.imag + ends.real))[:, None]
+            table_w = weight(table_u)
+            table_w *= half
+            table_w *= wts
+            gathered = buf[: 2 * row.size * nodes.size].reshape(2, row.size, nodes.size)
+            y = np.take(table_u, row, axis=0, out=gathered[0], mode="clip")
+            w = np.take(table_w, row, axis=0, out=gathered[1], mode="clip")
+            y += x[p, None]
             g = f(np.subtract(self.target.log_pdf(y, out=y), lx[p, None], out=y))
             one[p] = np.vecdot(g[:, :GL_POINTS], w[:, :GL_POINTS])
             two[p] = np.vecdot(g[:, GL_POINTS:], w[:, GL_POINTS:])

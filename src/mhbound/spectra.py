@@ -245,6 +245,13 @@ def spectral_report(k: MhKernel, half_width: float, n: int, a: float) -> Spectra
     d = discretize(k.target, half_width, n)
     op = build_p_matrix(k, d)
     s_mat = symmetrize(k, op)
+    if not np.isfinite(s_mat).all():
+        # LAPACK does not converge on such a matrix
+        i, j = np.argwhere(~np.isfinite(s_mat))[0]
+        raise ModelError(
+            f"the discretized operator S is {s_mat[i, j]} at x={float(d.nodes[i])!r}, y={float(d.nodes[j])!r}: "
+            "q(y - x) or pi(y)/pi(x) overflows at this config's scales"
+        )
     eigs = np.linalg.eigvalsh(s_mat)[::-1]
     moduli = np.abs(eigs)
     top = float(eigs[0])

@@ -10,7 +10,7 @@ import numpy as np
 
 from mhbound import asymptotics, bounds, exprlang, kernel
 from mhbound.kernel import BLOCK_ELEMENTS, certification
-from mhbound.quad import bracket, composite_gauss_legendre, sup_scan, zoom
+from mhbound.quad import GL_POINTS, bracket, composite_gauss_legendre, sup_scan, zoom
 from mhbound.spectra import build_p_matrix, symmetrize
 
 
@@ -146,6 +146,43 @@ def pieces_bisection(target, xr, lxr, side, a, b):
         same = (target.log_pdf(xr + m) - lxr > 0.0) == side
         a, b = np.where(same, m, a), np.where(same, b, m)
     return a, b
+
+
+def piece_sums_per_piece(self, x, lx, lo, hi, weight, f, buf):
+    """``MhKernel._piece_sums`` as it was before it took the nodes and
+    weights of a piece from a table of the distinct (lo, hi): each piece
+    makes its own, block by block (``self`` is the kernel)."""
+    nodes, wts = kernel._piece_rule()
+    one, two = np.empty(lo.size), np.empty(lo.size)
+    # a block's nodes and their weights make BLOCK_ELEMENTS elements
+    rows = BLOCK_ELEMENTS // (2 * nodes.size)
+    for start in range(0, lo.size, rows):
+        p = slice(start, start + rows)
+        n = min(rows, lo.size - start)
+        half = (0.5 * (hi[p] - lo[p]))[:, None]
+        u = np.multiply(half, nodes, out=buf[: n * nodes.size].reshape(n, nodes.size))
+        u += (0.5 * (hi[p] + lo[p]))[:, None]
+        w = weight(u)
+        w *= half
+        w *= wts
+        y = np.add(x[p, None], u, out=u)
+        g = f(np.subtract(self.target.log_pdf(y, out=y), lx[p, None], out=y))
+        one[p] = np.vecdot(g[:, :GL_POINTS], w[:, :GL_POINTS])
+        two[p] = np.vecdot(g[:, GL_POINTS:], w[:, GL_POINTS:])
+    return one, two
+
+
+def log_balance_with_gap(self, x, u, log_pi_x=None, out=None):
+    """``MhKernel.log_balance`` as it was before it left out the Hastings
+    term log q(-u) - log q(u) of a symmetric shape: every shape adds it
+    (``self`` is the kernel)."""
+    if log_pi_x is None:
+        log_pi_x = self.target.log_pdf(x)
+    gap = self.proposal.log_shape(-u) - self.proposal.log_shape(u)
+    d = self.target.log_pdf(np.add(x, u, out=out), out=out)
+    d -= log_pi_x
+    d += gap
+    return d
 
 
 def kinks_bisection(fn, a, b, sign_a):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import json
 import logging
@@ -8,9 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mhbound import __version__, cli, quad, sampler
+from mhbound import __version__, bounds, cli, quad, sampler
 from mhbound.cli import (
     ConfigError,
     apply_overrides,
@@ -186,6 +188,45 @@ def test_unconverged_profile_warns_and_exits_2(tmp_path, caplog):
     (record,) = [r for r in caplog.records if r.name == "mhbound.cli"]
     assert record.levelno == logging.WARNING
     assert quad_error_reason(result["r_quad_error"]) in record.getMessage()
+
+
+def test_profile_in_blocks_writes_the_bytes_of_one_call(tmp_path, monkeypatch):
+    # 1001 points in blocks of 64: the CSV and the result are those of one
+    # rejection_grid call on every point, as profile made them before
+    monkeypatch.setattr(cli, "_PROFILE_BLOCK", 64)
+    assert run_cli("profile", "--out", str(tmp_path), "--set", "target.family=gauss") == 0
+    xs = -5.0 + 0.01 * np.arange(1001)
+    rs, errors = cli.build_kernel(resolve_config({"target": {"family": "gauss"}})).rejection_grid(xs)
+    rows = "".join(f"{x!r},{r!r}\n" for x, r in zip(xs.tolist(), rs.tolist()))
+    assert (tmp_path / "profile.csv").read_text() == "x,r_x\n" + rows
+    result = json.loads((tmp_path / "profile.json").read_text())["result"]
+    want = {"points": 1001, "argmax": float(xs[np.argmax(rs)]), "max": float(rs.max()), "r_quad_error": float(errors.max())}
+    assert result == {**want, "converged": True}
+
+
+def test_profile_whose_later_block_fails_writes_nothing(tmp_path, monkeypatch, capsys):
+    # log pi of gauss at scale 1e-154 overflows to -inf beyond |x| = 1.34:
+    # the first block of 16 points, x <= 0.15, runs on its own, and a
+    # later one stops the command
+    monkeypatch.setattr(cli, "_PROFILE_BLOCK", 16)
+    sets = ["target.family=gauss", "target.scale=1e-154", "profile.lo=0"]
+    argv = ["profile", "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)]]
+    assert run_cli(*argv, "--set", "profile.hi=0.15", "--format", "json") == 0
+    (tmp_path / "profile.json").unlink()
+    assert run_cli(*argv, "--set", "profile.hi=5") == 1
+    assert capsys.readouterr().err.startswith("config error: target density is not positive")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_profile_memory_is_8_bytes_a_point(tmp_path, peak_mb):
+    # 10^5 points: r in one array and the rest block by block, about 3 MB;
+    # one rejection_grid call on every point and a row list took 29 MB
+    sets = ["profile.lo=0", "profile.hi=1", "profile.step=1e-5"]
+    codes = []
+    argv = ["profile", "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)]]
+    assert peak_mb(lambda: codes.append(run_cli(*argv))) < 6.0
+    assert codes == [0]
+    assert json.loads((tmp_path / "profile.json").read_text())["result"]["points"] == 100001
 
 
 def test_spectrum_command(tmp_path):
@@ -492,6 +533,46 @@ def test_proposal_range_whose_defaults_overflow_exits_1(tmp_path, capsys, comman
         "config error: proposal.s=1.7976931348623155e+308 is too large: the defaults bound.a_list, bound.x_max, "
         "spectrum.a, spectrum.A, profile.lo, profile.hi, multiples of it, overflow\n"
     )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_spectrum_whose_matrix_is_not_finite_exits_1(tmp_path, capsys):
+    # a subnormal s: q(0) = 1/s overflows, so S held inf on its diagonal
+    # and eigvalsh stopped with "Eigenvalues did not converge", exit 3
+    sets = ["spectrum.n=101", "target.family=gauss", "proposal.s=2.2250738585e-313", "spectrum.A=0.5"]
+    assert run_cli("spectrum", "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)]) == 1
+    assert capsys.readouterr().err.endswith(
+        "config error: the discretized operator S is inf at x=-0.5, y=-0.5: q(y - x) or pi(y)/pi(x) overflows "
+        "at this config's scales\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_profile_that_is_not_finite_exits_1(tmp_path, capsys):
+    # a subnormal s: q = (1 - |u|/s)/s is inf, so r(x) = 1 - inf; the
+    # report held -inf and NaN with exit 2
+    sets = ["target.family=gauss", "proposal.s=2.225073858507203e-309"]
+    assert run_cli("profile", "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)]) == 1
+    assert capsys.readouterr().err.endswith(
+        "config error: r_x is -inf: this config's scales are beyond what floats resolve\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bound_report_that_is_not_finite_exits_1(tmp_path, capsys, monkeypatch):
+    # the subnormal s above gives bound r_a = -inf as well, with exit 2, but
+    # its r(x) scan takes about 17 s; the same report, made here, exits 1
+    real = bounds.bound_profile
+
+    def infinite_r_a(*args):
+        profile = real(*args)
+        profile.reports[0] = dataclasses.replace(profile.reports[0], r_a=-math.inf)
+        return profile
+
+    monkeypatch.setattr(bounds, "bound_profile", infinite_r_a)
+    assert run_cli("bound", "--out", str(tmp_path), "--set", "bound.a_list=[16.0]") == 1
+    assert capsys.readouterr().err == "config error: r_a is -inf: this config's scales are beyond what floats resolve\n"
     assert list(tmp_path.iterdir()) == []
 
 

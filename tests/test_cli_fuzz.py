@@ -132,5 +132,32 @@ def check(argv) -> None:
         "proposal.s=2.225073858507203e-309",
     ]
 )
+# a subnormal s: q(0) = 1/s overflows, so S held inf and eigvalsh did not
+# converge, exit 3
+@example(
+    argv=[
+        "spectrum",
+        "--set",
+        "spectrum.n=101",
+        "--set",
+        "target.family=gauss",
+        "--set",
+        "proposal.s=2.2250738585e-313",
+        "--set",
+        "spectrum.A=0.5",
+    ]
+)
+# a subnormal s in profile: r(x) was -inf and r_quad_error NaN with exit 2
+@example(
+    argv=[
+        "profile",
+        "--set",
+        "target.family=gauss",
+        "--set",
+        "proposal.s=2.225073858507203e-309",
+        "--set",
+        "proposal.sup_shape=2.225073858507203e-309",
+    ]
+)
 def test_every_config_exits_0_1_or_2_with_finite_reports(argv):
     check(argv)

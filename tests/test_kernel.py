@@ -8,10 +8,26 @@ import pytest
 from mhbound.kernel import _ROOT_INNER, _ROOT_POINTS, BLOCK_ELEMENTS, R_QUAD_TOL, MhKernel
 from mhbound.models import DensityModel, ProposalModel
 from mhbound.quad import adaptive_simpson
-from oracles import detailed_balance_residual, log_t_general, pieces_bisection
+from oracles import (
+    detailed_balance_residual,
+    log_balance_with_gap,
+    log_t_general,
+    piece_sums_per_piece,
+    pieces_bisection,
+)
 
 R0_LAPLACE = 1.0 - 2.0 / math.e  # closed form for the triangular proposal at the mode
 R_TAIL_LAPLACE = 0.5 - 1.0 / math.e
+
+#: the symmetric shapes of the certificate commands, with kinks at u = 0
+#: (triangular), at the ends only, and at u = -0.5 and 0.5 as well (kinked)
+SYMMETRIC_SHAPES = [
+    ProposalModel.triangular(),
+    ProposalModel.uniform(),
+    ProposalModel.epanechnikov(2.0),
+    ProposalModel.from_expression("0.5*max(0, min(1, 1.5-abs(u)))", 1.5),
+]
+SHAPE_IDS = ["triangular", "uniform", "epanechnikov", "kinked"]
 
 
 def test_t_eval_examples(laplace_tri):
@@ -217,12 +233,14 @@ def test_rejection_grid_reuses_its_block_buffer(expr_laplace_tri, peak_mb):
 
 @pytest.mark.parametrize(
     "proposal",
-    [ProposalModel.triangular(), ProposalModel.from_expression("max(0,1-abs(u))*(1-u)", 1.0)],
-    ids=["triangular", "asymmetric"],
+    [*SYMMETRIC_SHAPES, ProposalModel.from_expression("max(0,1-abs(u))*(1-u)", 1.0)],
+    ids=[*SHAPE_IDS, "asymmetric"],
 )
 @pytest.mark.parametrize("target", ["laplace", "gauss", "exp(-abs(x))"])
 def test_log_balance_into_buffer(target, proposal):
     # out receives d, with the bits of the form that makes its own arrays
+    # and of the form that adds the Hastings term log q(-u) - log q(u) for
+    # every shape: a symmetric shape's is 0.0 where q > 0
     model = DensityModel(target) if target in ("laplace", "gauss") else DensityModel.from_expression(target)
     k = MhKernel(model, proposal)
     xs, us = np.linspace(-30.0, 30.0, 1025), np.linspace(-0.99, 0.99, 63)[:, None]
@@ -231,6 +249,34 @@ def test_log_balance_into_buffer(target, proposal):
         fresh = k.log_balance(xs, us, log_pi_x)
         assert k.log_balance(xs, us, log_pi_x, out=buf) is buf
         assert np.array_equal(fresh.view(np.uint64), buf.view(np.uint64))
+        assert np.array_equal(fresh.view(np.uint64), log_balance_with_gap(k, xs, us, log_pi_x).view(np.uint64))
+
+
+@pytest.mark.parametrize("proposal", SYMMETRIC_SHAPES, ids=SHAPE_IDS)
+@pytest.mark.parametrize(
+    "target",
+    [DensityModel.laplace(), DensityModel.gauss(), DensityModel.from_expression("exp(-abs(x-3))+exp(-abs(x+3))")],
+    ids=["laplace", "gauss", "bimodal"],
+)
+def test_integrate_u_matches_the_rule_made_per_piece(monkeypatch, target, proposal):
+    # the table of distinct pieces gives every value and error estimate the
+    # bits of the rule each piece made for itself, for r(x) and for the
+    # Hilbert-Schmidt integrand; gauss halves its pieces for x in [60, 66],
+    # and |x| < s/2 puts a root of d inside [-s, s]
+    k = MhKernel(target, proposal)
+    s, rng = proposal.s, np.random.default_rng(11)
+    xs = np.concatenate([rng.uniform(60.0, 66.0, 300), rng.uniform(-0.5 * s, 0.5 * s, 300), rng.uniform(-8, 8, 400)])
+    rules = [
+        (proposal.shape, lambda d: np.exp(np.minimum(0.0, d, out=d), out=d)),
+        (lambda u: np.square(proposal.shape(u)), lambda d: np.exp(np.negative(np.abs(d, out=d), out=d), out=d)),
+    ]
+    for weight, f in rules:
+        got = k.integrate_u(xs, weight, f)
+        with monkeypatch.context() as m:
+            m.setattr(MhKernel, "_piece_sums", piece_sums_per_piece)
+            want = k.integrate_u(xs, weight, f)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_detailed_balance_random_pairs(builtin_kernel):
@@ -251,17 +297,7 @@ def test_detailed_balance_array_matches_scalars(builtin_kernel):
         assert detailed_balance_residual(builtin_kernel, x, y) == g
 
 
-@pytest.mark.parametrize(
-    "proposal",
-    [
-        ProposalModel.triangular(),
-        ProposalModel.uniform(),
-        ProposalModel.epanechnikov(2.0),
-        # pieces split at u = -0.5 and 0.5 as well
-        ProposalModel.from_expression("0.5*max(0, min(1, 1.5-abs(u)))", 1.5),
-    ],
-    ids=["triangular", "uniform", "epanechnikov", "kinked"],
-)
+@pytest.mark.parametrize("proposal", SYMMETRIC_SHAPES, ids=SHAPE_IDS)
 def test_rejection_grid_log_pdf_points_per_x(monkeypatch, proposal):
     # per x: log pi(x), 66 coarse points, 40 bisection steps per root of d,
     # and 48 nodes per piece of [-s, s]: about a tenth of the 3,072 nodes
