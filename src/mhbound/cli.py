@@ -179,13 +179,13 @@ def build_kernel(cfg: dict) -> MhKernel:
     t = cfg["target"]
     try:
         if t["family"] == "expr":
-            target = DensityModel.from_expression(t.get("expr") or "")
+            target = DensityModel("expr", source=t.get("expr") or "")
         else:
             target = DensityModel(t["family"], float(t.get("scale", 1.0)))
         p = cfg["proposal"]
         if p["family"] == "expr":
-            proposal = ProposalModel.from_expression(
-                p.get("expr") or "", float(p["s"]), p.get("sup_shape")
+            proposal = ProposalModel(
+                "expr", float(p["s"]), p.get("expr") or "", p.get("sup_shape")
             )
         else:
             proposal = ProposalModel(p["family"], float(p["s"]))

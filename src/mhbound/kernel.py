@@ -159,9 +159,10 @@ class MhKernel:
         each piece gets one Gauss-Legendre panel and two half panels.  The
         two-panel sum is the value, and |two - one| its error estimate; a
         piece whose estimate exceeds _PIECE_TOL is halved, at most
-        _MAX_HALVINGS times.  An x's estimate is the sum over its pieces.
-        Each piece is summed with ``np.vecdot`` and an x's pieces in a
-        fixed order, so an x's value has the same bits in any batch.
+        _MAX_HALVINGS times; a NaN estimate is kept at its first level.
+        An x's estimate is the sum over its pieces.  Each piece is summed
+        with ``np.vecdot`` and an x's pieces in a fixed order, so an x's
+        value has the same bits in any batch.
         ``weight`` must be elementwise in u: a piece's nodes and weights
         are made once per distinct piece of a block (see _piece_sums).
 
@@ -191,7 +192,7 @@ class MhKernel:
             for level in range(_MAX_HALVINGS + 1):
                 one, two = self._piece_sums(x[own], lx[own], lo, hi, weight, f, buf)
                 diff = np.abs(two - one)
-                done = (diff <= _PIECE_TOL) | (level == _MAX_HALVINGS)
+                done = ~(diff > _PIECE_TOL) | (level == _MAX_HALVINGS)
                 value[part] += np.bincount(own[done], two[done], x.size)
                 error[part] += np.bincount(own[done], diff[done], x.size)
                 lo, hi, own = lo[~done], hi[~done], own[~done]

@@ -11,6 +11,10 @@ hold its scale and normalizing constant, or an expression's log form.
 Built-in targets also carry their closed-form tail slopes and cdf; for an
 expression target asymptotics.tail_ratio_for estimates the slopes from
 secants of log pi.
+
+Every proposal shape is an ``exprlang`` tree too, from the same generator:
+a built-in shape's D(u/s)/s, with ``Num`` nodes that hold s, or an
+expression in u.
 """
 
 from __future__ import annotations
@@ -43,6 +47,13 @@ class ModelError(ValueError):
 _FAMILIES = {
     "laplace": (lambda z: Neg(Call("abs", (z,))), math.log(2.0)),
     "gauss": (lambda z: BinOp("*", BinOp("^", z, Num(2.0)), Num(-0.5)), 0.5 * math.log(2.0 * math.pi)),
+}
+#: each built-in proposal shape's density D on [-1, 1] as a function of a
+#: tree for its variable, and its peak D(0); the shape of range s is D(u/s)/s
+_SHAPES = {
+    "triangular": (lambda v: BinOp("-", Num(1.0), Call("abs", (v,))), 1.0),
+    "uniform": (lambda v: Num(0.5), 0.5),
+    "epanechnikov": (lambda v: BinOp("*", Num(0.75), BinOp("-", Num(1.0), BinOp("^", v, Num(2.0)))), 0.75),
 }
 
 
@@ -80,19 +91,6 @@ class DensityModel:
         exec(compile(code, "<log_pdf>", "exec"), namespace)
         #: ``log_pdf_source`` as a function of a float
         self._log_pdf = namespace["log_pdf"]
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def laplace(cls, scale: float = 1.0) -> "DensityModel":
-        return cls("laplace", scale)
-
-    @classmethod
-    def gauss(cls, scale: float = 1.0) -> "DensityModel":
-        return cls("gauss", scale)
-
-    @classmethod
-    def from_expression(cls, source: str) -> "DensityModel":
-        return cls("expr", 1.0, source)
 
     # -- evaluation ---------------------------------------------------
     def log_pdf(self, x, out=None):
@@ -194,12 +192,12 @@ class DensityModel:
 class ProposalModel:
     """Finite-range random-walk proposal Q(x, dy) = shape(y - x) dy.
 
-    ``shape`` vanishes outside [-s, s] and integrates to one.  Custom
-    shapes must declare s explicitly; the constructor verifies the
-    declared range, the normalization, and that the declared sup of the
-    shape actually dominates it (the sampler's rejection box depends on
-    that).  ``sup_shape`` is that declared sup, or else a built-in shape's
-    closed form, shape(0), or an expression's ``sup_scan``.
+    ``shape`` vanishes outside [-s, s] and integrates to one.  It is a tree
+    in u: a built-in shape's D(u/s)/s (``_SHAPES``), or an expression, which
+    must declare s and whose range and normalization the constructor
+    verifies.  ``sup_shape``, which must be finite, is D(0)/s, a declared
+    sup verified to dominate the shape (the sampler's rejection box depends
+    on that), or an expression's ``sup_scan``.
     """
 
     _VERIFY_POINTS = 50
@@ -211,7 +209,7 @@ class ProposalModel:
         source: Optional[str] = None,
         sup_shape: Optional[float] = None,
     ):
-        if family not in ("triangular", "uniform", "epanechnikov", "expr"):
+        if family not in ("expr", *_SHAPES):
             raise ModelError(f"unknown proposal family {family!r}")
         if s <= 0:
             raise ModelError("proposal range s must be positive")
@@ -222,67 +220,36 @@ class ProposalModel:
             if not source:
                 raise ModelError("expr proposal requires an expression")
             self._ast = exprlang.parse(source, "u")
-            self._array_fn = exprlang.compile_array(self._ast)
         else:
-            self._ast = self._array_fn = None
+            density = _SHAPES[family][0]
+            self._ast = BinOp("/", density(BinOp("/", Var("u"), Num(self.s))), Num(self.s))
+        self._array_fn = exprlang.compile_array(self._ast)
 
         self._validate_range()
-        #: points of (-s, s) where the shape may have a kink
-        self.kinks = (0.0,) if family == "triangular" else ()
-        if family == "expr":
-            # the built-in shapes are normalized in closed form
-            self.kinks = exprlang.kinks(self._ast, -self.s, self.s)
-            self._validate_normalization()
-        self.symmetric = self._check_symmetry()
         self.sup_shape = self._resolve_sup(sup_shape)
+        if not math.isfinite(self.sup_shape):
+            raise ModelError(
+                f"the proposal shape's sup is {self.sup_shape} at proposal.s={self.s!r}: "
+                "this config's scales are beyond what floats resolve"
+            )
+        #: points of (-s, s) where the shape may have a kink
+        self.kinks = exprlang.kinks(self._ast, -self.s, self.s)
+        self._validate_normalization()
+        self.symmetric = self._check_symmetry()
         self._warn_if_vanishing_inside()
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def triangular(cls, s: float = 1.0) -> "ProposalModel":
-        return cls("triangular", s)
-
-    @classmethod
-    def uniform(cls, s: float = 1.0) -> "ProposalModel":
-        return cls("uniform", s)
-
-    @classmethod
-    def epanechnikov(cls, s: float = 1.0) -> "ProposalModel":
-        return cls("epanechnikov", s)
-
-    @classmethod
-    def from_expression(cls, source: str, s: float, sup_shape: Optional[float] = None) -> "ProposalModel":
-        return cls("expr", s, source, sup_shape)
 
     # -- evaluation ---------------------------------------------------
     def shape(self, u):
         """Proposal increment density; zero outside [-s, s].  Elementwise
-        over an array; a scalar gives a numpy scalar."""
-        s = self.s
+        over an array; a scalar gives a numpy scalar.  u is clamped to
+        [-s, s] in the result's array, so no tree sees a u outside the
+        range, and the points the clamp moved, NaN too, are set to 0.0; a
+        tree that reads u once, as the built-in ones do, runs in place."""
         u = np.asarray(u, dtype=float)
-        if self.family == "expr":
-            out = np.zeros_like(u)
-            inside = np.abs(u) <= s
-            if np.any(inside):
-                out[inside] = self._array_fn(u[inside])
-            return out[()]
-        # a built-in shape's operations run in place in one array, and its
-        # mask is the one other array
-        out = np.abs(u, out=np.empty(u.shape))
-        outside = ~(out <= s)
-        if self.family == "triangular":
-            out /= s
-            np.subtract(1.0, out, out=out)
-            out /= s
-        elif self.family == "uniform":
-            out.fill(1.0 / (2.0 * s))
-        else:
-            np.divide(u, s, out=out)
-            out **= 2
-            np.subtract(1.0, out, out=out)
-            np.multiply(0.75, out, out=out)
-            out /= s
-        out[outside] = 0.0
+        out = np.clip(u, -self.s, self.s, out=np.empty(u.shape))
+        moved = out != u
+        out = self._array_fn(out, out)
+        np.putmask(out, moved, 0.0)
         return out[()]
 
     def log_shape(self, u):
@@ -308,6 +275,8 @@ class ProposalModel:
             raise ModelError("proposal shape must be nonnegative on [-s, s]")
 
     def _validate_normalization(self):
+        if self.family != "expr":
+            return  # the built-in shapes are normalized in closed form
         res = composite_gauss_legendre(self.shape, -self.s, self.s, breakpoints=(0.0, *self.kinks))
         if abs(res.value - 1.0) > 1e-6:
             raise ModelError(
@@ -316,14 +285,14 @@ class ProposalModel:
             )
 
     def _check_symmetry(self) -> bool:
-        if self.family != "expr":
-            return True
         us = np.linspace(0.0, self.s, 101)
         return bool(np.max(np.abs(self.shape(us) - self.shape(-us))) <= 1e-12)
 
     def _resolve_sup(self, declared: Optional[float]) -> float:
         if declared is None and self.family != "expr":
-            return float(self.shape(0.0))  # every built-in shape peaks at u = 0
+            return _SHAPES[self.family][1] / self.s
+        if declared is not None and not math.isfinite(declared):
+            raise ModelError(f"declared sup_shape must be finite, got {declared}")
         scan = sup_scan(lambda u: (self.shape(u), 0.0), -self.s, self.s, coarse_steps=1024, tol_x=1e-10)
         if declared is None:
             return scan.value

@@ -8,12 +8,12 @@ from mhbound.models import DensityModel, ProposalModel
 
 @pytest.fixture(scope="session")
 def laplace_tri():
-    return MhKernel(DensityModel.laplace(), ProposalModel.triangular())
+    return MhKernel(DensityModel("laplace"), ProposalModel("triangular"))
 
 
 @pytest.fixture(scope="session")
 def gauss_tri():
-    return MhKernel(DensityModel.gauss(), ProposalModel.triangular())
+    return MhKernel(DensityModel("gauss"), ProposalModel("triangular"))
 
 
 @pytest.fixture(scope="session", params=["laplace", "gauss"])
@@ -23,7 +23,7 @@ def builtin_kernel(request, laplace_tri, gauss_tri):
 
 @pytest.fixture(scope="session")
 def expr_laplace_tri():
-    return MhKernel(DensityModel.from_expression("exp(-abs(x))"), ProposalModel.triangular())
+    return MhKernel(DensityModel("expr", source="exp(-abs(x))"), ProposalModel("triangular"))
 
 
 @pytest.fixture

@@ -54,15 +54,15 @@ def no_slopes(monkeypatch):
 def test_r_sup_tail_without_tail_ratio(no_slopes, caplog):
     # with no tail ratio r_sup_tail is the window scan's maximum alone, with
     # no limit merged into it, and the window's tail is not resolved
-    tri = ProposalModel.triangular()
-    laplace = MhKernel(DensityModel.laplace(), tri)
+    tri = ProposalModel("triangular")
+    laplace = MhKernel(DensityModel("laplace"), tri)
     with caplog.at_level(logging.WARNING, logger="mhbound.bounds"):
         assert bounds.r_sup_tail(laplace, 1.0, 66.0) == pytest.approx(R_TAIL, abs=1e-9)
     records = [r for r in caplog.records if r.name == "mhbound.bounds"]
     assert len(records) == 1 and records[0].levelno == logging.WARNING
     # a second mode in both tails, then in the right or the left one only
     for expr in ("exp(-abs(x-30))+exp(-abs(x+30))", "exp(-abs(x))+exp(-abs(x-30))", "exp(-abs(x))+exp(-abs(x+30))"):
-        rep = bounds.alpha(MhKernel(DensityModel.from_expression(expr), tri), 1.0, 66.0)
+        rep = bounds.alpha(MhKernel(DensityModel("expr", source=expr), tri), 1.0, 66.0)
         assert not rep.tail_resolved and not rep.certified
 
 
@@ -84,9 +84,6 @@ def test_beta_gauss_decays(gauss_tri):
     assert b16 < 0.25
 
 
-PROPOSALS = {"triangular": ProposalModel.triangular, "uniform": ProposalModel.uniform}
-
-
 @pytest.mark.parametrize("a", [1.0, 4.0, 16.0])
 @pytest.mark.parametrize(
     "proposal, q", [("triangular", lambda u: 1 - u), ("uniform", lambda u: mpmath.mpf(1) / 2)]
@@ -95,7 +92,7 @@ def test_beta_gauss_closed_form(proposal, q, a):
     # on the Gauss tails min_x |d(x, u)| = |u| (2a - |u|) / 2, taken at |x| = a
     with mpmath.workdps(30):
         expect = 2 * mpmath.quad(lambda u: q(u) * mpmath.exp(-u * (2 * a - u) / 4), [0, 1])
-    res = bounds.beta(MhKernel(DensityModel.gauss(), PROPOSALS[proposal]()), [a])[0]
+    res = bounds.beta(MhKernel(DensityModel("gauss"), ProposalModel(proposal)), [a])[0]
     assert abs(res.value - float(expect)) <= 1e-10
     assert res.converged
 
@@ -121,7 +118,7 @@ KINKED_SHAPE = "0.5*max(0, min(1, 1.5-abs(u)))"
 def test_kinked_shape_matches_mpmath(family, level, tau, decay):
     # a rule split only at 0 read beta_error = 1.2e-5 here and certified
     # at no window
-    p = ProposalModel.from_expression(KINKED_SHAPE, 1.5)
+    p = ProposalModel("expr", 1.5, KINKED_SHAPE)
     k = MhKernel(DensityModel(family), p)
     rep = bounds.alpha(k, 4.0)
     assert rep.certified and round(rep.alpha_a, 5) == level
@@ -144,7 +141,7 @@ def test_beta_sign_change_is_exact():
     # between the modes pi(x+u) = pi(x) for some x in the window, for every
     # u, so the integrand is q(u) and beta is 1; a fixed rule in u that only
     # zooms on |d| reads about 8e-4 low here
-    k = MhKernel(DensityModel.from_expression("exp(-abs(x-3))+exp(-abs(x+3))"), ProposalModel.triangular())
+    k = MhKernel(DensityModel("expr", source="exp(-abs(x-3))+exp(-abs(x+3))"), ProposalModel("triangular"))
     res = bounds.beta(k, [1.0])[0]
     assert abs(res.value - 1.0) <= 1e-9
     assert res.converged
@@ -216,12 +213,12 @@ BETA_BEFORE = {
 def _target(name):
     if name in ("laplace", "gauss"):
         return DensityModel(name)
-    return DensityModel.from_expression(name)
+    return DensityModel("expr", source=name)
 
 
 @pytest.mark.parametrize("target, proposal, a", sorted(BETA_BEFORE))
 def test_beta_matches_adaptive_values(target, proposal, a):
-    res = bounds.beta(MhKernel(_target(target), PROPOSALS[proposal]()), [float(a)])[0]
+    res = bounds.beta(MhKernel(_target(target), ProposalModel(proposal)), [float(a)])[0]
     assert abs(res.value - BETA_BEFORE[target, proposal, a]) <= 1e-7
     assert res.converged
 
@@ -288,8 +285,8 @@ def test_alpha_laplace(laplace_tri):
 def test_reports_cover_their_own_r_evaluations():
     # a report's r_quad_error comes from the scans it ran, so an r(x) with a
     # larger estimate evaluated earlier on the same kernel does not reach it
-    fresh = MhKernel(DensityModel.gauss(), ProposalModel.triangular())
-    k = MhKernel(DensityModel.gauss(), ProposalModel.triangular())
+    fresh = MhKernel(DensityModel("gauss"), ProposalModel("triangular"))
+    k = MhKernel(DensityModel("gauss"), ProposalModel("triangular"))
     k.rejection_prob(200.0)
     rep = bounds.alpha(k, 4.0)
     assert 0.0 < rep.r_quad_error <= 1e-11 and rep.converged
@@ -311,14 +308,14 @@ def test_profile_error_covers_the_tail_flatness_scan(no_slopes, monkeypatch):
         return res
 
     monkeypatch.setattr(bounds, "sup_scan", recorded)
-    prof = bounds.bound_profile(MhKernel(DensityModel.laplace(), ProposalModel.triangular()), [1.0, 4.0])
+    prof = bounds.bound_profile(MhKernel(DensityModel("laplace"), ProposalModel("triangular")), [1.0, 4.0])
     assert len(errors) == 1 and [rep.r_quad_error for rep in prof.reports] == errors * 2
 
 
 def test_no_slopes_resolves_no_window(no_slopes, caplog):
     # without the tails' slopes no window's tail supremum is resolved, and
     # one warning says so
-    k = MhKernel(DensityModel.laplace(), ProposalModel.triangular())
+    k = MhKernel(DensityModel("laplace"), ProposalModel("triangular"))
     with caplog.at_level(logging.WARNING, logger="mhbound.bounds"):
         prof = bounds.bound_profile(k, [1.0, 4.0])
     assert all(not rep.tail_resolved and not rep.certified for rep in prof.reports)
@@ -330,7 +327,7 @@ def test_no_slopes_resolves_no_window(no_slopes, caplog):
 
 def test_alpha_flat_tail_not_certified():
     # Cauchy-like tails: tau = 1, the bound degenerates above 1
-    k = MhKernel(DensityModel.from_expression("1/(1+x^2)"), ProposalModel.triangular())
+    k = MhKernel(DensityModel("expr", source="1/(1+x^2)"), ProposalModel("triangular"))
     rep = bounds.alpha(k, 4.0)
     assert rep.alpha_a >= 1.0
     assert not rep.certified
@@ -341,7 +338,7 @@ def test_alpha_flat_tail_not_certified():
 def test_profile_monotonicity(target):
     # exact: r_a is a running maximum outward, r'_a and beta_a running
     # extrema inward, over the pieces of one pass
-    prof = bounds.bound_profile(MhKernel(_target(target), ProposalModel.triangular()), [0.5, 1, 2, 4, 8, 16])
+    prof = bounds.bound_profile(MhKernel(_target(target), ProposalModel("triangular")), [0.5, 1, 2, 4, 8, 16])
     rs = [r.r_a for r in prof.reports]
     rps = [r.r_prime_a for r in prof.reports]
     bts = [r.beta_a for r in prof.reports]
@@ -359,7 +356,7 @@ def test_profile_matches_per_window_route(target):
     # the profile's running extrema over pieces against each window scanned
     # and integrated on its own: one window is the same computation, bit
     # for bit, and the default five agree to rounding
-    k = MhKernel(_target(target), ProposalModel.triangular())
+    k = MhKernel(_target(target), ProposalModel("triangular"))
     slopes = asymptotics.tail_ratio_for(k.target, k.proposal)
     (single,) = bounds.bound_profile(k, [16.0]).reports
     assert single == per_window_report(k, 16.0, bounds.default_x_max(16.0, 1.0), slopes)
@@ -390,8 +387,8 @@ def test_profile_is_one_r_scan_and_one_beta_pass(gauss_tri, monkeypatch):
 def test_min_abs_balance_matches_the_min_max_pass(target, monkeypatch):
     # the argmin/argmax coarse pass gives the bits of the min/max/abs/argmax
     # pass, on the windows and u-nodes that beta gives it
-    model = DensityModel(target) if target in ("laplace", "gauss") else DensityModel.from_expression(target)
-    k = MhKernel(model, ProposalModel.triangular())
+    model = DensityModel(target) if target in ("laplace", "gauss") else DensityModel("expr", source=target)
+    k = MhKernel(model, ProposalModel("triangular"))
     calls, real = [], bounds._min_abs_balance
     monkeypatch.setattr(bounds, "_min_abs_balance", lambda *args: calls.append((args, real(*args))) or calls[-1][1])
     bounds.beta(k, bounds.default_a_list(1.0))

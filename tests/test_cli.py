@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mhbound import __version__, bounds, cli, quad, sampler
+from mhbound import __version__, bounds, cli, quad, sampler, spectra
 from mhbound.cli import (
     ConfigError,
     apply_overrides,
@@ -21,7 +21,7 @@ from mhbound.cli import (
     resolve_config,
     validate_config,
 )
-from mhbound.kernel import R_QUAD_TOL, quad_error_reason
+from mhbound.kernel import R_QUAD_TOL, MhKernel, quad_error_reason
 from mhbound.models import ProposalModel
 
 GAMMA_LAPLACE = 8.0 * math.exp(-0.5) - math.exp(-1.0) - 3.5
@@ -538,25 +538,71 @@ def test_proposal_range_whose_defaults_overflow_exits_1(tmp_path, capsys, comman
 
 def test_spectrum_whose_matrix_is_not_finite_exits_1(tmp_path, capsys):
     # a subnormal s: q(0) = 1/s overflows, so S held inf on its diagonal
-    # and eigvalsh stopped with "Eigenvalues did not converge", exit 3
+    # and eigvalsh stopped with "Eigenvalues did not converge", exit 3; the
+    # proposal's sup is inf, and the proposal is refused when it is built
     sets = ["spectrum.n=101", "target.family=gauss", "proposal.s=2.2250738585e-313", "spectrum.A=0.5"]
     assert run_cli("spectrum", "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)]) == 1
     assert capsys.readouterr().err.endswith(
-        "config error: the discretized operator S is inf at x=-0.5, y=-0.5: q(y - x) or pi(y)/pi(x) overflows "
-        "at this config's scales\n"
+        "config error: the proposal shape's sup is inf at proposal.s=2.2250738585e-313: "
+        "this config's scales are beyond what floats resolve\n"
     )
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_spectrum_matrix_with_an_inf_exits_1(tmp_path, capsys, monkeypatch):
+    # no config of a finite sup is known to overflow S; one made here exits
+    # 1 naming the entry, where eigvalsh would stop with exit 3
+    real = spectra.symmetrize
+
+    def infinite_entry(*args):
+        s_mat = real(*args)
+        s_mat[2, 3] = math.inf
+        return s_mat
+
+    monkeypatch.setattr(spectra, "symmetrize", infinite_entry)
+    assert run_cli("spectrum", "--out", str(tmp_path), "--set", "spectrum.n=101") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the discretized operator S is inf at x=")
+    assert err.endswith("q(y - x) or pi(y)/pi(x) overflows at this config's scales\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_shape_tree_sees_only_u_in_its_range(tmp_path):
+    # normalized on [-1, 1], and sqrt raises a DomainError for |u| > 2:
+    # shape clamps u to [-s, s] before the tree runs, and spectrum's
+    # log_shape over the (n, n + 2m) grid of differences goes far beyond 2
+    expr = "max(0,1-abs(u))*sqrt(2-abs(u))*15/(8+8*sqrt(2))"
+    p = ProposalModel("expr", 1.0, expr)
+    assert p.shape(np.array([3.0, -3.0, 1e6, -1e6])).tolist() == [0.0] * 4
+    sets = ["spectrum.n=101", "proposal.family=expr", f"proposal.expr={expr}", "proposal.s=1"]
+    assert run_cli("spectrum", "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)]) == 0
+
+
 def test_profile_that_is_not_finite_exits_1(tmp_path, capsys):
     # a subnormal s: q = (1 - |u|/s)/s is inf, so r(x) = 1 - inf; the
-    # report held -inf and NaN with exit 2
+    # report held -inf and NaN with exit 2.  The proposal's sup is inf, and
+    # the proposal is refused when it is built
     sets = ["target.family=gauss", "proposal.s=2.225073858507203e-309"]
     assert run_cli("profile", "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)]) == 1
     assert capsys.readouterr().err.endswith(
-        "config error: r_x is -inf: this config's scales are beyond what floats resolve\n"
+        "config error: the proposal shape's sup is inf at proposal.s=2.225073858507203e-309: "
+        "this config's scales are beyond what floats resolve\n"
     )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_profile_r_that_is_not_finite_exits_1(tmp_path, capsys, monkeypatch):
+    # the profile above, made here: r(x) of -inf exits 1 and writes nothing
+    real = MhKernel.rejection_grid
+
+    def infinite_r(self, xs):
+        r, error = real(self, xs)
+        r[0] = -math.inf
+        return r, error
+
+    monkeypatch.setattr(MhKernel, "rejection_grid", infinite_r)
+    assert run_cli("profile", "--out", str(tmp_path), "--set", "profile.step=0.5") == 1
+    assert capsys.readouterr().err == "config error: r_x is -inf: this config's scales are beyond what floats resolve\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -666,7 +712,7 @@ def test_commands_integrate_without_adaptive_simpson(tmp_path, monkeypatch):
                 monkeypatch.setattr(module, alias, forbidden)
     for family in ("triangular", "uniform", "epanechnikov"):
         ProposalModel(family, 1.5)
-    ProposalModel.from_expression("0.5*max(0, min(1, 1.5-abs(u)))", 1.5)
+    ProposalModel("expr", 1.5, "0.5*max(0, min(1, 1.5-abs(u)))")
     runs = [
         ("bound", "--set", "bound.a_list=[2, 4]"),
         ("asymptotic",),

@@ -109,10 +109,10 @@ def test_compiled_deep_nesting_and_infinite_literal():
     # would pass CPython's 200-level parenthesis limit
     deep = "-" * 900 + "x"
     assert evaluate(parse(deep, "x"), 2.5) == 2.5
-    assert DensityModel.from_expression(deep).log_pdf(2.5) == math.log(2.5)
+    assert DensityModel("expr", source=deep).log_pdf(2.5) == math.log(2.5)
     # the literal parses to inf, which has no Python spelling
     assert evaluate(parse("1e999 - x", "x"), 3.0) == math.inf
-    assert DensityModel.from_expression("1e999 - x").log_pdf(3.0) == math.inf
+    assert DensityModel("expr", source="1e999 - x").log_pdf(3.0) == math.inf
 
 
 def test_compiled_namespace_has_no_builtins():

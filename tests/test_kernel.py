@@ -22,10 +22,10 @@ R_TAIL_LAPLACE = 0.5 - 1.0 / math.e
 #: the symmetric shapes of the certificate commands, with kinks at u = 0
 #: (triangular), at the ends only, and at u = -0.5 and 0.5 as well (kinked)
 SYMMETRIC_SHAPES = [
-    ProposalModel.triangular(),
-    ProposalModel.uniform(),
-    ProposalModel.epanechnikov(2.0),
-    ProposalModel.from_expression("0.5*max(0, min(1, 1.5-abs(u)))", 1.5),
+    ProposalModel("triangular"),
+    ProposalModel("uniform"),
+    ProposalModel("epanechnikov", 2.0),
+    ProposalModel("expr", 1.5, "0.5*max(0, min(1, 1.5-abs(u)))"),
 ]
 SHAPE_IDS = ["triangular", "uniform", "epanechnikov", "kinked"]
 
@@ -58,7 +58,7 @@ def test_rejection_prob_closed_forms(laplace_tri):
 
 
 def test_rejection_prob_flat_region():
-    k = MhKernel(DensityModel.from_expression("1"), ProposalModel.triangular())
+    k = MhKernel(DensityModel("expr", source="1"), ProposalModel("triangular"))
     assert k.rejection_prob(2.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -103,13 +103,13 @@ def test_rejection_grid_independent_of_block_split(gauss_tri):
 
 @pytest.mark.parametrize(
     "target",
-    [DensityModel.laplace(), DensityModel.gauss(), DensityModel.from_expression("exp(-abs(x-3))+exp(-abs(x+3))")],
+    [DensityModel("laplace"), DensityModel("gauss"), DensityModel("expr", source="exp(-abs(x-3))+exp(-abs(x+3))")],
     ids=["laplace", "gauss", "bimodal"],
 )
 def test_rejection_grid_independent_of_batch(target):
     # each x's r has the same bits wherever it sits in a batch, so a flat
     # supremum does not move with the rows scanned beside it
-    k = MhKernel(target, ProposalModel.triangular())
+    k = MhKernel(target, ProposalModel("triangular"))
     xs = np.linspace(-66.0, -1.0, 2049)
     alone, _ = k.rejection_grid(xs)
     behind = k.rejection_grid(np.concatenate([np.linspace(0.0, 10.0, 1000), xs]))[0][1000:]
@@ -133,17 +133,17 @@ def _bimodal_cuts(x):
 
 # target, log pi in mpmath, and the kinks in u of r(x)'s integrand besides 0
 EXACT_CUTS = {
-    "laplace": (DensityModel.laplace(), lambda y: -abs(y), lambda x: [-x, -2 * x]),
-    "gauss": (DensityModel.gauss(), lambda y: -y * y / 2, lambda x: [-2 * x]),
+    "laplace": (DensityModel("laplace"), lambda y: -abs(y), lambda x: [-x, -2 * x]),
+    "gauss": (DensityModel("gauss"), lambda y: -y * y / 2, lambda x: [-2 * x]),
     "bimodal": (
-        DensityModel.from_expression("exp(-abs(x-3))+exp(-abs(x+3))"),
+        DensityModel("expr", source="exp(-abs(x-3))+exp(-abs(x+3))"),
         lambda y: mp.log(mp.exp(-abs(y - 3)) + mp.exp(-abs(y + 3))),
         _bimodal_cuts,
     ),
     # kinks of pi at 0 and at +-1, where its slope steepens from 1 to 3:
     # there d < 0, so r(x)'s integrand has a kink of the target's own
     "steepening": (
-        DensityModel.from_expression("exp(-abs(x) - 2*max(0, abs(x)-1))"),
+        DensityModel("expr", source="exp(-abs(x) - 2*max(0, abs(x)-1))"),
         lambda y: -abs(y) - 2 * max(0, abs(y) - 1),
         lambda x: [-x, -2 * x, 1 - x, -1 - x],
     ),
@@ -157,7 +157,7 @@ def test_rejection_grid_matches_mpmath(name):
     # changes sign inside a panel is up to 2.2e-8 off here
     target, log_pdf, cuts = EXACT_CUTS[name]
     xs = [-5.3, -2.3, -0.41, 0.137, 0.49, 2.9, 3.2, 40.0]
-    k = MhKernel(target, ProposalModel.triangular())
+    k = MhKernel(target, ProposalModel("triangular"))
     got, error = k.rejection_grid(np.array(xs))
     with mp.workdps(30):
         for x, r in zip(xs, got.tolist()):
@@ -170,7 +170,7 @@ def test_rejection_grid_matches_mpmath(name):
 
 
 def test_rejection_grid_reports_its_largest_error_estimate():
-    k = MhKernel(DensityModel.gauss(), ProposalModel.triangular())
+    k = MhKernel(DensityModel("gauss"), ProposalModel("triangular"))
     xs = np.linspace(-2.0, 2.0, 9)
     r, error = k.rejection_grid(xs)
     assert r.shape == error.shape == xs.shape
@@ -207,10 +207,10 @@ def test_pieces_split_at_the_bisected_sign_change(gauss_tri):
 def test_kernel_is_frozen():
     # errors travel with their values: a kernel holds its target and
     # proposal and nothing that a call could change
-    k = MhKernel(DensityModel.gauss(), ProposalModel.triangular())
+    k = MhKernel(DensityModel("gauss"), ProposalModel("triangular"))
     assert [f.name for f in dataclasses.fields(k)] == ["target", "proposal"]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        k.target = DensityModel.laplace()
+        k.target = DensityModel("laplace")
 
 
 def test_two_roots_in_one_coarse_cell_flag_the_estimate():
@@ -218,7 +218,7 @@ def test_two_roots_in_one_coarse_cell_flag_the_estimate():
     # u = 0.2, 0.006 apart: one cell of the coarse grid holds both, so no
     # sign change shows them, and the kinks between them fall inside a
     # piece.  The estimate flags it; it need not bound the error
-    k = MhKernel(DensityModel.from_expression("exp(-abs(x) + 0.3*exp(-((x-0.7)/0.005)^2))"), ProposalModel.triangular())
+    k = MhKernel(DensityModel("expr", source="exp(-abs(x) + 0.3*exp(-((x-0.7)/0.005)^2))"), ProposalModel("triangular"))
     (_,), (error,) = k.rejection_grid([0.5])
     assert error > R_QUAD_TOL
 
@@ -233,7 +233,7 @@ def test_rejection_grid_reuses_its_block_buffer(expr_laplace_tri, peak_mb):
 
 @pytest.mark.parametrize(
     "proposal",
-    [*SYMMETRIC_SHAPES, ProposalModel.from_expression("max(0,1-abs(u))*(1-u)", 1.0)],
+    [*SYMMETRIC_SHAPES, ProposalModel("expr", 1.0, "max(0,1-abs(u))*(1-u)")],
     ids=[*SHAPE_IDS, "asymmetric"],
 )
 @pytest.mark.parametrize("target", ["laplace", "gauss", "exp(-abs(x))"])
@@ -241,7 +241,7 @@ def test_log_balance_into_buffer(target, proposal):
     # out receives d, with the bits of the form that makes its own arrays
     # and of the form that adds the Hastings term log q(-u) - log q(u) for
     # every shape: a symmetric shape's is 0.0 where q > 0
-    model = DensityModel(target) if target in ("laplace", "gauss") else DensityModel.from_expression(target)
+    model = DensityModel(target) if target in ("laplace", "gauss") else DensityModel("expr", source=target)
     k = MhKernel(model, proposal)
     xs, us = np.linspace(-30.0, 30.0, 1025), np.linspace(-0.99, 0.99, 63)[:, None]
     buf = np.empty((us.size, xs.size))
@@ -252,10 +252,26 @@ def test_log_balance_into_buffer(target, proposal):
         assert np.array_equal(fresh.view(np.uint64), log_balance_with_gap(k, xs, us, log_pi_x).view(np.uint64))
 
 
+def test_nan_pieces_are_done_at_their_first_level(gauss_tri):
+    # at x = 66, f gives NaN on the piece [-s, 0], where d > 0, and [0, s]
+    # holds e^{-66 u}, which is halved: the NaN piece is evaluated at the
+    # first level alone, not halved into 2^_MAX_HALVINGS pieces
+    nan_rows = []
+
+    def f(d):
+        nan_rows.append(int(np.all(d > 0.0, axis=1).sum()))
+        d[d > 0.0] = math.nan
+        return np.exp(np.minimum(0.0, d, out=d), out=d)
+
+    (value,), (error,) = gauss_tri.integrate_u(np.array([66.0]), gauss_tri.proposal.shape, f)
+    assert math.isnan(value) and math.isnan(error)
+    assert len(nan_rows) > 1 and nan_rows[0] == 1 and not any(nan_rows[1:])
+
+
 @pytest.mark.parametrize("proposal", SYMMETRIC_SHAPES, ids=SHAPE_IDS)
 @pytest.mark.parametrize(
     "target",
-    [DensityModel.laplace(), DensityModel.gauss(), DensityModel.from_expression("exp(-abs(x-3))+exp(-abs(x+3))")],
+    [DensityModel("laplace"), DensityModel("gauss"), DensityModel("expr", source="exp(-abs(x-3))+exp(-abs(x+3))")],
     ids=["laplace", "gauss", "bimodal"],
 )
 def test_integrate_u_matches_the_rule_made_per_piece(monkeypatch, target, proposal):
@@ -311,7 +327,7 @@ def test_rejection_grid_log_pdf_points_per_x(monkeypatch, proposal):
 
     monkeypatch.setattr(DensityModel, "log_pdf", recorded)
     xs = np.linspace(-8.0, 8.0, 101)
-    MhKernel(DensityModel.gauss(), proposal).rejection_grid(xs)
+    MhKernel(DensityModel("gauss"), proposal).rejection_grid(xs)
     assert sum(points) / xs.size <= 300
 
 

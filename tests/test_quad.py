@@ -199,7 +199,7 @@ def test_bisect_gives_the_cell_ends_of_the_loops_it_replaced():
     b = a + rng.uniform(1e-6, 0.5, a.size)
     # the kernel's 40 steps on d(x, u) = log pi(x + u) - log pi(x), for a
     # bimodal target whose d changes sign in many of the cells
-    target = DensityModel.from_expression("exp(-abs(x-3))+exp(-abs(x+3))")
+    target = DensityModel("expr", source="exp(-abs(x-3))+exp(-abs(x+3))")
     xr = rng.uniform(-6.0, 6.0, a.size)
     lxr = target.log_pdf(xr)
     side = target.log_pdf(xr + a) - lxr > 0.0

@@ -45,7 +45,7 @@ def test_config_validation():
 
 
 def test_triangular_proposal_moments():
-    p = ProposalModel.triangular()
+    p = ProposalModel("triangular")
     us = proposal_batch(p, 10**5, _stream(1, 0, 0))
     assert np.all(np.abs(us) <= 1.0)
     # Var(u) = 1/6 for the unit triangle
@@ -54,7 +54,7 @@ def test_triangular_proposal_moments():
 
 
 def test_uniform_proposal_ks():
-    p = ProposalModel.uniform()
+    p = ProposalModel("uniform")
     us = proposal_batch(p, 10**6, _stream(2, 0, 0))
     srt = np.sort(us)
     n = srt.size
@@ -103,7 +103,7 @@ def test_ks_statistic_blocks_match_whole_array():
 
 
 def test_batch_matches_scalar_draws():
-    p = ProposalModel.triangular()
+    p = ProposalModel("triangular")
     batch = proposal_batch(p, 50, _stream(9, 0, 0))
     rng = _stream(9, 0, 0)
     scalars = [sample_proposal(p, rng) for _ in range(50)]
@@ -116,8 +116,8 @@ PEAKED_SHAPE = "5*max(0,1-abs(u))^9"
 
 @pytest.mark.parametrize(
     "p",
-    [getattr(ProposalModel, family)(s) for family in ("triangular", "uniform", "epanechnikov") for s in (1e-3, 1, 7)]
-    + [ProposalModel.from_expression(PEAKED_SHAPE, 1.0)],
+    [ProposalModel(family, s) for family in ("triangular", "uniform", "epanechnikov") for s in (1e-3, 1, 7)]
+    + [ProposalModel("expr", 1.0, PEAKED_SHAPE)],
     ids=lambda p: f"{p.family}-{p.s:g}",
 )
 @pytest.mark.parametrize("count", [0, 1, 8191, 8192, 3 * 8192 + 1, 40000])
@@ -130,7 +130,7 @@ def test_pair_buffer_draws_what_one_block_draws(p, count):
 
 
 def test_proposal_batch_fills_and_returns_out():
-    p = ProposalModel.triangular()
+    p = ProposalModel("triangular")
     out = np.full(5000, np.nan)
     assert proposal_batch(p, 5000, _stream(8, 0, 0), out) is out
     assert out.tobytes() == proposal_batch(p, 5000, _stream(8, 0, 0)).tobytes()
@@ -138,13 +138,13 @@ def test_proposal_batch_fills_and_returns_out():
 
 def test_proposal_batch_stops_where_the_declared_sup_is_suspect():
     # acceptance 1 / (2 s sup) = 5e-301: a draw that no buffer could finish
-    p = ProposalModel.from_expression("max(0,1-abs(u))", 1.0, sup_shape=1e300)
+    p = ProposalModel("expr", 1.0, "max(0,1-abs(u))", sup_shape=1e300)
     with pytest.raises(RuntimeError, match="exceeded the iteration cap; the declared sup of the shape is suspect"):
         proposal_batch(p, 10, _stream(1, 0, 0))
 
 
 def test_step_flat_target_always_accepts():
-    k = MhKernel(DensityModel.from_expression("1"), ProposalModel.triangular())
+    k = MhKernel(DensityModel("expr", source="1"), ProposalModel("triangular"))
     rng = _stream(4, 0, 0)
     x = 0.0
     for _ in range(100):
@@ -186,7 +186,7 @@ def test_expression_target_run_pinned():
     # the summary of this run as computed by the tree-walking evaluator that
     # compiled expressions replaced: a change that moves any accept/reject
     # decision, the proposal stream or the summary shows here
-    k = MhKernel(DensityModel.from_expression("exp(-abs(x))"), ProposalModel.triangular())
+    k = MhKernel(DensityModel("expr", source="exp(-abs(x))"), ProposalModel("triangular"))
     d = dataclasses.asdict(run(k, ChainConfig(steps=5000, burn_in=500, seed=7, chains=2)))
     assert [c["accepted"] for c in d["chains"]] == [3808, 3782]
     assert [c["mean"] for c in d["chains"]] == [-0.075191508014188, 0.03333201926989609]
@@ -205,7 +205,7 @@ def test_expression_laplace_chains_match_builtin(laplace_tri):
     # exp(-abs(x)) runs as its log form -abs(x); the built-in laplace's log
     # ratio differs from it only by the rounding of its normalizing
     # constant, and on these chains no decision falls between the two
-    expr = MhKernel(DensityModel.from_expression("exp(-abs(x))"), ProposalModel.triangular())
+    expr = MhKernel(DensityModel("expr", source="exp(-abs(x))"), ProposalModel("triangular"))
     cfg = ChainConfig(steps=20000, burn_in=1000, seed=1, chains=4)
     keys = ("accepted", "mean", "variance", "autocorrelations")
     for a, b in zip(run(laplace_tri, cfg).chains, run(expr, cfg).chains):
@@ -249,21 +249,21 @@ def test_run_matches_manual_loop(tmp_path, laplace_tri):
     # in run() against the scalar definition, on both sides of each block
     # boundary
     block = sampler._BLOCK_STEPS
-    asym = ProposalModel.from_expression(ASYMMETRIC_SHAPE, 1.0)
-    expr_target = DensityModel.from_expression("exp(-abs(x))")
+    asym = ProposalModel("expr", 1.0, ASYMMETRIC_SHAPE)
+    expr_target = DensityModel("expr", source="exp(-abs(x))")
     cases = [
         (laplace_tri, ChainConfig(steps=200, seed=77)),
-        (MhKernel(expr_target, ProposalModel.triangular()), ChainConfig(steps=block - 1, burn_in=10, x0=2.5, seed=3)),
-        (MhKernel(DensityModel.gauss(), asym), ChainConfig(steps=block, burn_in=block - 1, x0=-1.5, seed=4)),
+        (MhKernel(expr_target, ProposalModel("triangular")), ChainConfig(steps=block - 1, burn_in=10, x0=2.5, seed=3)),
+        (MhKernel(DensityModel("gauss"), asym), ChainConfig(steps=block, burn_in=block - 1, x0=-1.5, seed=4)),
         (MhKernel(expr_target, asym), ChainConfig(steps=block + 1, burn_in=block - 50, x0=0.75, seed=5, chains=2)),
     ]
     # the log-density text of each family and of every operator, inlined in
     # the step loop
-    every_operator = DensityModel.from_expression(EVERY_OPERATOR)
+    every_operator = DensityModel("expr", source=EVERY_OPERATOR)
     cases += [
-        (MhKernel(DensityModel.laplace(2.5), ProposalModel.triangular()), ChainConfig(steps=block + 1, x0=-4.0, seed=6)),
-        (MhKernel(DensityModel.gauss(2.5), ProposalModel.triangular()), ChainConfig(steps=block + 1, x0=4.0, seed=7)),
-        (MhKernel(every_operator, ProposalModel.triangular()), ChainConfig(steps=block + 1, x0=0.5, seed=8)),
+        (MhKernel(DensityModel("laplace", 2.5), ProposalModel("triangular")), ChainConfig(steps=block + 1, x0=-4.0, seed=6)),
+        (MhKernel(DensityModel("gauss", 2.5), ProposalModel("triangular")), ChainConfig(steps=block + 1, x0=4.0, seed=7)),
+        (MhKernel(every_operator, ProposalModel("triangular")), ChainConfig(steps=block + 1, x0=0.5, seed=8)),
         (MhKernel(every_operator, asym), ChainConfig(steps=block + 1, x0=-0.5, seed=9)),
     ]
     # states rebuilt from the increments and the rejected steps: seed 1
@@ -271,8 +271,8 @@ def test_run_matches_manual_loop(tmp_path, laplace_tri):
     # block boundaries
     cases += [
         (laplace_tri, ChainConfig(steps=50, x0=-0.0, seed=1)),
-        (MhKernel(DensityModel.laplace(), asym), ChainConfig(steps=2 * block + 3, burn_in=7, x0=-0.0, seed=13)),
-        (MhKernel(DensityModel.gauss(), ProposalModel.triangular()), ChainConfig(steps=3 * block - 1, burn_in=block, seed=14, chains=2)),
+        (MhKernel(DensityModel("laplace"), asym), ChainConfig(steps=2 * block + 3, burn_in=7, x0=-0.0, seed=13)),
+        (MhKernel(DensityModel("gauss"), ProposalModel("triangular")), ChainConfig(steps=3 * block - 1, burn_in=block, seed=14, chains=2)),
     ]
     assert not asym.symmetric
     trace = tmp_path / "trace.csv"
@@ -294,7 +294,7 @@ def test_run_matches_manual_loop(tmp_path, laplace_tri):
 def test_run_raises_where_the_chain_leaves_the_support():
     # the density is zero for |x| >= 3: run stops with the error, and at the
     # state, of the scalar chain
-    k = MhKernel(DensityModel.from_expression("max(0, 1 - abs(x)/3)"), ProposalModel.triangular())
+    k = MhKernel(DensityModel("expr", source="max(0, 1 - abs(x)/3)"), ProposalModel("triangular"))
     cfg = ChainConfig(steps=2 * sampler._BLOCK_STEPS, x0=2.5, seed=12)
     with pytest.raises(ModelError) as scalar:
         _manual_chain(k, cfg, 0)
@@ -308,7 +308,7 @@ def test_run_raising_mid_block_leaves_the_blocks_before(tmp_path):
     # chain 1 leaves the support at step 4,521, inside its second block: the
     # error and the trace (chain 0, then chain 1's first block) are those of
     # the loop that appended every state, pinned here
-    k = MhKernel(DensityModel.from_expression("exp(-abs(x)) * max(0, 1 - abs(x)/5)"), ProposalModel.triangular())
+    k = MhKernel(DensityModel("expr", source="exp(-abs(x)) * max(0, 1 - abs(x)/5)"), ProposalModel("triangular"))
     cfg = ChainConfig(steps=3 * sampler._BLOCK_STEPS, seed=6, chains=2)
     path = tmp_path / "trace.csv"
     with pytest.raises(ModelError) as compiled:
@@ -357,7 +357,7 @@ def test_run_on_several_processes_matches_manual_loop(tmp_path, monkeypatch, dea
     # shares of uneven length, and burn-in ending inside the first block:
     # every state and flag is the scalar definition's, and the summary is
     # that of the run in one process
-    k = MhKernel(DensityModel.from_expression("exp(-abs(x))"), ProposalModel.from_expression(ASYMMETRIC_SHAPE, 1.0))
+    k = MhKernel(DensityModel("expr", source="exp(-abs(x))"), ProposalModel("expr", 1.0, ASYMMETRIC_SHAPE))
     cfg = ChainConfig(steps=sampler._BLOCK_STEPS + 10, burn_in=sampler._BLOCK_STEPS - 5, x0=0.5, seed=21, chains=chains)
     trace = tmp_path / "trace.csv"
     _cpus(monkeypatch, cpus)
@@ -377,7 +377,7 @@ def test_run_raises_the_error_of_the_first_failing_chain(tmp_path, monkeypatch, 
     # several chains leave the support; on any number of processes run raises
     # the error of the lowest-numbered one and writes the same trace: the
     # chains before it, then its completed blocks (``traced`` counts blocks)
-    k = MhKernel(DensityModel.from_expression("exp(-abs(x)) * max(0, 1 - abs(x)/5)"), ProposalModel.triangular())
+    k = MhKernel(DensityModel("expr", source="exp(-abs(x)) * max(0, 1 - abs(x)/5)"), ProposalModel("triangular"))
     cfg = ChainConfig(steps=3 * sampler._BLOCK_STEPS, seed=seed, chains=chains)
     with pytest.raises(ModelError) as scalar:
         _manual_chain(k, cfg, first)
@@ -505,7 +505,7 @@ def _digest(d):
 def test_builtin_target_run_pinned(target, shape, digest):
     # the summaries of these runs as computed by the per-step numpy loop the
     # blocked loop replaced
-    proposal = ProposalModel.triangular() if shape is None else ProposalModel.from_expression(shape, 1.0)
+    proposal = ProposalModel("triangular") if shape is None else ProposalModel("expr", 1.0, shape)
     k = MhKernel(DensityModel(target), proposal)
     d = dataclasses.asdict(run(k, ChainConfig(steps=5000, burn_in=500, seed=7, chains=2)))
     assert _digest(d) == digest
@@ -618,8 +618,8 @@ def test_run_takes_one_log_pdf_per_chain(monkeypatch, target):
         return log_pdf(self, x)
 
     monkeypatch.setattr(DensityModel, "log_pdf", counting_log_pdf)
-    model = DensityModel(target) if target == "laplace" else DensityModel.from_expression(target)
-    run(MhKernel(model, ProposalModel.triangular()), ChainConfig(steps=1500, x0=0.25, seed=9, chains=3))
+    model = DensityModel(target) if target == "laplace" else DensityModel("expr", source=target)
+    run(MhKernel(model, ProposalModel("triangular")), ChainConfig(steps=1500, x0=0.25, seed=9, chains=3))
     assert calls == [0.25]
 
 
@@ -651,7 +651,7 @@ def test_trace_csv(tmp_path, laplace_tri):
 
 
 def test_ks_distance_none_for_expression_targets():
-    k = MhKernel(DensityModel.from_expression("exp(-abs(x))/2"), ProposalModel.triangular())
+    k = MhKernel(DensityModel("expr", source="exp(-abs(x))/2"), ProposalModel("triangular"))
     summary = run(k, ChainConfig(steps=300, seed=8))
     assert summary.ks_distance is None
 
@@ -668,6 +668,6 @@ def test_empirical_rejection_matches_quadrature(builtin_kernel, x):
 def test_empirical_rejection_edge_cases(laplace_tri):
     with pytest.raises(ValueError):
         empirical_rejection(laplace_tri, 0.0, 0)
-    flat = MhKernel(DensityModel.from_expression("1"), ProposalModel.triangular())
+    flat = MhKernel(DensityModel("expr", source="1"), ProposalModel("triangular"))
     assert empirical_rejection(flat, 10.0, 1000, seed=1) == 0.0
     assert empirical_rejection(laplace_tri, 0.0, 1, seed=1) in (0.0, 1.0)

@@ -48,7 +48,7 @@ def test_build_p_matrix_domain_too_small(laplace_tri):
 
 
 def test_unresolved_proposal_range_degenerates(caplog):
-    k = MhKernel(DensityModel.laplace(), ProposalModel.triangular(s=0.05))
+    k = MhKernel(DensityModel("laplace"), ProposalModel("triangular", s=0.05))
     d = discretize(k.target, 10.0, 11)  # spacing 2 >> s
     with caplog.at_level(logging.WARNING, logger="mhbound.spectra"):
         op = build_p_matrix(k, d)
@@ -60,20 +60,20 @@ def test_unresolved_proposal_range_degenerates(caplog):
 def test_boundary_rows_reach_the_edge_node():
     # with the uniform shape, the row at |x| = A - s reaches the edge
     # node, which has half weight: it is a boundary row
-    k = MhKernel(DensityModel.laplace(), ProposalModel.uniform())
+    k = MhKernel(DensityModel("laplace"), ProposalModel("uniform"))
     op = build_p_matrix(k, discretize(k.target, 20.0, 801))
     assert op.row_sum_defect <= 1e-12
 
 
 @pytest.mark.parametrize(
     "target",
-    [DensityModel.laplace(), DensityModel.gauss(), DensityModel.from_expression("exp(-abs(x))")],
+    [DensityModel("laplace"), DensityModel("gauss"), DensityModel("expr", source="exp(-abs(x))")],
     ids=["laplace", "gauss", "expr_laplace"],
 )
 def test_symmetrize_matches_t_eval(target):
     # S is sqrt(t(x_i, x_j) t(x_j, x_i) w_i w_j), with t from t_eval on
     # the same nodes, plus r on the diagonal; symmetric to the bit
-    k = MhKernel(target, ProposalModel.triangular())
+    k = MhKernel(target, ProposalModel("triangular"))
     d = discretize(k.target, 15.0, 301)
     op = build_p_matrix(k, d)
     s_mat = symmetrize(k, op)
@@ -156,11 +156,11 @@ def test_hs_norm_finite_and_stable(laplace_tri):
 @pytest.mark.parametrize(
     "target, proposal",
     [
-        (DensityModel.laplace(), ProposalModel.triangular()),
-        (DensityModel.gauss(), ProposalModel.triangular()),
-        (DensityModel.laplace(), ProposalModel.uniform()),
-        (DensityModel.gauss(), ProposalModel.epanechnikov()),
-        (DensityModel.from_expression("exp(-abs(x))"), ProposalModel.triangular()),
+        (DensityModel("laplace"), ProposalModel("triangular")),
+        (DensityModel("gauss"), ProposalModel("triangular")),
+        (DensityModel("laplace"), ProposalModel("uniform")),
+        (DensityModel("gauss"), ProposalModel("epanechnikov")),
+        (DensityModel("expr", source="exp(-abs(x))"), ProposalModel("triangular")),
     ],
     ids=["laplace", "gauss", "laplace-uniform", "gauss-epanechnikov", "expr_laplace"],
 )
@@ -291,7 +291,7 @@ def test_spectral_report_matches_mass_route(family, proposal):
     # the route S replaces: P in the Hastings coordinates, made symmetric
     # by sqrt(m_i / m_j) with closed-form node masses m = pi(x) w, then
     # LAPACK eigvalsh for the spectrum and an SVD for the tail block
-    k = MhKernel(getattr(DensityModel, family)(), ProposalModel(proposal, 1.0))
+    k = MhKernel(DensityModel(family), ProposalModel(proposal, 1.0))
     rep = spectra.spectral_report(k, 20.0, 801, 5.0)
     d = discretize(k.target, 20.0, 801)
     op = build_p_matrix(k, d)
