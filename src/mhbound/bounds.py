@@ -49,7 +49,6 @@ __all__ = [
     "r_sup_compact",
     "r_sup_tail",
     "beta",
-    "alpha",
     "bound_profile",
     "default_a_list",
     "default_x_max",
@@ -242,12 +241,6 @@ def _min_abs_balance(k: MhKernel, windows, us: np.ndarray, coarse: np.ndarray):
     best = np.zeros(len(windows) * n)
     best[live] = np.maximum(0.0, -res.value)
     return best.reshape(len(windows), n), bool(res.converged.all())
-
-
-def alpha(k: MhKernel, a: float, x_max: Optional[float] = None) -> BoundReport:
-    """The windowed bound alpha_a = max(r_a, r_prime_a + beta_a): the
-    one-window profile."""
-    return bound_profile(k, [a], x_max).reports[0]
 
 
 def bound_profile(k: MhKernel, a_list: Sequence[float], x_max: Optional[float] = None) -> BoundProfile:

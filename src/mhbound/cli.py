@@ -7,9 +7,17 @@ spectrum), ``sample`` (chain simulation).
 
 Configuration is a JSON document; flags only pick the config file, the
 output directory/format, and scalar overrides (``--set bound.x_max=80``).
-Every JSON report embeds the fully resolved config (defaults included),
-the tool version, and the wall-clock duration; its ``result`` is the
-command's report dataclass, field by field.
+
+``main`` frames every command, inside one ``np.errstate``: it resolves
+the config, builds the kernel (an asymmetric proposal shape is refused
+for every command but ``sample``), times the run, writes the JSON report
+{command, version, duration_seconds, config, result} and the CSV table
+into ``--out``, and picks the exit code.  A command ``cmd_<name>(args,
+cfg, k)`` only computes: it returns ``(result, csv_spec, ok)``, its
+report dataclass or dict, its CSV ``(header, rows)`` and its verdict,
+and reads no clock and writes no file.  The JSON ``config`` is the fully
+resolved config (defaults included), and ``result`` the command's
+report, field by field.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 ran fine but the
 result is not certified (unconverged scan or degenerate tail ratio) or,
@@ -194,27 +202,6 @@ def build_kernel(cfg: dict) -> MhKernel:
     return MhKernel(target, proposal)
 
 
-def _symmetric_kernel(cfg: dict) -> MhKernel:
-    """build_kernel for bound, asymptotic, profile and spectrum, which use
-    t(x, y) = q(y - x) min(1, pi(y)/pi(x)): the Metropolis form, valid only
-    for a symmetric proposal shape."""
-    k = build_kernel(cfg)
-    if not k.proposal.symmetric:
-        raise ConfigError(
-            "proposal shape is not symmetric (shape(-u) != shape(u)); bound, asymptotic, "
-            "profile and spectrum assume a symmetric proposal, only sample handles an "
-            "asymmetric one"
-        )
-    return k
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _json_value(obj):
     """json.dumps hook: a report dataclass is its fields in declaration
     order (the values themselves, not copies), and a numpy array or scalar
@@ -226,27 +213,22 @@ def _json_value(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit(args, name: str, payload: dict, csv_spec) -> None:
-    out = Path(args.out)
+def _emit(args, report: dict, csv_spec) -> None:
+    """Write ``report`` as <command>.json and ``csv_spec``, a header and its
+    rows, as <command>.csv into ``--out``, as ``--format`` asks."""
+    out, name = Path(args.out), args.command
     try:
         out.mkdir(parents=True, exist_ok=True)
         if args.format in ("json", "both"):
-            (out / f"{name}.json").write_text(json.dumps(payload, indent=2, default=_json_value) + "\n")
-        if args.format in ("csv", "both") and csv_spec is not None:
+            (out / f"{name}.json").write_text(json.dumps(report, indent=2, default=_json_value) + "\n")
+        if args.format in ("csv", "both"):
             header, rows = csv_spec
-            _write_csv(out / f"{name}.csv", header, rows)
+            with open(out / f"{name}.csv", "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
     except OSError as exc:
         raise ConfigError(f"cannot write the output directory {args.out}: {exc.strerror or exc}")
-
-
-def _report(command: str, cfg: dict, started: float, result) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "duration_seconds": time.monotonic() - started,
-        "config": cfg,
-        "result": result,
-    }
 
 
 def _check_size(what: str, count) -> None:
@@ -277,9 +259,7 @@ def _fmt(x: float) -> str:
 # -- commands ----------------------------------------------------------
 
 
-def cmd_bound(args, cfg: dict) -> int:
-    started = time.monotonic()
-    k = _symmetric_kernel(cfg)
+def cmd_bound(args, cfg: dict, k: MhKernel):
     a_list = [float(a) for a in cfg["bound"]["a_list"]]
     profile = bounds.bound_profile(k, a_list, float(cfg["bound"]["x_max"]))
     for report in profile.reports:
@@ -288,35 +268,19 @@ def cmd_bound(args, cfg: dict) -> int:
         [_fmt(r.a), _fmt(r.r_a), _fmt(r.r_prime_a), _fmt(r.beta_a), _fmt(r.alpha_a), int(r.converged)]
         for r in profile.reports
     ]
-    payload = _report(
-        "bound",
-        cfg,
-        started,
-        {"reports": profile.reports, "best_index": profile.best_index, "best": profile.best},
-    )
-    _emit(args, "bound", payload, (["a", "r_a", "r_prime_a", "beta_a", "alpha_a", "converged"], rows))
+    result = {"reports": profile.reports, "best_index": profile.best_index, "best": profile.best}
     ok = all(r.converged for r in profile.reports) and any(r.certified for r in profile.reports)
-    return EXIT_OK if ok else EXIT_NOT_CERTIFIED
+    return result, (["a", "r_a", "r_prime_a", "beta_a", "alpha_a", "converged"], rows), ok
 
 
-def cmd_asymptotic(args, cfg: dict) -> int:
-    started = time.monotonic()
-    k = _symmetric_kernel(cfg)
-    try:
-        report = asymptotics.alpha_inf(k)
-    except asymptotics.TauNotConvergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CERTIFIED
+def cmd_asymptotic(args, cfg: dict, k: MhKernel):
+    report = asymptotics.alpha_inf(k)
     _check_finite(report)
-    payload = _report("asymptotic", cfg, started, report)
     header = ["u", "tau_plus", "tau_minus"]
-    _emit(args, "asymptotic", payload, (header, [[_fmt(row[key]) for key in header] for row in report.tau_table]))
-    return EXIT_OK if report.certified else EXIT_NOT_CERTIFIED
+    return report, (header, [[_fmt(row[key]) for key in header] for row in report.tau_table]), report.certified
 
 
-def cmd_profile(args, cfg: dict) -> int:
-    started = time.monotonic()
-    k = _symmetric_kernel(cfg)
+def cmd_profile(args, cfg: dict, k: MhKernel):
     lo, hi, step = (float(cfg["profile"][key]) for key in ("lo", "hi", "step"))
     if hi <= lo or step <= 0:
         raise ConfigError("profile needs lo < hi and step > 0")
@@ -348,27 +312,21 @@ def cmd_profile(args, cfg: dict) -> int:
         for start, stop in blocks
         for x, r in zip(points(start, stop).tolist(), rs[start:stop].tolist())
     )
-    _emit(args, "profile", _report("profile", cfg, started, result), (["x", "r_x"], rows))
-    return EXIT_OK if converged else EXIT_NOT_CERTIFIED
+    return result, (["x", "r_x"], rows), converged
 
 
-def cmd_spectrum(args, cfg: dict) -> int:
-    started = time.monotonic()
-    k = _symmetric_kernel(cfg)
+def cmd_spectrum(args, cfg: dict, k: MhKernel):
     sc = cfg["spectrum"]
     _check_size("spectrum.n x spectrum.n", sc["n"] * sc["n"])
     _check_size("the Hilbert-Schmidt rule's node count on [-spectrum.a, spectrum.a]", hs_rule_nodes(float(sc["a"])))
+    if 2.0 * float(sc["A"]) == math.inf:
+        raise ConfigError(f"spectrum.A={sc['A']!r} is too large: the width 2A of the domain [-A, A] overflows")
     report = spectral_report(k, float(sc["A"]), int(sc["n"]), float(sc["a"]))
     _check_finite(report)
-    payload = _report("spectrum", cfg, started, report)
-    rows = [[i, repr(ev)] for i, ev in enumerate(report.eigenvalues.tolist())]
-    _emit(args, "spectrum", payload, (["index", "eigenvalue"], rows))
-    return EXIT_OK
+    return report, (["index", "eigenvalue"], [[i, repr(ev)] for i, ev in enumerate(report.eigenvalues.tolist())]), True
 
 
-def cmd_sample(args, cfg: dict) -> int:
-    started = time.monotonic()
-    k = build_kernel(cfg)
+def cmd_sample(args, cfg: dict, k: MhKernel):
     sc = cfg["sample"]
     _check_size("sample.chains x sample.steps", sc["chains"] * sc["steps"])
     try:
@@ -388,18 +346,11 @@ def cmd_sample(args, cfg: dict) -> int:
         if args.trace is None or exc.filename != args.trace:
             raise
         raise ConfigError(f"cannot open the trace file {args.trace}: {exc.strerror}")
-    payload = _report("sample", cfg, started, summary)
     rows = [
         [c.chain, c.seed, c.accepted, _fmt(c.acceptance_rate), _fmt(c.mean), _fmt(c.variance)]
         for c in summary.chains
     ]
-    _emit(
-        args,
-        "sample",
-        payload,
-        (["chain", "seed", "accepted", "acceptance_rate", "mean", "variance"], rows),
-    )
-    return EXIT_OK
+    return summary, (["chain", "seed", "accepted", "acceptance_rate", "mean", "variance"], rows), True
 
 
 # -- entry point -------------------------------------------------------
@@ -444,10 +395,30 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        doc = apply_overrides(load_config(args.config), args.overrides)
-        cfg = resolve_config(doc)
+        cfg = resolve_config(apply_overrides(load_config(args.config), args.overrides))
         with np.errstate(over="ignore"):  # one context per command; log_pdf or _check_finite names an inf
-            return args.fn(args, cfg)
+            started = time.monotonic()
+            k = build_kernel(cfg)
+            # all but sample use the Metropolis form t(x, y) = q(y - x) min(1, pi(y)/pi(x))
+            if args.command != "sample" and not k.proposal.symmetric:
+                raise ConfigError(
+                    "proposal shape is not symmetric (shape(-u) != shape(u)); bound, asymptotic, "
+                    "profile and spectrum assume a symmetric proposal, only sample handles an "
+                    "asymmetric one"
+                )
+            result, csv_spec, ok = args.fn(args, cfg, k)
+            report = {
+                "command": args.command,
+                "version": __version__,
+                "duration_seconds": time.monotonic() - started,
+                "config": cfg,
+                "result": result,
+            }
+            _emit(args, report, csv_spec)
+        return EXIT_OK if ok else EXIT_NOT_CERTIFIED
+    except asymptotics.TauNotConvergedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CERTIFIED
     except (ConfigError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -214,10 +214,19 @@ def hs_norm_T_a(k: MhKernel, a: float) -> float:
     Finiteness is the point: the core block is compact."""
     if not a > 0.0:
         raise ModelError("need a > 0")
+
+    def weight(u):
+        # an inf here is inf - inf in the error estimate, so the config is refused first
+        q2 = np.square(k.proposal.shape(u))
+        if not np.isfinite(q2).all():
+            raise ModelError(
+                f"the proposal shape's square q(u)^2 is inf at proposal.s={k.proposal.s!r}: "
+                "this config's scales are beyond what floats resolve"
+            )
+        return q2
+
     xs, wx = gauss_legendre_grid(-a, a, _hs_panels(a))
-    rows = k.integrate_u(
-        xs, lambda u: np.square(k.proposal.shape(u)), lambda d: np.exp(np.negative(np.abs(d, out=d), out=d), out=d)
-    )[0]
+    rows = k.integrate_u(xs, weight, lambda d: np.exp(np.negative(np.abs(d, out=d), out=d), out=d))[0]
     return math.sqrt(float(wx @ rows))
 
 

@@ -92,8 +92,8 @@ def decomposition_residual(k, d, a: float, n_power: int, report) -> float:
 
 
 def per_window_report(k, a: float, x_max: float, slopes) -> "bounds.BoundReport":
-    """The report of one window computed on its own, as ``bounds.alpha``
-    did before ``bound_profile`` took every window from one pass: r_a from
+    """The report of one window computed on its own, as every window was
+    before ``bound_profile`` took them all from one pass: r_a from
     ``r_sup_compact`` on [-a, a]; r_prime_a from a two-row scan of
     [a, x_max] and [-x_max, -a], merged with the larger of the two tails'
     r'_inf (``slopes``, (c_+, c_-), must be known); beta_a from the minimum

@@ -107,7 +107,7 @@ def test_criterion_3_windowed_converges_to_limit(pairing, laplace_tri, gauss_tri
     k = laplace_tri if pairing == "laplace" else gauss_tri
     start = time.monotonic()
     limit = asymptotics.alpha_inf(k).alpha_inf
-    reports = [bounds.alpha(k, a) for a in (4.0, 8.0, 16.0)]
+    reports = [bounds.bound_profile(k, [a]).best for a in (4.0, 8.0, 16.0)]
     elapsed = time.monotonic() - start
     gaps = [abs(r.alpha_a - limit) for r in reports]
     check(
@@ -163,7 +163,7 @@ def test_criterion_7_decomposition_inequality(laplace_tri, gauss_tri):
     worst = -math.inf
     for name, k in (("laplace", laplace_tri), ("gauss", gauss_tri)):
         d = spectra.discretize(k.target, 20.0, 401)
-        rep = bounds.alpha(k, 5.0)
+        rep = bounds.bound_profile(k, [5.0]).best
         res = decomposition_residual(k, d, 5.0, 4, rep)
         worst = max(worst, res)
     check(

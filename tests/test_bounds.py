@@ -37,7 +37,7 @@ def test_r_sup_compact_validation(laplace_tri):
 
 def test_r_sup_tail_laplace(laplace_tri):
     assert bounds.r_sup_tail(laplace_tri, 3.0, 30.0) == pytest.approx(R_TAIL, abs=1e-6)
-    assert bounds.alpha(laplace_tri, 3.0, 30.0).tail_resolved
+    assert bounds.bound_profile(laplace_tri, [3.0], 30.0).best.tail_resolved
     with pytest.raises(ValueError):
         bounds.r_sup_tail(laplace_tri, 30.0, 30.0)
 
@@ -62,13 +62,13 @@ def test_r_sup_tail_without_tail_ratio(no_slopes, caplog):
     assert len(records) == 1 and records[0].levelno == logging.WARNING
     # a second mode in both tails, then in the right or the left one only
     for expr in ("exp(-abs(x-30))+exp(-abs(x+30))", "exp(-abs(x))+exp(-abs(x-30))", "exp(-abs(x))+exp(-abs(x+30))"):
-        rep = bounds.alpha(MhKernel(DensityModel("expr", source=expr), tri), 1.0, 66.0)
+        rep = bounds.bound_profile(MhKernel(DensityModel("expr", source=expr), tri), [1.0], 66.0).best
         assert not rep.tail_resolved and not rep.certified
 
 
 def test_r_sup_tail_gauss_hits_limit(gauss_tri):
     assert bounds.r_sup_tail(gauss_tri, 5.0, 50.0) == pytest.approx(0.5, abs=1e-9)
-    assert bounds.alpha(gauss_tri, 5.0, 50.0).tail_resolved
+    assert bounds.bound_profile(gauss_tri, [5.0], 50.0).best.tail_resolved
 
 
 def test_beta_laplace_closed_form(laplace_tri):
@@ -120,7 +120,7 @@ def test_kinked_shape_matches_mpmath(family, level, tau, decay):
     # at no window
     p = ProposalModel("expr", 1.5, KINKED_SHAPE)
     k = MhKernel(DensityModel(family), p)
-    rep = bounds.alpha(k, 4.0)
+    rep = bounds.bound_profile(k, [4.0]).best
     assert rep.certified and round(rep.alpha_a, 5) == level
 
     def q(u):
@@ -229,7 +229,7 @@ def test_certificates_do_not_call_rejection_prob(builtin_kernel, monkeypatch):
         raise AssertionError("rejection_prob must not be called")
 
     monkeypatch.setattr(MhKernel, "rejection_prob", forbidden)
-    rep = bounds.alpha(builtin_kernel, 4.0)
+    rep = bounds.bound_profile(builtin_kernel, [4.0]).best
     assert 0.0 < rep.r_a < 1.0 and rep.converged
     lim = asymptotics.alpha_inf(builtin_kernel)
     assert 0.0 < lim.r_inf < 1.0 and 0.0 < lim.alpha_inf < 1.0
@@ -275,7 +275,7 @@ def test_beta_is_one_array_pass(gauss_tri, monkeypatch):
 
 
 def test_alpha_laplace(laplace_tri):
-    rep = bounds.alpha(laplace_tri, 5.0)
+    rep = bounds.bound_profile(laplace_tri, [5.0]).best
     assert rep.alpha_a == pytest.approx(GAMMA_LAPLACE, abs=1e-6)
     assert rep.alpha_a == max(rep.r_a, rep.r_prime_a + rep.beta_a)
     assert rep.certified
@@ -288,9 +288,9 @@ def test_reports_cover_their_own_r_evaluations():
     fresh = MhKernel(DensityModel("gauss"), ProposalModel("triangular"))
     k = MhKernel(DensityModel("gauss"), ProposalModel("triangular"))
     k.rejection_prob(200.0)
-    rep = bounds.alpha(k, 4.0)
+    rep = bounds.bound_profile(k, [4.0]).best
     assert 0.0 < rep.r_quad_error <= 1e-11 and rep.converged
-    assert rep.r_quad_error == bounds.alpha(fresh, 4.0).r_quad_error
+    assert rep.r_quad_error == bounds.bound_profile(fresh, [4.0]).best.r_quad_error
     limit = asymptotics.alpha_inf(k)
     assert 0.0 < limit.r_quad_error <= 1e-11 and limit.certified
     assert limit.r_quad_error == asymptotics.alpha_inf(fresh).r_quad_error
@@ -328,7 +328,7 @@ def test_no_slopes_resolves_no_window(no_slopes, caplog):
 def test_alpha_flat_tail_not_certified():
     # Cauchy-like tails: tau = 1, the bound degenerates above 1
     k = MhKernel(DensityModel("expr", source="1/(1+x^2)"), ProposalModel("triangular"))
-    rep = bounds.alpha(k, 4.0)
+    rep = bounds.bound_profile(k, [4.0]).best
     assert rep.alpha_a >= 1.0
     assert not rep.certified
     assert "no certification" in rep.verdict
@@ -428,7 +428,7 @@ def test_windowed_merge_takes_the_binding_tail(laplace_tri, slopes, monkeypatch)
     assert bounds.r_sup_tail(laplace_tri, 4.0, 20.0) == pytest.approx(0.5, abs=1e-15)
     (bt,) = bounds.beta(laplace_tri, [4.0], 20.0)
     assert abs(bt.value - asymptotics.beta_inf(p, -0.5)) <= 1e-12
-    assert bounds.alpha(laplace_tri, 4.0, 20.0).tail_resolved
+    assert bounds.bound_profile(laplace_tri, [4.0], 20.0).best.tail_resolved
 
 
 def test_windowed_dominates_limit(builtin_kernel):
@@ -436,5 +436,5 @@ def test_windowed_dominates_limit(builtin_kernel):
     rp_inf = asymptotics.r_prime_inf(builtin_kernel.proposal, c)
     b_inf = asymptotics.beta_inf(builtin_kernel.proposal, c)
     for a in (1.0, 4.0):
-        rep = bounds.alpha(builtin_kernel, a)
+        rep = bounds.bound_profile(builtin_kernel, [a]).best
         assert rep.r_prime_a + rep.beta_a >= rp_inf + b_inf - 1e-6

@@ -335,6 +335,42 @@ def test_overflow_in_log_pi_prints_only_the_config_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "sets, message",
+    [
+        pytest.param(
+            ["proposal.s=1e-300"],
+            "the proposal shape's square q(u)^2 is inf at proposal.s=1e-300: "
+            "this config's scales are beyond what floats resolve",
+            id="q squared overflows",
+        ),
+        pytest.param(
+            ["spectrum.A=1.7976931348623157e+308"],
+            "spectrum.A=1.7976931348623157e+308 is too large: the width 2A of the domain [-A, A] overflows",
+            id="2A overflows",
+        ),
+    ],
+)
+def test_spectrum_overflow_prints_only_the_config_error(tmp_path, sets, message):
+    # numpy's "invalid value encountered in subtract" (q(u)^2 = inf in the
+    # Hilbert-Schmidt integrand) or "in multiply" (linspace over a width of
+    # inf) reached stderr before an exit-1 line that named neither key
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["spectrum", "--out", str(tmp_path), *(arg for item in ["spectrum.n=101", *sets] for arg in ("--set", item))]
+    done = subprocess.run([sys.executable, "-m", "mhbound.cli", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr == f"config error: {message}\n"
+    assert done.stdout == "" and list(tmp_path.iterdir()) == []
+
+
+def test_spectrum_with_a_declared_sup_whose_square_overflows_runs(tmp_path):
+    # the declared sup only bounds q from above: q(u)^2 <= 1 here
+    sets = [
+        "spectrum.n=51", "spectrum.A=12", "proposal.family=expr", "proposal.expr=max(0,1-abs(u))", "proposal.sup_shape=1e200"
+    ]
+    assert run_cli("spectrum", "--out", str(tmp_path), *(arg for item in sets for arg in ("--set", item))) == 0
+
+
+@pytest.mark.parametrize(
     "family, message",
     [
         ("laplace", "no increment moves the chain from x0=1e+300: x0 - s and x0 + s round to x0"),
@@ -818,3 +854,49 @@ def test_report_schemas(tmp_path):
         "ks_distance", "autocorrelations",
     ]
     assert [list(c) for c in sample["chains"]] == [chain_keys, chain_keys]
+
+
+#: each command's CSV header
+CSV_HEADERS = {
+    "bound": ["a", "r_a", "r_prime_a", "beta_a", "alpha_a", "converged"],
+    "asymptotic": ["u", "tau_plus", "tau_minus"],
+    "profile": ["x", "r_x"],
+    "spectrum": ["index", "eigenvalue"],
+    "sample": ["chain", "seed", "accepted", "acceptance_rate", "mean", "variance"],
+}
+#: each command's verdict, read from its JSON result: exit 0 where it holds, 2 where not
+VERDICTS = {
+    "bound": lambda r: all(w["converged"] for w in r["reports"]) and any(w["certified"] for w in r["reports"]),
+    "asymptotic": lambda r: r["certified"],
+    "profile": lambda r: r["converged"],
+    "spectrum": lambda r: True,
+    "sample": lambda r: True,
+}
+TWO_ROOTS = "target.expr=exp(-abs(x) + 0.3*exp(-((x-0.7)/0.005)^2))"
+
+
+@pytest.mark.parametrize(
+    "command, sets, code",
+    [
+        ("bound", ["bound.a_list=[2, 4]"], 0),
+        ("bound", ["bound.a_list=[1.0]", "target.family=expr", "target.expr=exp(-abs(x)-x/2)"], 2),
+        ("asymptotic", ["target.family=gauss"], 0),
+        ("asymptotic", ["target.family=expr", "target.expr=1/(1+x^2)"], 2),
+        ("profile", ["profile.step=0.05"], 0),
+        ("profile", ["target.family=expr", TWO_ROOTS, "profile.lo=0.4", "profile.hi=0.6"], 2),
+        ("spectrum", ["spectrum.n=51", "spectrum.A=12"], 0),
+        ("sample", ["sample.steps=300", "sample.burn_in=10", "sample.chains=2"], 0),
+    ],
+)
+def test_every_command_writes_one_frame(tmp_path, command, sets, code):
+    # main frames every command: the report envelope, key for key in order,
+    # the command's own CSV header, and the exit code of its verdict
+    assert run_cli(command, "--out", str(tmp_path), *(arg for item in sets for arg in ("--set", item))) == code
+    report = json.loads((tmp_path / f"{command}.json").read_text())
+    assert list(report) == ["command", "version", "duration_seconds", "config", "result"]
+    assert report["command"] == command and report["version"] == __version__
+    assert report["duration_seconds"] >= 0.0
+    assert report["config"] == resolve_config(apply_overrides({}, sets))
+    with open(tmp_path / f"{command}.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == CSV_HEADERS[command]
+    assert code == (0 if VERDICTS[command](report["result"]) else 2)

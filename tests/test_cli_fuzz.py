@@ -120,6 +120,8 @@ def check(argv) -> None:
 # q(u)^2 = 1e600 overflows: hs_norm_t_a was inf with exit 0
 @example(argv=["spectrum", "--set", "target.family=laplace", "--set", "proposal.s=1e-300", "--set", "spectrum.n=101"])
 @example(argv=["spectrum", "--set", "target.family=gauss", "--set", "proposal.s=1e-300", "--set", "spectrum.n=101"])
+# 2A overflows: linspace made NaN nodes, and the exit-1 line named x=nan
+@example(argv=["spectrum", "--set", "spectrum.n=101", "--set", "spectrum.A=1.7976931348623157e+308"])
 # a subnormal s: r_inf was -inf and beta_inf NaN with exit 2
 @example(
     argv=[

@@ -237,14 +237,14 @@ def test_hs_norm_validation(laplace_tri):
 
 def test_decomposition_residual_negative(laplace_tri):
     d = discretize(laplace_tri.target, 20.0, 201)
-    rep = bounds.alpha(laplace_tri, 5.0)
+    rep = bounds.bound_profile(laplace_tri, [5.0]).best
     res = decomposition_residual(laplace_tri, d, 5.0, 4, rep)
     assert res <= 5e-3
 
 
 def test_decomposition_residual_validation(laplace_tri):
     d = discretize(laplace_tri.target, 20.0, 101)
-    rep = bounds.alpha(laplace_tri, 5.0)
+    rep = bounds.bound_profile(laplace_tri, [5.0]).best
     with pytest.raises(ValueError):
         decomposition_residual(laplace_tri, d, 5.0, 9, rep)
     with pytest.raises(ValueError):
