@@ -28,7 +28,10 @@ out the scalar statements themselves, for code that inlines them.
 that a density compiled from it is never formed as a value that can
 underflow.  ``kinks`` locates the points where a tree may fail to be
 smooth, so that quadrature can split there; an affine argument's zero is
-solved from the tree.
+solved from the tree.  ``centre`` reads from the tree alone whether it is
+a strictly monotone function of |x - m|, and gives m: a target's log
+density of that kind is symmetric about m, so a density ratio
+pi(x + u)/pi(x) crosses 1 at u = 2(m - x), and nowhere else but u = 0.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ __all__ = [
     "evaluate",
     "evaluate_array",
     "log_form",
+    "centre",
     "kinks",
 ]
 
@@ -677,6 +681,89 @@ def _affine(e: Expr) -> Optional[tuple]:
     variable, negation, sums and differences, products with a constant
     factor and quotients by a nonzero number; None for anything else."""
     return _fold(e, _affine_node)
+
+
+@dataclass(frozen=True)
+class _Radial:
+    """A term that is a strictly monotone function of |x - centre|: rising
+    in it for sign 1.0 and falling for -1.0, and never negative if
+    ``nonneg``."""
+
+    centre: float
+    sign: float
+    nonneg: bool
+
+
+def _radial_node(node: Expr, args: list):
+    if isinstance(node, BinOp) and len(args) == 1:  # a square, whose operand is its base alone
+        args = [*args, (0.0, 2.0)]
+    if not any(isinstance(arg, _Radial) for arg in args):
+        line = _affine_node(node, args)
+        if line is not None or None in args:
+            return line
+        # an abs, or a positive even integer power, of an affine argument
+        power = isinstance(node, BinOp) and node.op == "^" and args[1][0] == 0.0 and args[1][1] > 0.0
+        if not (isinstance(node, Call) and node.func == "abs" or power and _is_integer(args[1][1] / 2.0)):
+            return None
+        a, b = args[0]
+        if not (a != 0.0 and math.isfinite(a) and math.isfinite(b)):
+            return None
+        return _Radial(-b / a + 0.0, 1.0, True)  # + 0.0 makes -0.0 positive
+    if isinstance(node, Neg):
+        return _Radial(args[0].centre, -args[0].sign, False)
+    if isinstance(node, Call):
+        if node.func not in ("exp", "log", "sqrt"):
+            return None
+        return _Radial(args[0].centre, args[0].sign, node.func != "log")
+    if None in args:
+        return None
+    left, right = args
+    if isinstance(left, _Radial) and isinstance(right, _Radial):
+        # a sum, or a difference, of terms that rise and fall together
+        flip = {"+": 1.0, "-": -1.0}.get(node.op)
+        if flip is None or left.centre != right.centre or left.sign != flip * right.sign:
+            return None
+        return _Radial(left.centre, left.sign, left.nonneg and right.nonneg and flip > 0.0)
+    # one term and one line, which must be a finite number c
+    term, (a, c) = (left, right) if isinstance(left, _Radial) else (right, left)
+    if a != 0.0 or not math.isfinite(c):
+        return None
+    m, sign, nonneg = term.centre, term.sign, term.nonneg
+    if node.op == "+":
+        return _Radial(m, sign, nonneg and c >= 0.0)
+    if node.op == "-":
+        return _Radial(m, sign, nonneg and c <= 0.0) if term is left else _Radial(m, -sign, False)
+    if (node.op == "*" or node.op == "/" and term is left) and c != 0.0:
+        return _Radial(m, sign if c > 0.0 else -sign, nonneg and c > 0.0)
+    # t^c rises strictly in t >= 0, where an exponent that is not an
+    # integer confines it, and an odd one in every t
+    if node.op == "^" and term is left and c > 0.0 and (nonneg or not _is_integer(c / 2.0)):
+        return _Radial(m, sign, nonneg or not _is_integer(c))
+    return None
+
+
+def centre(e: Expr) -> Optional[float]:
+    """The m for which ``e`` is a strictly monotone function of |x - m|,
+    read from the structure of ``e`` (no evaluation), or None.  Such a
+    function is
+
+        an abs, or a positive even integer power, of an affine argument
+        (see ``_affine``) with finite coefficients and a nonzero slope,
+        whose zero is m;
+        exp, log, sqrt, a negation, or a positive power of one;
+        a sum or difference of one and a finite number, or of two with the
+        same m that rise and fall together;
+        a product of one and a finite nonzero number, or its quotient by
+        one,
+
+    where a power with an even integer exponent needs a base that is never
+    negative: an abs or even power of an affine argument, or exp, sqrt or a
+    power with an exponent that is not an integer, of one, and their sums
+    and positive multiples.  Anything else gives None: a bimodal sum, an
+    odd power of an affine argument, min or max, an affine term plus such
+    a function, or a product with zero."""
+    radial = _fold(e, _radial_node)
+    return radial.centre if isinstance(radial, _Radial) else None
 
 
 #: points of the scan in ``kinks``, quad.bisect's steps per root, and the

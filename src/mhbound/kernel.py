@@ -9,9 +9,12 @@ Integrals over the proposal's increment u have one loop, ``integrate_u``:
 for a batch of x it integrates weight(u) f(d), d = log pi(x+u) - log pi(x),
 over [-s, s] on a u-rule made for each x.  The rule is split at u = 0, at
 the proposal shape's kinks (``ProposalModel.kinks``), at the target's
-kinks shifted to u = kink - x (``DensityModel.kinks``) and at each sign
-change of d(x, .) (``quad.bisect``), where min(1, e^d) and e^{-|d|} have
-their kink, so every kink of the integrand sits on a piece boundary.
+kinks shifted to u = kink - x (``DensityModel.kinks``) and where d(x, .)
+changes sign, where min(1, e^d) and e^{-|d|} have their kink, so every
+kink of the integrand sits on a piece boundary.  For a target with a
+centre m (``DensityModel.centre``: log pi a strictly monotone function
+of |x - m|, read from its tree) that is u = 2(m - x) alone; any other
+target's sign changes are scanned for and refined by ``quad.bisect``.
 Each piece gets one Gauss-Legendre panel and two half panels, whose
 difference estimates the error.  The pieces of a block of x are
 evaluated as one array, in blocks of BLOCK_ELEMENTS elements.  Most x
@@ -43,9 +46,11 @@ __all__ = ["MhKernel", "R_QUAD_TOL", "certification", "quad_error_reason"]
 #: ``out``), because glibc hands freed blocks of this size back to the OS,
 #: and a new block per step would fault its pages in again
 BLOCK_ELEMENTS = 2**16
-#: integrate_u looks for the sign changes of d on _ROOT_POINTS points per
-#: half of [-s, s], from +-s to +-_ROOT_INNER s (d(x, 0) = 0 exactly), and
-#: refines each with _ROOT_BISECTIONS steps of quad.bisect
+#: for a target with no centre, integrate_u looks for the sign changes of d
+#: on _ROOT_POINTS points per half of [-s, s], from +-s to +-_ROOT_INNER s
+#: (d(x, 0) = 0 exactly), and refines each with _ROOT_BISECTIONS steps of
+#: quad.bisect; it takes its x in blocks of BLOCK_ELEMENTS // (2 *
+#: _ROOT_POINTS), one row of that grid each
 _ROOT_POINTS = 33
 _ROOT_INNER = 1e-13
 _ROOT_BISECTIONS = 40
@@ -166,11 +171,14 @@ class MhKernel:
         ``weight`` must be elementwise in u: a piece's nodes and weights
         are made once per distinct piece of a block (see _piece_sums).
 
-        The sign changes of d come from a coarse grid, and the documented
-        assumption is that d changes sign at most once in each of its
-        cells, s / 32 wide.  Two roots in one cell leave no sign change,
-        so the kinks between them fall inside a piece; the estimate then
-        reads large, but it may understate the error."""
+        For a target with a centre m, d changes sign at u = 0 and at
+        u = 2(m - x) alone, and the rule is split there with no search.
+        For any other target the sign changes of d come from a coarse
+        grid, and the documented assumption is that d changes sign at most
+        once in each of its cells, s / 32 wide.  Two roots in one cell
+        leave no sign change, so the kinks between them fall inside a
+        piece; the estimate then reads large, but it may understate the
+        error."""
         s = self.proposal.s
         value, error = np.zeros(xs.size), np.zeros(xs.size)
         if xs.size == 0:
@@ -178,13 +186,15 @@ class MhKernel:
         lx_all = self.target.log_pdf(xs)
         kinks = np.array(self.target.kinks(float(xs.min()) - s, float(xs.max()) + s))
         fixed = np.array([-s, 0.0, *self.proposal.kinks, s])
-        half = np.linspace(_ROOT_INNER * s, s, _ROOT_POINTS)
-        grid = np.concatenate([-half[::-1], half])
+        grid = None
+        if self.target.centre is None:
+            half = np.linspace(_ROOT_INNER * s, s, _ROOT_POINTS)
+            grid = np.concatenate([-half[::-1], half])
         # each block's x + u, log pi and then d, and a block's u-nodes and
         # then x + u, log pi and d, go into one buffer, so its pages are
         # faulted in once per call
         buf = np.empty(BLOCK_ELEMENTS)
-        chunk = BLOCK_ELEMENTS // grid.size
+        chunk = BLOCK_ELEMENTS // (2 * _ROOT_POINTS)
         for start in range(0, xs.size, chunk):
             part = slice(start, start + chunk)
             x, lx = xs[part], lx_all[part]
@@ -205,23 +215,28 @@ class MhKernel:
     def _pieces(self, x, lx, grid, fixed, kinks, buf):
         """The pieces [lo, hi] of each x's u-rule and the index of their x,
         in order of x and then of u: [-s, s] split at ``fixed``, at the
-        target's ``kinks`` shifted to u = kink - x, and at each sign change
-        of d(x, .) on ``grid``, refined by ``quad.bisect``."""
+        target's ``kinks`` shifted to u = kink - x, and where d(x, .)
+        changes sign.  With no ``grid`` the target has a centre m
+        (``DensityModel.centre``), and that is u = 2(m - x) alone, read
+        from the tree; otherwise it is each sign change of d on ``grid``,
+        refined by ``quad.bisect``."""
         s = self.proposal.s
-        y = np.add(x[:, None], grid, out=buf[: x.size * grid.size].reshape(x.size, grid.size))
-        up = np.subtract(self.target.log_pdf(y, out=y), lx[:, None], out=y) > 0.0
-        change = up[:, 1:] != up[:, :-1]
-        change[:, _ROOT_POINTS - 1] = False  # the cell across u = 0
-        row, cell = np.nonzero(change)
-        a, b, side, xr, lxr = grid[cell], grid[cell + 1], up[row, cell], x[row], lx[row]
-        a, b = bisect(lambda m: (self.target.log_pdf(xr + m) - lxr > 0.0) == side, a, b, _ROOT_BISECTIONS)
-        count = np.bincount(row, minlength=x.size)
-        cuts = np.full((x.size, fixed.size + kinks.size + count.max()), s)
-        cuts[:, : fixed.size] = fixed
-        shifted = kinks - x[:, None]
-        cuts[:, fixed.size : fixed.size + kinks.size] = np.where(np.abs(shifted) < s, shifted, s)
-        rank = np.arange(row.size) - (np.cumsum(count) - count)[row]
-        cuts[row, fixed.size + kinks.size + rank] = 0.5 * (a + b)
+        if grid is None:
+            roots = 2.0 * (self.target.centre - x[:, None])
+        else:
+            y = np.add(x[:, None], grid, out=buf[: x.size * grid.size].reshape(x.size, grid.size))
+            up = np.subtract(self.target.log_pdf(y, out=y), lx[:, None], out=y) > 0.0
+            change = up[:, 1:] != up[:, :-1]
+            change[:, _ROOT_POINTS - 1] = False  # the cell across u = 0
+            row, cell = np.nonzero(change)
+            a, b, side, xr, lxr = grid[cell], grid[cell + 1], up[row, cell], x[row], lx[row]
+            a, b = bisect(lambda m: (self.target.log_pdf(xr + m) - lxr > 0.0) == side, a, b, _ROOT_BISECTIONS)
+            count = np.bincount(row, minlength=x.size)
+            roots = np.full((x.size, count.max()), s)
+            roots[row, np.arange(row.size) - (np.cumsum(count) - count)[row]] = 0.5 * (a + b)
+        shifted = np.concatenate([kinks - x[:, None], roots], axis=1)
+        inside = np.where(np.abs(shifted) < s, shifted, s)
+        cuts = np.concatenate([np.broadcast_to(fixed, (x.size, fixed.size)), inside], axis=1)
         cuts.sort(axis=1)
         keep = cuts[:, 1:] > cuts[:, :-1]
         return cuts[:, :-1][keep], cuts[:, 1:][keep], np.nonzero(keep)[0]

@@ -19,6 +19,7 @@ expression in u.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from typing import Optional
@@ -85,12 +86,20 @@ class DensityModel:
         #: log pi must be above it, or pi above 0.0
         self._floor = -math.inf if self._logged else 0.0
         self._array_fn = exprlang.compile_array(self._tree)
+        #: the m for which the compiled tree is a strictly monotone function
+        #: of |x - m|, or None (``exprlang.centre``): d(x, .) then changes
+        #: sign at u = 2(m - x) and u = 0 alone
+        self.centre = exprlang.centre(self._tree)
+
+    @functools.cached_property
+    def _log_pdf(self):
+        """``log_pdf_source`` as a function of a float, compiled at the
+        first float call: the commands that pass arrays alone never make it."""
         lines, names = self.log_pdf_source("x", "lx")
         code = "def log_pdf(x):\n" + "".join(f"    {line}\n" for line in lines) + "    return lx\n"
         namespace = {"__builtins__": {}, **names}
         exec(compile(code, "<log_pdf>", "exec"), namespace)
-        #: ``log_pdf_source`` as a function of a float
-        self._log_pdf = namespace["log_pdf"]
+        return namespace["log_pdf"]
 
     # -- evaluation ---------------------------------------------------
     def log_pdf(self, x, out=None):
@@ -139,7 +148,7 @@ class DensityModel:
         value is not above -inf.  An expression with no log form gets the
         statements of its value, a check that raises ModelError where the
         value is not positive, and ``math.log``.  Either check catches NaN.
-        ``log_pdf`` compiles the statements once per model, and
+        ``log_pdf`` compiles the statements at its first float call, and
         ``sampler.run`` inlines them in its step loop."""
         lines, names = exprlang.scalar_lines(self._tree, x, result)
         lines += [

@@ -485,6 +485,10 @@ def _ks_distance(cdf: Callable, srt: np.ndarray) -> float:
 def _autocorr(xs: np.ndarray, max_lag: int) -> List[float]:
     d = xs - xs.mean()
     var = float(d @ d)
+    if not math.isfinite(var):
+        # a spread that overflows, which the caller refuses: the lag
+        # products would sum inf and -inf
+        return [math.nan] * max_lag
     if var == 0.0:
         return [0.0] * max_lag
     return [float(d[:-lag] @ d[lag:]) / var for lag in range(1, max_lag + 1)]

@@ -184,7 +184,11 @@ def norm_T_ac(s_mat: np.ndarray, op: DiscreteOperator, a: float) -> float:
     rows = np.flatnonzero(np.abs(op.disc.nodes) > a)
     b = s_mat[rows]
     b[np.arange(rows.size), rows] -= op.r_grid[rows]
-    return math.sqrt(float(np.linalg.eigvalsh(b @ b.T)[-1]))
+    gram = b @ b.T
+    if not np.isfinite(gram).all():
+        # S is finite, but entries above about 1e154 square to inf
+        raise np.linalg.LinAlgError("the tail block's B B^T overflows")
+    return math.sqrt(float(np.linalg.eigvalsh(gram)[-1]))
 
 
 def _hs_panels(a: float) -> int:
@@ -261,12 +265,19 @@ def spectral_report(k: MhKernel, half_width: float, n: int, a: float) -> Spectra
             f"the discretized operator S is {s_mat[i, j]} at x={float(d.nodes[i])!r}, y={float(d.nodes[j])!r}: "
             "q(y - x) or pi(y)/pi(x) overflows at this config's scales"
         )
-    eigs = np.linalg.eigvalsh(s_mat)[::-1]
+    try:
+        eigs = np.linalg.eigvalsh(s_mat)[::-1]
+        t_ac = norm_T_ac(s_mat, op, a)
+    except np.linalg.LinAlgError as e:
+        raise ModelError(
+            f"{e} on S, whose entries reach {float(np.abs(s_mat).max()):.3g}, at target.scale={k.target.scale!r}, "
+            f"proposal.s={k.proposal.s!r}, spectrum.A={half_width!r}: "
+            "this config's scales are beyond what floats resolve"
+        ) from None
     moduli = np.abs(eigs)
     top = float(eigs[0])
     second = float(np.sort(moduli)[-2]) if n >= 2 else 0.0
     beta_a = beta(k, [a])[0].value
-    t_ac = norm_T_ac(s_mat, op, a)
     hs = hs_norm_T_a(k, a)
     unit_count = int(np.sum(np.abs(eigs - 1.0) <= 5e-4))
     return SpectralReport(

@@ -5,8 +5,10 @@
 an ``MhKernel``."""
 
 import math
+import warnings
 
 import numpy as np
+from scipy.integrate import IntegrationWarning, quad
 
 from mhbound import asymptotics, bounds, exprlang, kernel
 from mhbound.kernel import BLOCK_ELEMENTS, certification
@@ -243,3 +245,22 @@ def proposal_batch_one_shot(p, count: int, rng) -> np.ndarray:
         out[have : have + take] = good[:take]
         have += take
     return out
+
+
+def rejection_by_quad(k, x: float, cuts) -> float:
+    """r(x) = 1 - the integral of q(u) min(1, pi(x+u)/pi(x)) over [-s, s] by
+    scipy's adaptive ``quad``, on pieces split at 0 and at the u of
+    ``cuts`` inside (-s, s), with the scalar log pi: apart from
+    ``integrate_u``'s rule and its array evaluation."""
+    s = k.proposal.s
+    lx = k.target.log_pdf(float(x))
+
+    def integrand(u):
+        return float(k.proposal.shape(u)) * math.exp(min(0.0, k.target.log_pdf(x + u) - lx))
+
+    ends = sorted({-s, 0.0, s, *(float(u) for u in cuts if -s < u < s)})
+    with warnings.catch_warnings():
+        # quad warns that rounding stops it short of epsabs = 1e-15
+        warnings.simplefilter("ignore", IntegrationWarning)
+        pieces = [quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-15, limit=200)[0] for lo, hi in zip(ends, ends[1:])]
+    return 1.0 - math.fsum(pieces)

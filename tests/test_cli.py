@@ -22,7 +22,7 @@ from mhbound.cli import (
     validate_config,
 )
 from mhbound.kernel import R_QUAD_TOL, MhKernel, quad_error_reason
-from mhbound.models import ProposalModel
+from mhbound.models import DensityModel, ProposalModel
 
 GAMMA_LAPLACE = 8.0 * math.exp(-0.5) - math.exp(-1.0) - 3.5
 
@@ -289,6 +289,19 @@ def test_sample_command_with_trace(tmp_path):
     assert header == "step,x,accepted"
 
 
+@pytest.mark.parametrize("family", ["laplace", "gauss"])
+def test_array_commands_never_compile_the_scalar_log_pdf(tmp_path, monkeypatch, family):
+    # the float form of log pi is compiled at its first float call, and the
+    # certificate and spectrum commands pass arrays alone
+    compiled = []
+    real = DensityModel.log_pdf_source
+    monkeypatch.setattr(DensityModel, "log_pdf_source", lambda self, *args: compiled.append(args) or real(self, *args))
+    sets = ["--set", f"target.family={family}", "--set", "bound.a_list=[2.0]", "--set", "spectrum.n=51"]
+    for command in ("bound", "asymptotic", "profile", "spectrum"):
+        assert run_cli(command, "--out", str(tmp_path), *sets) in (0, 2)
+    assert compiled == []
+
+
 def test_sample_config_error(tmp_path, capsys):
     assert run_cli("sample", "--out", str(tmp_path), "--set", "sample.steps=0") == 1
     # numpy's SeedSequence rejects a negative seed; the config check does first
@@ -420,6 +433,19 @@ def test_sample_whose_moments_overflow_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "config error: the states spread too far for floats: a mean, variance or autocorrelation overflows\n"
     )
+
+
+def test_sample_whose_spread_overflows_exits_1_with_no_warning(tmp_path, capsys):
+    # the kept states' squared spread is inf: the lag products of the
+    # autocorrelations summed inf and -inf, and numpy's "invalid value
+    # encountered in matmul" came before the exit-1 line (an error here)
+    sets = ["sample.steps=2000", "sample.burn_in=1900", "target.family=laplace"]
+    sets += ["target.scale=1.0508771149253279e+215", "proposal.s=1.0508771149253279e+215"]
+    assert run_cli("sample", "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: the states spread too far for floats: a mean, variance or autocorrelation overflows\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_integer_of_more_digits_than_python_converts_exits_1(tmp_path, capsys):
@@ -580,6 +606,33 @@ def test_spectrum_whose_matrix_is_not_finite_exits_1(tmp_path, capsys):
     assert run_cli("spectrum", "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)]) == 1
     assert capsys.readouterr().err.endswith(
         "config error: the proposal shape's sup is inf at proposal.s=2.2250738585e-313: "
+        "this config's scales are beyond what floats resolve\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        pytest.param(
+            ["target.family=gauss", "spectrum.A=6.103515625e-05", "proposal.s=2.3576867055026495e-299"],
+            "5.18e+292, at target.scale=1.0, proposal.s=2.3576867055026495e-299, spectrum.A=6.103515625e-05",
+            id="S up to 5e292",
+        ),
+        pytest.param(
+            ["target.scale=1e20", "spectrum.A=1e20", "proposal.s=1e-140"],
+            "2e+158, at target.scale=1e+20, proposal.s=1e-140, spectrum.A=1e+20",
+            id="S up to 2e158",
+        ),
+    ],
+)
+def test_spectrum_whose_tail_block_squares_overflow_exits_1(tmp_path, capsys, sets, message):
+    # S is finite, but B B^T of its tail block is not, and eigvalsh stopped
+    # with "Eigenvalues did not converge", exit 3
+    sets = ["spectrum.n=101", *sets]
+    assert run_cli("spectrum", "--out", str(tmp_path), *[arg for item in sets for arg in ("--set", item)]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"config error: the tail block's B B^T overflows on S, whose entries reach {message}: "
         "this config's scales are beyond what floats resolve\n"
     )
     assert list(tmp_path.iterdir()) == []

@@ -149,6 +149,21 @@ def check(argv) -> None:
         "spectrum.A=0.5",
     ]
 )
+# S is finite, up to 5.2e292, but its tail block's B B^T overflows:
+# eigvalsh did not converge, exit 3
+@example(
+    argv=[
+        "spectrum",
+        "--set",
+        "spectrum.n=101",
+        "--set",
+        "target.family=gauss",
+        "--set",
+        "spectrum.A=6.103515625e-05",
+        "--set",
+        "proposal.s=2.3576867055026495e-299",
+    ]
+)
 # a subnormal s in profile: r(x) was -inf and r_quad_error NaN with exit 2
 @example(
     argv=[

@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhbound import exprlang
 from mhbound.exprlang import (
@@ -25,7 +27,9 @@ from mhbound.exprlang import (
     parse,
     to_source,
 )
-from mhbound.models import DensityModel
+from mhbound.kernel import MhKernel
+from mhbound.models import DensityModel, ProposalModel
+from oracles import rejection_by_quad
 
 
 def test_parse_laplace_density_structure():
@@ -533,3 +537,98 @@ def test_kinks_cover_dense_second_difference_scan():
             seen += 1
             assert found.size and np.min(np.abs(found - x)) <= 2.0 * h, (to_source(tree), x, found)
     assert seen > 20
+
+
+#: slopes and numbers of the trees drawn below; a slope is never 0
+SLOPES = st.floats(0.2, 3.0).flatmap(lambda a: st.sampled_from([a, -a]))
+NUMBERS = st.floats(-4.0, 4.0)
+FACTORS = st.floats(0.1, 3.0)
+
+
+@st.composite
+def rising_terms(draw):
+    """(source, m): a term that rises strictly in |x - m|, with m the zero
+    of its affine argument a*x + b: abs(a*x+b)^p, (a*x+b)^2 or a positive
+    sum of both."""
+    a, b = draw(SLOPES), draw(NUMBERS)
+    line = f"({a!r}*x + {b!r})"
+    powered = f"abs{line}^{draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))!r}"
+    source = draw(st.sampled_from([f"abs{line}", powered, f"{line}^2", f"{line}^4"]))
+    if draw(st.booleans()):
+        source = f"{draw(FACTORS)!r}*{source} + {draw(FACTORS)!r}*{line}^2"
+    return source, -b / a + 0.0
+
+
+@st.composite
+def centred_trees(draw):
+    """(source, m) of a tree whose centre is m: a rising term under a
+    random chain of exp, log, sqrt, negation, a number added or taken off,
+    a nonzero factor and a division by one."""
+    source, m = draw(rising_terms())
+    wraps = ["exp({})", "log({})", "sqrt({})", "-({})", "({}) + {c!r}", "{c!r} - ({})", "{c!r}*({})", "({})/{c!r}"]
+    for wrap in draw(st.lists(st.sampled_from(wraps), max_size=3)):
+        c = draw(NUMBERS.filter(lambda c: c != 0.0))
+        source = wrap.format(source, c=c)
+    return source, m
+
+
+@st.composite
+def uncentred_trees(draw):
+    """A tree with no centre: a bimodal sum, an odd power of an affine
+    argument, min or max, an affine term plus a rising one, or a zero
+    factor or slope."""
+    term, m = draw(rising_terms())
+    a, b, c = draw(SLOPES), draw(NUMBERS), draw(FACTORS)
+    other = draw(NUMBERS.filter(lambda n: n != m))
+    return draw(st.sampled_from([
+        f"exp(-({term})) + exp(-abs(x - {other!r}))",
+        f"-({term}) - abs(x - {other!r})",
+        f"({a!r}*x + {b!r})^3",
+        "x^3",
+        f"max({term}, {c!r})",
+        f"-min({term}, x^2)",
+        f"-({term}) + {c!r}*x",
+        f"exp(-({term}) - x/{c!r})",
+        f"0*({term})",
+        f"exp(-abs(0*x + {b!r}))",
+        f"({term} - {c!r})^2",
+    ]))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    tree=centred_trees(),
+    bad=uncentred_trees(),
+    family=st.sampled_from(["laplace", "gauss"]),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_centre_of_random_trees(tree, bad, family, scale):
+    # the fold reads the tree: a built-in family at any scale, and every
+    # tree of a rising term with m and monotone steps, has its m; the
+    # others have none, and neither does a term whose power may have a
+    # negative base
+    source, m = tree
+    assert exprlang.centre(parse(source)) == m, source
+    assert exprlang.centre(parse(bad)) is None, bad
+    assert DensityModel(family, scale).centre == 0.0
+    assert DensityModel("expr", source=f"exp(-({source}))").centre == m
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    term=rising_terms(),
+    family=st.sampled_from(["laplace", "gauss"]),
+    scale=st.floats(0.05, 20.0),
+    offsets=st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=4),
+)
+def test_rejection_grid_of_trees_with_a_centre_matches_quad(term, family, scale, offsets):
+    # the cut at u = 2(m - x) gives r(x) to 1e-12 of adaptive quadrature
+    # split at that kink and at the target's own, u = m - x
+    source, m = term
+    for target, m in ((DensityModel("expr", source=f"exp(-({source}))"), m), (DensityModel(family, scale), 0.0)):
+        k = MhKernel(target, ProposalModel("triangular"))
+        assert target.centre == m
+        xs = m + np.array(offsets)
+        rs, _ = k.rejection_grid(xs)
+        for x, r in zip(xs.tolist(), rs.tolist()):
+            assert abs(r - rejection_by_quad(k, x, [2.0 * (m - x), m - x])) <= 1e-12, (target, x)

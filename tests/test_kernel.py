@@ -14,6 +14,7 @@ from oracles import (
     log_t_general,
     piece_sums_per_piece,
     pieces_bisection,
+    rejection_by_quad,
 )
 
 R0_LAPLACE = 1.0 - 2.0 / math.e  # closed form for the triangular proposal at the mode
@@ -87,6 +88,17 @@ def test_rejection_grid_matches_adaptive(laplace_tri, gauss_tri):
             ]
         )
         np.testing.assert_allclose(fast, slow, atol=5e-7)
+
+
+@pytest.mark.parametrize("x", [0.000994, -0.000994, 0.002, -0.002, 1e-3, -5e-4, 1e-4, 1e-6, 0.0])
+def test_rejection_grid_near_the_gauss_mode_matches_quad(gauss_tri, x):
+    # d(x, .) changes sign at u = -2x, where d is rounding noise on a grid
+    # of s / 32: the scan that found it missed the kink at x = +-0.000994,
+    # 6.5e-10 off with an estimate of 5.5e-17; the centre read from the
+    # tree puts it on a piece boundary
+    (r,), (error,) = gauss_tri.rejection_grid([x])
+    assert abs(r - rejection_by_quad(gauss_tri, x, [-2.0 * x])) <= 1e-13
+    assert error <= 1e-15
 
 
 def test_rejection_grid_independent_of_block_split(gauss_tri):
@@ -202,6 +214,25 @@ def test_pieces_split_at_the_bisected_sign_change(gauss_tri):
         side = gauss_tri.target.log_pdf(x[row] + a) - lx[row] > 0.0
         a, b = pieces_bisection(gauss_tri.target, x[row : row + 1], lx[row : row + 1], side, a, b)
         assert 0.5 * (a[0] + b[0]) in hi[own == row]
+
+
+def test_pieces_of_a_target_with_a_centre_cut_at_the_mirror_point(monkeypatch):
+    # d(x, u) changes sign where |x + u - 3| = |x - 3|: u = 2(3 - x), read
+    # from the tree with no evaluation of log pi; the target's kink sits
+    # at u = 3 - x
+    k = MhKernel(DensityModel("expr", source="exp(-abs(x-3))"), ProposalModel("triangular"))
+    s, x = k.proposal.s, np.array([2.7, 3.2, 3.0, 5.0])
+    lx = k.target.log_pdf(x)
+    fixed, kinks = np.array([-s, 0.0, *k.proposal.kinks, s]), np.array([3.0])
+    monkeypatch.setattr(k.target, "log_pdf", None)
+    lo, hi, own = k._pieces(x, lx, None, fixed, kinks, np.empty(BLOCK_ELEMENTS))
+    cuts = [sorted({*lo[own == row], *hi[own == row]}) for row in range(x.size)]
+    assert cuts == [
+        [-s, 0.0, 3.0 - 2.7, 2.0 * (3.0 - 2.7), s],
+        [-s, 2.0 * (3.0 - 3.2), 3.0 - 3.2, 0.0, s],
+        [-s, 0.0, s],
+        [-s, 0.0, s],
+    ]
 
 
 def test_kernel_is_frozen():
